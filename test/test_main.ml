@@ -24,4 +24,5 @@ let () =
       ("crash", Test_crash.suite);
       ("topology", Test_topology.suite);
       ("kv", Test_kv.suite);
+      ("baseline", Test_baseline.suite);
     ]

@@ -24,7 +24,8 @@ let run_report (p : Platform.t) app ~n =
    The named machines are now thin topology expressions; this pins the
    spec-string path (lexer, parser, builder) to the exact machines the
    names construct.  Cycles, checksum and every counter must match —
-   the same invariant the 55-row golden gate enforces externally. *)
+   the same invariant the app x platform table in test_baseline.ml
+   pins for every named platform. *)
 
 let legacy_specs =
   [
