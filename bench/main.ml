@@ -28,9 +28,8 @@ module Machines = Shm_platform.Machines
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 module Dsm_cluster = Shm_platform.Dsm_cluster
+module Topology = Shm_platform.Topology
 module Machines_reg = Shm_platform.Machines
-module Hs = Shm_platform.Hs
-module Ah = Shm_platform.Ah
 module Overhead = Shm_net.Overhead
 module Instrument = Shm_platform.Instrument
 module Engine = Shm_sim.Engine
@@ -139,15 +138,17 @@ let mwater_sim () = ("m-water", Registry.app ~scale:!scale "m-water")
 (* ------------------------------------------------------------------ *)
 (* Platform instances                                                  *)
 
-let dec () = Dsm_cluster.dec_plain ()
+let dec () = Machines.get "dec"
 let ivy () = Machines.get "ivy"
-let tmk () = Dsm_cluster.dec ~level:Dsm_cluster.User ()
-let tmk_kernel () = Dsm_cluster.dec ~level:Dsm_cluster.Kernel ()
-let tmk_eager () = Dsm_cluster.dec ~eager:true ~level:Dsm_cluster.User ()
+let tmk () = Machines.get "treadmarks"
+let tmk_kernel () = Machines.get "treadmarks-kernel"
+let tmk_eager () = Machines.get "treadmarks-eager"
 let sgi () = Machines.get "sgi"
 let as_machine ?overhead () = Dsm_cluster.as_machine ?overhead ()
-let ah_machine () = Ah.make ()
-let hs_machine ?overhead () = Hs.make ?overhead ()
+let ah_machine () = Machines.get "ah"
+let hs_machine ?overhead () =
+  Topology.build ~name:"HS8" ~host:(Topology.host_sim ?overhead ())
+    (fst (Topology.of_string "lrc(mesi*8 x 32)"))
 
 let procs_sec2 = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 let procs_sec3 = [ 1; 8; 16; 32; 64 ]
@@ -495,8 +496,7 @@ let lrc_vs_ivy () =
 let lrc_vs_erc () =
   let apps = [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ] in
   let erc () =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
+    Machines.get "treadmarks-erc"
   in
   let table =
     Table.create
@@ -538,7 +538,7 @@ let lrc_vs_erc () =
 
 let sgi_bus_ablation () =
   let apps = [ "sor"; "sor-square"; "m-water" ] in
-  let fast = Shm_platform.Sgi.make_fast () in
+  let fast = Machines.get "sgi-fast" in
   let table =
     Table.create
       ~title:
@@ -618,11 +618,10 @@ let bd_platforms () =
   [
     ( "treadmarks+bd",
       "TreadMarks",
-      Dsm_cluster.dec ~instrument:Instrument.breakdown_only
-        ~level:Dsm_cluster.User () );
+      Machines.get ~instrument:Instrument.breakdown_only "treadmarks" );
     ( "sgi+bd",
       "SGI 4D/480",
-      Shm_platform.Sgi.make ~instrument:Instrument.breakdown_only () );
+      Machines.get ~instrument:Instrument.breakdown_only "sgi" );
   ]
 
 let breakdown_exhibit () =
@@ -672,8 +671,7 @@ let breakdown_exhibit () =
 let pm_protocols = [ "lrc"; "eager-lrc"; "ivy"; "tardis" ]
 
 let pm_platform p =
-  Dsm_cluster.dec ~protocol:p ~instrument:Instrument.breakdown_only
-    ~level:Dsm_cluster.User ()
+  Machines.get ~protocol:p ~instrument:Instrument.breakdown_only "treadmarks"
 
 let pm_key p = "proto-" ^ p ^ "+bd"
 
@@ -745,7 +743,7 @@ let crash_platforms () =
   [
     ( "treadmarks", "treadmarks+crash",
       tmk (),
-      Dsm_cluster.dec ~crash:churn_policy ~level:Dsm_cluster.User () );
+      Machines.get ~crash:churn_policy "treadmarks" );
     ("ivy", "ivy+crash", ivy (), Machines.get ~crash:churn_policy "ivy");
   ]
 
@@ -1072,8 +1070,7 @@ let plan_lrc_vs_ivy () =
 
 let plan_lrc_vs_erc () =
   let erc () =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
+    Machines.get "treadmarks-erc"
   in
   List.iter
     (fun name ->
@@ -1086,7 +1083,7 @@ let plan_lrc_vs_erc () =
     [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ]
 
 let plan_sgi_bus () =
-  let fast = Shm_platform.Sgi.make_fast () in
+  let fast = Machines.get "sgi-fast" in
   List.iter
     (fun name ->
       let app = Registry.app ~scale:!scale name in

@@ -63,8 +63,19 @@ if grep -nE 'Shm_engines\.' lib/platform/*.ml \
   exit 1
 fi
 
+# Runner audit: every processor of every machine is built by the one
+# runner (DESIGN.md §15).  A second place constructing a PARMACS context
+# would fork the access path (TLB fast path, private caches, lifecycle
+# gating, max_cycles) the runner keeps in one copy; only the untimed
+# sequential reference in Parmacs itself may build its own.
+if grep -nE '(^|[{ (])Parmacs\.id *=' lib/*/*.ml \
+     | grep -v -e '^lib/platform/hier\.ml:' -e '^lib/parmacs/parmacs\.ml:'; then
+  echo "ci: only lib/platform/hier.ml may build a Parmacs context in lib/" >&2
+  exit 1
+fi
+
 # Bench smoke under a parallel pool: one quick-scale exhibit with
-# --jobs 2 must succeed and emit a valid bench_access/5 JSON report,
+# --jobs 2 must succeed and emit a valid bench_access/7 JSON report,
 # byte-identical to the same exhibit at --jobs 1 modulo the wall-time
 # fields (run results and order must not depend on the pool width).
 smoke_json=$(mktemp)
@@ -269,5 +280,9 @@ if ! cmp -s "$clean_json" "$traced_run_json"; then
   exit 1
 fi
 rm -f "$trace_json" "$traced_run_json"
+
+# Benchmark smoke: the perf harness builds, runs one short pass per
+# workload and checks BENCHMARK.json against the metric names it emits.
+dune build @bench/perf/smoke
 
 echo "ci: OK"

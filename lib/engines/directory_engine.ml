@@ -48,6 +48,5 @@ let mount (ctx : Shm_proto.ctx) =
     rmw = Some (fun f ~node addr g -> Directory.rmw machine f ~node addr g);
     invalidate_range =
       Some (fun ~addr ~words -> Directory.invalidate_range machine ~addr ~words);
-    dump_lock = None;
     check_invariants = (fun () -> Directory.check_invariants machine);
   }

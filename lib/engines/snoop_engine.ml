@@ -65,6 +65,5 @@ let mount (ctx : Shm_proto.ctx) =
     rmw = Some (fun f ~node addr g -> Snoop.rmw machine f ~cpu:node addr g);
     invalidate_range =
       Some (fun ~addr ~words -> Snoop.invalidate_range machine ~addr ~words);
-    dump_lock = None;
     check_invariants = (fun () -> Snoop.check_coherence machine);
   }

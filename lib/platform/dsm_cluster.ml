@@ -1,132 +1,13 @@
-module Engine = Shm_sim.Engine
-module Counters = Shm_stats.Counters
 module Overhead = Shm_net.Overhead
-module Memory = Shm_memsys.Memory
-module Private_cache = Shm_memsys.Private_cache
-module Parmacs = Shm_parmacs.Parmacs
 
-type level = User | Kernel
-
-(* The named software-DSM clusters are topology expressions over the
-   flat runner: [protocol(8)@dec] for the paper's DECstation cluster,
-   [protocol(256)@sim] for the Section-3 All-Software design.  The
-   refusal of hardware engines stays here so the error names the
-   platform the user asked for. *)
-
-let reject_hw ~name protocol =
-  match Topology.engine_kind protocol with
-  | Shm_proto.Sdsm -> ()
-  | Shm_proto.Hw ->
-      invalid_arg
-        (Printf.sprintf
-           "platform %S is a software-DSM cluster; protocol %S is a hardware \
-            cache-coherence engine (mount it on one of: sgi, sgi-fast, ah)"
-           name protocol)
-
-let make = Sdsm_runner.make
-
-let dec ?(eager = false) ?(protocol = "lrc") ?faults ?crash ?max_cycles
-    ?instrument ~level () =
-  let overhead, suffix =
-    match level with
-    | User -> (Overhead.treadmarks_user, "user")
-    | Kernel -> (Overhead.treadmarks_kernel, "kernel")
-  in
-  let name =
-    match protocol with
-    | "lrc" -> Printf.sprintf "treadmarks-%s" suffix
-    | "erc" -> "treadmarks-erc"
-    | p -> Printf.sprintf "treadmarks-%s+%s" suffix p
-  in
-  reject_hw ~name protocol;
-  let host =
-    { (Topology.host_dec ~overhead ()) with
-      Topology.host_name = (match level with User -> "dec" | Kernel -> "dec-kernel") }
-  in
-  Topology.build ~name ?faults ?crash ?max_cycles ?instrument ~eager ~host
-    (Topology.Dom { engine = protocol; children = [ Topology.Cpus 8 ] })
-
+(* The Section-3 "All Software" design with its messaging overhead as a
+   parameter; {!Machines}' ["as"] row is this machine at the default
+   overhead. *)
 let as_machine ?(eager = false) ?(protocol = "lrc")
     ?(overhead = Overhead.treadmarks_user) ?faults ?crash ?max_cycles
     ?instrument () =
   let name = if protocol = "lrc" then "AS" else "AS+" ^ protocol in
-  reject_hw ~name protocol;
-  Topology.build ~name ?faults ?crash ?max_cycles ?instrument ~eager
+  Topology.build ~name ~kind:(Some Shm_proto.Sdsm) ?faults ?crash ?max_cycles
+    ?instrument ~eager
     ~host:(Topology.host_sim ~overhead ())
     (Topology.Dom { engine = protocol; children = [ Topology.Cpus 256 ] })
-
-let dec_plain ?(instrument = Instrument.off) () =
-  let run (app : Parmacs.app) ~nprocs =
-    if nprocs <> 1 then invalid_arg "dec_plain: uniprocessor only";
-    let eng = Instrument.engine instrument in
-    let counters = Counters.create () in
-    let mem = Memory.create ~words:app.shared_words in
-    app.init mem;
-    let cache = Private_cache.create Private_cache.dec_config in
-    let finish = ref 0 in
-    let fiber =
-      Engine.spawn eng ~name:"cpu0" ~at:0 (fun f ->
-           let fcell = ref 0.0 in
-           let icell = ref 0 in
-           let ctx =
-             {
-               Parmacs.id = 0;
-               nprocs = 1;
-               read =
-                 (fun addr ->
-                   Private_cache.read cache f addr;
-                   Memory.get mem addr);
-               write =
-                 (fun addr v ->
-                   Private_cache.write cache f addr;
-                   Memory.set mem addr v);
-               fcell;
-               readf =
-                 (fun addr ->
-                   Private_cache.read cache f addr;
-                   fcell := Memory.get_float mem addr);
-               writef =
-                 (fun addr ->
-                   Private_cache.write cache f addr;
-                   Memory.set_float mem addr !fcell);
-               icell;
-               readi =
-                 (fun addr ->
-                   Private_cache.read cache f addr;
-                   icell := Memory.get_int mem addr);
-               writei =
-                 (fun addr ->
-                   Private_cache.write cache f addr;
-                   Memory.set_int mem addr !icell);
-               range =
-                 Parmacs.range_ops_of_runs ~mem
-                   ~read_run:(fun addr words ~f:move ->
-                     Private_cache.read_range cache f addr words;
-                     move addr words)
-                   ~write_run:(fun addr words ~f:move ->
-                     Private_cache.write_range cache f addr words;
-                     move addr words);
-               lock = ignore;
-               unlock = ignore;
-               barrier = ignore;
-               compute = (fun n -> Engine.advance f n);
-               clock = (fun () -> Engine.clock f);
-             }
-           in
-           app.work ctx;
-           finish := Engine.clock f)
-    in
-    Engine.run eng;
-    Instrument.finish instrument counters [| fiber |];
-    List.iter (fun (k, v) -> Counters.add counters k v) (app.stats ());
-    {
-      Report.platform = "dec";
-      app = app.name;
-      nprocs = 1;
-      cycles = !finish;
-      clock_mhz = 40.0;
-      checksum = Parmacs.checksum_of mem app;
-      counters = Counters.to_list counters;
-    }
-  in
-  { Platform.name = "dec"; clock_mhz = 40.0; max_procs = 1; run }

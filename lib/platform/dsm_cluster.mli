@@ -1,63 +1,12 @@
-(** Software-DSM platforms: a cluster of nodes with private memories kept
-    coherent by a mounted {!Shm_proto.ENGINE} over a message fabric.
+(** The Section-3 "All Software" design — 100 MHz uniprocessor nodes
+    kept coherent by a software-DSM engine over the simulated network —
+    with the messaging overhead as a parameter, swept for Figures 14-15.
+    The paper's other machines are rows of {!Machines}.
 
-    Two named incarnations:
-    - [dec ~level]: the paper's experimental platform — DECstation-5000/240
-      workstations (40 MHz) on an ATM LAN, with the DSM layer either at
-      user level or moved inside the Ultrix kernel (Section 2.4.4);
-    - [as_machine ~overhead]: the Section-3 "All Software" design — 100 MHz
-      uniprocessor nodes, with the messaging overhead swept for
-      Figures 14-15;
-    plus [dec_plain], a single DECstation without any DSM (the baseline
-    column of Table 1), and [make], the generic engine-mounted runner the
-    named machines (and {!Ivy_cluster}) are built from. *)
-
-type level = User | Kernel
-
-(** [make ~engine ...] builds a cluster platform around a software-DSM
-    coherence engine.  @raise Invalid_argument if [engine] is a hardware
-    engine. *)
-val make :
-  engine:(module Shm_proto.ENGINE) ->
-  ?faults:Shm_net.Fabric.faults ->
-  ?crash:Shm_sim.Lifecycle.policy ->
-  ?max_cycles:int ->
-  ?instrument:Instrument.t ->
-  name:string ->
-  clock_mhz:float ->
-  max_procs:int ->
-  fabric_of:(unit -> Shm_net.Fabric.config) ->
-  cache_cfg:Shm_memsys.Private_cache.config ->
-  eager:bool ->
-  unit ->
-  Platform.t
-
-(** [eager] honours the app's eager-release lock hints (TSP bound);
     [protocol] names the coherence engine to mount (default ["lrc"],
-    TreadMarks; ["erc"] reproduces the old eager-invalidate variant,
-    ["eager-lrc"], ["ivy"] and ["tardis"] are the other software
-    engines); [faults] arms network fault injection on the ATM fabric
-    (the DSM then runs over {!Shm_net.Reliable}); [max_cycles] bounds the
-    run with {!Shm_sim.Engine.Watchdog} — fault-mode runs default to a
-    generous backstop so a retransmission livelock cannot hang forever;
-    [instrument] enables the per-fiber time breakdown (and optional
-    Chrome-trace capture) — when left at {!Instrument.off} the run is
-    byte-identical to an uninstrumented one; [crash] arms whole-node
-    crash/restart injection with failure-atomic recovery (DESIGN.md §13)
-    — processors of a down node park at their next shared access and
-    the engine checkpoints, re-homes managers and replays on rejoin.
-    An inactive [crash] policy constructs nothing. *)
-val dec :
-  ?eager:bool ->
-  ?protocol:string ->
-  ?faults:Shm_net.Fabric.faults ->
-  ?crash:Shm_sim.Lifecycle.policy ->
-  ?max_cycles:int ->
-  ?instrument:Instrument.t ->
-  level:level ->
-  unit ->
-  Platform.t
-
+    TreadMarks; hardware engines are refused); [eager] honours the app's
+    eager-release lock hints; [faults], [crash], [max_cycles] and
+    [instrument] as in {!Machines.get}. *)
 val as_machine :
   ?eager:bool ->
   ?protocol:string ->
@@ -68,6 +17,3 @@ val as_machine :
   ?instrument:Instrument.t ->
   unit ->
   Platform.t
-
-(** Plain DECstation: valid only for [nprocs = 1]. *)
-val dec_plain : ?instrument:Instrument.t -> unit -> Platform.t

@@ -1,52 +1,51 @@
-let names =
+(* The named machines: each row is a topology on a host, spelled with
+   its default engine at the root.  [--protocol] replaces that engine;
+   [kind] is the engine kind the machine accepts there ([None]: the
+   plain uniprocessor mounts none), and [display] names the platform
+   after the engine it mounted. *)
+type row = {
+  name : string;
+  display : string -> string;
+  kind : Shm_proto.kind option;
+  eager : bool;
+  host : Topology.host;
+  tree : Topology.tree;
+}
+
+let named base default engine =
+  if engine = default then base else base ^ "+" ^ engine
+
+let treadmarks level = function
+  | "lrc" -> "treadmarks-" ^ level
+  | "erc" -> "treadmarks-erc"
+  | p -> Printf.sprintf "treadmarks-%s+%s" level p
+
+let table =
+  let row ?(eager = false) name display kind spec =
+    let tree, host = Topology.of_string spec in
+    { name; display; kind = Some kind; eager; tree;
+      host = Topology.host_of_name (Option.get host) }
+  in
+  let open Shm_proto in
   [
-    "dec"; "treadmarks"; "treadmarks-kernel"; "treadmarks-eager";
-    "treadmarks-erc"; "ivy"; "sgi"; "sgi-fast"; "as"; "ah"; "hs";
+    { name = "dec"; display = (fun _ -> "dec"); kind = None; eager = false;
+      host = Topology.host_dec (); tree = Topology.Cpus 1 };
+    row "treadmarks" (treadmarks "user") Sdsm "lrc*8@dec";
+    row "treadmarks-kernel" (treadmarks "kernel") Sdsm "lrc*8@dec-kernel";
+    row ~eager:true "treadmarks-eager" (treadmarks "user") Sdsm "lrc*8@dec";
+    row "treadmarks-erc" (treadmarks "user") Sdsm "erc*8@dec";
+    row "ivy" (named "ivy" "ivy") Sdsm "ivy*64@dec";
+    row "sgi" (named "sgi-4d480" "mesi") Hw "mesi*8@sgi";
+    (* Paper Section 2.5: dual cache tags and a bus twice as fast
+       relative to the processors. *)
+    row "sgi-fast" (named "sgi-fastbus" "mesi") Hw "mesi*8@sgi-fast";
+    row "as" (named "AS" "lrc") Sdsm "lrc*256@sim";
+    row "ah" (named "AH" "directory") Hw "directory*256@sim";
+    row "hs" (named "HS8" "lrc") Sdsm "lrc(mesi*8 x 32)@sim";
   ]
 
-let fault_capable =
-  [ "treadmarks"; "treadmarks-kernel"; "treadmarks-eager"; "treadmarks-erc";
-    "ivy"; "as" ]
-
+let names = List.map (fun r -> r.name) table
 let protocols = Topology.engine_names ()
-
-(* Crash injection needs the node-lifecycle layer of the software-DSM
-   clusters; same membership as [fault_capable], kept separate so the
-   lists can diverge if a platform ever supports one but not the other. *)
-let crash_capable = fault_capable
-
-let reject_faults name faults =
-  match faults with
-  | Some f when Shm_net.Fabric.faults_active f ->
-      invalid_arg
-        (Printf.sprintf
-           "platform %S models a reliable interconnect; fault injection \
-            applies only to the software-DSM platforms (%s)"
-           name
-           (String.concat ", " fault_capable))
-  | _ -> ()
-
-let reject_crash name crash =
-  match crash with
-  | Some c when Shm_sim.Lifecycle.active c ->
-      invalid_arg
-        (Printf.sprintf
-           "platform %S models a reliable machine; whole-node crash \
-            injection applies only to the software-DSM platforms (%s)"
-           name
-           (String.concat ", " crash_capable))
-  | _ -> ()
-
-let reject_protocol name protocol =
-  match protocol with
-  | Some p ->
-      invalid_arg
-        (Printf.sprintf
-           "platform %S is a uniprocessor and mounts no coherence engine; \
-            protocol %S applies only to the shared-memory platforms (%s)"
-           name p
-           (String.concat ", " (List.filter (fun n -> n <> "dec") names)))
-  | None -> ()
 
 (* A "topo:SPEC" platform name builds the machine from a topology
    expression (DESIGN.md §15); engines are named per level inside the
@@ -72,45 +71,18 @@ let get ?faults ?crash ?max_cycles ?instrument ?protocol name =
          (String.length name - String.length topo_prefix))
   end
   else
-  match name with
-  | "dec" ->
-      reject_faults name faults;
-      reject_crash name crash;
-      reject_protocol name protocol;
-      Dsm_cluster.dec_plain ?instrument ()
-  | "treadmarks" ->
-      Dsm_cluster.dec ?faults ?crash ?max_cycles ?instrument ?protocol
-        ~level:Dsm_cluster.User ()
-  | "treadmarks-kernel" ->
-      Dsm_cluster.dec ?faults ?crash ?max_cycles ?instrument ?protocol
-        ~level:Dsm_cluster.Kernel ()
-  | "treadmarks-eager" ->
-      Dsm_cluster.dec ?faults ?crash ?max_cycles ?instrument ?protocol
-        ~eager:true ~level:Dsm_cluster.User ()
-  | "treadmarks-erc" ->
-      Dsm_cluster.dec ?faults ?crash ?max_cycles ?instrument
-        ~protocol:(Option.value protocol ~default:"erc")
-        ~level:Dsm_cluster.User ()
-  | "ivy" ->
-      Ivy_cluster.make ?faults ?crash ?max_cycles ?instrument
-        ~protocol:(Option.value protocol ~default:"ivy") ()
-  | "sgi" ->
-      reject_faults name faults;
-      reject_crash name crash;
-      Sgi.make ?protocol ?instrument ()
-  | "sgi-fast" ->
-      reject_faults name faults;
-      reject_crash name crash;
-      Sgi.make_fast ?protocol ?instrument ()
-  | "as" ->
-      Dsm_cluster.as_machine ?faults ?crash ?max_cycles ?instrument ?protocol
-        ()
-  | "ah" ->
-      reject_faults name faults;
-      reject_crash name crash;
-      Ah.make ?protocol ?instrument ()
-  | "hs" ->
-      reject_faults name faults;
-      reject_crash name crash;
-      Hs.make ?protocol ?instrument ()
-  | name -> invalid_arg (Printf.sprintf "unknown platform %S" name)
+    match List.find_opt (fun r -> r.name = name) table with
+    | None -> invalid_arg (Printf.sprintf "unknown platform %S" name)
+    | Some r ->
+        let tree =
+          match (protocol, r.tree) with
+          | None, t -> t
+          | Some engine, Topology.Dom { children; _ } ->
+              Topology.Dom { engine; children }
+          | Some engine, c -> Topology.Dom { engine; children = [ c ] }
+        in
+        let engine =
+          match tree with Topology.Dom { engine; _ } -> engine | _ -> ""
+        in
+        Topology.build ~name:(r.display engine) ~kind:r.kind ~eager:r.eager
+          ?faults ?crash ?max_cycles ?instrument ~host:r.host tree

@@ -1,19 +1,11 @@
-(** Named platform instances shared by the CLI, examples and benches. *)
+(** Named platform instances shared by the CLI, examples and benches:
+    one table of rows, each a topology (DESIGN.md §15) on a host with
+    its default engine at the root, built by {!Topology.build}. *)
 
 (** Canonical names: ["dec"], ["treadmarks"], ["treadmarks-kernel"],
     ["treadmarks-eager"], ["treadmarks-erc"], ["ivy"], ["sgi"],
     ["sgi-fast"], ["as"], ["ah"], ["hs"]. *)
 val names : string list
-
-(** Platforms that accept an active fault policy (software DSM over the
-    unreliable ATM fabric). *)
-val fault_capable : string list
-
-(** Platforms that accept an active crash policy — whole-node
-    crash/restart injection with checkpoint-based recovery (DESIGN.md
-    §13).  Currently equal to {!fault_capable}; the Tardis engine
-    additionally refuses to mount under a crash policy on any of them. *)
-val crash_capable : string list
 
 (** Registered coherence-engine names, mountable with [get ?protocol]
     (= {!Shm_engines.names}). *)
@@ -35,9 +27,9 @@ val topology :
     injection with failure-atomic checkpoints and online recovery
     (DESIGN.md §13); [max_cycles] bounds each run with
     {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs get a generous
-    default backstop).  All three are only meaningful on {!fault_capable}
-    / {!crash_capable} platforms — the hardware platforms model reliable
-    machines and refuse an active policy.  [protocol] overrides the
+    default backstop).  Fault and crash policies are only meaningful on
+    the flat software-DSM platforms — the others model reliable machines
+    and refuse an active policy.  [protocol] overrides the
     coherence engine the machine mounts (see {!protocols}); machines
     refuse engines of the wrong kind (a hardware engine on a
     message-passing cluster and vice versa), and ["dec"] — a uniprocessor

@@ -271,6 +271,7 @@ let validate ~host t =
         List.iter (structure ~depth:(depth + 1)) children
   in
   match t with
+  | Cpus 1 -> () (* the plain uniprocessor *)
   | Cpus _ ->
       fail "a topology needs a coherence domain at its root, not a bare \
             processor count"
@@ -313,75 +314,112 @@ let rec to_hier = function
 
 (* {2 Building} *)
 
-let reject_hybrid_faults name faults crash =
-  if Fabric.faults_active faults then
-    invalid_arg
-      (Printf.sprintf
-         "topology %S has hardware coherence levels below reliable \
-          machine boundaries; network fault injection applies only to \
-          flat software-DSM topologies"
-         name);
-  if Lifecycle.active crash then
-    invalid_arg
-      (Printf.sprintf
-         "topology %S models reliable multiprocessor nodes; whole-node \
-          crash injection applies only to flat software-DSM topologies"
-         name)
+let is_dom = function Dom _ -> true | Cpus _ -> false
 
-let build ?name ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none)
-    ?max_cycles ?(instrument = Instrument.off) ?(eager = false) ~host t =
-  validate ~host t;
-  let cap = capacity t in
-  let name = match name with Some n -> n | None -> spec_string t host in
-  match t with
-  | Cpus _ -> assert false (* validate refuses *)
-  | Dom { engine; children } -> (
-      let (module E : Shm_proto.ENGINE) = Shm_engines.get engine in
-      match E.kind with
-      | Shm_proto.Sdsm
-        when List.for_all (function Cpus _ -> true | Dom _ -> false) children
-        ->
-          (* Flat software-DSM cluster: per-node memories, private
-             caches, the TLB fast path — the classic runner. *)
-          Sdsm_runner.make ~engine:(module E) ~faults ~crash ?max_cycles
-            ~instrument ~name ~clock_mhz:host.clock_mhz ~max_procs:cap
-            ~fabric_of:(Option.get host.fabric_of)
-            ~cache_cfg:(Option.get host.cache_cfg) ~eager ()
+(* A named machine accepts one kind of root engine ([None]: a plain
+   uniprocessor that mounts none); a replaced root engine of another
+   kind is refused under the machine's name. *)
+let check_kind ~name ~kind t =
+  match (kind, t) with
+  | None, Dom { engine; _ } ->
+      invalid_arg
+        (Printf.sprintf
+           "platform %S is a uniprocessor and mounts no coherence engine; \
+            protocol %S applies only to the shared-memory platforms \
+            (treadmarks, treadmarks-kernel, treadmarks-eager, \
+            treadmarks-erc, ivy, sgi, sgi-fast, as, ah, hs)"
+           name engine)
+  | Some k, Dom { engine; children } when engine_kind engine <> k -> (
+      match k with
+      | Shm_proto.Sdsm when not (List.exists is_dom children) ->
+          invalid_arg
+            (Printf.sprintf
+               "platform %S is a software-DSM cluster; protocol %S is a \
+                hardware cache-coherence engine (mount it on one of: sgi, \
+                sgi-fast, ah)"
+               name engine)
       | Shm_proto.Sdsm ->
-          (* Hybrid: DSM across the top, hardware domains inside. *)
-          reject_hybrid_faults name faults crash;
-          let fabric_of = Option.get host.fabric_of in
-          let run app ~nprocs =
-            if nprocs > cap then
-              invalid_arg
-                (Printf.sprintf
-                   "topology %S provides %d processors; %d requested" name
-                   cap nprocs);
-            if nprocs < 1 then
-              invalid_arg
-                (Printf.sprintf "topology %S: nprocs must be positive" name);
-            let tops =
-              match trim (Dom { engine; children }) nprocs with
-              | Some (Dom { children; _ }), taken when taken = nprocs ->
-                  List.map to_hier children
-              | _ -> assert false
-            in
-            Hier.run ~engine:(module E) ?max_cycles ~instrument
-              ~platform_name:name ~clock_mhz:host.clock_mhz ~fabric_of ~eager
-              ~tops app ~nprocs
-          in
-          { Platform.name; clock_mhz = host.clock_mhz; max_procs = cap; run }
+          invalid_arg
+            (Printf.sprintf
+               "platform %S runs a software-DSM protocol between its \
+                hardware-coherent nodes; protocol %S is a hardware \
+                cache-coherence engine (mount it on one of: sgi, sgi-fast, \
+                ah)"
+               name engine)
       | Shm_proto.Hw ->
-          reject_hybrid_faults name faults crash;
-          {
-            Platform.name;
-            clock_mhz = host.clock_mhz;
-            max_procs = cap;
-            run =
-              Hw_cluster.run ~engine:(module E) ~instrument
-                ~platform_name:name ~clock_mhz:host.clock_mhz
-                ~profile:host.bus_profile;
-          })
+          invalid_arg
+            (Printf.sprintf
+               "platform %S has hardware cache coherence; protocol %S is a \
+                software-DSM engine (mount it on one of: treadmarks, \
+                treadmarks-kernel, treadmarks-eager, ivy, as, hs)"
+               name engine))
+  | _ -> ()
+
+(* Fault and crash injection need the node lifecycle and unreliable
+   fabric of a flat software-DSM cluster; every other shape refuses an
+   active policy before anything is mounted. *)
+let check_policies ~name t faults crash =
+  let refuse = invalid_arg in
+  match t with
+  | Dom { engine; children } when engine_kind engine = Shm_proto.Sdsm ->
+      if List.exists is_dom children then begin
+        if Fabric.faults_active faults then
+          refuse
+            (Printf.sprintf
+               "topology %S has hardware coherence levels below reliable \
+                machine boundaries; network fault injection applies only to \
+                flat software-DSM topologies"
+               name);
+        if Lifecycle.active crash then
+          refuse
+            (Printf.sprintf
+               "topology %S models reliable multiprocessor nodes; whole-node \
+                crash injection applies only to flat software-DSM topologies"
+               name)
+      end
+  | _ ->
+      let dsm_platforms =
+        "treadmarks, treadmarks-kernel, treadmarks-eager, treadmarks-erc, \
+         ivy, as"
+      in
+      if Fabric.faults_active faults then
+        refuse
+          (Printf.sprintf
+             "platform %S models a reliable interconnect; fault injection \
+              applies only to the software-DSM platforms (%s)"
+             name dsm_platforms);
+      if Lifecycle.active crash then
+        refuse
+          (Printf.sprintf
+             "platform %S models a reliable machine; whole-node crash \
+              injection applies only to the software-DSM platforms (%s)"
+             name dsm_platforms)
+
+let build ?name ?kind ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none)
+    ?max_cycles ?(instrument = Instrument.off) ?(eager = false) ~host t =
+  let name = match name with Some n -> n | None -> spec_string t host in
+  Option.iter (fun kind -> check_kind ~name ~kind t) kind;
+  validate ~host t;
+  check_policies ~name t faults crash;
+  let cap = capacity t in
+  let run app ~nprocs =
+    if nprocs > cap then
+      invalid_arg
+        (Printf.sprintf "topology %S provides %d processors; %d requested"
+           name cap nprocs);
+    if nprocs < 1 then
+      invalid_arg (Printf.sprintf "topology %S: nprocs must be positive" name);
+    let root =
+      match trim t nprocs with
+      | Some t, taken when taken = nprocs -> to_hier t
+      | _ -> assert false
+    in
+    Hier.run ~faults ~crash ?max_cycles ~instrument ~name
+      ~clock_mhz:host.clock_mhz ~fabric_of:host.fabric_of
+      ~cache_cfg:host.cache_cfg ~bus_profile:host.bus_profile ~eager root app
+      ~nprocs
+  in
+  { Platform.name; clock_mhz = host.clock_mhz; max_procs = cap; run }
 
 let of_spec ?faults ?crash ?max_cycles ?instrument ?eager spec =
   let t, host = of_string spec in

@@ -10,10 +10,12 @@
     appear at the root (one cabinet: the SGI/AH shapes) or nested under
     a software-DSM root (the HS shape, to any depth).
 
+    [Cpus 1] alone is the plain uniprocessor, which mounts no engine.
+
     The builder here is the single place in [lib/platform] that
     resolves engine names from the registry and wires machines: the
-    named platforms ({!Dsm_cluster}, {!Sgi}, {!Ah}, {!Hs},
-    {!Ivy_cluster}) are thin topology expressions over it. *)
+    named platforms ({!Machines}, {!Dsm_cluster}) are rows of topology
+    expressions over it. *)
 
 type tree = Cpus of int | Dom of { engine : string; children : tree list }
 
@@ -78,20 +80,28 @@ val spec_string : tree -> host -> string
     constructs engine state. *)
 val validate : host:host -> tree -> unit
 
-(** [build ~host t] dispatches on the validated tree: a flat
-    software-DSM root runs on {!Sdsm_runner}, a flat hardware root on
-    {!Hw_cluster}, and a software-DSM root over hardware domains on the
-    hierarchical {!Hier} runner (N-level last-arriver barriers, locks
-    routed to the root engine).  Capacities are filled greedily left to
-    right, so running [t] at fewer processors mounts only the domains
-    used.  [faults]/[crash] arm injection on flat software-DSM
-    topologies and are refused elsewhere; [eager] honours the app's
-    eager-release lock hints (software-DSM roots).
-    @raise Invalid_argument per {!validate}, for an active fault or
-    crash policy on a non-flat-DSM topology, and from the run function
-    when [nprocs] exceeds {!capacity}. *)
+(** [build ~host t] builds the machine the validated tree describes;
+    every shape runs on the one processor runner ({!Hier}): a
+    software-DSM root over bare nodes (the flat cluster, with private
+    caches and the software-TLB fast path), over hardware domains (the
+    hybrids: N-level last-arriver barriers, locks routed to the root
+    engine), a hardware root (one cabinet) or, for [Cpus 1], the plain
+    uniprocessor.  Capacities are filled greedily left to right, so
+    running [t] at fewer processors mounts only the domains used.
+    [kind] is the root engine kind a named machine accepts ([None]: it
+    mounts no engine) — another kind is refused under [name], before
+    validation.  [faults]/[crash] arm injection on flat software-DSM
+    topologies and are refused elsewhere; [max_cycles] bounds each run
+    with {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs default
+    to a generous backstop); [eager] honours the app's eager-release
+    lock hints (software-DSM roots).
+    @raise Invalid_argument for a root engine of the wrong kind, per
+    {!validate}, for an active fault or crash policy on a topology other
+    than a flat software-DSM cluster, and from the run function when
+    [nprocs] exceeds {!capacity}. *)
 val build :
   ?name:string ->
+  ?kind:Shm_proto.kind option ->
   ?faults:Shm_net.Fabric.faults ->
   ?crash:Shm_sim.Lifecycle.policy ->
   ?max_cycles:int ->

@@ -96,7 +96,6 @@ type instance = {
   invalidate_range : (addr:int -> words:int -> unit) option;
       (* drop cached copies of a memory range without timing; hardware
          engines only (DSM-over-bus platforms call it from page hooks) *)
-  dump_lock : (lock:int -> string) option;  (* debug dump, if any *)
   check_invariants : unit -> unit;  (* post-run structural checks *)
 }
 

@@ -271,6 +271,19 @@ let run ?max_cycles ?(diag = fun () -> "") t =
       (Pqueue.pop_event queue) ()
     end
   done;
+  (* A fiber that never yields (a uniprocessor without synchronization)
+     schedules no event past its start: bound its finishing clock too. *)
+  if max_cycles <> None then begin
+    let last =
+      List.fold_left
+        (fun a f -> if f.finished && f.fclock > a then f.fclock else a)
+        0 t.fibers
+    in
+    if last > limit then
+      raise
+        (Watchdog
+           { time = last; limit; blocked = blocked_report t; note = diag () })
+  end;
   (* Parked daemons never return, so their last open segment is flushed
      here rather than in [retc]. *)
   if t.tracer <> None then

@@ -107,7 +107,8 @@ val schedule : t -> at:int -> (unit -> unit) -> unit
     exception's [note] (protocol layers use it to report in-flight
     retransmission state).
     @raise Deadlock if blocked fibers remain.
-    @raise Watchdog if an event's time exceeds [max_cycles]. *)
+    @raise Watchdog if an event's time exceeds [max_cycles], or a fiber
+    finished past it (a fiber that never yields schedules no event). *)
 val run : ?max_cycles:int -> ?diag:(unit -> string) -> t -> unit
 
 (** {2 Operations within a fiber} *)

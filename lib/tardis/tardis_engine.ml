@@ -46,6 +46,5 @@ let mount (ctx : Shm_proto.ctx) =
     barrier_arrive = (fun f ~node ~id -> System.barrier_arrive sys f ~node ~id);
     rmw = None;
     invalidate_range = None;
-    dump_lock = None;
     check_invariants = (fun () -> System.check_invariants sys);
   }

@@ -49,7 +49,6 @@ let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
     barrier_arrive = (fun f ~node ~id -> System.barrier_arrive sys f ~node ~id);
     rmw = None;
     invalidate_range = None;
-    dump_lock = Some (fun ~lock -> System.dump_lock sys ~lock);
     check_invariants = (fun () -> System.check_invariants sys);
   }
 

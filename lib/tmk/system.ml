@@ -1170,20 +1170,6 @@ let retx_note t = Reliable.pending_note t.net
 
 let page_valid t ~node ~page = t.nodes.(node).pages.(page).valid
 
-let dump_lock t ~lock =
-  String.concat "; "
-    (Array.to_list
-       (Array.map
-          (fun nd ->
-            let ls = nd.locks.(lock) in
-            Printf.sprintf
-              "node %d: token=%b in_use=%b remoteq=%d localq=%d tail=%d"
-              nd.id ls.has_token ls.in_use
-              (Queue.length ls.remote_waiters)
-              (Waitq.waiting ls.local_waiters)
-              ls.tail)
-          t.nodes))
-
 let vc t ~node = Vc.copy t.nodes.(node).vc
 
 let check_invariants t =

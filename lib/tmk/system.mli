@@ -114,10 +114,6 @@ val barrier_arrive : t -> Shm_sim.Engine.fiber -> node:int -> id:int -> unit
 (** [page_valid t ~node ~page]. *)
 val page_valid : t -> node:int -> page:int -> bool
 
-(** [dump_lock t ~lock] renders every node's state for one lock (token
-    location, holders, queue lengths) — debugging aid. *)
-val dump_lock : t -> lock:int -> string
-
 (** [vc t ~node] is a copy of the node's vector time. *)
 val vc : t -> node:int -> Vc.t
 

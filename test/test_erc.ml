@@ -11,7 +11,7 @@ module Config = Shm_tmk.Config
 module System = Shm_tmk.System
 module Parmacs = Shm_parmacs.Parmacs
 module Registry = Shm_apps.Registry
-module Dsm_cluster = Shm_platform.Dsm_cluster
+module Machines = Shm_platform.Machines
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 
@@ -68,10 +68,9 @@ let test_erc_page_invalid_after_release () =
 
 (* ERC and lazy produce bit-identical results on a real application. *)
 let test_erc_matches_lazy_results () =
-  let lazy_p = Dsm_cluster.dec ~level:Dsm_cluster.User () in
+  let lazy_p = Machines.get "treadmarks" in
   let erc_p =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
+    Machines.get "treadmarks-erc"
   in
   List.iter
     (fun name ->
@@ -83,10 +82,9 @@ let test_erc_matches_lazy_results () =
 
 (* The defining cost: ERC sends strictly more messages than LRC. *)
 let test_erc_message_blowup () =
-  let lazy_p = Dsm_cluster.dec ~level:Dsm_cluster.User () in
+  let lazy_p = Machines.get "treadmarks" in
   let erc_p =
-    Dsm_cluster.dec ~protocol:"erc"
-      ~level:Dsm_cluster.User ()
+    Machines.get "treadmarks-erc"
   in
   let msgs p =
     let app = Registry.app ~scale:Registry.Quick "m-water" in

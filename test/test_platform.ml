@@ -10,20 +10,17 @@ module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 module Machines = Shm_platform.Machines
 module Dsm_cluster = Shm_platform.Dsm_cluster
-module Hs = Shm_platform.Hs
-module Ah = Shm_platform.Ah
-module Sgi = Shm_platform.Sgi
 module Layout = Shm_apps.Layout
 
 let all_parallel_platforms () =
   [
-    ("treadmarks", Dsm_cluster.dec ~level:Dsm_cluster.User ());
-    ("treadmarks-kernel", Dsm_cluster.dec ~level:Dsm_cluster.Kernel ());
-    ("ivy", Shm_platform.Ivy_cluster.make ());
-    ("sgi", Sgi.make ());
+    ("treadmarks", Machines.get "treadmarks");
+    ("treadmarks-kernel", Machines.get "treadmarks-kernel");
+    ("ivy", Machines.get "ivy");
+    ("sgi", Machines.get "sgi");
     ("as", Dsm_cluster.as_machine ());
-    ("ah", Ah.make ());
-    ("hs", Hs.make ~node_cpus:4 ());
+    ("ah", Machines.get "ah");
+    ("hs", Machines.topology "lrc(mesi*4 x 64)");
   ]
 
 let run_on name (p : Platform.t) app ~n =
@@ -132,8 +129,8 @@ let test_runs_are_reproducible () =
    lock-heavy program speeds up on the SGI and not on TreadMarks. *)
 let test_lock_heavy_relationship () =
   let app = Registry.app ~scale:Registry.Quick "water" in
-  let tmk = Dsm_cluster.dec ~level:Dsm_cluster.User () in
-  let sgi = Sgi.make () in
+  let tmk = Machines.get "treadmarks" in
+  let sgi = Machines.get "sgi" in
   let t1 = (run_on "tmk" tmk (Registry.app ~scale:Registry.Quick "water") ~n:1).Report.cycles in
   let t8 = (run_on "tmk" tmk app ~n:8).Report.cycles in
   let s1 = (run_on "sgi" sgi (Registry.app ~scale:Registry.Quick "water") ~n:1).Report.cycles in
@@ -149,8 +146,8 @@ let test_lock_heavy_relationship () =
 (* Paper shape: kernel-level TreadMarks is faster than user-level for
    synchronization-heavy programs. *)
 let test_kernel_beats_user_on_water () =
-  let user = Dsm_cluster.dec ~level:Dsm_cluster.User () in
-  let kernel = Dsm_cluster.dec ~level:Dsm_cluster.Kernel () in
+  let user = Machines.get "treadmarks" in
+  let kernel = Machines.get "treadmarks-kernel" in
   let cycles p =
     (run_on "tmk" p (Registry.app ~scale:Registry.Quick "m-water") ~n:8)
       .Report.cycles
@@ -243,6 +240,18 @@ let test_machines_registry () =
   Alcotest.check_raises "unknown" (Invalid_argument "unknown platform \"zz\"")
     (fun () -> ignore (Machines.get "zz"))
 
+(* [max_cycles] bounds the run on every named machine, including the
+   hardware cabinets and the uniprocessor. *)
+let test_max_cycles_everywhere () =
+  List.iter
+    (fun name ->
+      let p = Machines.get ~max_cycles:1000 name in
+      let n = if name = "dec" then 1 else 4 in
+      match p.Platform.run (Registry.app ~scale:Registry.Quick "sor") ~nprocs:n with
+      | _ -> Alcotest.failf "%s ignored ~max_cycles:1000" name
+      | exception Shm_sim.Engine.Watchdog _ -> ())
+    Machines.names
+
 let suite =
   [
     Alcotest.test_case "SOR exact on every platform" `Slow
@@ -265,4 +274,6 @@ let suite =
       test_hw_sync_barrier_phases;
     Alcotest.test_case "report helpers" `Quick test_report_helpers;
     Alcotest.test_case "machine registry" `Quick test_machines_registry;
+    Alcotest.test_case "max_cycles bounds every machine" `Quick
+      test_max_cycles_everywhere;
   ]

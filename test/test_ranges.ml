@@ -15,10 +15,7 @@ module Registry = Shm_apps.Registry
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
 module Dsm_cluster = Shm_platform.Dsm_cluster
-module Ivy_cluster = Shm_platform.Ivy_cluster
-module Sgi = Shm_platform.Sgi
-module Ah = Shm_platform.Ah
-module Hs = Shm_platform.Hs
+module Machines = Shm_platform.Machines
 
 (* ------------------------------------------------------------------ *)
 (* A synthetic app that replays a script of shared-memory operations
@@ -138,17 +135,16 @@ let make_app ~mode ~script =
    range ops fall back to the literal per-word loop. *)
 let backends () =
   [
-    ("dec", Dsm_cluster.dec_plain (), 1);
-    ("treadmarks", Dsm_cluster.dec ~level:Dsm_cluster.User (), nprocs);
+    ("dec", Machines.get "dec", 1);
+    ("treadmarks", Machines.get "treadmarks", nprocs);
     ( "treadmarks-erc",
-      Dsm_cluster.dec ~protocol:"erc"
-        ~level:Dsm_cluster.User (),
+      Machines.get "treadmarks-erc",
       nprocs );
-    ("ivy", Ivy_cluster.make (), nprocs);
-    ("sgi", Sgi.make (), nprocs);
+    ("ivy", Machines.get "ivy", nprocs);
+    ("sgi", Machines.get "sgi", nprocs);
     ("as", Dsm_cluster.as_machine (), nprocs);
-    ("ah", Ah.make (), nprocs);
-    ("hs", Hs.make ~node_cpus:4 (), nprocs);
+    ("ah", Machines.get "ah", nprocs);
+    ("hs", Machines.topology "lrc(mesi*4 x 64)", nprocs);
   ]
 
 let op_gen =
@@ -220,9 +216,9 @@ let prop_ranges_equiv =
 
 let golden_backends () =
   [
-    ("treadmarks", Dsm_cluster.dec ~level:Dsm_cluster.User ());
-    ("ivy", Ivy_cluster.make ());
-    ("sgi", Sgi.make ());
+    ("treadmarks", Machines.get "treadmarks");
+    ("ivy", Machines.get "ivy");
+    ("sgi", Machines.get "sgi");
   ]
 
 let goldens : (string * (string * float) list) list =
