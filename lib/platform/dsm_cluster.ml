@@ -1,13 +1,7 @@
-module Overhead = Shm_net.Overhead
-
 (* The Section-3 "All Software" design with its messaging overhead as a
    parameter; {!Machines}' ["as"] row is this machine at the default
    overhead. *)
-let as_machine ?(eager = false) ?(protocol = "lrc")
-    ?(overhead = Overhead.treadmarks_user) ?faults ?crash ?max_cycles
-    ?instrument () =
-  let name = if protocol = "lrc" then "AS" else "AS+" ^ protocol in
-  Topology.build ~name ~kind:(Some Shm_proto.Sdsm) ?faults ?crash ?max_cycles
-    ?instrument ~eager
-    ~host:(Topology.host_sim ~overhead ())
-    (Topology.Dom { engine = protocol; children = [ Topology.Cpus 256 ] })
+let as_machine ?overhead ?instrument () =
+  Topology.build ~name:"AS" ?instrument
+    ~host:(Topology.host_sim ?overhead ())
+    (Topology.Dom { engine = "lrc"; children = [ Topology.Cpus 256 ] })

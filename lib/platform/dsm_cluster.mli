@@ -1,19 +1,7 @@
 (** The Section-3 "All Software" design — 100 MHz uniprocessor nodes
-    kept coherent by a software-DSM engine over the simulated network —
-    with the messaging overhead as a parameter, swept for Figures 14-15.
-    The paper's other machines are rows of {!Machines}.
-
-    [protocol] names the coherence engine to mount (default ["lrc"],
-    TreadMarks; hardware engines are refused); [eager] honours the app's
-    eager-release lock hints; [faults], [crash], [max_cycles] and
-    [instrument] as in {!Machines.get}. *)
+    kept coherent by TreadMarks LRC over the simulated network — with
+    the messaging overhead (default {!Shm_net.Overhead.treadmarks_user})
+    as a parameter, swept for Figures 14-15.  The paper's other machines
+    are rows of {!Machines}; [instrument] as in {!Machines.get}. *)
 val as_machine :
-  ?eager:bool ->
-  ?protocol:string ->
-  ?overhead:Shm_net.Overhead.t ->
-  ?faults:Shm_net.Fabric.faults ->
-  ?crash:Shm_sim.Lifecycle.policy ->
-  ?max_cycles:int ->
-  ?instrument:Instrument.t ->
-  unit ->
-  Platform.t
+  ?overhead:Shm_net.Overhead.t -> ?instrument:Instrument.t -> unit -> Platform.t

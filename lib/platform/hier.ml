@@ -219,10 +219,9 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
     (fun d ->
       d.Shm_proto.set_page_hook (fun ~node ~page ->
           let addr = page * page_words in
-          Option.iter
-            (fun pc ->
-              Private_cache.invalidate_range pc ~addr ~words:page_words)
-            caches.(node);
+          (match caches.(node) with
+          | Some pc -> Private_cache.invalidate_range pc ~addr ~words:page_words
+          | None -> ());
           List.iter
             (fun lv ->
               Option.iter
@@ -303,7 +302,8 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
       | [| (lv, m) |] -> Leaf (lv.inst, m)
       | c -> Chain (Array.map (fun (lv, m) -> (lv.inst, m)) c)
     in
-    let rguard addr =
+    (* The full stage sequence, inlined into each accessor that uses it. *)
+    let[@inline] rguard addr =
       (match tlb with
       | Some (d, rights) when Bytes.unsafe_get rights (addr lsr shift) = '\000'
         ->
@@ -318,11 +318,12 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
             h.Shm_proto.read_guard f ~node:m addr
           done);
       match pc with Some pc -> Private_cache.read pc f addr | None -> ()
+    in
     (* Writes run the hardware transactions first, leaf outward (they
        can yield), the DSM guard second, the store immediately after: a
        same-node release yielding in between would otherwise close the
        interval and lose this write from its diff. *)
-    and wguard addr =
+    let[@inline] wguard addr =
       (match hw with
       | No_hw -> ()
       | Leaf (h, m) -> h.Shm_proto.write_guard f ~node:m addr
@@ -338,66 +339,93 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
       | _ -> ());
       match pc with Some pc -> Private_cache.write pc f addr | None -> ()
     in
-    let read addr =
-      rguard addr;
-      Memory.get mem addr
-    and write addr v =
-      wguard addr;
-      Memory.set mem addr v
-    in
-    let fcell = ref 0.0 in
-    let readf addr =
-      rguard addr;
-      fcell := Memory.get_float mem addr
-    and writef addr =
-      wguard addr;
-      Memory.set_float mem addr !fcell
-    in
-    let icell = ref 0 in
-    let readi addr =
-      rguard addr;
-      icell := Memory.get_int mem addr
-    and writei addr =
-      wguard addr;
-      Memory.set_int mem addr !icell
+    let fcell = ref 0.0 and icell = ref 0 in
+    (* The accessors are specialized when the context is built: the two
+       hot shapes — a flat cabinet's processor and a flat DSM node — get
+       closures holding exactly their one stage, every other shape runs
+       the full sequence.  (A closure passed to a generator would cost
+       an indirect call per access.) *)
+    let read, write, readf, writef, readi, writei =
+      match (tlb, hw, pc) with
+      | None, Leaf (h, m), None ->
+          let rg = h.Shm_proto.read_guard and wg = h.Shm_proto.write_guard in
+          ( (fun addr -> rg f ~node:m addr; Memory.get mem addr),
+            (fun addr v -> wg f ~node:m addr; Memory.set mem addr v),
+            (fun addr -> rg f ~node:m addr; fcell := Memory.get_float mem addr),
+            (fun addr -> wg f ~node:m addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rg f ~node:m addr; icell := Memory.get_int mem addr),
+            (fun addr -> wg f ~node:m addr; Memory.set_int mem addr !icell) )
+      | Some (d, rights), No_hw, Some pc ->
+          let[@inline] rg addr =
+            if Bytes.unsafe_get rights (addr lsr shift) = '\000' then
+              d.Shm_proto.read_guard f ~node:top addr;
+            Private_cache.read pc f addr
+          in
+          let[@inline] wg addr =
+            if Bytes.unsafe_get rights (addr lsr shift) <> '\002' then
+              d.Shm_proto.write_guard f ~node:top addr;
+            Private_cache.write pc f addr
+          in
+          ( (fun addr -> rg addr; Memory.get mem addr),
+            (fun addr v -> wg addr; Memory.set mem addr v),
+            (fun addr -> rg addr; fcell := Memory.get_float mem addr),
+            (fun addr -> wg addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rg addr; icell := Memory.get_int mem addr),
+            (fun addr -> wg addr; Memory.set_int mem addr !icell) )
+      | _ ->
+          ( (fun addr -> rguard addr; Memory.get mem addr),
+            (fun addr v -> wguard addr; Memory.set mem addr v),
+            (fun addr -> rguard addr; fcell := Memory.get_float mem addr),
+            (fun addr -> wguard addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rguard addr; icell := Memory.get_int mem addr),
+            (fun addr -> wguard addr; Memory.set_int mem addr !icell) )
     in
     (* Ranges are batched when at most one coherence stage validates
        them; the guard-then-store interleaving of a longer chain (and an
        engine asking for it) falls back to the literal per-word loop. *)
-    let batch =
+    let runs =
+      let[@inline] cached cache move =
+        match pc with
+        | None -> move
+        | Some pc ->
+            fun a l ->
+              cache pc f a l;
+              move a l
+      in
+      let[@inline] guarded (i : Shm_proto.instance) node =
+        let rg = i.read_range_guard and wg = i.write_range_guard in
+        Some
+          ( (fun addr words ~f:move ->
+              rg f ~node addr words ~f:(cached Private_cache.read_range move)),
+            fun addr words ~f:move ->
+              wg f ~node addr words ~f:(cached Private_cache.write_range move)
+          )
+      in
       match (tlb, hw) with
-      | None, No_hw -> Some None
-      | Some (d, _), No_hw when not d.Shm_proto.wordwise_ranges ->
-          Some (Some (d, top))
-      | None, Leaf (h, m) when not h.Shm_proto.wordwise_ranges ->
-          Some (Some (h, m))
+      | None, No_hw ->
+          Some
+            ( (fun addr words ~f:move ->
+                cached Private_cache.read_range move addr words),
+              fun addr words ~f:move ->
+                cached Private_cache.write_range move addr words )
+      | Some (d, _), No_hw when not d.Shm_proto.wordwise_ranges -> guarded d top
+      | None, Leaf (h, m) when not h.Shm_proto.wordwise_ranges -> guarded h m
       | _ -> None
     in
-    let range ~read ~write ~enter =
-      match batch with
+    let range ~read ~write ~gate =
+      match runs with
       | None -> Parmacs.range_ops_wordwise ~read ~write
-      | Some stage ->
-          let run guard cache addr words ~f:move =
-            enter ();
-            let move =
-              match pc with
-              | None -> move
-              | Some pc ->
-                  fun a l ->
-                    cache pc f a l;
-                    move a l
-            in
-            match stage with
-            | None -> move addr words
-            | Some (inst, node) -> guard inst f ~node addr words ~f:move
-          in
-          Parmacs.range_ops_of_runs ~mem
-            ~read_run:
-              (run (fun i -> i.Shm_proto.read_range_guard)
-                 Private_cache.read_range)
-            ~write_run:
-              (run (fun i -> i.Shm_proto.write_range_guard)
-                 Private_cache.write_range)
+      | Some (read_run, write_run) -> (
+          match gate with
+          | None -> Parmacs.range_ops_of_runs ~mem ~read_run ~write_run
+          | Some g ->
+              Parmacs.range_ops_of_runs ~mem
+                ~read_run:(fun addr words ~f ->
+                  g ();
+                  read_run addr words ~f)
+                ~write_run:(fun addr words ~f ->
+                  g ();
+                  write_run addr words ~f))
     in
     (* Synchronization goes to the outermost engine: the DSM root at
        this node, else the cabinet's root domain at this processor's
@@ -435,7 +463,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
         icell;
         readi;
         writei;
-        range = range ~read ~write ~enter:ignore;
+        range = range ~read ~write ~gate:None;
         lock;
         unlock;
         barrier;
@@ -472,7 +500,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           writef = gated writef;
           readi = gated readi;
           writei = gated writei;
-          range = range ~read ~write ~enter:g;
+          range = range ~read ~write ~gate:(Some g);
           lock = gated lock;
           unlock = gated unlock;
           barrier = gated barrier;

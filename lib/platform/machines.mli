@@ -39,7 +39,8 @@ val topology :
     from the topology expression [SPEC] via {!topology}; a spec names its
     engines per level, so combining it with [protocol] is refused.
     @raise Invalid_argument for an unknown name, an active fault or crash
-    policy on a hardware platform, an invalid machine x protocol
+    policy on a platform other than a flat software-DSM cluster, an
+    invalid machine x protocol
     combination, or a malformed topology spec. *)
 val get :
   ?faults:Shm_net.Fabric.faults ->

@@ -359,19 +359,18 @@ let check_kind ~name ~kind t =
    fabric of a flat software-DSM cluster; every other shape refuses an
    active policy before anything is mounted. *)
 let check_policies ~name t faults crash =
-  let refuse = invalid_arg in
   match t with
   | Dom { engine; children } when engine_kind engine = Shm_proto.Sdsm ->
       if List.exists is_dom children then begin
         if Fabric.faults_active faults then
-          refuse
+          invalid_arg
             (Printf.sprintf
                "topology %S has hardware coherence levels below reliable \
                 machine boundaries; network fault injection applies only to \
                 flat software-DSM topologies"
                name);
         if Lifecycle.active crash then
-          refuse
+          invalid_arg
             (Printf.sprintf
                "topology %S models reliable multiprocessor nodes; whole-node \
                 crash injection applies only to flat software-DSM topologies"
@@ -383,13 +382,13 @@ let check_policies ~name t faults crash =
          ivy, as"
       in
       if Fabric.faults_active faults then
-        refuse
+        invalid_arg
           (Printf.sprintf
              "platform %S models a reliable interconnect; fault injection \
               applies only to the software-DSM platforms (%s)"
              name dsm_platforms);
       if Lifecycle.active crash then
-        refuse
+        invalid_arg
           (Printf.sprintf
              "platform %S models a reliable machine; whole-node crash \
               injection applies only to the software-DSM platforms (%s)"

@@ -273,7 +273,7 @@ let run ?max_cycles ?(diag = fun () -> "") t =
   done;
   (* A fiber that never yields (a uniprocessor without synchronization)
      schedules no event past its start: bound its finishing clock too. *)
-  if max_cycles <> None then begin
+  if Option.is_some max_cycles then begin
     let last =
       List.fold_left
         (fun a f -> if f.finished && f.fclock > a then f.fclock else a)
