@@ -83,7 +83,9 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
   in
   let nodes = Array.of_list nodes in
   let ntops = Array.length nodes in
-  let no_hw = Array.for_all (function Procs _ -> true | Dom _ -> false) nodes in
+  let no_hw =
+    Array.for_all (function Procs _ -> true | Dom _ -> false) nodes
+  in
   (* Crash-free runs never construct a lifecycle. *)
   let lifecycle =
     if Lifecycle.active crash then
