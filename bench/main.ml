@@ -495,9 +495,7 @@ let lrc_vs_ivy () =
 
 let lrc_vs_erc () =
   let apps = [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ] in
-  let erc () =
-    Machines.get "treadmarks-erc"
-  in
+  let erc () = Machines.get "treadmarks-erc" in
   let table =
     Table.create
       ~title:
@@ -1069,9 +1067,7 @@ let plan_lrc_vs_ivy () =
     [ "sor"; "tsp"; "water"; "m-water"; "ilink-clp" ]
 
 let plan_lrc_vs_erc () =
-  let erc () =
-    Machines.get "treadmarks-erc"
-  in
+  let erc () = Machines.get "treadmarks-erc" in
   List.iter
     (fun name ->
       let app = Registry.app ~scale:!scale name in

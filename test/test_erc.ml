@@ -69,9 +69,7 @@ let test_erc_page_invalid_after_release () =
 (* ERC and lazy produce bit-identical results on a real application. *)
 let test_erc_matches_lazy_results () =
   let lazy_p = Machines.get "treadmarks" in
-  let erc_p =
-    Machines.get "treadmarks-erc"
-  in
+  let erc_p = Machines.get "treadmarks-erc" in
   List.iter
     (fun name ->
       let app () = Registry.app ~scale:Registry.Quick name in
@@ -83,9 +81,7 @@ let test_erc_matches_lazy_results () =
 (* The defining cost: ERC sends strictly more messages than LRC. *)
 let test_erc_message_blowup () =
   let lazy_p = Machines.get "treadmarks" in
-  let erc_p =
-    Machines.get "treadmarks-erc"
-  in
+  let erc_p = Machines.get "treadmarks-erc" in
   let msgs p =
     let app = Registry.app ~scale:Registry.Quick "m-water" in
     Report.get (p.Platform.run app ~nprocs:8) "net.msgs.total"

@@ -152,8 +152,7 @@ let gen_racefree_program ~seed ~nprocs ~n_phases ~ops_per_phase =
 let platforms () =
   [
     ("treadmarks", Machines.get "treadmarks");
-    ("treadmarks-erc",
-     Machines.get "treadmarks-erc");
+    ("treadmarks-erc", Machines.get "treadmarks-erc");
     ("ivy", Machines.get "ivy");
     ("sgi", Machines.get "sgi");
     ("ah", Machines.get "ah");

@@ -137,9 +137,7 @@ let backends () =
   [
     ("dec", Machines.get "dec", 1);
     ("treadmarks", Machines.get "treadmarks", nprocs);
-    ( "treadmarks-erc",
-      Machines.get "treadmarks-erc",
-      nprocs );
+    ("treadmarks-erc", Machines.get "treadmarks-erc", nprocs);
     ("ivy", Machines.get "ivy", nprocs);
     ("sgi", Machines.get "sgi", nprocs);
     ("as", Dsm_cluster.as_machine (), nprocs);
