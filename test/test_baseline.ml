@@ -30,7 +30,7 @@ let crash =
     crash_seed = 1;
     ckpt_interval = 500_000 }
 
-(* (row label, platform builder, app, nprocs) *)
+(* (row label, platform constructor, app, nprocs) *)
 let runs =
   let named =
     List.concat_map
