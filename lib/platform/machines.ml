@@ -1,12 +1,11 @@
 (* The named machines: each row is a topology on a host, spelled with
-   its default engine at the root.  [--protocol] replaces that engine;
-   [kind] is the engine kind the machine accepts there ([None]: the
+   its default engine at the root.  [--protocol] replaces that engine
+   with one of the same kind ({!Topology.build} refuses others; the
    plain uniprocessor mounts none), and [display] names the platform
    after the engine it mounted. *)
 type row = {
   name : string;
   display : string -> string;
-  kind : Shm_proto.kind option;
   eager : bool;
   host : Topology.host;
   tree : Topology.tree;
@@ -21,30 +20,30 @@ let treadmarks level = function
   | p -> Printf.sprintf "treadmarks-%s+%s" level p
 
 let table =
-  let row ?(eager = false) name display kind spec =
+  let row ?(eager = false) name display spec =
     let tree, host = Topology.of_string spec in
-    { name; display; kind = Some kind; eager; tree;
+    { name; display; eager; tree;
       host = Topology.host_of_name (Option.get host) }
   in
-  let open Shm_proto in
   [
-    { name = "dec"; display = (fun _ -> "dec"); kind = None; eager = false;
+    { name = "dec"; display = (fun _ -> "dec"); eager = false;
       host = Topology.host_dec (); tree = Topology.Cpus 1 };
-    row "treadmarks" (treadmarks "user") Sdsm "lrc*8@dec";
-    row "treadmarks-kernel" (treadmarks "kernel") Sdsm "lrc*8@dec-kernel";
-    row ~eager:true "treadmarks-eager" (treadmarks "user") Sdsm "lrc*8@dec";
-    row "treadmarks-erc" (treadmarks "user") Sdsm "erc*8@dec";
-    row "ivy" (named "ivy" "ivy") Sdsm "ivy*64@dec";
-    row "sgi" (named "sgi-4d480" "mesi") Hw "mesi*8@sgi";
+    row "treadmarks" (treadmarks "user") "lrc*8@dec";
+    row "treadmarks-kernel" (treadmarks "kernel") "lrc*8@dec-kernel";
+    row ~eager:true "treadmarks-eager" (treadmarks "user") "lrc*8@dec";
+    row "treadmarks-erc" (treadmarks "user") "erc*8@dec";
+    row "ivy" (named "ivy" "ivy") "ivy*64@dec";
+    row "sgi" (named "sgi-4d480" "mesi") "mesi*8@sgi";
     (* Paper Section 2.5: dual cache tags and a bus twice as fast
        relative to the processors. *)
-    row "sgi-fast" (named "sgi-fastbus" "mesi") Hw "mesi*8@sgi-fast";
-    row "as" (named "AS" "lrc") Sdsm "lrc*256@sim";
-    row "ah" (named "AH" "directory") Hw "directory*256@sim";
-    row "hs" (named "HS8" "lrc") Sdsm "lrc(mesi*8 x 32)@sim";
+    row "sgi-fast" (named "sgi-fastbus" "mesi") "mesi*8@sgi-fast";
+    row "as" (named "AS" "lrc") "lrc*256@sim";
+    row "ah" (named "AH" "directory") "directory*256@sim";
+    row "hs" (named "HS8" "lrc") "lrc(mesi*8 x 32)@sim";
   ]
 
 let names = List.map (fun r -> r.name) table
+let platforms = List.map (fun r -> (r.name, r.tree)) table
 let protocols = Topology.engine_names ()
 
 (* A "topo:SPEC" platform name builds the machine from a topology
@@ -74,15 +73,12 @@ let get ?faults ?crash ?max_cycles ?instrument ?protocol name =
     match List.find_opt (fun r -> r.name = name) table with
     | None -> invalid_arg (Printf.sprintf "unknown platform %S" name)
     | Some r ->
-        let tree =
-          match (protocol, r.tree) with
-          | None, t -> t
-          | Some engine, Topology.Dom { children; _ } ->
-              Topology.Dom { engine; children }
-          | Some engine, c -> Topology.Dom { engine; children = [ c ] }
-        in
         let engine =
-          match tree with Topology.Dom { engine; _ } -> engine | _ -> ""
+          match (protocol, r.tree) with
+          | Some e, _ -> e
+          | None, Topology.Dom { engine; _ } -> engine
+          | None, Topology.Cpus _ -> ""
         in
-        Topology.build ~name:(r.display engine) ~kind:r.kind ~eager:r.eager
-          ?faults ?crash ?max_cycles ?instrument ~host:r.host tree
+        Topology.build ~name:(r.display engine) ~platforms ?protocol
+          ~eager:r.eager ?faults ?crash ?max_cycles ?instrument ~host:r.host
+          r.tree

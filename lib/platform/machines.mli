@@ -37,7 +37,10 @@ val topology :
     breakdown and optional Chrome-trace capture on any platform (see
     {!Instrument}).  A name of the form ["topo:SPEC"] builds the machine
     from the topology expression [SPEC] via {!topology}; a spec names its
-    engines per level, so combining it with [protocol] is refused.
+    engines per level, so combining it with [protocol] is refused.  A
+    machine seats at most its [max_procs] processors (8 for the DEC
+    clusters and the SGI cabinets, 64 for ivy, 256 for AS/AH/HS, 1 for
+    ["dec"]); its run function refuses a larger [nprocs].
     @raise Invalid_argument for an unknown name, an active fault or crash
     policy on a platform other than a flat software-DSM cluster, an
     invalid machine x protocol

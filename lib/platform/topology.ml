@@ -316,52 +316,63 @@ let rec to_hier = function
 
 let is_dom = function Dom _ -> true | Cpus _ -> false
 
-(* A named machine accepts one kind of root engine ([None]: a plain
-   uniprocessor that mounts none); a replaced root engine of another
-   kind is refused under the machine's name. *)
-let check_kind ~name ~kind t =
-  match (kind, t) with
-  | None, Dom { engine; _ } ->
-      invalid_arg
-        (Printf.sprintf
-           "platform %S is a uniprocessor and mounts no coherence engine; \
-            protocol %S applies only to the shared-memory platforms \
-            (treadmarks, treadmarks-kernel, treadmarks-eager, \
-            treadmarks-erc, ivy, sgi, sgi-fast, as, ah, hs)"
-           name engine)
-  | Some k, Dom { engine; children } when engine_kind engine <> k -> (
-      match k with
-      | Shm_proto.Sdsm when not (List.exists is_dom children) ->
-          invalid_arg
-            (Printf.sprintf
-               "platform %S is a software-DSM cluster; protocol %S is a \
-                hardware cache-coherence engine (mount it on one of: sgi, \
-                sgi-fast, ah)"
-               name engine)
-      | Shm_proto.Sdsm ->
-          invalid_arg
-            (Printf.sprintf
-               "platform %S runs a software-DSM protocol between its \
-                hardware-coherent nodes; protocol %S is a hardware \
-                cache-coherence engine (mount it on one of: sgi, sgi-fast, \
-                ah)"
-               name engine)
-      | Shm_proto.Hw ->
-          invalid_arg
-            (Printf.sprintf
-               "platform %S has hardware cache coherence; protocol %S is a \
-                software-DSM engine (mount it on one of: treadmarks, \
-                treadmarks-kernel, treadmarks-eager, ivy, as, hs)"
-               name engine))
-  | _ -> ()
+let is_flat_sdsm = function
+  | Dom { engine; children } ->
+      engine_kind engine = Shm_proto.Sdsm && not (List.exists is_dom children)
+  | Cpus _ -> false
+
+let root_kind = function
+  | Dom { engine; _ } -> Some (engine_kind engine)
+  | Cpus _ -> None
+
+(* The named machines whose default trees satisfy [p], for the refusals
+   below to point at. *)
+let platforms_where platforms p =
+  String.concat ", "
+    (List.filter_map (fun (n, t) -> if p t then Some n else None) platforms)
+
+(* A named machine's root engine may be replaced by one of the same
+   kind; the plain uniprocessor ([Cpus 1]) mounts none. *)
+let with_protocol ~name ~platforms t engine =
+  let fail fmt = Printf.ksprintf invalid_arg fmt in
+  let mounting kind =
+    platforms_where platforms (fun t -> root_kind t = Some kind)
+  in
+  match t with
+  | Cpus _ ->
+      fail
+        "platform %S is a uniprocessor and mounts no coherence engine; \
+         protocol %S applies only to the shared-memory platforms (%s)"
+        name engine
+        (platforms_where platforms is_dom)
+  | Dom { engine = default; children } ->
+      (match (engine_kind default, engine_kind engine) with
+      | k, k' when k = k' -> ()
+      | Shm_proto.Sdsm, _ when not (List.exists is_dom children) ->
+          fail
+            "platform %S is a software-DSM cluster; protocol %S is a \
+             hardware cache-coherence engine (mount it on one of: %s)"
+            name engine (mounting Shm_proto.Hw)
+      | Shm_proto.Sdsm, _ ->
+          fail
+            "platform %S runs a software-DSM protocol between its \
+             hardware-coherent nodes; protocol %S is a hardware \
+             cache-coherence engine (mount it on one of: %s)"
+            name engine (mounting Shm_proto.Hw)
+      | Shm_proto.Hw, _ ->
+          fail
+            "platform %S has hardware cache coherence; protocol %S is a \
+             software-DSM engine (mount it on one of: %s)"
+            name engine (mounting Shm_proto.Sdsm));
+      Dom { engine; children }
 
 (* Fault and crash injection need the node lifecycle and unreliable
    fabric of a flat software-DSM cluster; every other shape refuses an
    active policy before anything is mounted. *)
-let check_policies ~name t faults crash =
-  match t with
-  | Dom { engine; children } when engine_kind engine = Shm_proto.Sdsm ->
-      if List.exists is_dom children then begin
+let check_policies ~name ~platforms t faults crash =
+  if not (is_flat_sdsm t) then
+    match platforms with
+    | None ->
         if Fabric.faults_active faults then
           invalid_arg
             (Printf.sprintf
@@ -375,39 +386,44 @@ let check_policies ~name t faults crash =
                "topology %S models reliable multiprocessor nodes; whole-node \
                 crash injection applies only to flat software-DSM topologies"
                name)
-      end
-  | _ ->
-      let dsm_platforms =
-        "treadmarks, treadmarks-kernel, treadmarks-eager, treadmarks-erc, \
-         ivy, as"
-      in
-      if Fabric.faults_active faults then
-        invalid_arg
-          (Printf.sprintf
-             "platform %S models a reliable interconnect; fault injection \
-              applies only to the software-DSM platforms (%s)"
-             name dsm_platforms);
-      if Lifecycle.active crash then
-        invalid_arg
-          (Printf.sprintf
-             "platform %S models a reliable machine; whole-node crash \
-              injection applies only to the software-DSM platforms (%s)"
-             name dsm_platforms)
+    | Some platforms ->
+        let dsm_platforms = platforms_where platforms is_flat_sdsm in
+        if Fabric.faults_active faults then
+          invalid_arg
+            (Printf.sprintf
+               "platform %S models a reliable interconnect; fault injection \
+                applies only to the software-DSM platforms (%s)"
+               name dsm_platforms);
+        if Lifecycle.active crash then
+          invalid_arg
+            (Printf.sprintf
+               "platform %S models a reliable machine; whole-node crash \
+                injection applies only to the software-DSM platforms (%s)"
+               name dsm_platforms)
 
-let build ?name ?kind ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none)
-    ?max_cycles ?(instrument = Instrument.off) ?(eager = false) ~host t =
+let build ?name ?platforms ?protocol ?(faults = Fabric.no_faults)
+    ?(crash = Lifecycle.none) ?max_cycles ?(instrument = Instrument.off)
+    ?(eager = false) ~host t =
   let name = match name with Some n -> n | None -> spec_string t host in
-  Option.iter (fun kind -> check_kind ~name ~kind t) kind;
+  let t =
+    match protocol with
+    | None -> t
+    | Some engine ->
+        with_protocol ~name
+          ~platforms:(Option.value platforms ~default:[])
+          t engine
+  in
   validate ~host t;
-  check_policies ~name t faults crash;
+  check_policies ~name ~platforms t faults crash;
   let cap = capacity t in
+  let what = if Option.is_none platforms then "topology" else "platform" in
   let run app ~nprocs =
     if nprocs > cap then
       invalid_arg
-        (Printf.sprintf "topology %S provides %d processors; %d requested"
+        (Printf.sprintf "%s %S provides %d processors; %d requested" what
            name cap nprocs);
     if nprocs < 1 then
-      invalid_arg (Printf.sprintf "topology %S: nprocs must be positive" name);
+      invalid_arg (Printf.sprintf "%s %S: nprocs must be positive" what name);
     let root =
       match trim t nprocs with
       | Some t, taken when taken = nprocs -> to_hier t

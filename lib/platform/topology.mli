@@ -88,20 +88,24 @@ val validate : host:host -> tree -> unit
     engine), a hardware root (one cabinet) or, for [Cpus 1], the plain
     uniprocessor.  Capacities are filled greedily left to right, so
     running [t] at fewer processors mounts only the domains used.
-    [kind] is the root engine kind a named machine accepts ([None]: it
-    mounts no engine) — another kind is refused under [name], before
-    validation.  [faults]/[crash] arm injection on flat software-DSM
-    topologies and are refused elsewhere; [max_cycles] bounds each run
-    with {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs default
-    to a generous backstop); [eager] honours the app's eager-release
-    lock hints (software-DSM roots).
-    @raise Invalid_argument for a root engine of the wrong kind, per
-    {!validate}, for an active fault or crash policy on a topology other
-    than a flat software-DSM cluster, and from the run function when
-    [nprocs] exceeds {!capacity}. *)
+    [platforms] is the table of named machines ({!Machines}: name and
+    default tree); when given, [t] is one of them and the refusals name
+    it as a platform and list the named machines that would accept what
+    it refuses.  [protocol] replaces the root engine of [t] with one of
+    the same kind; a plain uniprocessor accepts none.  [faults]/[crash]
+    arm injection on flat software-DSM topologies and are refused
+    elsewhere; [max_cycles] bounds each run with
+    {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs default to a
+    generous backstop); [eager] honours the app's eager-release lock
+    hints (software-DSM roots).
+    @raise Invalid_argument for a [protocol] of the wrong kind (before
+    validation), per {!validate}, for an active fault or crash policy
+    on a topology other than a flat software-DSM cluster, and from the
+    run function when [nprocs] exceeds {!capacity}. *)
 val build :
   ?name:string ->
-  ?kind:Shm_proto.kind option ->
+  ?platforms:(string * tree) list ->
+  ?protocol:string ->
   ?faults:Shm_net.Fabric.faults ->
   ?crash:Shm_sim.Lifecycle.policy ->
   ?max_cycles:int ->

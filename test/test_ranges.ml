@@ -143,6 +143,9 @@ let backends () =
     ("as", Dsm_cluster.as_machine (), nprocs);
     ("ah", Machines.get "ah", nprocs);
     ("hs", Machines.topology "lrc(mesi*4 x 64)", nprocs);
+    (* One bus node and one bare node: the bare node's accesses have the
+       DSM root as their only stage, so its ranges run batched. *)
+    ("lrc(mesi*2, 1)", Machines.topology "lrc(mesi*2, 1)", nprocs);
   ]
 
 let op_gen =

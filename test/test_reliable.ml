@@ -286,15 +286,5 @@ let suite =
     Alcotest.test_case "same seed, same trace" `Quick test_reproducible_trace;
     Alcotest.test_case "hardware platforms reject faults" `Quick
       test_hardware_platforms_reject_faults;
-    (* Pinned like the topology property, so the tier-1 gate is
-       deterministic (a few percent of random draws trip its
-       drops-imply-retransmissions check at the parent commit too);
-       QCHECK_SEED still sweeps other schedules. *)
-    QCheck_alcotest.to_alcotest
-      ~rand:
-        (Random.State.make
-           [| (match Sys.getenv_opt "QCHECK_SEED" with
-              | Some s -> int_of_string s
-              | None -> 0xC0FFEE) |])
-      prop_fault_schedule;
+    QCheck_alcotest.to_alcotest prop_fault_schedule;
   ]

@@ -191,6 +191,31 @@ let test_hybrid_512 () =
         ref_r.Report.checksum r.Report.checksum)
     [ "sor"; "tsp"; "water"; "ilink-clp"; "ilink-bad" ]
 
+(* {2 Bare nodes inside a hybrid}
+
+   A software-DSM root over one bus node and four bare uniprocessor
+   nodes, filled completely at 8 processors, so the bare nodes run.
+   Pinned like the rows of test_baseline.ml: cycles, checksum and a
+   digest of the sorted counters. *)
+
+let bare_node_expected =
+  [
+    "topo:lrc(mesi*4, 4) sor 8: 1500330 0x1.70d4575719f03p+8 5714f406c2c2e6931e4a7446e08405fc";
+    "topo:lrc(mesi*4, 4) tsp 8: 1739209 0x1.1f2p+11 c49e7ce514fb7c8de476ae9d9d335558";
+    "topo:lrc(mesi*4, 4) water 8: 29767094 0x1.293cc893f694dp+8 7aa9c3f1349cbf9ca3028acb582b85ff";
+    "topo:lrc(mesi*4, 4) m-water 8: 9219310 0x1.293cc893f694dp+8 1d9b1074686cb5fbba34198817505502";
+    "topo:lrc(mesi*4, 4) ilink-clp 8: 4474571 0x1.0eeb716a5b77bp+5 bbf0f671f329a5df3d9c35b00415e9eb";
+  ]
+
+let test_bare_nodes () =
+  let spec = "lrc(mesi*4, 4)" in
+  List.iter2
+    (fun want app ->
+      Alcotest.(check string) "bare-node row" want
+        (Test_baseline.row
+           ("topo:" ^ spec, (fun () -> Machines.topology spec), app, 8)))
+    bare_node_expected Test_baseline.apps
+
 (* {2 Refusals}
 
    Every invalid combination must raise Invalid_argument with a
@@ -243,7 +268,14 @@ let test_refusals () =
   (* Capacity is enforced at run time, before anything executes. *)
   let p = Machines.topology "lrc(mesi*4 x 2)" in
   check_refused "nprocs beyond capacity" (fun () ->
-      p.Platform.run (quick_app "sor") ~nprocs:9)
+      p.Platform.run (quick_app "sor") ~nprocs:9);
+  (* So are the named machines' capacities, flat ones included. *)
+  List.iter
+    (fun name ->
+      let p = Machines.get name in
+      check_refused (name ^ " beyond capacity") (fun () ->
+          p.Platform.run (quick_app "sor") ~nprocs:16))
+    [ "treadmarks"; "sgi" ]
 
 let suite =
   [
@@ -266,5 +298,6 @@ let suite =
           ~rand:(Random.State.make [| seed |])
           prop_random_topology_runs);
     Alcotest.test_case "512-processor hybrid, five apps" `Slow test_hybrid_512;
+    Alcotest.test_case "bare nodes inside a hybrid" `Quick test_bare_nodes;
     Alcotest.test_case "refusals before construction" `Quick test_refusals;
   ]
