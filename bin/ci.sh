@@ -264,6 +264,25 @@ if [ -z "$topo_sum" ] || [ "$topo_sum" != "$topo_ref_sum" ]; then
 fi
 rm -f "$topo_json" "$topo_ref_json"
 
+# Memory guard (DESIGN.md §15): a software-DSM node's host memory follows
+# the pages, locks and links it touches, not the machine's size.  Flat
+# LRC at 256 processors must peak under 200 MB (about 100 MB today; it
+# took 554 MB when every node held a full copy of the shared image).  The
+# built binary runs directly so dune's own footprint is not measured.
+dune build bin/shmsim.exe
+python3 - <<'EOF'
+import resource, subprocess, sys
+
+subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "sor", "-n", "256",
+     "--scale", "quick", "--slots", "256", "--topology", "lrc*256"],
+    check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > 200:
+    sys.exit(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB > 200 MB")
+print(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB")
+EOF
+
 # Tracing smoke: a traced SOR run must produce a valid Chrome-trace file
 # (known event kinds, monotonic timestamps — `shmsim trace-check` is the
 # self-contained validator) and identical results to the untraced run.

@@ -71,7 +71,10 @@ type node = {
   mutable recov : recov option;  (** checkpoint state; [None] = crash-free *)
 }
 
-type barrier_state = { mutable arrivals : (int * int) list }
+type barrier_state = {
+  mutable arrivals : (int * int) list;
+  mutable arrived : int;  (** [List.length arrivals] *)
+}
 
 type t = {
   eng : Engine.t;
@@ -169,7 +172,7 @@ let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
       n_pages;
       n_nodes;
       nodes = Array.init n_nodes mk_node;
-      barriers = Array.init 16 (fun _ -> { arrivals = [] });
+      barriers = Array.init 16 (fun _ -> { arrivals = []; arrived = 0 });
       page_shift =
         (if page_words > 0 && page_words land (page_words - 1) = 0 then
            let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
@@ -196,8 +199,8 @@ let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
       let words = n_pages * page_words in
       Array.iter
         (fun nd ->
-          let image = Memory.create ~words in
-          Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
+          let image = Memory.create_mapped ~words in
+          Memory.seed ~src:nd.mem ~len:words [| image |];
           nd.recov <-
             Some { image; ckpt_dirty = Bytes.make n_pages '\000' })
         t.nodes);
@@ -350,9 +353,11 @@ and mgr_unlock t fiber mgr ~lock =
 and mgr_barrier_arrive t fiber mgr ~id ~node ~req =
   let b = t.barriers.(id) in
   b.arrivals <- (node, req) :: b.arrivals;
-  if List.length b.arrivals = t.n_nodes then begin
+  b.arrived <- b.arrived + 1;
+  if b.arrived = t.n_nodes then begin
     let arrivals = b.arrivals in
     b.arrivals <- [];
+    b.arrived <- 0;
     List.iter
       (fun (dst, dreq) ->
         deliver t fiber ~src:mgr.id ~dst

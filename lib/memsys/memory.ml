@@ -7,6 +7,17 @@ let create ~words : t =
   Array1.fill a 0L;
   a
 
+(* A private (copy-on-write) mapping of /dev/zero: every page reads as the
+   kernel's shared zero page until its first write.  The descriptor must
+   be writable: [Unix.map_file] grows a file shorter than the mapping by
+   writing its last byte, which /dev/zero accepts and discards. *)
+let create_mapped ~words : t =
+  let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      array1_of_genarray (Unix.map_file fd Int64 C_layout false [| words |]))
+
 let words (t : t) = Array1.dim t
 
 let[@inline] get (t : t) i = Array1.unsafe_get t i
@@ -31,6 +42,24 @@ let blit ~src ~src_pos ~dst ~dst_pos ~len =
   Array1.blit (Array1.sub src src_pos len) (Array1.sub dst dst_pos len)
 
 let copy_all ~src ~dst = Array1.blit src dst
+
+(* Host pages of 4 KB: the unit a lazily mapped destination commits. *)
+let seed_chunk = 512
+
+let seed ~(src : t) ~len dsts =
+  let pos = ref 0 in
+  while !pos < len do
+    let n = min seed_chunk (len - !pos) in
+    let k = ref 0 in
+    while !k < n && Array1.unsafe_get src (!pos + !k) = 0L do
+      incr k
+    done;
+    if !k < n then
+      Array.iter
+        (fun dst -> blit ~src ~src_pos:!pos ~dst ~dst_pos:!pos ~len:n)
+        dsts;
+    pos := !pos + n
+  done
 
 let equal_range a b ~pos ~len =
   let rec loop i = i >= pos + len || (get a i = get b i && loop (i + 1)) in

@@ -7,7 +7,19 @@
 
 type t
 
+(** [create ~words] is a zero-filled store in [malloc]'d memory.  Use it
+    for page-sized and short-lived buffers (twins, scratch pages) and for
+    the one memory of a machine without a software-DSM root. *)
 val create : words:int -> t
+
+(** [create_mapped ~words] is a zero-filled store backed by a private,
+    copy-on-write mapping of [/dev/zero]: a page costs host memory only
+    once it is written.  Use it for node-sized images of which a node
+    touches only part — a software-DSM node's memory, a checkpoint
+    image.  Each store is one kernel mapping, released when the store
+    is collected; the GC does not count it as allocation, so it is the
+    wrong choice for many small buffers. *)
+val create_mapped : words:int -> t
 
 val words : t -> int
 
@@ -25,6 +37,12 @@ val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
 (** [copy_all ~src ~dst] copies the whole store ([words] must match). *)
 val copy_all : src:t -> dst:t -> unit
+
+(** [seed ~src ~len dsts] copies words [\[0, len)] of [src] into every
+    store of [dsts], which must be zero there.  Aligned 4 KB chunks that
+    are all zero in [src] are skipped, so a {!create_mapped} destination
+    keeps them on the kernel's zero page. *)
+val seed : src:t -> len:int -> t array -> unit
 
 (** [equal_range a b ~pos ~len] checks word-for-word equality. *)
 val equal_range : t -> t -> pos:int -> len:int -> bool

@@ -62,7 +62,9 @@ type 'a t = {
   counters : Counters.t;
   fabric : 'a packet Fabric.t;
   armed : bool;
-  links : 'a link array array; (* links.(node).(peer) *)
+  links : 'a link array array;
+      (* links.(node).(peer); empty when unarmed, as pass-through sends
+         keep no per-link state *)
   cmds : cmd Mailbox.t array; (* per-node retransmit-daemon timer queue *)
   ready : 'a Msg.envelope Queue.t array; (* in-order backlog from ooo drain *)
   mutable policy : policy;
@@ -85,12 +87,15 @@ let create eng counters fabric =
       ack_timer_armed = false;
     }
   in
+  let armed = Fabric.faults_armed fabric in
   {
     eng;
     counters;
     fabric;
-    armed = Fabric.faults_armed fabric;
-    links = Array.init n (fun _ -> Array.init n (fun _ -> link ()));
+    armed;
+    links =
+      (if armed then Array.init n (fun _ -> Array.init n (fun _ -> link ()))
+       else [||]);
     cmds = Array.init n (fun _ -> Mailbox.create eng);
     ready = Array.init n (fun _ -> Queue.create ());
     policy = default_policy;
@@ -332,9 +337,11 @@ let start t =
     done
 
 let pending_retx t ~node =
-  Array.fold_left
-    (fun acc l -> acc + Hashtbl.length l.unacked)
-    0 t.links.(node)
+  if not t.armed then 0
+  else
+    Array.fold_left
+      (fun acc l -> acc + Hashtbl.length l.unacked)
+      0 t.links.(node)
 
 let pending_note t =
   if not t.armed then ""

@@ -99,21 +99,23 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
     | Some _ -> (app.shared_words + page_words - 1) / page_words * page_words
     | None -> app.shared_words
   in
+  (* A DSM node's memory is a lazily mapped image, so it costs host
+     memory only for the pages the node touches; only the non-zero pages
+     of the initial image are copied in. *)
+  let create =
+    if Option.is_some dsm_engine then Memory.create_mapped else Memory.create
+  in
   let memories =
     Array.map
       (fun node ->
-        Memory.create
-          ~words:(shared_words + (count_doms node * Hw_sync.region_words)))
+        create ~words:(shared_words + (count_doms node * Hw_sync.region_words)))
       nodes
   in
   if ntops = 1 then app.init memories.(0)
   else begin
     let image = Memory.create ~words:shared_words in
     app.init image;
-    Array.iter
-      (fun m ->
-        Memory.blit ~src:image ~src_pos:0 ~dst:m ~dst_pos:0 ~len:shared_words)
-      memories
+    Memory.seed ~src:image ~len:shared_words memories
   end;
   let dsm =
     Option.map

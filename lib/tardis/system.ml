@@ -106,6 +106,7 @@ type node = {
 
 type barrier_state = {
   mutable arrivals : (int * int) list;
+  mutable arrived : int;  (** [List.length arrivals] *)
   mutable high : int;  (** max pts over arrivals so far *)
 }
 
@@ -190,7 +191,8 @@ let create eng counters fabric ~page_words ~shared_words ~memories =
     n_pages;
     n_nodes;
     nodes = Array.init n_nodes mk_node;
-    barriers = Array.init 16 (fun _ -> { arrivals = []; high = 0 });
+    barriers =
+      Array.init 16 (fun _ -> { arrivals = []; arrived = 0; high = 0 });
     page_shift =
       (if page_words > 0 && page_words land (page_words - 1) = 0 then
          let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
@@ -350,11 +352,13 @@ and mgr_unlock t fiber mgr ~lock ~pts =
 and mgr_barrier_arrive t fiber mgr ~id ~node ~req ~pts =
   let b = t.barriers.(id) in
   b.arrivals <- (node, req) :: b.arrivals;
+  b.arrived <- b.arrived + 1;
   if pts > b.high then b.high <- pts;
-  if List.length b.arrivals = t.n_nodes then begin
+  if b.arrived = t.n_nodes then begin
     let arrivals = b.arrivals in
     let ts = b.high in
     b.arrivals <- [];
+    b.arrived <- 0;
     (* Departures jump every node to the epoch's maximum timestamp, so
        leases on anything written before the barrier are already spent
        on the far side. *)

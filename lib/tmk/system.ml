@@ -12,7 +12,9 @@ module Lifecycle = Shm_sim.Lifecycle
 type page_state = {
   mutable valid : bool;
   mutable twin : Memory.t option;  (** present iff writable *)
-  applied : Vc.t;  (** per-creator highest interval reflected in our copy *)
+  mutable applied : Vc.t;
+      (** per-creator highest interval reflected in our copy; the system's
+          shared [zero_vc] until the page's first write to it *)
   mutable pending : (int * int) list;  (** (creator, seqno) notices awaiting diffs *)
 }
 
@@ -29,7 +31,9 @@ type lock_state = {
 type recov = {
   image : Memory.t;
       (** failure-atomic checkpoint image of the node's shared region *)
-  snap : Vc.t array;  (** per-page applied vector at the last checkpoint *)
+  snap : Vc.t array;
+      (** per-page applied vector at the last checkpoint; [zero_vc] until
+          the page is first checkpointed *)
   mutable ckpt_seq : int;  (** own interval count at the last checkpoint *)
   ckpt_dirty : Bytes.t;  (** pages touched since the last checkpoint *)
 }
@@ -50,7 +54,7 @@ type node = {
   own_diffs : (int * int, Diff.t) Hashtbl.t;  (** (page, seqno) -> diff *)
   eager_diffs : (int * int * int, Diff.t) Hashtbl.t;
       (** (page, creator, seqno) -> eagerly shipped diff, not yet applied *)
-  locks : lock_state array;
+  locks : (int, lock_state) Hashtbl.t;  (** built on first use; see [lock_of] *)
   pending_reqs : (int, Proto.t Mailbox.t) Hashtbl.t;
   mutable next_req : int;
   mutable sent_to_manager : int;  (** own seq already pushed to barrier mgr *)
@@ -61,6 +65,7 @@ type node = {
 
 type barrier_state = {
   mutable arrivals : (int * int * Vc.t) list;
+  mutable arrived : int;  (** [List.length arrivals] *)
   mutable stash : Record.t list;
       (** arrival records of the open episode; copied to a successor's
           store when the barrier manager is re-homed after a crash *)
@@ -72,6 +77,9 @@ type t = {
   net : Proto.t Reliable.t;
   cfg : Config.t;
   nodes : node array;
+  zero_vc : Vc.t;
+      (** all-zero vector shared by every page whose [applied] (or [snap])
+          vector has not been written yet; never itself written *)
   barriers : barrier_state array;
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
@@ -107,6 +115,38 @@ let update_rights t nd page =
 
 let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
 
+(* Copy-on-write vectors: [v] itself if the page already owns it, else a
+   fresh all-zero vector for the page to own. *)
+let own_vc t v = if v == t.zero_vc then Vc.create ~nodes:t.cfg.n_nodes else v
+
+(* The page's [applied] vector, ready to be written. *)
+let applied_for_write t st =
+  let v = own_vc t st.applied in
+  st.applied <- v;
+  v
+
+(* Node [nd]'s state for [lock], built on first use with the state every
+   node starts in: the token and the queue tail at the lock's initial
+   manager. *)
+let lock_of t nd l =
+  match Hashtbl.find_opt nd.locks l with
+  | Some ls -> ls
+  | None ->
+      if l < 0 || l >= t.cfg.n_locks then
+        invalid_arg (Printf.sprintf "Tmk: lock %d out of range" l);
+      let manager = Config.manager_of t.cfg l in
+      let ls =
+        {
+          has_token = nd.id = manager;
+          in_use = false;
+          remote_waiters = Queue.create ();
+          local_waiters = Waitq.create t.eng;
+          tail = manager;
+        }
+      in
+      Hashtbl.add nd.locks l ls;
+      ls
+
 (* Record that a page's contents diverged from the checkpoint image.
    Free when checkpointing is off ([recov = None], the crash-free case). *)
 let mark_ckpt_dirty nd page =
@@ -119,16 +159,7 @@ let create ?lifecycle eng counters fabric cfg ~memories =
   if Array.length memories <> cfg.n_nodes then
     invalid_arg "Tmk.System.create: one memory per node required";
   let n = cfg.n_nodes in
-  let mk_lock lock node_id =
-    let manager = Config.manager_of cfg lock in
-    {
-      has_token = node_id = manager;
-      in_use = false;
-      remote_waiters = Queue.create ();
-      local_waiters = Waitq.create eng;
-      tail = manager;
-    }
-  in
+  let zero_vc = Vc.create ~nodes:n in
   let mk_node id =
     {
       id;
@@ -138,15 +169,14 @@ let create ?lifecycle eng counters fabric cfg ~memories =
       store = Record.Store.create ~nodes:n;
       pages =
         Array.init (Config.n_pages cfg) (fun _ ->
-            { valid = true; twin = None; applied = Vc.create ~nodes:n;
-              pending = [] });
+            { valid = true; twin = None; applied = zero_vc; pending = [] });
       rights =
         (* Pages start valid everywhere; a single node never twins. *)
         Bytes.make (Config.n_pages cfg) (if n = 1 then '\002' else '\001');
       dirty = [];
       own_diffs = Hashtbl.create 256;
       eager_diffs = Hashtbl.create 64;
-      locks = Array.init cfg.n_locks (fun l -> mk_lock l id);
+      locks = Hashtbl.create 8;
       pending_reqs = Hashtbl.create 16;
       next_req = 0;
       sent_to_manager = 0;
@@ -169,8 +199,10 @@ let create ?lifecycle eng counters fabric cfg ~memories =
       net = Reliable.create eng counters fabric;
       cfg;
       nodes = Array.init n mk_node;
+      zero_vc;
       barriers =
-        Array.init cfg.n_barriers (fun _ -> { arrivals = []; stash = [] });
+        Array.init cfg.n_barriers (fun _ ->
+            { arrivals = []; arrived = 0; stash = [] });
       page_shift;
       page_hook = (fun ~node:_ ~page:_ -> ());
       lock_home = Array.init cfg.n_locks (Config.manager_of cfg);
@@ -192,21 +224,20 @@ let create ?lifecycle eng counters fabric cfg ~memories =
           Reliable.backoff_cap = 6;
           on_peer_down = Some (fun ~src:_ ~dst:_ ~attempts:_ -> ());
         };
-      (* Arm failure-atomic checkpointing: one image per node, seeded
-         from the initial memory, plus per-page applied-vector snapshots
-         so a rejoin knows which foreign intervals to distrust. *)
+      (* Arm failure-atomic checkpointing: one lazily mapped image per
+         node, seeded from the initial memory, plus per-page
+         applied-vector snapshots so a rejoin knows which foreign
+         intervals to distrust. *)
       let words = Config.n_pages cfg * cfg.page_words in
       Array.iter
         (fun nd ->
-          let image = Memory.create ~words in
-          Memory.blit ~src:nd.mem ~src_pos:0 ~dst:image ~dst_pos:0 ~len:words;
+          let image = Memory.create_mapped ~words in
+          Memory.seed ~src:nd.mem ~len:words [| image |];
           nd.recov <-
             Some
               {
                 image;
-                snap =
-                  Array.init (Config.n_pages cfg) (fun _ ->
-                      Vc.create ~nodes:n);
+                snap = Array.make (Config.n_pages cfg) zero_vc;
                 ckpt_seq = 0;
                 ckpt_dirty = Bytes.make (Config.n_pages cfg) '\000';
               })
@@ -354,7 +385,7 @@ let close_interval t fiber nd =
           Counters.incr t.counters "tmk.diffs_created";
           st.twin <- None;
           update_rights t nd p;
-          st.applied.(nd.id) <- nd.seq)
+          (applied_for_write t st).(nd.id) <- nd.seq)
         pages;
       let record =
         { Record.creator = nd.id; seqno = nd.seq; vc = Vc.copy nd.vc; pages }
@@ -449,7 +480,7 @@ let apply_diffs t fiber nd ~page items =
           Engine.advance fiber (t.cfg.apply_per_word * Diff.words d));
       Engine.instant fiber "tmk.diff-apply";
       if r.seqno > st.applied.(r.creator) then
-        st.applied.(r.creator) <- r.seqno;
+        (applied_for_write t st).(r.creator) <- r.seqno;
       Counters.incr t.counters "tmk.diffs_applied")
     items;
   if items <> [] then mark_ckpt_dirty nd page
@@ -689,7 +720,7 @@ let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
   if requester = nd.id then begin
     (* Reserve the lock for the local requester now, so no other
        co-located processor can slip in before it wakes. *)
-    nd.locks.(lock).in_use <- true;
+    (lock_of t nd lock).in_use <- true;
     let body = Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records = [] } in
     match Hashtbl.find_opt nd.pending_reqs req with
     | Some mb -> Mailbox.post mb ~at:(Engine.clock fiber) body
@@ -697,7 +728,7 @@ let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
   end
   else begin
     let records = records_between nd ~vc_dst:req_vc in
-    nd.locks.(lock).has_token <- false;
+    (lock_of t nd lock).has_token <- false;
     send t fiber ~src:nd.id ~dst:requester
       (Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records })
   end
@@ -707,7 +738,7 @@ let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
    request is queued (forwards must be served FIFO, or an immediate grant
    would carry the token away and orphan the queue), else queue. *)
 let deliver_forward t fiber nd ~lock ~requester ~req ~req_vc =
-  let ls = nd.locks.(lock) in
+  let ls = lock_of t nd lock in
   if lock = debug_lock then
     Printf.eprintf
       "[%d] node %d FORWARD lock %d for %d (req %d): token=%b in_use=%b q=%d\n"
@@ -718,7 +749,7 @@ let deliver_forward t fiber nd ~lock ~requester ~req ~req_vc =
   else Queue.push (requester, req, req_vc) ls.remote_waiters
 
 let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
-  let ls = nd.locks.(lock) in
+  let ls = lock_of t nd lock in
   let previous_tail = ls.tail in
   if lock = debug_lock then
     Printf.eprintf "[%d] node %d MGRREQ lock %d from %d (req %d) tail %d->%d\n"
@@ -734,7 +765,7 @@ let acquire t fiber ~node ~lock =
   let nd = t.nodes.(node) in
   Engine.sync fiber;
   drain_steal fiber nd;
-  let ls = nd.locks.(lock) in
+  let ls = lock_of t nd lock in
   while ls.in_use do
     Engine.with_category fiber Engine.Lock_wait (fun () ->
         Waitq.wait fiber ls.local_waiters)
@@ -827,7 +858,7 @@ let release t fiber ~node ~lock =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let closed = close_interval t fiber nd in
   after_close t fiber nd ~lock:(Some lock) closed;
-  let ls = nd.locks.(lock) in
+  let ls = lock_of t nd lock in
   if not ls.in_use then invalid_arg "Tmk.release: lock not held";
   if lock = debug_lock then
     Printf.eprintf "[%d] node %d RELEASE lock %d: token=%b q=%d localq=%d\n"
@@ -852,6 +883,7 @@ let send_departs t fiber mgr ~id =
      sending the remaining departures. *)
   let arrivals = b.arrivals in
   b.arrivals <- [];
+  b.arrived <- 0;
   b.stash <- [];
   (* The episode's time is the join of the arrival snapshots.  The
      manager's own vector time is NOT merged at arrival: an arriver's
@@ -884,7 +916,8 @@ let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
   List.iter (fun r -> ignore (Record.Store.add mgr.store r)) records;
   b.stash <- records @ b.stash;
   b.arrivals <- (node, req, arr_vc) :: b.arrivals;
-  if List.length b.arrivals = t.cfg.n_nodes then send_departs t fiber mgr ~id
+  b.arrived <- b.arrived + 1;
+  if b.arrived = t.cfg.n_nodes then send_departs t fiber mgr ~id
 
 let barrier_arrive t fiber ~node ~id =
   let nd = t.nodes.(node) in
@@ -940,7 +973,9 @@ let checkpoint t nd =
               !bytes
               + Ckpt.page_delta ~src:nd.mem ~src_base:(p * pw) ~image:rv.image
                   ~image_base:(p * pw) ~words:pw;
-            Array.blit st.applied 0 rv.snap.(p) 0 t.cfg.n_nodes;
+            let snap = own_vc t rv.snap.(p) in
+            rv.snap.(p) <- snap;
+            Array.blit st.applied 0 snap 0 t.cfg.n_nodes;
             (* An open twin means the application can keep writing the
                page without another protocol event: keep it dirty. *)
             if st.twin = None then Bytes.set rv.ckpt_dirty p '\000'
@@ -995,7 +1030,7 @@ let rejoin t nd =
                     if List.mem p r.pages then stale := (c, r.seqno) :: !stale)
                   (Record.Store.range nd.store ~creator:c ~lo:snap.(c)
                      ~hi:st.applied.(c));
-                st.applied.(c) <- snap.(c)
+                (applied_for_write t st).(c) <- snap.(c)
               end
             done;
             if !stale <> [] then begin
@@ -1044,7 +1079,8 @@ let rehome t lc ~dead =
         (fun l home ->
           if home = dead then begin
             t.lock_home.(l) <- s;
-            t.nodes.(s).locks.(l).tail <- t.nodes.(dead).locks.(l).tail;
+            (lock_of t t.nodes.(s) l).tail <-
+              (lock_of t t.nodes.(dead) l).tail;
             incr moved
           end)
         t.lock_home;

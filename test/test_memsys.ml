@@ -26,6 +26,109 @@ let prop_memory_float_bits =
       Memory.set_float m 0 v;
       Int64.bits_of_float (Memory.get_float m 0) = Int64.bits_of_float v)
 
+(* A lazily mapped image reads zero everywhere and round-trips scalar
+   traffic, including through the float view of the same buffer. *)
+let test_mapped_roundtrip () =
+  let words = 3 * 4096 in
+  let m = Memory.create_mapped ~words in
+  Alcotest.(check int) "words" words (Memory.words m);
+  let zeros = ref true in
+  for i = 0 to words - 1 do
+    if Memory.get m i <> 0L then zeros := false
+  done;
+  Alcotest.(check bool) "reads zero everywhere" true !zeros;
+  Memory.set m 5 (-7L);
+  Memory.set_float m 4100 (-0.0);
+  Memory.set_float m (words - 1) 2.5e-300;
+  Memory.set_int m 9000 max_int;
+  Alcotest.(check int64) "int64" (-7L) (Memory.get m 5);
+  Alcotest.(check int64) "negative zero bits"
+    (Int64.bits_of_float (-0.0))
+    (Memory.get m 4100);
+  Alcotest.(check (float 0.0)) "float" 2.5e-300 (Memory.get_float m (words - 1));
+  Alcotest.(check int) "int" max_int (Memory.get_int m 9000);
+  Alcotest.(check int64) "neighbour untouched" 0L (Memory.get m 4101)
+
+(* Bulk operations mix mapped and malloc'd stores freely, and [seed]
+   copies every non-zero word, including a chunk whose only non-zero
+   word is its last. *)
+let test_mapped_bulk_ops () =
+  let words = 2048 in
+  let heap = Memory.create ~words and mapped = Memory.create_mapped ~words in
+  for i = 0 to 511 do
+    Memory.set_int heap i (i + 1)
+  done;
+  Memory.set_int heap 1023 77;
+  Memory.set_float heap (words - 1) 1.5;
+  Alcotest.(check int) "first_diff heap vs fresh mapping" 0
+    (Memory.first_diff heap 0 mapped 0 words);
+  Alcotest.(check bool) "all-zero chunk equal" true
+    (Memory.equal_range heap mapped ~pos:1024 ~len:512);
+  Memory.blit ~src:heap ~src_pos:0 ~dst:mapped ~dst_pos:0 ~len:512;
+  Alcotest.(check bool) "blit heap -> mapped" true
+    (Memory.equal_range heap mapped ~pos:0 ~len:512);
+  Alcotest.(check int) "first_diff after blit" 1023
+    (Memory.first_diff mapped 0 heap 0 words);
+  let back = Memory.create ~words in
+  Memory.blit ~src:mapped ~src_pos:0 ~dst:back ~dst_pos:0 ~len:words;
+  Alcotest.(check int) "blit mapped -> heap" (-1)
+    (Memory.first_diff back 0 mapped 0 words);
+  let dsts = [| Memory.create_mapped ~words; Memory.create ~words |] in
+  Memory.seed ~src:heap ~len:words dsts;
+  Array.iteri
+    (fun k d ->
+      Alcotest.(check int)
+        (Printf.sprintf "seeded copy %d identical" k)
+        (-1)
+        (Memory.first_diff heap 0 d 0 words))
+    dsts
+
+(* Resident set of this process in kB, where /proc provides it. *)
+let vm_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line ->
+            if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then
+              Scanf.sscanf line "VmRSS: %d kB" Option.some
+            else scan ()
+      in
+      let r = scan () in
+      close_in ic;
+      r
+
+(* Mapped stores put no pressure on the GC, so a leak of the mappings
+   themselves would show only as growing host memory: allocate and drop
+   a few thousand 1 MB images, touching a few pages of each. *)
+let test_mapped_no_leak () =
+  let words = 131_072 in
+  let cycle () =
+    for _ = 1 to 64 do
+      let m = Memory.create_mapped ~words in
+      for k = 0 to 7 do
+        Memory.set_int m (k * 16_384) k
+      done;
+      ignore (Sys.opaque_identity m)
+    done;
+    Gc.full_major ()
+  in
+  cycle ();
+  let before = vm_rss_kb () in
+  for _ = 1 to 48 do
+    cycle ()
+  done;
+  match (before, vm_rss_kb ()) with
+  | Some b, Some a ->
+      (* A leak would keep 3072 x 32 kB = 96 MB resident. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "VmRSS %d kB -> %d kB" b a)
+        true
+        (a - b < 16_384)
+  | _ -> ()
+
 let test_memory_blit () =
   let a = Memory.create ~words:32 and b = Memory.create ~words:32 in
   for i = 0 to 31 do
@@ -271,6 +374,10 @@ let suite =
     Alcotest.test_case "memory int/float roundtrip" `Quick test_memory_roundtrip;
     QCheck_alcotest.to_alcotest prop_memory_float_bits;
     Alcotest.test_case "memory blit" `Quick test_memory_blit;
+    Alcotest.test_case "mapped memory roundtrip" `Quick test_mapped_roundtrip;
+    Alcotest.test_case "mapped memory bulk ops and seeding" `Quick
+      test_mapped_bulk_ops;
+    Alcotest.test_case "mapped memory is released" `Quick test_mapped_no_leak;
     Alcotest.test_case "cache direct mapping and eviction" `Quick
       test_cache_mapping;
     Alcotest.test_case "cache peek_victim" `Quick test_cache_peek_victim;

@@ -11,6 +11,7 @@ module Report = Shm_platform.Report
 module Machines = Shm_platform.Machines
 module Dsm_cluster = Shm_platform.Dsm_cluster
 module Layout = Shm_apps.Layout
+module Memory = Shm_memsys.Memory
 
 let all_parallel_platforms () =
   [
@@ -252,6 +253,63 @@ let test_max_cycles_everywhere () =
       | exception Shm_sim.Engine.Watchdog _ -> ())
     Machines.names
 
+(* Every DSM node starts from the initial image, whichever of its pages
+   were copied in: one page is all zero (left on the node's zero-filled
+   mapping) and one holds a single non-zero word, the last one, whose bit
+   pattern is negative zero.  Each processor checks every word before
+   anyone writes and reports its matches through the checksum. *)
+let seeding_app =
+  let shared_words = 2045 (* not a whole number of pages *) in
+  let slot p = 1536 + p and sum = 1540 in
+  let expected i =
+    if i < 512 then Int64.bits_of_float (float_of_int (i + 1) *. 0.25)
+    else if i = 1535 then Int64.bits_of_float (-0.0)
+    else if i <= sum then 0L
+    else Int64.of_int (i * 7919)
+  in
+  {
+    Parmacs.name = "seeding";
+    shared_words;
+    eager_lock_hints = [];
+    init =
+      (fun mem ->
+        for i = 0 to shared_words - 1 do
+          Memory.set mem i (expected i)
+        done);
+    work =
+      (fun ctx ->
+        let ok = ref 0 in
+        for i = 0 to shared_words - 1 do
+          if ctx.Parmacs.read i = expected i then incr ok
+        done;
+        ctx.barrier 0;
+        Parmacs.write_i ctx (slot ctx.id) !ok;
+        ctx.barrier 1;
+        if ctx.id = 0 then begin
+          let total = ref 0 in
+          for p = 0 to ctx.nprocs - 1 do
+            total := !total + Parmacs.read_i ctx (slot p)
+          done;
+          Parmacs.write_f ctx sum (float_of_int !total)
+        end);
+    checksum_addr = sum;
+    stats = Parmacs.no_stats;
+  }
+
+let test_node_image_seeding () =
+  List.iter
+    (fun (name, p) ->
+      let r = run_on name p seeding_app ~n:4 in
+      Alcotest.(check (float 0.0))
+        (name ^ ": every processor saw the initial image")
+        (float_of_int (4 * seeding_app.Parmacs.shared_words))
+        r.Report.checksum)
+    [
+      ("lrc*4", Machines.topology "lrc*4");
+      ("ivy", Machines.get "ivy");
+      ("lrc(mesi*2, 2)", Machines.topology "lrc(mesi*2, 2)");
+    ]
+
 let suite =
   [
     Alcotest.test_case "SOR exact on every platform" `Slow
@@ -274,6 +332,8 @@ let suite =
       test_hw_sync_barrier_phases;
     Alcotest.test_case "report helpers" `Quick test_report_helpers;
     Alcotest.test_case "machine registry" `Quick test_machines_registry;
+    Alcotest.test_case "DSM nodes seeded from the initial image" `Quick
+      test_node_image_seeding;
     Alcotest.test_case "max_cycles bounds every machine" `Quick
       test_max_cycles_everywhere;
   ]

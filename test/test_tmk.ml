@@ -306,6 +306,32 @@ let test_record_store () =
     (Invalid_argument "Record.Store.range: creator 1 missing seq 3")
     (fun () -> ignore (Record.Store.range s ~creator:1 ~lo:0 ~hi:4))
 
+(* Pages start out sharing one all-zero [applied] vector and take their
+   own on their first write.  Nodes 0 and 1 each write a different page;
+   node 2 must then fault on both and apply exactly one diff to each.  A
+   vector shared between pages (or written in place while shared) would
+   make node 2 believe it already holds one of the writes. *)
+let test_applied_vectors_per_page () =
+  let nodes = 3 in
+  let c = make_cluster ~nodes ~shared_words:2048 () in
+  let seen = Array.make 2 0 in
+  for node = 0 to nodes - 1 do
+    spawn_node c ~node (fun f ->
+        if node < 2 then write c f ~node (1024 + (node * 512) + 7) (100 + node);
+        System.barrier_arrive c.sys f ~node ~id:0;
+        if node = 2 then
+          for w = 0 to 1 do
+            seen.(w) <- read c f ~node (1024 + (w * 512) + 7)
+          done)
+  done;
+  Engine.run c.eng;
+  Alcotest.(check (array int)) "node 2 sees both writers" [| 100; 101 |] seen;
+  Alcotest.(check int) "one fault per page" 2
+    (Counters.get c.counters "tmk.faults");
+  Alcotest.(check int) "one diff per page" 2
+    (Counters.get c.counters "tmk.diffs_applied");
+  System.check_invariants c.sys
+
 let suite =
   [
     Alcotest.test_case "lock-protected counter" `Quick test_lock_counter;
@@ -325,4 +351,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_diff_roundtrip;
     QCheck_alcotest.to_alcotest prop_vc_join_lub;
     Alcotest.test_case "record store ranges" `Quick test_record_store;
+    Alcotest.test_case "applied vectors are per page" `Quick
+      test_applied_vectors_per_page;
   ]
