@@ -283,6 +283,29 @@ if peak_mb > 200:
 print(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB")
 EOF
 
+# Payload GC guard (DESIGN.md §12): IVY and Tardis move pages as
+# malloc'd copies outside the OCaml heap, so page traffic must not drive
+# the major collector.  KV on IVY at 8 nodes must finish within 50 major
+# collections (about 10 today; 384 when every transfer built a boxed
+# int64 array).
+python3 - <<'EOF'
+import os, re, subprocess, sys
+
+env = dict(os.environ, OCAMLRUNPARAM="v=0x400")
+run = subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "kv", "-p", "ivy", "-n",
+     "8", "--scale", "default"],
+    check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    env=env)
+m = re.search(r"^major_collections: *(\d+)", run.stderr, re.M)
+if m is None:
+    sys.exit("ci: no major_collections figure from OCAMLRUNPARAM=v=0x400")
+majors = int(m.group(1))
+if majors > 50:
+    sys.exit(f"ci: kv on ivy ran {majors} major collections > 50")
+print(f"ci: kv on ivy ran {majors} major collections")
+EOF
+
 # Tracing smoke: a traced SOR run must produce a valid Chrome-trace file
 # (known event kinds, monotonic timestamps — `shmsim trace-check` is the
 # self-contained validator) and identical results to the untraced run.

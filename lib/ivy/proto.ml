@@ -1,6 +1,7 @@
 module Msg = Shm_net.Msg
+module Memory = Shm_memsys.Memory
 
-type page_data = int64 array
+type page_data = Memory.t
 
 type t =
   | Read_req of { page : int; requester : int; req : int }
@@ -19,8 +20,8 @@ type t =
   | Barrier_depart of { barrier : int; req : int }
 
 let sizes = function
-  | Page_copy { data; _ } -> Msg.sizes ~payload:(8 * Array.length data) ()
-  | Page_grant { data = Some d; _ } -> Msg.sizes ~payload:(8 * Array.length d) ()
+  | Page_copy { data; _ } -> Msg.sizes ~payload:(8 * Memory.words data) ()
+  | Page_grant { data = Some d; _ } -> Msg.sizes ~payload:(8 * Memory.words d) ()
   | Read_req _ | Read_fwd _ | Write_req _ | Invalidate _ | Inval_ack _
   | Write_fwd _
   | Page_grant { data = None; _ }

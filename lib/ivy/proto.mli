@@ -1,6 +1,6 @@
 (** Wire protocol of the IVY-style sequentially-consistent page DSM. *)
 
-type page_data = int64 array
+type page_data = Shm_memsys.Memory.t
 
 type t =
   | Read_req of { page : int; requester : int; req : int }

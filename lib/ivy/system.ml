@@ -225,14 +225,17 @@ let drain_steal fiber nd =
         Engine.advance fiber s)
   end
 
+(* A page payload is a malloc'd copy outside the OCaml heap: a page
+   transfer allocates no boxed words and leaves the major heap alone. *)
 let page_data t nd page =
-  Array.init t.page_words (fun k ->
-      Memory.get nd.mem ((page * t.page_words) + k))
+  let data = Memory.create ~words:t.page_words in
+  Memory.blit ~src:nd.mem ~src_pos:(page * t.page_words) ~dst:data ~dst_pos:0
+    ~len:t.page_words;
+  data
 
 let install_page t fiber nd page data =
-  Array.iteri
-    (fun k v -> Memory.set nd.mem ((page * t.page_words) + k) v)
-    data;
+  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem ~dst_pos:(page * t.page_words)
+    ~len:t.page_words;
   (match nd.recov with
   | Some rv -> Bytes.unsafe_set rv.ckpt_dirty page '\001'
   | None -> ());

@@ -546,6 +546,9 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
             if base = "" then ln else base ^ "; " ^ ln)
       dsm
   in
+  (* The engine is dropped after this run: release its parked fibers
+     once the report is built, or their stacks outlive it. *)
+  Fun.protect ~finally:(fun () -> Engine.release eng) @@ fun () ->
   Engine.run ?max_cycles ?diag eng;
   Option.iter (fun d -> d.Shm_proto.check_invariants ()) dsm;
   List.iter (fun lv -> lv.inst.Shm_proto.check_invariants ()) !levels;

@@ -292,6 +292,23 @@ let run ?max_cycles ?(diag = fun () -> "") t =
     raise
       (Deadlock { time = t.time; blocked = blocked_report t; note = diag () })
 
+(* Raised into a parked fiber by [release]; nothing else sees it. *)
+exception Released
+
+(* A continuation that is dropped without being resumed keeps its fiber
+   stack: the collector does not free it.  Unwinding each parked fiber
+   frees the stack, so a process that runs many simulations does not
+   grow by the stacks of every run's idle daemons. *)
+let release t =
+  List.iter
+    (fun f ->
+      match f.cont with
+      | None -> ()
+      | Some k -> (
+          f.cont <- None;
+          try Effect.Deep.discontinue k Released with Released -> ()))
+    t.fibers
+
 let sync f =
   (* Fast path: if nothing is scheduled before our clock, yielding would be
      a no-op; skip the effect.  [min_time_exn] is a cached sentinel read

@@ -111,6 +111,13 @@ val schedule : t -> at:int -> (unit -> unit) -> unit
     finished past it (a fiber that never yields schedules no event). *)
 val run : ?max_cycles:int -> ?diag:(unit -> string) -> t -> unit
 
+(** [release t] unwinds every fiber still parked in [t] (daemons waiting
+    for messages that will not come, fibers a deadlock left blocked), so
+    their stacks are freed; a dropped, never-resumed fiber keeps its
+    stack.  Call it once [t]'s results have been read; [t] must not be
+    run again. *)
+val release : t -> unit
+
 (** {2 Operations within a fiber} *)
 
 val clock : fiber -> int

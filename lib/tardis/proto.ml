@@ -1,6 +1,7 @@
 module Msg = Shm_net.Msg
+module Memory = Shm_memsys.Memory
 
-type page_data = int64 array
+type page_data = Memory.t
 
 type t =
   | Read_req of {
@@ -43,9 +44,9 @@ type t =
    version and a lease (or a pts and a have_wts). *)
 let sizes = function
   | Read_grant { data = Some d; _ } | Write_grant { data = Some d; _ } ->
-      Msg.sizes ~consistency:16 ~payload:(8 * Array.length d) ()
+      Msg.sizes ~consistency:16 ~payload:(8 * Memory.words d) ()
   | Flush_resp { data; _ } ->
-      Msg.sizes ~consistency:8 ~payload:(8 * Array.length data) ()
+      Msg.sizes ~consistency:8 ~payload:(8 * Memory.words data) ()
   | Read_req _ | Write_req _
   | Read_grant { data = None; _ }
   | Write_grant { data = None; _ } ->

@@ -220,17 +220,20 @@ let drain_steal fiber nd =
         Engine.advance fiber s)
   end
 
+(* A page payload is a malloc'd copy outside the OCaml heap: a page
+   transfer allocates no boxed words and leaves the major heap alone. *)
 let page_data t nd page =
-  Array.init t.page_words (fun k ->
-      Memory.get nd.mem ((page * t.page_words) + k))
+  let data = Memory.create ~words:t.page_words in
+  Memory.blit ~src:nd.mem ~src_pos:(page * t.page_words) ~dst:data ~dst_pos:0
+    ~len:t.page_words;
+  data
 
 (* Replace a page's contents with version [wts].  The local access kind
    is the caller's business; the version stamp is not, so it updates
    here and the platform's cache hook always fires. *)
 let install_page t fiber nd page ~wts data =
-  Array.iteri
-    (fun k v -> Memory.set nd.mem ((page * t.page_words) + k) v)
-    data;
+  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem ~dst_pos:(page * t.page_words)
+    ~len:t.page_words;
   nd.wts.(page) <- wts;
   Engine.advance fiber t.page_words;
   t.page_hook ~node:nd.id ~page

@@ -1,6 +1,6 @@
 module Memory = Shm_memsys.Memory
 
-type run = { offset : int; words : int64 array }
+type run = { offset : int; words : float array }
 
 type t = { page : int; runs : run list }
 
@@ -17,9 +17,8 @@ let make ~page ~twin ~current ~base ~words =
       in
       let stop = if m < 0 then words else start + m in
       let len = stop - start in
-      let data =
-        Array.init len (fun k -> Memory.get current (base + start + k))
-      in
+      let data = Array.create_float len in
+      Memory.read_floats current (base + start) data 0 len;
       runs := { offset = start; words = data } :: !runs;
       i := stop
     end
@@ -29,14 +28,10 @@ let make ~page ~twin ~current ~base ~words =
 let apply t mem ~base =
   List.iter
     (fun { offset; words } ->
-      Array.iteri (fun k v -> Memory.set mem (base + offset + k) v) words)
+      Memory.write_floats mem (base + offset) words 0 (Array.length words))
     t.runs
 
-let apply_to_twin t twin =
-  List.iter
-    (fun { offset; words } ->
-      Array.iteri (fun k v -> Memory.set twin (offset + k) v) words)
-    t.runs
+let apply_to_twin t twin = apply t twin ~base:0
 
 let is_empty t = t.runs = []
 

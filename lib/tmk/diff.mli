@@ -6,7 +6,11 @@
     application that overwrites data with identical values (SOR's interior
     zeros) moves almost nothing — the effect behind Figure 3. *)
 
-type run = { offset : int; words : int64 array }
+(** A run of changed words.  [words] holds their bit patterns in a flat
+    [float array] (one unboxed double per word, filled and drained with
+    {!Shm_memsys.Memory.read_floats}/[write_floats], which copy bits
+    exactly, NaN payloads included). *)
+type run = { offset : int; words : float array }
 
 type t = { page : int; runs : run list }
 

@@ -10,7 +10,12 @@ type t = {
   seqno : int;  (** creator's 1-based interval index *)
   vc : Vc.t;  (** creator's vector time at interval close *)
   pages : int list;  (** pages dirtied during the interval *)
+  vsum : int;  (** [Vc.sum vc], cached for {!linear_key} *)
 }
+
+(** [make ~creator ~seqno ~vc ~pages] builds a record, computing [vsum]
+    once. *)
+val make : creator:int -> seqno:int -> vc:Vc.t -> pages:int list -> t
 
 (** Wire size of one record in a notice: 16-byte descriptor (including
     the delta-encoded vector time), 4 bytes per page id. *)
@@ -22,6 +27,11 @@ val happened_before : t -> t -> bool
 (** [linear_key r] sorts any set of records into a linear extension of
     happened-before-1 ([Vc.sum] is strictly monotone along the order). *)
 val linear_key : t -> int * int * int
+
+(** [compare_linear a b] orders records exactly as [compare] on their
+    {!linear_key}s, without building the tuples: it is the comparison
+    every happened-before sort uses. *)
+val compare_linear : t -> t -> int
 
 module Store : sig
   (** A node's collection of known interval records, indexed by creator.
@@ -46,6 +56,12 @@ module Store : sig
   (** [range t ~creator ~lo ~hi] is the records with [lo < seqno <= hi],
       oldest first.  @raise Invalid_argument on a gap. *)
   val range : t -> creator:int -> lo:int -> hi:int -> record list
+
+  (** [first_notice t r] is [true] the first time it is called for
+      [r]'s (creator, seqno) and [false] ever after.  It is independent of
+      [add]: a record stored without being noticed still gets its first
+      notice later. *)
+  val first_notice : t -> record -> bool
 
   (** Highest contiguously-known interval index for [creator]. *)
   val contiguous : t -> creator:int -> int

@@ -134,6 +134,35 @@ let prop_random_writes_converge =
       Engine.run c.eng;
       !ok)
 
+(* A page moves between nodes as a raw copy: the bit patterns a float
+   round trip could disturb (a signalling NaN among them) arrive intact. *)
+let test_page_transfer_bit_exact () =
+  let words = Test_props.tricky_words in
+  let c = make_cluster ~nodes:2 ~shared_words:1024 () in
+  let seen = ref [] in
+  spawn c ~node:0 (fun f ->
+      List.iteri
+        (fun k w ->
+          Ivy.write_guard c.sys f ~node:0 k;
+          Memory.set (Ivy.memory c.sys ~node:0) k w)
+        words;
+      Ivy.barrier_arrive c.sys f ~node:0 ~id:0);
+  spawn c ~node:1 (fun f ->
+      Ivy.barrier_arrive c.sys f ~node:1 ~id:0;
+      seen :=
+        List.mapi
+          (fun k _ ->
+            Ivy.read_guard c.sys f ~node:1 k;
+            Memory.get (Ivy.memory c.sys ~node:1) k)
+          words);
+  Engine.run c.eng;
+  Ivy.check_invariants c.sys;
+  Alcotest.(check bool) "page shipped" true
+    (Counters.get c.counters "ivy.page_copies"
+     + Counters.get c.counters "ivy.page_transfers"
+    >= 1);
+  Alcotest.(check (list int64)) "bits intact" words !seen
+
 let test_single_node_is_free () =
   let c = make_cluster ~nodes:1 ~shared_words:1024 () in
   spawn c ~node:0 (fun f ->
@@ -152,4 +181,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_writes_converge;
     Alcotest.test_case "single node costs nothing" `Quick
       test_single_node_is_free;
+    Alcotest.test_case "page transfers are bit-exact" `Quick
+      test_page_transfer_bit_exact;
   ]

@@ -90,6 +90,54 @@ let prop_diff_words_bound =
       let d = Diff.make ~page:0 ~twin ~current:mem ~base:0 ~words:64 in
       Diff.words d = !changed && Diff.bytes d >= 16)
 
+(* Words whose bit patterns a float round trip could disturb: a
+   signalling NaN (which an arithmetic move would quiet), a quiet NaN
+   with payload, a negative NaN, negative zero, and two integers whose
+   top bits are set. *)
+let tricky_words =
+  [
+    0x7FF0000000000001L;
+    0x7FF8000000000001L;
+    0xFFF0000000000001L;
+    0x8000000000000000L;
+    Int64.min_int;
+    -1L;
+  ]
+
+let same_bits m pos w = Int64.equal (Memory.get m pos) w
+
+(* Diff runs carry words as unboxed doubles; every bit must survive
+   [make], [apply] and [apply_to_twin], in runs and as lone words. *)
+let test_diff_bit_exact () =
+  let words = 64 in
+  let twin = Memory.create ~words in
+  let current = Memory.create ~words in
+  (* One contiguous run at 3.., then each word alone at 20, 22, ... *)
+  List.iteri
+    (fun k w ->
+      Memory.set current (3 + k) w;
+      Memory.set current (20 + (2 * k)) w)
+    tricky_words;
+  let d = Diff.make ~page:0 ~twin ~current ~base:0 ~words in
+  Alcotest.(check int) "diff words" (2 * List.length tricky_words)
+    (Diff.words d);
+  let applied = Memory.create ~words in
+  Diff.apply d applied ~base:0;
+  let twinned = Memory.create ~words in
+  Diff.apply_to_twin d twinned;
+  List.iteri
+    (fun k w ->
+      List.iter
+        (fun (what, m) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s keeps %Lx" what w)
+            true
+            (same_bits m (3 + k) w && same_bits m (20 + (2 * k)) w))
+        [ ("apply", applied); ("apply_to_twin", twinned) ])
+    tricky_words;
+  Alcotest.(check bool) "apply reproduces the page" true
+    (Memory.equal_range applied current ~pos:0 ~len:words)
+
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:100 ~name:"pqueue pops a sorted sequence"
     QCheck.(small_list small_nat)
@@ -246,6 +294,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_diff_apply_idempotent;
     QCheck_alcotest.to_alcotest prop_diff_twin_apply_matches;
     QCheck_alcotest.to_alcotest prop_diff_words_bound;
+    Alcotest.test_case "diffs carry words bit-exactly" `Quick
+      test_diff_bit_exact;
     QCheck_alcotest.to_alcotest prop_pqueue_sorts;
     QCheck_alcotest.to_alcotest prop_pqueue_wheel_matches_reference;
     QCheck_alcotest.to_alcotest prop_msg_total;

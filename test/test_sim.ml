@@ -83,6 +83,24 @@ let test_suspend_resume () =
     [ ("woke", 55); ("waker", 50) ]
     !order
 
+(* A fiber still parked when the run ends is unwound by [release] (its
+   stack is freed only then), and only by it. *)
+let test_release_unwinds_parked () =
+  let eng = Engine.create () in
+  let unwound = ref false in
+  let daemon =
+    Engine.spawn eng ~daemon:true ~name:"idle" ~at:0 (fun f ->
+        Fun.protect
+          ~finally:(fun () -> unwound := true)
+          (fun () -> Engine.suspend f))
+  in
+  Engine.run eng;
+  Alcotest.(check bool) "parked after run" true
+    (Engine.is_suspended daemon && not !unwound);
+  Engine.release eng;
+  Alcotest.(check bool) "unwound by release" true
+    ((not (Engine.is_suspended daemon)) && !unwound)
+
 let test_deadlock_detection () =
   let eng = Engine.create () in
   ignore
@@ -223,6 +241,8 @@ let suite =
     Alcotest.test_case "fiber clocks interleave by time" `Quick test_fiber_clocks;
     Alcotest.test_case "wait_until advances the clock" `Quick test_wait_until;
     Alcotest.test_case "suspend/resume" `Quick test_suspend_resume;
+    Alcotest.test_case "release unwinds parked fibers" `Quick
+      test_release_unwinds_parked;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "daemons don't deadlock" `Quick test_daemon_no_deadlock;
     Alcotest.test_case "mailbox delivery time" `Quick test_mailbox_delivery_time;

@@ -292,7 +292,7 @@ let prop_vc_join_lub =
 
 let test_record_store () =
   let s = Record.Store.create ~nodes:2 in
-  let mk seqno = { Record.creator = 1; seqno; vc = [| 0; seqno |]; pages = [ 0 ] } in
+  let mk seqno = Record.make ~creator:1 ~seqno ~vc:[| 0; seqno |] ~pages:[ 0 ] in
   Alcotest.(check bool) "add new" true (Record.Store.add s (mk 1));
   Alcotest.(check bool) "add dup" false (Record.Store.add s (mk 1));
   ignore (Record.Store.add s (mk 2));
@@ -332,6 +332,166 @@ let test_applied_vectors_per_page () =
     (Counters.get c.counters "tmk.diffs_applied");
   System.check_invariants c.sys
 
+(* A pinned PRNG for the properties below, so tier-1 is deterministic;
+   QCHECK_SEED still picks a different excursion. *)
+let pinned_rand seed =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> int_of_string s
+    | None -> seed
+  in
+  Random.State.make [| seed |]
+
+(* The dense record store against a hash-table model.  Seqnos reach well
+   past the store's first capacity, arrive out of order and with gaps,
+   and repeat; [first_notice] calls interleave with the adds. *)
+let prop_store_matches_model =
+  let op =
+    QCheck.(
+      triple bool (int_bound 2) (map (fun s -> s + 1) (int_bound 39)))
+  in
+  QCheck.Test.make ~count:200 ~name:"record store matches a hash-table model"
+    QCheck.(list_of_size (Gen.int_bound 80) op)
+    (fun ops ->
+      let nodes = 3 and top = 42 in
+      let store = Record.Store.create ~nodes in
+      let model = Hashtbl.create 64 and noticed = Hashtbl.create 64 in
+      let mk creator seqno =
+        let vc = Array.make nodes 0 in
+        vc.(creator) <- seqno;
+        Record.make ~creator ~seqno ~vc ~pages:[ seqno mod 5 ]
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      List.iter
+        (fun (notice, creator, seqno) ->
+          let r = mk creator seqno in
+          if notice then begin
+            expect
+              (Record.Store.first_notice store r
+              = not (Hashtbl.mem noticed (creator, seqno)));
+            Hashtbl.replace noticed (creator, seqno) ()
+          end
+          else begin
+            expect
+              (Record.Store.add store r
+              = not (Hashtbl.mem model (creator, seqno)));
+            if not (Hashtbl.mem model (creator, seqno)) then
+              Hashtbl.add model (creator, seqno) r
+          end)
+        ops;
+      for creator = 0 to nodes - 1 do
+        let contig = ref 0 in
+        while Hashtbl.mem model (creator, !contig + 1) do
+          incr contig
+        done;
+        expect (Record.Store.contiguous store ~creator = !contig);
+        for seqno = 0 to top do
+          let want = Hashtbl.find_opt model (creator, seqno) in
+          expect
+            (match (Record.Store.find store ~creator ~seqno, want) with
+            | Some g, Some w -> g == w
+            | None, None -> true
+            | _ -> false);
+          expect (Record.Store.known store (mk creator seqno) = (want <> None))
+        done;
+        for lo = 0 to top do
+          for hi = lo to top do
+            let want =
+              let rec go s acc =
+                if s <= lo then Ok acc
+                else
+                  match Hashtbl.find_opt model (creator, s) with
+                  | Some r -> go (s - 1) (r :: acc)
+                  | None ->
+                      Error
+                        (Printf.sprintf
+                           "Record.Store.range: creator %d missing seq %d"
+                           creator s)
+              in
+              go hi []
+            in
+            let got =
+              match Record.Store.range store ~creator ~lo ~hi with
+              | l -> Ok l
+              | exception Invalid_argument m -> Error m
+            in
+            expect
+              (match (got, want) with
+              | Ok g, Ok w ->
+                  List.length g = List.length w && List.for_all2 ( == ) g w
+              | Error g, Error w -> g = w
+              | _ -> false)
+          done
+        done
+      done;
+      (* Every mark set above stays set; every other one is still fresh. *)
+      for creator = 0 to nodes - 1 do
+        for seqno = 1 to top do
+          expect
+            (Record.Store.first_notice store (mk creator seqno)
+            = not (Hashtbl.mem noticed (creator, seqno)))
+        done
+      done;
+      !ok)
+
+(* The shared happened-before sort orders records exactly as sorting on
+   [linear_key] does. *)
+let prop_compare_linear_is_linear_key =
+  let record =
+    QCheck.(
+      map
+        (fun (creator, seqno, vc) -> Record.make ~creator ~seqno ~vc ~pages:[])
+        (triple (int_bound 3) (int_bound 6)
+           (array_of_size (Gen.return 4) (int_bound 6))))
+  in
+  QCheck.Test.make ~count:500 ~name:"compare_linear sorts like linear_key"
+    (QCheck.list record)
+    (fun rs ->
+      let by_key =
+        List.sort
+          (fun a b -> compare (Record.linear_key a) (Record.linear_key b))
+          rs
+      in
+      List.for_all2 ( == ) (List.sort Record.compare_linear rs) by_key)
+
+(* A diff request names a seqno range, but the creator serves only the
+   diffs of the faulting page inside it.  Node 0 writes page A in its
+   intervals 1, 3 and 5 and page B in 2 and 4; node 1 applies interval 1
+   and later faults on A, which must bring exactly diffs 3 and 5. *)
+let test_diff_req_serves_page_diffs () =
+  let c = make_cluster ~nodes:2 ~shared_words:2048 () in
+  let page_a = 0 and page_b = 512 in
+  let applied_on_refault = ref (-1) and seen = ref (-1) in
+  let interval f addr v =
+    System.acquire c.sys f ~node:0 ~lock:0;
+    write c f ~node:0 addr v;
+    System.release c.sys f ~node:0 ~lock:0
+  in
+  spawn_node c ~node:0 (fun f ->
+      interval f page_a 1;
+      System.barrier_arrive c.sys f ~node:0 ~id:0;
+      System.barrier_arrive c.sys f ~node:0 ~id:0;
+      interval f page_b 2;
+      interval f page_a 3;
+      interval f page_b 4;
+      interval f page_a 5;
+      System.barrier_arrive c.sys f ~node:0 ~id:0);
+  spawn_node c ~node:1 (fun f ->
+      System.barrier_arrive c.sys f ~node:1 ~id:0;
+      ignore (read c f ~node:1 page_a);
+      System.barrier_arrive c.sys f ~node:1 ~id:0;
+      System.barrier_arrive c.sys f ~node:1 ~id:0;
+      let before = Counters.get c.counters "tmk.diffs_applied" in
+      seen := read c f ~node:1 page_a;
+      applied_on_refault := Counters.get c.counters "tmk.diffs_applied" - before);
+  Engine.run c.eng;
+  Alcotest.(check int) "node 0 closed five intervals" 5
+    (System.vc c.sys ~node:0).(0);
+  Alcotest.(check int) "latest write visible" 5 !seen;
+  Alcotest.(check int) "diffs 3 and 5 only" 2 !applied_on_refault;
+  System.check_invariants c.sys
+
 let suite =
   [
     Alcotest.test_case "lock-protected counter" `Quick test_lock_counter;
@@ -353,4 +513,10 @@ let suite =
     Alcotest.test_case "record store ranges" `Quick test_record_store;
     Alcotest.test_case "applied vectors are per page" `Quick
       test_applied_vectors_per_page;
+    QCheck_alcotest.to_alcotest ~rand:(pinned_rand 0x5eed14)
+      prop_store_matches_model;
+    QCheck_alcotest.to_alcotest ~rand:(pinned_rand 0x50f7)
+      prop_compare_linear_is_linear_key;
+    Alcotest.test_case "diff requests serve only the page's diffs" `Quick
+      test_diff_req_serves_page_diffs;
   ]

@@ -199,8 +199,8 @@ let prop_linear_key_respects_order =
     QCheck.(pair (array_of_size (QCheck.Gen.return 4) (int_bound 20))
               (array_of_size (QCheck.Gen.return 4) (int_bound 20)))
     (fun (a, b) ->
-      let ra = { Record.creator = 0; seqno = a.(0); vc = a; pages = [] } in
-      let rb = { Record.creator = 1; seqno = b.(1); vc = b; pages = [] } in
+      let ra = Record.make ~creator:0 ~seqno:a.(0) ~vc:a ~pages:[] in
+      let rb = Record.make ~creator:1 ~seqno:b.(1) ~vc:b ~pages:[] in
       (not (Record.happened_before ra rb))
       || Record.linear_key ra < Record.linear_key rb)
 
