@@ -14,6 +14,21 @@ fi
 dune build @check
 dune runtest
 
+# Inlining audit (DESIGN.md §12): the default profile is release, whose
+# flags are dev's warnings-as-errors set but which, unlike dev, compiles
+# library modules without -opaque.  With -opaque every small accessor on
+# the simulated access path (Memory, Cache, Engine.advance) is a real
+# call from every other module.
+memory_rule=$(dune rules _build/default/lib/memsys/.shm_memsys.objs/native/shm_memsys__Memory.cmx)
+if printf '%s\n' "$memory_rule" | grep -q -e '-opaque'; then
+  echo "ci: the default build compiles lib/ with -opaque (no cross-module inlining)" >&2
+  exit 1
+fi
+if ! printf '%s\n' "$memory_rule" | grep -q -F -e '@1..3@5..28@30..39@43@46..47@49..57@61..62-40'; then
+  echo "ci: the default build lost dev's warnings-as-errors flags" >&2
+  exit 1
+fi
+
 # Isolation audit for the run scheduler: lib/ must hold no module-level
 # mutable state, or concurrent runs on separate domains could interfere
 # (see DESIGN.md §8).  Matches toplevel bindings that allocate a mutable
@@ -304,6 +319,29 @@ majors = int(m.group(1))
 if majors > 50:
     sys.exit(f"ci: kv on ivy ran {majors} major collections > 50")
 print(f"ci: kv on ivy ran {majors} major collections")
+EOF
+
+# Hot-path allocation guard (DESIGN.md §12): a hit allocates nothing, so
+# minor-heap traffic follows the simulated transactions, not the
+# accesses.  Default-scale SOR on the SGI bus at 8 processors must stay
+# within 150M minor words (about 108M today; 335M when every float read
+# boxed its value).
+python3 - <<'EOF'
+import os, re, subprocess, sys
+
+env = dict(os.environ, OCAMLRUNPARAM="v=0x400")
+run = subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "sor", "-p", "sgi", "-n",
+     "8", "--scale", "default"],
+    check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    env=env)
+m = re.search(r"^minor_words: *(\d+)", run.stderr, re.M)
+if m is None:
+    sys.exit("ci: no minor_words figure from OCAMLRUNPARAM=v=0x400")
+words = int(m.group(1))
+if words > 150_000_000:
+    sys.exit(f"ci: sor on sgi at 8 allocated {words} minor words > 150M")
+print(f"ci: sor on sgi at 8 allocated {words / 1e6:.0f}M minor words")
 EOF
 
 # Tracing smoke: a traced SOR run must produce a valid Chrome-trace file

@@ -88,8 +88,8 @@ let work p sh lay costs (ctx : Parmacs.ctx) =
         let rbase = lay.results + (f * rw) in
         for r = 0 to rw - 1 do
           readf (lay.theta + (r mod theta_words));
-          let v = family_term ~family:f ~slot:r !fcell in
-          fcell := v;
+          let v = family_term ~family:f ~slot:r fcell.v in
+          fcell.v <- v;
           writef (rbase + r);
           contribution := !contribution +. v
         done;

@@ -79,17 +79,17 @@ let work p lay (ctx : Parmacs.ctx) =
         while !j <= cols - 2 do
           let jj = !j in
           readf (base - cols + jj);
-          let up = !fcell in
+          let up = fcell.v in
           readf (base + cols + jj);
-          let down = !fcell in
+          let down = fcell.v in
           readf (base + jj - 1);
-          let left = !fcell in
+          let left = fcell.v in
           readf (base + jj + 1);
-          let right = !fcell in
+          let right = fcell.v in
           readf (base + jj);
-          let self = !fcell in
+          let self = fcell.v in
           let avg = 0.25 *. (up +. down +. left +. right) in
-          fcell := self +. (omega *. (avg -. self));
+          fcell.v <- self +. (omega *. (avg -. self));
           writef (base + jj);
           compute point_cycles;
           j := jj + 2

@@ -28,20 +28,39 @@ let sim_config ~n_nodes =
 
 type entry = Uncached | Shared_by of Iset.t | Owned_by of int
 
+(* The directory is a table indexed by block number, split into chunks of
+   [chunk_blocks] entries.  A chunk is built on the first entry that
+   leaves [Uncached], so a node's directory costs host memory only for
+   the part of its memory it shares. *)
+let chunk_shift = 9
+
+let chunk_blocks = 1 lsl chunk_shift
+
 type t = {
   cfg : config;
   mem : Memory.t;
-  counters : Counters.t;
   caches : Cache.t array;
   ports : Resource.t array;
-  directory : (int, entry) Hashtbl.t;
+  block_shift : int; (* log2 cache_block_words *)
+  chunks : entry array array; (* [||] until first written *)
+  c_msgs : Counters.key;
+  c_bytes : Counters.key;
+  c_forwards : Counters.key;
+  c_invalidations : Counters.key;
+  c_writebacks : Counters.key;
+  c_replacement_hints : Counters.key;
 }
 
 let create _eng counters mem cfg =
+  let rec log2 s =
+    if 1 lsl s >= cfg.cache_block_words then s else log2 (s + 1)
+  in
+  let block_shift = log2 0 in
+  let blocks = (Memory.words mem + cfg.cache_block_words - 1) lsr block_shift in
+  let key = Counters.key counters in
   {
     cfg;
     mem;
-    counters;
     caches =
       Array.init cfg.n_nodes (fun _ ->
           Cache.create ~size_words:cfg.cache_size_words
@@ -49,12 +68,38 @@ let create _eng counters mem cfg =
     ports =
       Array.init cfg.n_nodes (fun i ->
           Resource.create ~name:(Printf.sprintf "port%d" i) ());
-    directory = Hashtbl.create 4096;
+    block_shift;
+    chunks = Array.make ((blocks + chunk_blocks - 1) lsr chunk_shift) [||];
+    c_msgs = key "dir.msgs";
+    c_bytes = key "dir.bytes";
+    c_forwards = key "dir.forwards";
+    c_invalidations = key "dir.invalidations";
+    c_writebacks = key "dir.writebacks";
+    c_replacement_hints = key "dir.replacement_hints";
   }
 
 let config t = t.cfg
 
 let memory t = t.mem
+
+let entry_of t block =
+  let i = block lsr t.block_shift in
+  let c = t.chunks.(i lsr chunk_shift) in
+  if Array.length c = 0 then Uncached
+  else Array.unsafe_get c (i land (chunk_blocks - 1))
+
+let set_entry t block e =
+  let i = block lsr t.block_shift in
+  let ci = i lsr chunk_shift in
+  let c = t.chunks.(ci) in
+  if Array.length c > 0 then Array.unsafe_set c (i land (chunk_blocks - 1)) e
+  else
+    match e with
+    | Uncached -> ()
+    | Shared_by _ | Owned_by _ ->
+        let c = Array.make chunk_blocks Uncached in
+        t.chunks.(ci) <- c;
+        Array.unsafe_set c (i land (chunk_blocks - 1)) e
 
 (* Drop directory and cache state for a word range without modelling any
    traffic: the words are already in memory (data never lives only in a
@@ -67,25 +112,20 @@ let invalidate_range t ~addr ~words =
   let last = (addr + words - 1) / bw * bw in
   let b = ref first in
   while !b <= last do
-    Hashtbl.remove t.directory !b;
+    set_entry t !b Uncached;
     Array.iter (fun c -> ignore (Cache.invalidate c !b)) t.caches;
     b := !b + bw
   done
 
 let home_of t block = block / t.cfg.cache_block_words mod t.cfg.n_nodes
 
-let entry_of t block =
-  Option.value ~default:Uncached (Hashtbl.find_opt t.directory block)
-
-let set_entry t block e = Hashtbl.replace t.directory block e
-
 let block_bytes t = t.cfg.cache_block_words * 8
 
 let header_bytes = 16
 
 let count_msg t ~payload =
-  Counters.incr t.counters "dir.msgs";
-  Counters.add t.counters "dir.bytes" (header_bytes + payload)
+  Counters.bump t.c_msgs 1;
+  Counters.bump t.c_bytes (header_bytes + payload)
 
 let port_use t fiber ~node ~cycles =
   Engine.sync fiber;
@@ -117,8 +157,9 @@ let evict t fiber ~node victim =
           let home = home_of t vblock in
           let dirty = vstate = Cache.Modified in
           count_msg t ~payload:(if dirty then block_bytes t else 0);
-          Counters.incr t.counters
-            (if dirty then "dir.writebacks" else "dir.replacement_hints");
+          Counters.bump
+            (if dirty then t.c_writebacks else t.c_replacement_hints)
+            1;
           if home <> node && dirty then
             port_use t fiber ~node:home ~cycles:t.cfg.port_block_cycles)
 
@@ -127,7 +168,7 @@ let downgrade_owner t owner block =
   | Cache.Exclusive | Cache.Modified ->
       Cache.set_state t.caches.(owner) block Cache.Shared
   | Cache.Shared | Cache.Invalid -> ());
-  Counters.incr t.counters "dir.forwards"
+  Counters.bump t.c_forwards 1
 
 (* Charge the latency of a miss serviced at [home]; data moves through
    [port] (the supplier's crossbar port) when remote. *)
@@ -154,7 +195,7 @@ let insert_retiring t ~node cache block state =
       (match entry_of t vblock with
       | Owned_by o when o = node -> set_entry t vblock Uncached
       | Owned_by _ | Uncached | Shared_by _ -> ());
-      Counters.incr t.counters "dir.replacement_hints"
+      Counters.bump t.c_replacement_hints 1
   | Some (_, (Cache.Shared | Cache.Invalid)) | None -> ()
 
 (* Install [block] in [node]'s cache for reading.  Yield points (port
@@ -244,7 +285,7 @@ let rec acquire_exclusive t fiber ~node block =
       match entry_of t block with
       | Owned_by o when o = owner ->
           ignore (Cache.invalidate t.caches.(owner) block);
-          Counters.incr t.counters "dir.invalidations";
+          Counters.bump t.c_invalidations 1;
           set_entry t block (Owned_by node)
       | Owned_by _ | Uncached | Shared_by _ ->
           acquire_exclusive t fiber ~node block)
@@ -268,7 +309,7 @@ let rec acquire_exclusive t fiber ~node block =
         (fun s ->
           ignore (Cache.invalidate t.caches.(s) block);
           count_msg t ~payload:0;
-          Counters.incr t.counters "dir.invalidations")
+          Counters.bump t.c_invalidations 1)
         others;
       set_entry t block (Owned_by node)
 
@@ -387,38 +428,47 @@ let rmw t fiber ~node addr f =
   Memory.set t.mem addr (f old);
   old
 
+(* In time proportional to the entries and the resident lines, not
+   entries x nodes: each owner must hold its block E/M, and each valid
+   line must be allowed by its block's entry. *)
 let check_invariants t =
-  Hashtbl.iter
-    (fun block entry ->
-      match entry with
-      | Uncached -> ()
-      | Owned_by owner ->
-          for n = 0 to t.cfg.n_nodes - 1 do
-            let st = Cache.state_of t.caches.(n) block in
-            if n = owner then begin
+  Array.iteri
+    (fun ci c ->
+      Array.iteri
+        (fun k e ->
+          match e with
+          | Owned_by owner ->
+              let block = ((ci lsl chunk_shift) + k) lsl t.block_shift in
+              let st = Cache.state_of t.caches.(owner) block in
               if st <> Cache.Exclusive && st <> Cache.Modified then
                 failwith
                   (Printf.sprintf "dir: block %d owned by %d but state %s"
                      block owner (Cache.state_name st))
-            end
-            else if st <> Cache.Invalid then
-              failwith
-                (Printf.sprintf "dir: block %d owned by %d but node %d has %s"
-                   block owner n (Cache.state_name st))
-          done
-      | Shared_by sharers ->
-          for n = 0 to t.cfg.n_nodes - 1 do
-            let st = Cache.state_of t.caches.(n) block in
-            match st with
-            | Cache.Modified | Cache.Exclusive ->
+          | Uncached | Shared_by _ -> ())
+        c)
+    t.chunks;
+  Array.iteri
+    (fun n cache ->
+      Cache.iter_valid cache (fun block st ->
+          match entry_of t block with
+          | Uncached -> ()
+          | Owned_by owner ->
+              if n <> owner then
                 failwith
-                  (Printf.sprintf "dir: shared block %d has %s at node %d"
-                     block (Cache.state_name st) n)
-            | Cache.Shared ->
-                if not (Iset.mem n sharers) then
+                  (Printf.sprintf "dir: block %d owned by %d but node %d has %s"
+                     block owner n (Cache.state_name st))
+          | Shared_by sharers -> (
+              match st with
+              | Cache.Modified | Cache.Exclusive ->
                   failwith
-                    (Printf.sprintf "dir: block %d sharer %d not recorded"
-                       block n)
-            | Cache.Invalid -> ()
-          done)
-    t.directory
+                    (Printf.sprintf "dir: shared block %d has %s at node %d"
+                       block (Cache.state_name st) n)
+              | Cache.Shared ->
+                  if not (Iset.mem n sharers) then
+                    failwith
+                      (Printf.sprintf "dir: block %d sharer %d not recorded"
+                         block n)
+              | Cache.Invalid -> ())))
+    t.caches
+
+let cache_for_test t node = t.caches.(node)

@@ -73,5 +73,13 @@ val invalidate_range : t -> addr:int -> words:int -> unit
 
 (** [check_invariants t] asserts directory/cache agreement: an exclusive
     entry has exactly that owner holding the block E/M; shared entries have
-    no E/M holder and record a superset of the actual holders. *)
+    no E/M holder and record a superset of the actual holders.  It costs
+    time in proportion to the directory entries and resident cache lines,
+    not to blocks times nodes.
+    @raise Failure naming the block, the node and the state that break it. *)
 val check_invariants : t -> unit
+
+(** [cache_for_test t node] is [node]'s cache.  Test-only: it exists so
+    tests can corrupt a cache line behind the directory's back and check
+    that {!check_invariants} reports it.  The simulator never calls it. *)
+val cache_for_test : t -> int -> Cache.t

@@ -35,6 +35,14 @@ let float_view (t : t) : fview = Obj.magic t
 let[@inline] get_float t i = Array1.unsafe_get (float_view t) i
 let[@inline] set_float t i (v : float) = Array1.unsafe_set (float_view t) i v
 
+(* A record whose only field is a float is stored flat, so the word moves
+   between the bigarray and the cell as a plain double: no float crosses
+   a call and none is boxed, inlined or not. *)
+type fcell = { mutable v : float }
+
+let[@inline] load_float t i c = c.v <- Array1.unsafe_get (float_view t) i
+let[@inline] store_float t i c = Array1.unsafe_set (float_view t) i c.v
+
 let get_int t i = Int64.to_int (get t i)
 let set_int t i v = set t i (Int64.of_int v)
 

@@ -29,6 +29,16 @@ val set : t -> int -> int64 -> unit
 val get_float : t -> int -> float
 val set_float : t -> int -> float -> unit
 
+(** A one-float transfer cell, stored unboxed. *)
+type fcell = { mutable v : float }
+
+(** [load_float t i c] sets [c.v] to word [i] read as a float;
+    [store_float t i c] writes [c.v] to word [i].  Neither allocates,
+    whatever the caller's build flags. *)
+val load_float : t -> int -> fcell -> unit
+
+val store_float : t -> int -> fcell -> unit
+
 val get_int : t -> int -> int
 val set_int : t -> int -> int -> unit
 

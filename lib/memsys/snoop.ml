@@ -42,10 +42,16 @@ let hs_node_config ~n_cpus =
 type t = {
   cfg : config;
   mem : Memory.t;
-  counters : Counters.t;
   bus : Resource.t;
   primaries : Cache.t array; (* empty array when no primary level *)
   coherents : Cache.t array;
+  c_busy : Counters.key;
+  c_bytes : Counters.key;
+  c_rd : Counters.key;
+  c_rdx : Counters.key;
+  c_upgr : Counters.key;
+  c_inval : Counters.key;
+  c_wb : Counters.key;
 }
 
 let create _eng counters mem cfg =
@@ -55,13 +61,19 @@ let create _eng counters mem cfg =
   {
     cfg;
     mem;
-    counters;
     bus = Resource.create ~name:"bus" ();
     primaries =
       (match cfg.primary with
       | None -> [||]
       | Some l -> Array.init cfg.n_cpus (fun _ -> mk l ()));
     coherents = Array.init cfg.n_cpus (fun _ -> mk cfg.coherent ());
+    c_busy = Counters.key counters "bus.busy";
+    c_bytes = Counters.key counters "bus.bytes";
+    c_rd = Counters.key counters "bus.rd";
+    c_rdx = Counters.key counters "bus.rdx";
+    c_upgr = Counters.key counters "bus.upgr";
+    c_inval = Counters.key counters "bus.inval";
+    c_wb = Counters.key counters "bus.wb";
   }
 
 let config t = t.cfg
@@ -70,7 +82,7 @@ let memory t = t.mem
 
 let bus_use t fiber ~cycles =
   Resource.use fiber t.bus ~cycles;
-  Counters.add t.counters "bus.busy" cycles
+  Counters.bump t.c_busy cycles
 
 (* Claim bus occupancy without yielding: used inside a transaction whose
    state transitions must be atomic with respect to other processors
@@ -78,7 +90,7 @@ let bus_use t fiber ~cycles =
 let bus_occupy t fiber ~cycles =
   let finish = Resource.reserve t.bus ~ready:(Engine.clock fiber) ~cycles in
   Engine.set_clock fiber finish;
-  Counters.add t.counters "bus.busy" cycles
+  Counters.bump t.c_busy cycles
 
 let block_bytes t = t.cfg.coherent.block_words * 8
 
@@ -111,8 +123,8 @@ let snoop_for_read t ~cpu block =
           supply := `Cache
       | Cache.Modified ->
           Cache.set_state t.coherents.(other) block Cache.Shared;
-          Counters.incr t.counters "bus.wb";
-          Counters.add t.counters "bus.bytes" (block_bytes t);
+          Counters.bump t.c_wb 1;
+          Counters.bump t.c_bytes (block_bytes t);
           supply := `Cache
     end
   done;
@@ -126,12 +138,12 @@ let snoop_for_write t ~cpu block =
       (match Cache.state_of t.coherents.(other) block with
       | Cache.Invalid -> ()
       | Cache.Shared | Cache.Exclusive ->
-          Counters.incr t.counters "bus.inval";
+          Counters.bump t.c_inval 1;
           supply := `Cache
       | Cache.Modified ->
-          Counters.incr t.counters "bus.inval";
-          Counters.incr t.counters "bus.wb";
-          Counters.add t.counters "bus.bytes" (block_bytes t);
+          Counters.bump t.c_inval 1;
+          Counters.bump t.c_wb 1;
+          Counters.bump t.c_bytes (block_bytes t);
           supply := `Cache);
       ignore (Cache.invalidate t.coherents.(other) block);
       primary_invalidate_block t other block
@@ -146,8 +158,8 @@ let handle_eviction t fiber ~cpu victim =
       if vstate = Cache.Modified then begin
         (* Write the dirty line back over the bus. *)
         bus_occupy t fiber ~cycles:t.cfg.bus_block_cycles;
-        Counters.incr t.counters "bus.wb";
-        Counters.add t.counters "bus.bytes" (block_bytes t)
+        Counters.bump t.c_wb 1;
+        Counters.bump t.c_bytes (block_bytes t)
       end;
       (* Inclusion: drop this CPU's primary copies of the victim. *)
       primary_invalidate_block t cpu vblock
@@ -158,7 +170,7 @@ let handle_eviction t fiber ~cpu victim =
 let bus_read t fiber ~cpu block ~exclusive =
   Engine.sync fiber;
   Engine.with_category fiber Engine.Mem_stall @@ fun () ->
-  Counters.incr t.counters (if exclusive then "bus.rdx" else "bus.rd");
+  Counters.bump (if exclusive then t.c_rdx else t.c_rd) 1;
   let supply =
     if exclusive then snoop_for_write t ~cpu block
     else snoop_for_read t ~cpu block
@@ -168,7 +180,7 @@ let bus_read t fiber ~cpu block ~exclusive =
     + (match supply with `Memory -> t.cfg.memory_extra_cycles | `Cache -> 0)
   in
   bus_occupy t fiber ~cycles:occupancy;
-  Counters.add t.counters "bus.bytes" (block_bytes t);
+  Counters.bump t.c_bytes (block_bytes t);
   let state =
     if exclusive then Cache.Modified
     else
@@ -183,7 +195,7 @@ let bus_upgrade t fiber ~cpu block =
   Engine.with_category fiber Engine.Mem_stall @@ fun () ->
   (match Cache.state_of t.coherents.(cpu) block with
   | Cache.Shared ->
-      Counters.incr t.counters "bus.upgr";
+      Counters.bump t.c_upgr 1;
       ignore (snoop_for_write t ~cpu block);
       bus_occupy t fiber ~cycles:t.cfg.bus_upgrade_cycles;
       Cache.set_state t.coherents.(cpu) block Cache.Modified

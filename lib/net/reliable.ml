@@ -60,6 +60,8 @@ type cmd = Retx of { peer : int; seq : int } | Ack_due of { peer : int }
 type 'a t = {
   eng : Engine.t;
   counters : Counters.t;
+  c_data : Counters.key;
+  c_acks : Counters.key;
   fabric : 'a packet Fabric.t;
   armed : bool;
   links : 'a link array array;
@@ -91,6 +93,8 @@ let create eng counters fabric =
   {
     eng;
     counters;
+    c_data = Counters.key counters "net.reliable.data";
+    c_acks = Counters.key counters "net.reliable.acks";
     fabric;
     armed;
     links =
@@ -146,7 +150,7 @@ let send t fiber ~src ~dst ~class_ ~size body =
         noted_down = false;
       };
     l.ack_owed <- false (* this packet piggybacks the ack *);
-    Counters.incr t.counters "net.reliable.data";
+    Counters.bump t.c_data 1;
     Fabric.send t.fabric fiber ~src ~dst ~class_ ~size
       (Data { seq; ack = cumulative_ack l; body });
     Mailbox.post t.cmds.(src)
@@ -167,7 +171,7 @@ let process_ack t ~node ~peer ack =
 let send_ack t fiber ~src ~dst =
   let l = t.links.(src).(dst) in
   l.ack_owed <- false;
-  Counters.incr t.counters "net.reliable.acks";
+  Counters.bump t.c_acks 1;
   Fabric.send t.fabric fiber ~src ~dst ~class_:Msg.Sync ~size:ack_size
     (Ack { ack = cumulative_ack l })
 

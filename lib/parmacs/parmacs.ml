@@ -7,12 +7,14 @@ type range_ops = {
   write_is : int -> int array -> int -> int -> unit;
 }
 
+type fcell = Memory.fcell = { mutable v : float }
+
 type ctx = {
   id : int;
   nprocs : int;
   read : int -> int64;
   write : int -> int64 -> unit;
-  fcell : float ref;
+  fcell : fcell;
   readf : int -> unit;
   writef : int -> unit;
   icell : int ref;
@@ -28,14 +30,15 @@ type ctx = {
 
 (* Scalar float traffic goes through [fcell] so no value is ever boxed
    across the platform closure: [readf] stores the loaded word into the
-   cell, [writef] stores the cell's value.  A float ref is a flat one-
-   field record, so both sides are plain unboxed double moves. *)
+   cell, [writef] stores the cell's value.  [fcell] is a record with one
+   float field, which OCaml stores flat, so both sides are plain unboxed
+   double moves. *)
 let[@inline] read_f ctx addr =
   ctx.readf addr;
-  !(ctx.fcell)
+  ctx.fcell.v
 
 let[@inline] write_f ctx addr v =
-  ctx.fcell := v;
+  ctx.fcell.v <- v;
   ctx.writef addr
 
 (* Scalar int traffic mirrors the float path: [icell] carries the word
@@ -120,7 +123,7 @@ let run_sequential app =
   let mem = Memory.create ~words:app.shared_words in
   app.init mem;
   let pass = fun addr words ~f -> f addr words in
-  let fcell = ref 0.0 in
+  let fcell = { v = 0.0 } in
   let icell = ref 0 in
   let ctx =
     {
@@ -129,8 +132,8 @@ let run_sequential app =
       read = Memory.get mem;
       write = Memory.set mem;
       fcell;
-      readf = (fun addr -> fcell := Memory.get_float mem addr);
-      writef = (fun addr -> Memory.set_float mem addr !fcell);
+      readf = (fun addr -> Memory.load_float mem addr fcell);
+      writef = (fun addr -> Memory.store_float mem addr fcell);
       icell;
       readi = (fun addr -> icell := Memory.get_int mem addr);
       writei = (fun addr -> Memory.set_int mem addr !icell);

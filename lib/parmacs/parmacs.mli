@@ -27,12 +27,16 @@ type range_ops = {
   write_is : int -> int array -> int -> int -> unit;
 }
 
+(** The scalar float transfer cell: one float field, stored unboxed
+    (the same type as {!Shm_memsys.Memory.fcell}). *)
+type fcell = Shm_memsys.Memory.fcell = { mutable v : float }
+
 type ctx = {
   id : int;  (** processor id, [0 .. nprocs-1] *)
   nprocs : int;
   read : int -> int64;  (** shared word read (guarded, timed) *)
   write : int -> int64 -> unit;
-  fcell : float ref;
+  fcell : fcell;
       (** scalar float transfer cell shared with [readf]/[writef]; private
           to this processor *)
   readf : int -> unit;

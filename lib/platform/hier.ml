@@ -343,7 +343,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
       | _ -> ());
       match pc with Some pc -> Private_cache.write pc f addr | None -> ()
     in
-    let fcell = ref 0.0 and icell = ref 0 in
+    let fcell = { Memory.v = 0.0 } and icell = ref 0 in
     (* The accessors are specialized when the context is built: the two
        hot shapes — a flat cabinet's processor and a flat DSM node — get
        closures holding exactly their one stage, every other shape runs
@@ -355,8 +355,8 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           let rg = h.Shm_proto.read_guard and wg = h.Shm_proto.write_guard in
           ( (fun addr -> rg f ~node:m addr; Memory.get mem addr),
             (fun addr v -> wg f ~node:m addr; Memory.set mem addr v),
-            (fun addr -> rg f ~node:m addr; fcell := Memory.get_float mem addr),
-            (fun addr -> wg f ~node:m addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rg f ~node:m addr; Memory.load_float mem addr fcell),
+            (fun addr -> wg f ~node:m addr; Memory.store_float mem addr fcell),
             (fun addr -> rg f ~node:m addr; icell := Memory.get_int mem addr),
             (fun addr -> wg f ~node:m addr; Memory.set_int mem addr !icell) )
       | Some (d, rights), No_hw, Some pc ->
@@ -372,15 +372,15 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           in
           ( (fun addr -> rg addr; Memory.get mem addr),
             (fun addr v -> wg addr; Memory.set mem addr v),
-            (fun addr -> rg addr; fcell := Memory.get_float mem addr),
-            (fun addr -> wg addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rg addr; Memory.load_float mem addr fcell),
+            (fun addr -> wg addr; Memory.store_float mem addr fcell),
             (fun addr -> rg addr; icell := Memory.get_int mem addr),
             (fun addr -> wg addr; Memory.set_int mem addr !icell) )
       | _ ->
           ( (fun addr -> rguard addr; Memory.get mem addr),
             (fun addr v -> wguard addr; Memory.set mem addr v),
-            (fun addr -> rguard addr; fcell := Memory.get_float mem addr),
-            (fun addr -> wguard addr; Memory.set_float mem addr !fcell),
+            (fun addr -> rguard addr; Memory.load_float mem addr fcell),
+            (fun addr -> wguard addr; Memory.store_float mem addr fcell),
             (fun addr -> rguard addr; icell := Memory.get_int mem addr),
             (fun addr -> wguard addr; Memory.set_int mem addr !icell) )
     in

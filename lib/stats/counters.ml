@@ -14,6 +14,20 @@ let add t name n =
   let r = cell t name in
   r := !r + n
 
+(* The cell is looked up on the first bump, not when the key is made, so
+   a key that never fires leaves its counter absent, as [add] would. *)
+type key = { tbl : t; name : string; mutable cell : int ref option }
+
+let key tbl name = { tbl; name; cell = None }
+
+let[@inline] bump k n =
+  match k.cell with
+  | Some r -> r := !r + n
+  | None ->
+      let r = cell k.tbl k.name in
+      k.cell <- Some r;
+      r := !r + n
+
 let incr t name = add t name 1
 
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0

@@ -16,6 +16,17 @@ val add : t -> string -> int -> unit
     plain [ref] update instead of a hashtable lookup per event. *)
 val cell : t -> string -> int ref
 
+(** A counter name resolved once, for hot paths that bump the same
+    counter on every event.  [bump (key t name) n] has exactly the effect
+    of [add t name n]; the key finds the counter's cell on its first bump
+    and keeps it, so later bumps skip the name lookup.  A key that is
+    never bumped leaves [name] absent from [t], as {!cell} would not. *)
+type key
+
+val key : t -> string -> key
+
+val bump : key -> int -> unit
+
 (** [get t name] is the counter value, or [0] if never touched.  A
     misspelled name therefore silently reads as 0 — prefer {!find} (or
     check {!mem}) when the counter is expected to exist. *)

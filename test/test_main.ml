@@ -18,6 +18,7 @@ let () =
       ("patterns", Test_patterns.suite);
       ("fuzz", Test_fuzz.suite);
       ("ranges", Test_ranges.suite);
+      ("access", Test_access.suite);
       ("platform", Test_platform.suite);
       ("runner", Test_runner.suite);
       ("breakdown", Test_breakdown.suite);

@@ -276,37 +276,91 @@ let prop_directory_rmw_atomic =
       Directory.check_invariants m;
       Memory.get_int mem 0 = 8 * per_cpu)
 
-(* Random mixed reads/writes to random addresses keep the directory and
-   the caches mutually consistent. *)
+(* Random mixed reads/writes to random addresses, with page-style range
+   invalidations interleaved, keep the directory and the caches mutually
+   consistent on a 64-node machine.  A third of the addresses fall near
+   the boundary between the directory's first two chunks of entries
+   (2048 words in) or on the last block of memory, and so do the
+   invalidated ranges. *)
 let prop_directory_random_traffic =
   QCheck.Test.make ~count:20 ~name:"directory invariants under random traffic"
     QCheck.(int_bound 1000)
     (fun seed ->
       let eng = Engine.create () in
       let counters = Counters.create () in
-      let words = 4096 in
+      let words = 4096 and nodes = 64 in
       let mem = Memory.create ~words in
       let m =
-        Directory.create eng counters mem (Directory.sim_config ~n_nodes:6)
+        Directory.create eng counters mem (Directory.sim_config ~n_nodes:nodes)
       in
       let rng = Prng.create ~seed in
-      for node = 0 to 5 do
+      let addr () =
+        match Prng.int rng 6 with
+        | 0 -> 2048 - 8 + Prng.int rng 16
+        | 1 -> words - 1 - Prng.int rng 8
+        | _ -> Prng.int rng words
+      in
+      for node = 0 to nodes - 1 do
         let plan =
           Array.init 200 (fun _ ->
-              (Prng.int rng words, Prng.int rng 2 = 0, Prng.int rng 30))
+              (addr (), Prng.int rng 10, Prng.int rng 30))
         in
         ignore
           (Engine.spawn eng ~name:(Printf.sprintf "n%d" node) ~at:0 (fun f ->
                Array.iter
-                 (fun (addr, is_read, think) ->
-                   if is_read then ignore (Directory.read m f ~node addr)
-                   else Directory.write m f ~node addr (Int64.of_int addr);
+                 (fun (addr, op, think) ->
+                   (match op with
+                   | 0 ->
+                       let words = 1 + ((addr * 7) mod 16) in
+                       let addr = min addr (Memory.words mem - words) in
+                       Directory.invalidate_range m ~addr ~words
+                   | 1 | 2 | 3 | 4 -> ignore (Directory.read m f ~node addr)
+                   | _ -> Directory.write m f ~node addr (Int64.of_int addr));
                    Engine.advance f think)
                  plan))
       done;
       Engine.run eng;
       Directory.check_invariants m;
       true)
+
+(* Each of [check_invariants]' four failures, reached by corrupting one
+   cache line behind the directory's back after legal traffic. *)
+let directory_check_fails ~setup ~corrupt expected () =
+  let eng = Engine.create () in
+  let counters = Counters.create () in
+  let mem = Memory.create ~words:1024 in
+  let m = Directory.create eng counters mem (Directory.sim_config ~n_nodes:4) in
+  ignore (Engine.spawn eng ~name:"script" ~at:0 (fun f -> setup m f));
+  Engine.run eng;
+  Directory.check_invariants m;
+  corrupt (Directory.cache_for_test m);
+  Alcotest.check_raises "failure message" (Failure expected) (fun () ->
+      Directory.check_invariants m)
+
+let directory_invariant_cases =
+  let owned m f = Directory.write m f ~node:0 40 7L in
+  let shared m f =
+    ignore (Directory.read m f ~node:0 40);
+    ignore (Directory.read m f ~node:1 40)
+  in
+  [
+    ( "owner not holding E/M",
+      directory_check_fails ~setup:owned
+        ~corrupt:(fun cache -> ignore (Cache.invalidate (cache 0) 40))
+        "dir: block 40 owned by 0 but state I" );
+    ( "non-owner holding a copy",
+      directory_check_fails ~setup:owned
+        ~corrupt:(fun cache -> ignore (Cache.insert (cache 2) 40 Cache.Shared))
+        "dir: block 40 owned by 0 but node 2 has S" );
+    ( "E/M on a shared block",
+      directory_check_fails ~setup:shared
+        ~corrupt:(fun cache -> Cache.set_state (cache 1) 40 Cache.Modified)
+        "dir: shared block 40 has M at node 1" );
+    ( "unrecorded sharer",
+      directory_check_fails ~setup:shared
+        ~corrupt:(fun cache -> ignore (Cache.insert (cache 3) 40 Cache.Shared))
+        "dir: block 40 sharer 3 not recorded" );
+  ]
 
 (* Remote misses cost more than local ones on the directory machine. *)
 let test_directory_latencies () =
@@ -388,9 +442,14 @@ let suite =
     Alcotest.test_case "snoop MESI state walk" `Quick test_snoop_mesi_walk;
     QCheck_alcotest.to_alcotest prop_snoop_rmw_atomic;
     QCheck_alcotest.to_alcotest prop_directory_rmw_atomic;
-    QCheck_alcotest.to_alcotest prop_directory_random_traffic;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xD1C7)
+      prop_directory_random_traffic;
     Alcotest.test_case "directory remote > local latency" `Quick
       test_directory_latencies;
     Alcotest.test_case "secondary-cache capacity misses" `Quick
       test_snoop_capacity_miss;
   ]
+  @ List.map
+      (fun (name, f) ->
+        Alcotest.test_case ("directory check: " ^ name) `Quick f)
+      directory_invariant_cases

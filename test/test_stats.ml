@@ -26,6 +26,55 @@ let test_counters_merge_reset () =
   Counters.reset a;
   Alcotest.(check int) "reset" 0 (Counters.get a "x")
 
+(* Bumping a key is [add] on its name: any interleaving of key bumps and
+   string-API updates on the same names, including keys made before or
+   after their counter exists and keys never bumped, leaves the same
+   counter list as the string API alone. *)
+let prop_keys_match_names =
+  let names = [| "a"; "b"; "c"; "d" |] in
+  let op =
+    QCheck.(
+      triple (int_bound 2) (int_bound (Array.length names - 1)) (int_bound 50))
+  in
+  QCheck.Test.make ~count:300 ~name:"counter keys bump like add"
+    QCheck.(pair (small_list (int_bound (Array.length names - 1)))
+              (small_list op))
+    (fun (early, ops) ->
+      let by_keys = Counters.create () and by_names = Counters.create () in
+      let keys = Array.make (Array.length names) None in
+      let key_of i =
+        match keys.(i) with
+        | Some k -> k
+        | None ->
+            let k = Counters.key by_keys names.(i) in
+            keys.(i) <- Some k;
+            k
+      in
+      List.iter (fun i -> ignore (key_of i)) early;
+      List.iter
+        (fun (kind, i, n) ->
+          let name = names.(i) in
+          (match kind with
+          | 0 -> Counters.bump (key_of i) n
+          | 1 -> Counters.add by_keys name n
+          | _ -> Counters.incr by_keys name);
+          if kind = 2 then Counters.incr by_names name
+          else Counters.add by_names name n)
+        ops;
+      Counters.to_list by_keys = Counters.to_list by_names)
+
+let test_key_never_bumped () =
+  let c = Counters.create () in
+  Counters.add c "x" 2;
+  let before = Counters.to_list c in
+  let k = Counters.key c "never" in
+  Alcotest.(check bool) "absent" false (Counters.mem c "never");
+  Alcotest.(check (list (pair string int))) "list unchanged" before
+    (Counters.to_list c);
+  Counters.bump k 0;
+  Alcotest.(check bool) "a zero bump creates it, as add does" true
+    (Counters.mem c "never")
+
 let test_table_render () =
   let t = Table.create ~title:"T" ~columns:[ "name"; "value" ] in
   Table.add_row t [ "alpha"; "1" ];
@@ -176,6 +225,10 @@ let suite =
   [
     Alcotest.test_case "counters add/get" `Quick test_counters_basic;
     Alcotest.test_case "counters merge/reset" `Quick test_counters_merge_reset;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x5eed)
+      prop_keys_match_names;
+    Alcotest.test_case "a key never bumped leaves no counter" `Quick
+      test_key_never_bumped;
     Alcotest.test_case "table renders rows in order" `Quick test_table_render;
     Alcotest.test_case "table rejects wrong arity" `Quick test_table_arity;
     Alcotest.test_case "cell formatting" `Quick test_cells;

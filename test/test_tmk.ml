@@ -332,16 +332,6 @@ let test_applied_vectors_per_page () =
     (Counters.get c.counters "tmk.diffs_applied");
   System.check_invariants c.sys
 
-(* A pinned PRNG for the properties below, so tier-1 is deterministic;
-   QCHECK_SEED still picks a different excursion. *)
-let pinned_rand seed =
-  let seed =
-    match Sys.getenv_opt "QCHECK_SEED" with
-    | Some s -> int_of_string s
-    | None -> seed
-  in
-  Random.State.make [| seed |]
-
 (* The dense record store against a hash-table model.  Seqnos reach well
    past the store's first capacity, arrive out of order and with gaps,
    and repeat; [first_notice] calls interleave with the adds. *)
@@ -513,9 +503,9 @@ let suite =
     Alcotest.test_case "record store ranges" `Quick test_record_store;
     Alcotest.test_case "applied vectors are per page" `Quick
       test_applied_vectors_per_page;
-    QCheck_alcotest.to_alcotest ~rand:(pinned_rand 0x5eed14)
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x5eed14)
       prop_store_matches_model;
-    QCheck_alcotest.to_alcotest ~rand:(pinned_rand 0x50f7)
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x50f7)
       prop_compare_linear_is_linear_key;
     Alcotest.test_case "diff requests serve only the page's diffs" `Quick
       test_diff_req_serves_page_diffs;
