@@ -75,7 +75,24 @@ let runs =
           [ "sor"; "tsp" ])
       [ "treadmarks"; "ivy" ]
   in
-  named @ hybrids @ injected
+  (* Tardis mounted on the TreadMarks cluster: no named machine runs it,
+     so these rows pin its message traffic, not only its results. *)
+  let tardis =
+    let plat ?faults () =
+      Machines.get ?faults ~protocol:"tardis" "treadmarks"
+    in
+    List.concat_map
+      (fun app ->
+        List.map
+          (fun n -> ("treadmarks:tardis", (fun () -> plat ()), app, n))
+          [ 4; 8 ])
+      apps
+    @ List.map
+        (fun app ->
+          ("treadmarks:tardis drop", (fun () -> plat ~faults:drop ()), app, 4))
+        [ "sor"; "tsp" ]
+  in
+  named @ hybrids @ injected @ tardis
 
 let counters_digest (r : Report.t) =
   List.sort compare r.Report.counters
@@ -218,6 +235,18 @@ let expected =
     "ivy crash sor 4: 6319617 0x1.70d4575719efep+8 0267a6836ef25ef7dc84729a46d63299";
     "ivy drop tsp 4: 5995266 0x1.1f2p+11 8f7deb427dfe136181c8703e90551bb1";
     "ivy crash tsp 4: 6280716 0x1.1f2p+11 ad68157f3a75bbc845873824ec1d7ded";
+    "treadmarks:tardis sor 4: 3915959 0x1.70d4575719efep+8 4bafa213307b3c571bb588f97965a5d3";
+    "treadmarks:tardis sor 8: 23782409 0x1.70d4575719f03p+8 3d8757a48545ba3b0792d895c8795734";
+    "treadmarks:tardis tsp 4: 4682859 0x1.1f2p+11 3345f6f6d3b8ac2555f265248bc494b8";
+    "treadmarks:tardis tsp 8: 6514299 0x1.1f2p+11 33706f8422f36c293153912731a61929";
+    "treadmarks:tardis water 4: 155927757 0x1.293cc893f694dp+8 292cbbe88f15dc2007de4d86a9205b5d";
+    "treadmarks:tardis water 8: 213432028 0x1.293cc893f694dp+8 403da47ff4f729e47fe5afc5738e0240";
+    "treadmarks:tardis m-water 4: 18453868 0x1.293cc893f694dp+8 8533b09d6fcdc7bb272e995b5d397593";
+    "treadmarks:tardis m-water 8: 15705591 0x1.293cc893f694dp+8 1f72672293768ccbbf30516ccff3f962";
+    "treadmarks:tardis ilink-clp 4: 9722988 0x1.0eeb716a5b77ap+5 4d712242c152c295d17e24516817c276";
+    "treadmarks:tardis ilink-clp 8: 11333975 0x1.0eeb716a5b77bp+5 43f01e4e76c8d48936bb77daf0db1a1f";
+    "treadmarks:tardis drop sor 4: 4455153 0x1.70d4575719efep+8 21a948116dc6e9718830ddf047006a1c";
+    "treadmarks:tardis drop tsp 4: 5536213 0x1.1f2p+11 9eddd516dbbd5719c2ac482bfb7232f4";
   ]
 
 let test_baseline () =

@@ -178,7 +178,8 @@ let suite =
       test_sc_propagates_without_sync;
     Alcotest.test_case "write ping-pong transfers pages" `Quick
       test_write_ping_pong_counts;
-    QCheck_alcotest.to_alcotest prop_random_writes_converge;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x1717)
+      prop_random_writes_converge;
     Alcotest.test_case "single node costs nothing" `Quick
       test_single_node_is_free;
     Alcotest.test_case "page transfers are bit-exact" `Quick

@@ -258,6 +258,7 @@ let suite =
     Alcotest.test_case "deterministic replay" `Quick test_deterministic;
     Alcotest.test_case "pinned goldens (tmk/ivy/sgi quick)" `Slow
       test_pinned_goldens;
-    QCheck_alcotest.to_alcotest prop_linearizable;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x4B56)
+      prop_linearizable;
     Alcotest.test_case "parameter rejection" `Quick test_rejects;
   ]

@@ -185,7 +185,8 @@ let suite =
       (check_goldens ~protocol:"eager-lrc" golden_eager_lrc);
     Alcotest.test_case "patterns exact on every engine" `Slow
       test_patterns_exact;
-    QCheck_alcotest.to_alcotest prop_engines_match_reference;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x9207)
+      prop_engines_match_reference;
     Alcotest.test_case "registry rejects duplicate names" `Quick
       test_registry_rejects_duplicates;
     Alcotest.test_case "machine x protocol mismatches refused" `Quick

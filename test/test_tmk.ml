@@ -497,7 +497,8 @@ let suite =
     Alcotest.test_case "same-node faults merge" `Quick test_fault_merging;
     Alcotest.test_case "protocol is deterministic" `Quick
       test_protocol_determinism;
-    QCheck_alcotest.to_alcotest prop_barrier_converges;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xBA55)
+      prop_barrier_converges;
     QCheck_alcotest.to_alcotest prop_diff_roundtrip;
     QCheck_alcotest.to_alcotest prop_vc_join_lub;
     Alcotest.test_case "record store ranges" `Quick test_record_store;

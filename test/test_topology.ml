@@ -289,13 +289,7 @@ let suite =
        found). *)
     Alcotest.test_case "random topology: five apps, conserved" `Slow
       (fun () ->
-        let seed =
-          match Sys.getenv_opt "QCHECK_SEED" with
-          | Some s -> int_of_string s
-          | None -> 0xC0FFEE
-        in
-        QCheck.Test.check_exn
-          ~rand:(Random.State.make [| seed |])
+        QCheck.Test.check_exn ~rand:(Pinned.rand 0xC0FFEE)
           prop_random_topology_runs);
     Alcotest.test_case "512-processor hybrid, five apps" `Slow test_hybrid_512;
     Alcotest.test_case "bare nodes inside a hybrid" `Quick test_bare_nodes;
