@@ -44,7 +44,7 @@ fi
 # bypass sequencing and break the fault-tolerance contract of
 # DESIGN.md §9.
 if grep -nE 'Fabric\.(send|recv|loopback)' lib/tmk/*.ml lib/ivy/*.ml \
-     lib/tardis/*.ml; then
+     lib/tardis/*.ml lib/dsm/*.ml; then
   echo "ci: the DSM engines must use Shm_net.Reliable, not raw Fabric" >&2
   exit 1
 fi
@@ -53,8 +53,19 @@ fi
 # must raise a descriptive error naming the page/requester/state, never
 # a bare `assert false` (DESIGN.md §10 — the Ivy manager's Invalid-state
 # branch was exactly such a silent failure).
-if grep -n 'assert false' lib/ivy/*.ml lib/tmk/*.ml lib/tardis/*.ml; then
+if grep -n 'assert false' lib/ivy/*.ml lib/tmk/*.ml lib/tardis/*.ml \
+     lib/dsm/*.ml; then
   echo "ci: raise a descriptive error instead of 'assert false' in the DSM protocol layers" >&2
+  exit 1
+fi
+
+# Fork guard: the software-DSM engines share one node runtime and one
+# home manager (lib/dsm, DESIGN.md §6).  An engine defining its own
+# request table, steal account, reply routing or manager queues again
+# would restart the fork that lib/dsm replaced.
+if grep -nE '^(let|and)( rec)? (fresh_req|register_req|drain_steal|route_response|mgr_request|mgr_lock_req|mgr_barrier_arrive)\b' \
+     lib/ivy/*.ml lib/tardis/*.ml lib/tmk/*.ml; then
+  echo "ci: the DSM engines must use Shm_dsm.Node/Home, not their own copies" >&2
   exit 1
 fi
 

@@ -38,3 +38,10 @@ let class_ = function
   | Read_req _ | Read_fwd _ | Page_copy _ | Write_req _ | Invalidate _
   | Inval_ack _ | Write_fwd _ | Page_grant _ | Txn_done _ ->
       Msg.Miss
+
+(* Replies complete a wait of the receiving node's own application. *)
+let is_reply = function
+  | Page_copy _ | Page_grant _ | Lock_grant _ | Barrier_depart _ -> true
+  | Read_req _ | Read_fwd _ | Write_req _ | Invalidate _ | Inval_ack _
+  | Write_fwd _ | Txn_done _ | Lock_req _ | Unlock _ | Barrier_arrive _ ->
+      false

@@ -63,3 +63,10 @@ let class_ = function
   | Read_req _ | Read_grant _ | Write_req _ | Write_grant _ | Flush_req _
   | Flush_resp _ | Txn_done _ ->
       Msg.Miss
+
+(* Replies complete a wait of the receiving node's own application. *)
+let is_reply = function
+  | Read_grant _ | Write_grant _ | Lock_grant _ | Barrier_depart _ -> true
+  | Read_req _ | Write_req _ | Flush_req _ | Flush_resp _ | Txn_done _
+  | Lock_req _ | Unlock _ | Barrier_arrive _ ->
+      false

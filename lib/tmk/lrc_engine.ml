@@ -6,13 +6,7 @@
    stale-bound fix applied to all intervals), and conventional
    eager-invalidate release consistency (the Munin-style ablation). *)
 
-module Fabric = Shm_net.Fabric
-
 let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
-  let fabric = Fabric.create ctx.eng ctx.counters ctx.fabric ~nodes:ctx.nodes in
-  (* Attach before the system creates its Reliable channel, so the
-     channel arms sequencing/retransmission and sees node liveness. *)
-  Option.iter (Fabric.attach_lifecycle fabric) ctx.lifecycle;
   let cfg =
     {
       (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words) with
@@ -22,35 +16,14 @@ let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
     }
   in
   let sys =
-    System.create ?lifecycle:ctx.lifecycle ctx.eng ctx.counters fabric cfg
-      ~memories:ctx.memories
+    System.create ?lifecycle:ctx.lifecycle ctx.eng ctx.counters
+      (Shm_dsm.Mount.fabric ctx) cfg ~memories:ctx.memories
   in
-  {
-    Shm_proto.i_name;
-    page_shift = System.page_shift sys;
-    (* Under eager invalidation a remote release can yank a page at any
-       moment, so batched range guards would observably diverge from the
-       per-word sequence: force the literal loop. *)
-    wordwise_ranges = (policy = Config.Eager_invalidate);
-    access_rights = Some (fun ~node -> System.access_rights sys ~node);
-    set_page_hook = (fun h -> System.set_page_hook sys h);
-    start = (fun () -> System.start sys);
-    retx_note = (fun () -> System.retx_note sys);
-    read_guard = (fun f ~node addr -> System.read_guard sys f ~node addr);
-    write_guard = (fun f ~node addr -> System.write_guard sys f ~node addr);
-    read_range_guard =
-      (fun f ~node addr words ~f:move ->
-        System.read_range_guard sys f ~node addr words ~f:move);
-    write_range_guard =
-      (fun f ~node addr words ~f:move ->
-        System.write_range_guard sys f ~node addr words ~f:move);
-    acquire = (fun f ~node ~lock -> System.acquire sys f ~node ~lock);
-    release = (fun f ~node ~lock -> System.release sys f ~node ~lock);
-    barrier_arrive = (fun f ~node ~id -> System.barrier_arrive sys f ~node ~id);
-    rmw = None;
-    invalidate_range = None;
-    check_invariants = (fun () -> System.check_invariants sys);
-  }
+  (* Under eager invalidation a remote release can yank a page at any
+     moment, so batched range guards would observably diverge from the
+     per-word sequence: force the literal loop. *)
+  Shm_dsm.Mount.instance (module System) sys ~i_name
+    ~wordwise_ranges:(policy = Config.Eager_invalidate)
 
 module Lrc = struct
   let name = "lrc"
