@@ -99,6 +99,8 @@ val release : t -> Shm_sim.Engine.fiber -> node:int -> lock:int -> unit
 
 val barrier_arrive : t -> Shm_sim.Engine.fiber -> node:int -> id:int -> unit
 
-(** [check_invariants t]: exactly one owner per page, owner's copy valid,
-    writers are owners, copysets cover every valid copy. *)
+(** [check_invariants t]: every manager transaction drained and no lock
+    queue stranded behind a free lock ({!Shm_dsm.Home.check_drained}),
+    exactly one owner per page, owner's copy valid, writers are owners,
+    copysets cover every valid copy. *)
 val check_invariants : t -> unit
