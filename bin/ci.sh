@@ -101,24 +101,33 @@ if grep -nE '(^|[{ (])Parmacs\.id *=' lib/*/*.ml \
 fi
 
 # Bench smoke under a parallel pool: one quick-scale exhibit with
-# --jobs 2 must succeed and emit a valid bench_access/7 JSON report,
+# --jobs 2 must succeed and emit a valid bench_access/8 JSON report,
 # byte-identical to the same exhibit at --jobs 1 modulo the wall-time
-# fields (run results and order must not depend on the pool width).
+# fields (run results and order must not depend on the pool width).  An
+# unknown --only id must fail before any run starts.
 smoke_json=$(mktemp)
 smoke1_json=$(mktemp)
 clean_json=$(mktemp)
 chaos_json=$(mktemp)
 trap 'rm -f "$smoke_json" "$smoke1_json" "$clean_json" "$chaos_json" ${crash_json:+"$crash_json"} ${kv_json:+"$kv_json"} ${kv_ref_json:+"$kv_ref_json"} ${trace_json:+"$trace_json"} ${traced_run_json:+"$traced_run_json"} ${topo_json:+"$topo_json"} ${topo_ref_json:+"$topo_ref_json"}' EXIT
+if dune exec bench/main.exe -- --scale quick --only nosuch \
+     --json "$smoke_json" >/dev/null 2>&1 || [ -s "$smoke_json" ]; then
+  echo "ci: bench accepted an unknown --only id or wrote its JSON" >&2
+  exit 1
+fi
 dune exec bench/main.exe -- --scale quick --only f3 --jobs 2 \
   --json "$smoke_json" >/dev/null
 dune exec bench/main.exe -- --scale quick --only f3 --jobs 1 --pool-probe \
   --json "$smoke1_json" >/dev/null
-python3 - "$smoke_json" "$smoke1_json" <<'EOF'
+dune exec bin/shmsim.exe -- run -a sor -p treadmarks -n 8 --scale quick \
+  --json "$clean_json" >/dev/null
+python3 - "$smoke_json" "$smoke1_json" "$clean_json" <<'EOF'
 import json, sys
 
 d2 = json.load(open(sys.argv[1]))
 d1 = json.load(open(sys.argv[2]))
-assert d2["schema"] == "bench_access/7", d2["schema"]
+shmsim = json.load(open(sys.argv[3]))
+assert d2["schema"] == "bench_access/8", d2["schema"]
 assert d2["jobs"] == 2 and d1["jobs"] == 1, (d2["jobs"], d1["jobs"])
 assert len(d2["runs"]) >= 1
 assert d2["host_cores"] >= 1 and d2["pool_speedup"] > 0
@@ -132,11 +141,11 @@ if probe["host_cores"] < 2:
 else:
     assert probe["skipped"] is False, probe
     assert probe["jobs1_wall_s"] > 0 and probe["jobs4_wall_s"] > 0, probe
-# /5 crash-recovery fields are present and zero on this crash-free run;
-# /6 serving-workload fields are present and zero on this non-KV run.
+# Crash-recovery fields are present and zero on this crash-free run;
+# serving-workload fields are present and zero on this non-KV run.
 for r in d2["runs"]:
-    assert r["crash"] is False and r["crashes"] == 0, r
-    assert r["recovery_time"] == 0.0 and r["ckpt_bytes"] == 0, r
+    assert r["crashes"] == 0 and r["restarts"] == 0, r
+    assert r["recovery_cycles"] == 0 and r["ckpt_bytes"] == 0, r
     assert r["kv_ops"] == 0 and r["kv_model_ok"] == 0, r
 
 # Simulation results are deterministic: everything but host-side timing
@@ -145,6 +154,15 @@ timing = ("wall_s", "mcycles_per_s")
 strip = lambda r: {k: v for k, v in r.items() if k not in timing}
 r1, r2 = [strip(r) for r in d1["runs"]], [strip(r) for r in d2["runs"]]
 assert r1 == r2, "bench runs differ between --jobs 1 and --jobs 2"
+
+# One run record: the bench's simulated members are shmsim's, value for
+# value, for the same run.
+sor8 = [r for r in d1["runs"]
+        if (r["app"], r["platform"], r["nprocs"]) == ("sor", "treadmarks", 8)]
+assert len(sor8) == 1, sor8
+bench_sim = {k: v for k, v in sor8[0].items()
+             if k not in ("app", "platform") + timing}
+assert [bench_sim] == shmsim["runs"], (bench_sim, shmsim["runs"])
 
 # Perf smoke: aggregate simulator throughput on this exhibit.  The seed
 # tree sustained ~270 Mcycles/s on the reference container; 80 is a

@@ -376,34 +376,9 @@ let write_run_json path ~app ~platform ~scale ~faults ~crash rows =
         \"%s\", \"scale\": \"%s\", \"faults\": %s, \"crash\": %s, \"runs\": ["
        app platform scale fault_fields crash_fields);
   List.iteri
-    (fun i (n, r) ->
+    (fun i r ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"nprocs\": %d, \"cycles\": %d, \"seconds\": %.9g, \"checksum\": \
-            \"%h\", \"msgs\": %d, \"kbytes\": %d, \"offered\": %d, \
-            \"delivered\": %d, \"dropped\": %d, \"duplicated\": %d, \
-            \"retrans\": %d, \"dups_suppressed\": %d, \"crashes\": %d, \
-            \"restarts\": %d, \"ckpts\": %d, \"ckpt_bytes\": %d, \
-            \"recovery_cycles\": %d, \"recovery_seconds\": %.9g, \
-            \"kv_ops\": %d, \"kv_p50\": %d, \"kv_p99\": %d, \"kv_p999\": %d, \
-            \"kv_model_ok\": %d}"
-           n r.Report.cycles (Report.seconds r) r.Report.checksum
-           (Report.get r "net.msgs.total")
-           (Report.get r "net.bytes.total" / 1024)
-           (Report.offered r) (Report.delivered r) (Report.dropped r)
-           (Report.duplicated r)
-           (Report.retransmissions r)
-           (Report.dups_suppressed r)
-           (Report.crashes r) (Report.restarts r) (Report.ckpt_count r)
-           (Report.ckpt_bytes r)
-           (Report.recovery_cycles r)
-           (Report.recovery_time r)
-           (Report.get r "kv.ops")
-           (Report.get r "kv.lat_p50")
-           (Report.get r "kv.lat_p99")
-           (Report.get r "kv.lat_p999")
-           (Report.get r "kv.model_ok")))
+      Buffer.add_string buf ("{" ^ Report.json_members r ^ "}"))
     rows;
   Buffer.add_string buf "]}\n";
   let oc = open_out path in
@@ -579,7 +554,7 @@ let run_cmd =
       (fun path ->
         write_run_json path ~app:app.name ~platform:platform.Platform.name
           ~scale:(Registry.scale_name scale) ~faults ~crash
-          (List.rev !results))
+          (List.rev_map snd !results))
       json;
     Option.iter
       (fun (path, tr) ->

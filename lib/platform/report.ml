@@ -60,6 +60,29 @@ let crash_summary t =
     (get t "recovery.invalidated")
     (get t "recovery.rehomes")
 
+(* The one JSON rendering of a run's simulated results: comma-separated
+   object members, without braces, for the caller to wrap with its own
+   fields.  Checksums are "%h" hex strings, which [float_of_string] reads
+   back bit-exactly; the fault, crash and kv members are written (as zero)
+   on every run, so consumers never test for their presence. *)
+let json_members t =
+  Printf.sprintf
+    "\"nprocs\": %d, \"cycles\": %d, \"seconds\": %.9g, \
+     \"checksum\": \"%h\", \"msgs\": %d, \"kbytes\": %d, \"offered\": %d, \
+     \"delivered\": %d, \"dropped\": %d, \"duplicated\": %d, \"retrans\": %d, \
+     \"dups_suppressed\": %d, \"crashes\": %d, \"restarts\": %d, \
+     \"ckpts\": %d, \"ckpt_bytes\": %d, \"recovery_cycles\": %d, \
+     \"recovery_seconds\": %.9g, \"kv_ops\": %d, \"kv_p50\": %d, \
+     \"kv_p99\": %d, \"kv_p999\": %d, \"kv_model_ok\": %d"
+    t.nprocs t.cycles (seconds t) t.checksum
+    (get t "net.msgs.total")
+    (get t "net.bytes.total" / 1024)
+    (offered t) (delivered t) (dropped t) (duplicated t) (retransmissions t)
+    (dups_suppressed t) (crashes t) (restarts t) (ckpt_count t) (ckpt_bytes t)
+    (recovery_cycles t) (recovery_time t) (get t "kv.ops")
+    (get t "kv.lat_p50") (get t "kv.lat_p99") (get t "kv.lat_p999")
+    (get t "kv.model_ok")
+
 let breakdown t =
   List.filter_map
     (fun cat ->

@@ -75,4 +75,11 @@ val recovery_time : t -> float
 (** One-line rendering of the crash counters. *)
 val crash_summary : t -> string
 
+(** [json_members t] is [t]'s simulated results as JSON object members
+    ([nprocs], [cycles], [seconds], a ["%h"] [checksum] string, traffic,
+    and the fault, crash and kv counters, zero when inactive), comma
+    separated, in a fixed order and without braces.  [shmsim run --json]
+    and the bench harness's run records both write it. *)
+val json_members : t -> string
+
 val pp : Format.formatter -> t -> unit

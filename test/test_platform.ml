@@ -236,6 +236,69 @@ let test_report_helpers () =
   let base = { r with cycles = 80_000_000 } in
   Alcotest.(check (float 1e-9)) "speedup" 2.0 (Report.speedup ~base r)
 
+(* [Report.json_members] is the one per-run JSON record: [shmsim run
+   --json] and the bench harness both write it, and CI greps its member
+   names.  Split it back into (name, raw value) pairs. *)
+let json_members r =
+  let unquote s =
+    let s = String.trim s in
+    let n = String.length s in
+    if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then String.sub s 1 (n - 2)
+    else s
+  in
+  List.map
+    (fun m ->
+      match String.index_opt m ':' with
+      | Some i ->
+          ( unquote (String.sub m 0 i),
+            unquote (String.sub m (i + 1) (String.length m - i - 1)) )
+      | None -> Alcotest.failf "member without a name: %S" m)
+    (String.split_on_char ',' (Report.json_members r))
+
+let test_report_json_members () =
+  let clean =
+    (Machines.get "treadmarks").Platform.run
+      (Registry.app ~scale:Registry.Quick "sor")
+      ~nprocs:4
+  in
+  let synthetic =
+    {
+      Report.platform = "x"; app = "y"; nprocs = 2; cycles = 12_345;
+      clock_mhz = 40.0; checksum = Float.pi /. 3.0;
+      counters = [ ("kv.ops", 7); ("sim.crashes", 1); ("net.msgs.total", 9) ];
+    }
+  in
+  let names r = List.map fst (json_members r) in
+  let fields = names clean in
+  Alcotest.(check int) "each member once" (List.length fields)
+    (List.length (List.sort_uniq compare fields));
+  Alcotest.(check (list string)) "order does not depend on the run" fields
+    (names synthetic);
+  let lead =
+    [ "nprocs"; "cycles"; "seconds"; "checksum"; "msgs"; "kbytes"; "offered";
+      "delivered" ]
+  in
+  Alcotest.(check (list string)) "leading members" lead
+    (List.filteri (fun i _ -> i < List.length lead) fields);
+  (* Everything after the traffic members is a fault, crash or kv
+     counter: all written, all zero on a crash-free, fault-free run. *)
+  let tail =
+    List.filteri (fun i _ -> i >= List.length lead) (json_members clean)
+  in
+  Alcotest.(check int) "fault, crash and kv members" 15 (List.length tail);
+  List.iter
+    (fun (name, v) -> Alcotest.(check string) (name ^ " is zero") "0" v)
+    tail;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " present") true (List.mem_assoc name tail))
+    [ "dropped"; "retrans"; "crashes"; "restarts"; "ckpts"; "ckpt_bytes";
+      "kv_ops"; "kv_model_ok" ];
+  let checksum = List.assoc "checksum" (json_members synthetic) in
+  Alcotest.(check int64) "checksum reads back bit-exactly"
+    (Int64.bits_of_float synthetic.Report.checksum)
+    (Int64.bits_of_float (float_of_string checksum))
+
 let test_machines_registry () =
   List.iter (fun n -> ignore (Machines.get n)) Machines.names;
   Alcotest.check_raises "unknown" (Invalid_argument "unknown platform \"zz\"")
@@ -331,6 +394,8 @@ let suite =
     Alcotest.test_case "hardware barrier separates phases" `Quick
       test_hw_sync_barrier_phases;
     Alcotest.test_case "report helpers" `Quick test_report_helpers;
+    Alcotest.test_case "one JSON record per run" `Quick
+      test_report_json_members;
     Alcotest.test_case "machine registry" `Quick test_machines_registry;
     Alcotest.test_case "DSM nodes seeded from the initial image" `Quick
       test_node_image_seeding;
