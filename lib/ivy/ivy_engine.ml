@@ -10,7 +10,7 @@ let describe =
 
 let mount (ctx : Shm_proto.ctx) =
   let sys =
-    System.create ?lifecycle:ctx.lifecycle ctx.eng ctx.counters
+    System.create ctx.eng ctx.counters
       (Shm_dsm.Mount.fabric ctx) ~page_words:ctx.page_words
       ~shared_words:ctx.shared_words ~memories:ctx.memories
   in

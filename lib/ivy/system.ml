@@ -3,8 +3,8 @@ module Reliable = Shm_net.Reliable
 module Msg = Shm_net.Msg
 module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
-module Lifecycle = Shm_sim.Lifecycle
 module Node = Shm_dsm.Node
+module Checkpoint = Shm_dsm.Checkpoint
 module Home = Shm_dsm.Home
 module Iset = Set.Make (Int)
 
@@ -28,14 +28,6 @@ type mpage = {
   mutable acks_waited : int;
 }
 
-type recov = {
-  image : Memory.t;
-      (** failure-atomic checkpoint image; page-granular for IVY (whole
-          pages move, so whole pages checkpoint — contrast the TreadMarks
-          sub-page run-length deltas) *)
-  ckpt_dirty : Bytes.t;  (** pages touched since the last checkpoint *)
-}
-
 type node = {
   id : int;
   mem : Memory.t;
@@ -44,7 +36,7 @@ type node = {
       (** software TLB mirroring [access]: ['\000'] Invalid, ['\001'] Read,
           ['\002'] Write — consulted by the platforms' fast paths. *)
   rt : Proto.t Node.t;
-  mutable recov : recov option;  (** checkpoint state; [None] = crash-free *)
+  ckpt : Checkpoint.t option;  (** checkpoint store; [None] = crash-free *)
 }
 
 type t = {
@@ -58,7 +50,6 @@ type t = {
   home : (pending_txn, mpage) Home.t;
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
-  lifecycle : Lifecycle.t option;
 }
 
 let page_of t addr =
@@ -74,8 +65,8 @@ let access_rights t ~node = t.nodes.(node).rights
    protocol event. *)
 let set_access nd page (a : page_access) =
   nd.access.(page) <- a;
-  (match nd.recov with
-  | Some rv when a = Write -> Bytes.unsafe_set rv.ckpt_dirty page '\001'
+  (match nd.ckpt with
+  | Some c when a = Write -> Checkpoint.mark c page
   | Some _ | None -> ());
   Bytes.unsafe_set nd.rights page
     (match a with Invalid -> '\000' | Read -> '\001' | Write -> '\002')
@@ -86,62 +77,46 @@ let set_page_hook t f = t.page_hook <- f
 
 let overhead t = Node.overhead t.net
 
-let create ?lifecycle eng counters fabric ~page_words ~shared_words ~memories =
+let create eng counters fabric ~page_words ~shared_words ~memories =
   let n_nodes = Array.length memories in
   let n_pages = (shared_words + page_words - 1) / page_words in
   (* The initial owner (the manager) holds each page in Read like everyone
      else; ownership only matters once someone writes.  [Iset] is
      immutable, so every page shares the one full copyset. *)
   let everyone = Iset.of_list (List.init n_nodes Fun.id) in
-  let t =
-    {
-      eng;
-      counters;
-      net = Reliable.create eng counters fabric;
-      page_words;
-      n_pages;
-      n_nodes;
-      nodes =
-        Array.init n_nodes (fun id ->
-            {
-              id;
-              mem = memories.(id);
-              access = Array.make n_pages Read;
-              rights =
-                Bytes.make n_pages (if n_nodes = 1 then '\002' else '\001');
-              rt = Node.create eng ~engine:"ivy";
-              recov = None;
-            });
-      home =
-        Home.create ~engine:"ivy" counters ~n_nodes ~n_pages
-          ~barrier_counter:"ivy.barriers" (fun page ->
-            { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 });
-      page_shift = Node.page_shift page_words;
-      page_hook = (fun ~node:_ ~page:_ -> ());
-      lifecycle;
-    }
-  in
-  (match lifecycle with
-  | None -> ()
-  | Some _ ->
-      Node.crash_aware t.net;
-      let words = n_pages * page_words in
-      Array.iter
-        (fun nd ->
-          nd.recov <-
-            Some
-              {
-                image = Node.checkpoint_image nd.mem ~words;
-                ckpt_dirty = Bytes.make n_pages '\000';
-              })
-        t.nodes);
-  t
+  {
+    eng;
+    counters;
+    net = Reliable.create eng counters fabric;
+    page_words;
+    n_pages;
+    n_nodes;
+    nodes =
+      Array.init n_nodes (fun id ->
+          {
+            id;
+            mem = memories.(id);
+            access = Array.make n_pages Read;
+            rights =
+              Bytes.make n_pages (if n_nodes = 1 then '\002' else '\001');
+            rt = Node.create eng ~engine:"ivy";
+            ckpt =
+              Option.map
+                (fun _ ->
+                  Checkpoint.create memories.(id) ~pages:n_pages ~page_words)
+                (Shm_net.Fabric.lifecycle fabric);
+          });
+    home =
+      Home.create ~engine:"ivy" counters ~n_nodes ~n_pages
+        ~barrier_counter:"ivy.barriers" (fun page ->
+          { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 });
+    page_shift = Node.page_shift page_words;
+    page_hook = (fun ~node:_ ~page:_ -> ());
+  }
 
 let install_page t fiber nd page data =
   Node.install nd.mem ~page_words:t.page_words page data;
-  (match nd.recov with
-  | Some rv -> Bytes.unsafe_set rv.ckpt_dirty page '\001'
-  | None -> ());
+  Option.iter (fun c -> Checkpoint.mark c page) nd.ckpt;
   Engine.advance fiber t.page_words;
   t.page_hook ~node:nd.id ~page
 
@@ -306,12 +281,13 @@ let serve t fiber id (env : Proto.t Msg.envelope) =
    contrast the TreadMarks sub-page run-length deltas).  Runs from an
    [Engine.schedule] callback; cost charged to the application. *)
 let checkpoint t nd =
-  match nd.recov with
+  match nd.ckpt with
   | None -> ()
-  | Some rv ->
+  | Some store ->
       let pw = t.page_words in
-      let bytes = ref 0 and copied = ref 0 in
-      (* Probe before persisting: a writable page stays ckpt-dirty
+      let image = Checkpoint.image store in
+      let copied = ref 0 in
+      (* Probe before persisting: a writable page stays marked
          between sweeps by design, but re-persisting it when nothing
          changed would make every sweep cost the whole working set —
          the per-sweep charge outruns the checkpoint interval on large
@@ -319,23 +295,20 @@ let checkpoint t nd =
          rides the page-table write bits, so only pages that actually
          changed are copied and charged.  Accounting stays whole-page:
          IVY's protocol (and hence persistence) unit is the page. *)
-      for p = 0 to t.n_pages - 1 do
-        if Bytes.get rv.ckpt_dirty p <> '\000' then begin
-          if not (Memory.equal_range nd.mem rv.image ~pos:(p * pw) ~len:pw)
-          then begin
-            Memory.blit ~src:nd.mem ~src_pos:(p * pw) ~dst:rv.image
-              ~dst_pos:(p * pw) ~len:pw;
-            bytes := !bytes + 16 + (8 * pw);
-            copied := !copied + pw
-          end;
-          (* A writable page keeps changing with no further protocol
-             event: keep it dirty for the next checkpoint. *)
-          if nd.access.(p) <> Write then Bytes.set rv.ckpt_dirty p '\000'
+      let persist p =
+        if Memory.equal_range nd.mem image ~pos:(p * pw) ~len:pw then 0
+        else begin
+          Memory.blit ~src:nd.mem ~src_pos:(p * pw) ~dst:image
+            ~dst_pos:(p * pw) ~len:pw;
+          copied := !copied + pw;
+          16 + (8 * pw)
         end
-      done;
-      Node.charge nd.rt ((overhead t).handler + !copied);
-      Counters.incr t.counters "ckpt.count";
-      Counters.add t.counters "ckpt.bytes" !bytes
+      in
+      (* A writable page keeps changing with no further protocol event:
+         keep it marked for the next checkpoint. *)
+      let keep p = nd.access.(p) = Write in
+      ignore (Checkpoint.sweep store t.counters ~persist ~keep : int);
+      Node.charge nd.rt ((overhead t).handler + !copied)
 
 (* Online rejoin of a restarted node: every page it neither owns nor has
    a transaction in flight for is conservatively invalidated, so the
@@ -344,7 +317,7 @@ let checkpoint t nd =
    copy survives the outage under the failure-atomic heap model — and
    invalidating them would strand the directory. *)
 let rejoin t nd =
-  match nd.recov with
+  match nd.ckpt with
   | None -> ()
   | Some _ ->
       for p = 0 to t.n_pages - 1 do
@@ -370,13 +343,10 @@ let rejoin t nd =
 
 let start t =
   Reliable.start t.net;
-  Option.iter
-    (fun lc ->
-      Node.on_lifecycle lc ~nodes:t.n_nodes
-        ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
-        ~rehome:(Home.rehome t.home lc)
-        ~rejoin:(fun id -> rejoin t t.nodes.(id)))
-    t.lifecycle;
+  Node.on_lifecycle t.net ~nodes:t.n_nodes
+    ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
+    ~rehome:(Home.rehome t.home)
+    ~rejoin:(fun id -> rejoin t t.nodes.(id));
   Node.spawn_handlers t.eng t.net ~engine:"ivy" ~nodes:t.n_nodes
     (fun fiber id env -> serve t fiber id env)
 

@@ -32,20 +32,20 @@ exception
     state : string;
   }
 
-(** [create ?lifecycle ...]: with [?lifecycle] the system arms crash
-    recovery (DESIGN.md §13): page-granular failure-atomic checkpoints
-    on the lifecycle's tick ([ckpt.count]/[ckpt.bytes]), lock- and
-    barrier-manager re-homing to a surviving node on crash detection
+(** [create eng counters fabric ~page_words ~shared_words ~memories]: a
+    {!Shm_sim.Lifecycle} attached to [fabric] (before [create]) arms
+    crash recovery (DESIGN.md §13): page-granular failure-atomic
+    checkpoints ({!Shm_dsm.Checkpoint}) on the lifecycle's tick
+    ([ckpt.count]/[ckpt.bytes]), lock- and barrier-manager re-homing to
+    a surviving node on crash detection
     ([recovery.rehomes]/[recovery.forwards]), and an online rejoin at
     restart that invalidates every non-owned page so it re-fetches
     through the manager ([recovery.count]/[recovery.cycles]/
     [recovery.invalidated]).  The page {e directory} is NOT re-homed:
     page requests to a down manager stall in retransmit queues until it
-    restarts (documented deviation).  The caller must attach the same
-    lifecycle to the fabric before [create].  Without [?lifecycle] every
-    code path is byte-identical to the pre-crash-layer system. *)
+    restarts (documented deviation).  Without a lifecycle every code
+    path is byte-identical to the pre-crash-layer system. *)
 val create :
-  ?lifecycle:Shm_sim.Lifecycle.t ->
   Shm_sim.Engine.t ->
   Shm_stats.Counters.t ->
   Proto.t Shm_net.Reliable.packet Shm_net.Fabric.t ->

@@ -22,17 +22,9 @@ let () =
 
 let max_retries = 10
 
-(* Retry/abort policy (configurable; see mli).  [on_peer_down = None]
-   reproduces the historical behavior exactly: raise [Peer_unreachable]
-   after [max_retries] failed retransmissions, uncapped backoff. *)
-type policy = {
-  p_max_retries : int;
-  backoff_cap : int;
-  on_peer_down : (src:int -> dst:int -> attempts:int -> unit) option;
-}
-
-let default_policy =
-  { p_max_retries = max_retries; backoff_cap = 0; on_peer_down = None }
+(* Backoff exponent cap under a lifecycle, so delivery to a restarted
+   peer resumes promptly. *)
+let backoff_cap = 6
 
 (* Outbound packet awaiting acknowledgement. *)
 type 'a pending = {
@@ -40,7 +32,7 @@ type 'a pending = {
   p_size : Msg.sizes;
   p_body : 'a;
   mutable attempts : int;
-  mutable noted_down : bool; (* [on_peer_down] fired for this packet *)
+  mutable noted_down : bool; (* [net.reliable.peer_down] counted *)
 }
 
 (* One direction of one (node, peer) pair.  [next_seq]/[unacked] describe
@@ -69,13 +61,11 @@ type 'a t = {
          keep no per-link state *)
   cmds : cmd Mailbox.t array; (* per-node retransmit-daemon timer queue *)
   ready : 'a Msg.envelope Queue.t array; (* in-order backlog from ooo drain *)
-  mutable policy : policy;
+  may_crash : bool; (* a lifecycle is attached to the fabric *)
 }
 
 let fabric t = t.fabric
 let armed t = t.armed
-let set_policy t p = t.policy <- p
-let policy t = t.policy
 
 let create eng counters fabric =
   let n = Fabric.nodes fabric in
@@ -102,7 +92,7 @@ let create eng counters fabric =
        else [||]);
     cmds = Array.init n (fun _ -> Mailbox.create eng);
     ready = Array.init n (fun _ -> Queue.create ());
-    policy = default_policy;
+    may_crash = Fabric.lifecycle fabric <> None;
   }
 
 (* Timeouts derive from the fabric's latency/bandwidth model: one-way wire
@@ -247,13 +237,10 @@ let node_down_until t n =
   | None -> 0
   | Some lc -> Shm_sim.Lifecycle.down_until lc n
 
-let note_peer_down t ~src ~dst p =
+let note_peer_down t p =
   if not p.noted_down then begin
     p.noted_down <- true;
-    Counters.incr t.counters "net.reliable.peer_down";
-    match t.policy.on_peer_down with
-    | Some cb -> cb ~src ~dst ~attempts:p.attempts
-    | None -> ()
+    Counters.incr t.counters "net.reliable.peer_down"
   end
 
 let retx_daemon t node fiber =
@@ -274,27 +261,25 @@ let retx_daemon t node fiber =
               (* This node crashed: a dead host retransmits nothing.  The
                  timer freezes (no attempt consumed) until restart. *)
               Mailbox.post t.cmds.(node) ~at:self_down (Retx { peer; seq })
-            else if peer_down > now && t.policy.on_peer_down <> None then begin
-              (* The peer is down and a crash-aware policy is installed:
-                 report the death once per packet and park the timer at
-                 the peer's restart cycle — crash detection and transient
-                 loss share this one retransmission path. *)
-              note_peer_down t ~src:node ~dst:peer p;
+            else if peer_down > now && t.may_crash then begin
+              (* The peer is down: report the death once per packet and
+                 park the timer at the peer's restart cycle — crash
+                 detection and transient loss share this one
+                 retransmission path. *)
+              note_peer_down t p;
               Mailbox.post t.cmds.(node) ~at:peer_down (Retx { peer; seq })
             end
             else begin
               p.attempts <- p.attempts + 1;
-              if p.attempts > t.policy.p_max_retries then begin
-                match t.policy.on_peer_down with
-                | None ->
-                    raise
-                      (Peer_unreachable
-                         { src = node; dst = peer; seq; attempts = p.attempts })
-                | Some _ ->
-                    (* Keep probing: the policy owns giving up.  Without
-                       the peer-down report above this packet has now also
-                       exhausted the transient-loss budget, so report. *)
-                    note_peer_down t ~src:node ~dst:peer p
+              if p.attempts > max_retries then begin
+                if not t.may_crash then
+                  raise
+                    (Peer_unreachable
+                       { src = node; dst = peer; seq; attempts = p.attempts });
+                (* Keep probing: the peer may be down and restart later.
+                   Without the peer-down report above this packet has now
+                   also exhausted the transient-loss budget, so report. *)
+                note_peer_down t p
               end;
               Counters.incr t.counters "net.retrans.total";
               Engine.instant fiber "net.retransmit";
@@ -304,8 +289,7 @@ let retx_daemon t node fiber =
                     ~class_:p.p_class ~size:p.p_size
                     (Data { seq; ack = cumulative_ack l; body = p.p_body }));
               let exp =
-                if t.policy.backoff_cap > 0 then
-                  min p.attempts t.policy.backoff_cap
+                if t.may_crash then min p.attempts backoff_cap
                 else p.attempts
               in
               let backoff = base_timeout t ~size:p.p_size lsl exp in

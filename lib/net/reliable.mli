@@ -16,7 +16,7 @@
     traffic, and a duplicate triggers an immediate re-ack.  A per-node
     retransmit daemon fiber resends unacked packets on a timeout derived
     from the fabric's latency/bandwidth model, doubling it per attempt,
-    and raises {!Peer_unreachable} after {!max_retries} resends.
+    and gives up after {!max_retries} resends (see below).
 
     When the fabric's fault policy is inactive the layer is a pure
     pass-through: no sequence numbers, timers or daemon fibers exist and
@@ -26,14 +26,19 @@
     Counters: [net.reliable.data], [net.reliable.acks],
     [net.reliable.dups] (duplicates suppressed), [net.reliable.ooo]
     (early packets buffered), [net.retrans.total],
-    [net.reliable.peer_down] (suspected-crash reports under a crash-aware
-    {!policy}).
+    [net.reliable.peer_down] (suspected-crash reports, at most one per
+    packet, only with a lifecycle attached).
 
-    With a {!Shm_sim.Lifecycle} attached to the fabric, a crashed node's
-    own retransmit and ack timers freeze (a dead host sends nothing) and
-    resume at its restart cycle; under a crash-aware policy, timers for
-    packets addressed to a down peer park at the peer's restart cycle
-    instead of burning retry attempts. *)
+    A {!Shm_sim.Lifecycle} attached to the fabric is the one crash
+    switch.  With it, a crashed node's own retransmit and ack timers
+    freeze (a dead host sends nothing) and resume at its restart cycle;
+    timers for packets addressed to a down peer park at the peer's
+    restart cycle instead of burning retry attempts, reporting the
+    suspected death once per packet; a packet that exhausts
+    {!max_retries} is reported the same way and keeps being
+    retransmitted, with the backoff exponent capped at 6, instead of
+    raising {!Peer_unreachable}.  Without a lifecycle, transient loss
+    alone is expected and the historical abort stands. *)
 
 type 'a packet
 (** Wire representation carried by the underlying fabric. *)
@@ -43,39 +48,16 @@ type 'a t
 exception
   Peer_unreachable of { src : int; dst : int; seq : int; attempts : int }
 (** Raised (inside the simulation) when a packet stays unacknowledged
-    after {!max_retries} retransmissions. *)
+    after {!max_retries} retransmissions and the fabric has no lifecycle
+    attached. *)
 
-(** Default retransmission budget per packet before {!Peer_unreachable}. *)
+(** Retransmission budget per packet before the peer counts as down. *)
 val max_retries : int
-
-type policy = {
-  p_max_retries : int;
-      (** retransmissions before the packet's loss budget is exhausted *)
-  backoff_cap : int;
-      (** cap on the backoff exponent ([timeout = base * 2^min(attempt,
-          cap)]); [0] = uncapped doubling *)
-  on_peer_down : (src:int -> dst:int -> attempts:int -> unit) option;
-      (** Crash-detection callback.  [None] (the default) keeps the
-          historical abort: {!Peer_unreachable} raised once a packet
-          exceeds [p_max_retries].  [Some cb] never raises: the layer
-          reports the suspected death once per packet — immediately when
-          the fabric's lifecycle says the peer is down, else when the
-          retry budget runs out — and keeps retransmitting (capped
-          backoff), so transient loss and whole-node crashes share one
-          code path and delivery resumes when the peer restarts. *)
-}
-
-(** [{p_max_retries = max_retries; backoff_cap = 0; on_peer_down = None}]
-    — exactly the historical 10-retry abort. *)
-val default_policy : policy
-
-val set_policy : 'a t -> policy -> unit
-
-val policy : 'a t -> policy
 
 (** [create eng counters fabric] builds the channel.  The fault policy is
     read from the fabric's config: reliability machinery is armed iff
-    {!Fabric.faults_armed}. *)
+    {!Fabric.faults_armed}.  Crash awareness is read from
+    {!Fabric.lifecycle}: attach the lifecycle before [create]. *)
 val create :
   Shm_sim.Engine.t -> Shm_stats.Counters.t -> 'a packet Fabric.t -> 'a t
 

@@ -16,7 +16,7 @@ let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
     }
   in
   let sys =
-    System.create ?lifecycle:ctx.lifecycle ctx.eng ctx.counters
+    System.create ctx.eng ctx.counters
       (Shm_dsm.Mount.fabric ctx) cfg ~memories:ctx.memories
   in
   (* Under eager invalidation a remote release can yank a page at any

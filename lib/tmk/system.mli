@@ -22,23 +22,21 @@
 
 type t
 
-(** [create ?lifecycle eng counters fabric cfg ~memories] builds the
-    cluster's protocol state.  With [?lifecycle] the system arms crash
-    recovery (DESIGN.md §13): per-node failure-atomic checkpoint images
-    updated on the lifecycle's [on_ckpt] tick (sub-page run-length
-    deltas, counters [ckpt.count]/[ckpt.bytes]), manager re-homing of
-    lock queue tails and the barrier role to a surviving node on crash
-    detection ([recovery.rehomes], stale requests forwarded as
+(** [create eng counters fabric cfg ~memories] builds the cluster's
+    protocol state.  A {!Shm_sim.Lifecycle} attached to [fabric] (before
+    [create]) arms crash recovery (DESIGN.md §13): per-node
+    failure-atomic checkpoint stores ({!Shm_dsm.Checkpoint}) updated on
+    the lifecycle's [on_ckpt] tick (sub-page run-length deltas, counters
+    [ckpt.count]/[ckpt.bytes]), manager re-homing of lock queue tails and
+    the barrier role to a surviving node on crash detection
+    ([recovery.rehomes], stale requests forwarded as
     [recovery.forwards]), and an online rejoin at restart that replays
-    the node's own diff log since the last checkpoint and re-validates
-    pages touched by foreign intervals ([recovery.count],
+    the node's own diffs since the last checkpoint in seqno order and
+    re-validates pages touched by foreign intervals ([recovery.count],
     [recovery.cycles], [recovery.replay_bytes],
-    [recovery.invalidated]).  The caller must attach the same lifecycle
-    to the fabric (before [create]) so in-flight messages to a down node
-    drop and its retransmit timers freeze.  Without [?lifecycle] every
-    code path is byte-identical to the pre-crash-layer system. *)
+    [recovery.invalidated]).  Without a lifecycle every code path is
+    byte-identical to the pre-crash-layer system. *)
 val create :
-  ?lifecycle:Shm_sim.Lifecycle.t ->
   Shm_sim.Engine.t ->
   Shm_stats.Counters.t ->
   Proto.t Shm_net.Reliable.packet Shm_net.Fabric.t ->
