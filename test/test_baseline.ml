@@ -228,7 +228,7 @@ let expected =
     "topo:lrc(mesi*8 x 128) m-water 8: 7629655 0x1.293cc893f694dp+8 ae56fb46527690b0bfeee0bb7d6a9c10";
     "topo:lrc(mesi*8 x 128) ilink-clp 8: 3207472 0x1.0eeb716a5b77bp+5 ae7f45ddb533219d4e1406c466f7f595";
     "treadmarks drop sor 4: 1946718 0x1.70d4575719efep+8 7332358a7def6e92577154045b2b405f";
-    "treadmarks crash sor 4: 2495431 0x1.70d4575719efep+8 eb7e664c7f9dcf528af3ac63574de18e";
+    "treadmarks crash sor 4: 2495419 0x1.70d4575719efep+8 b079c5ba4bf49ec50759db1c8a939664";
     "treadmarks drop tsp 4: 2441121 0x1.1f2p+11 0512226c07d1c28d6d8fe3ffeb4e685a";
     "treadmarks crash tsp 4: 2422381 0x1.1f2p+11 7c0f053a6e3da91f2edd186504fb3eb4";
     "ivy drop sor 4: 5614529 0x1.70d4575719efep+8 6bce82938fc5c7132f900dcc3e217994";

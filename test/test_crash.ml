@@ -11,6 +11,10 @@ module Machines = Shm_platform.Machines
 module Lifecycle = Shm_sim.Lifecycle
 module Memory = Shm_memsys.Memory
 module Ckpt = Shm_tmk.Ckpt
+module Engine = Shm_sim.Engine
+module Counters = Shm_stats.Counters
+module Fabric = Shm_net.Fabric
+module Overhead = Shm_net.Overhead
 
 let churn =
   { Lifecycle.none with
@@ -119,6 +123,69 @@ let prop_page_delta =
       && second = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Rejoin replays a page's own diffs oldest first.  Node 1 writes one
+   word in several intervals after its last checkpoint, crashes and
+   rejoins: the replayed image then equals the live copy, so the first
+   sweep after the restart persists nothing. *)
+
+let test_replay_in_seqno_order () =
+  let eng = Engine.create () in
+  let counters = Counters.create () in
+  let nodes = 2 and shared_words = 1024 in
+  let fabric =
+    Fabric.create eng counters
+      (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
+      ~nodes
+  in
+  let lc =
+    Lifecycle.create eng counters
+      { Lifecycle.none with
+        Lifecycle.ckpt_interval = 1_000_000;
+        outage_cycles = 300_000 }
+      ~nodes
+  in
+  Fabric.attach_lifecycle fabric lc;
+  let memories = Array.init nodes (fun _ -> Memory.create ~words:shared_words) in
+  let sys =
+    Shm_tmk.System.create eng counters fabric
+      (Shm_tmk.Config.default ~n_nodes:nodes ~shared_words)
+      ~memories
+  in
+  Shm_tmk.System.start sys;
+  Lifecycle.start lc;
+  let at_restart = ref None in
+  Lifecycle.on_restart lc (fun ~node:_ ~at:_ ->
+      at_restart :=
+        Some
+          ( Counters.get counters "ckpt.bytes",
+            Counters.get counters "ckpt.count" ));
+  ignore
+    (Engine.spawn eng ~name:"node1" ~at:0 (fun f ->
+         (* After the first sweep, at cycle 1M. *)
+         Engine.wait_until f 1_100_000;
+         for v = 1 to 8 do
+           Shm_tmk.System.acquire sys f ~node:1 ~lock:1;
+           Shm_tmk.System.write_guard sys f ~node:1 0;
+           Memory.set_int memories.(1) 0 v;
+           Shm_tmk.System.release sys f ~node:1 ~lock:1
+         done;
+         (* Crash before the next sweep; stay live past the one after
+            the restart. *)
+         Lifecycle.crash lc 1 ~at:(Engine.clock f);
+         Engine.wait_until f 2_500_000));
+  Engine.run eng;
+  Alcotest.(check int) "one crash" 1 (Counters.get counters "sim.crashes");
+  Alcotest.(check bool) "the rejoin replayed the intervals" true
+    (Counters.get counters "recovery.replay_bytes" > 0);
+  match !at_restart with
+  | None -> Alcotest.fail "node 1 never restarted"
+  | Some (bytes, count) ->
+      Alcotest.(check bool) "a sweep ran after the restart" true
+        (Counters.get counters "ckpt.count" > count);
+      Alcotest.(check int) "bytes persisted after the restart" 0
+        (Counters.get counters "ckpt.bytes" - bytes)
+
+(* ------------------------------------------------------------------ *)
 (* Seeded crash schedules reproduce: the same policy yields the same
    crash cycles, the same recovery work and the same cycle count. *)
 
@@ -217,6 +284,8 @@ let suite =
     Alcotest.test_case "crash-free matrix hits the same goldens" `Slow
       test_clean_matrix_matches;
     QCheck_alcotest.to_alcotest prop_page_delta;
+    Alcotest.test_case "rejoin replays own diffs in seqno order" `Quick
+      test_replay_in_seqno_order;
     Alcotest.test_case "seeded crash schedule reproduces" `Quick
       test_seeded_reproducibility;
     Alcotest.test_case "crash seed is consulted" `Quick test_seed_matters;

@@ -21,6 +21,7 @@ module Registry = Shm_apps.Registry
 module Machines = Shm_platform.Machines
 module Platform = Shm_platform.Platform
 module Report = Shm_platform.Report
+module Lifecycle = Shm_sim.Lifecycle
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -157,6 +158,53 @@ let test_backoff_and_peer_unreachable () =
         true
         (t >= series && t <= series + (4 * base))
 
+(* Crash awareness comes from the fabric alone: with a lifecycle attached
+   to an otherwise fault-free fabric, a packet to a crashed peer is
+   reported once as a suspected death, parks until the restart instead
+   of raising Peer_unreachable, and is delivered after it. *)
+let test_lifecycle_parks_for_restart () =
+  let eng = Engine.create () in
+  let counters = Counters.create () in
+  let fab =
+    Fabric.create eng counters
+      { Fabric.name = "test"; latency_cycles = 100; bytes_per_cycle = 1.0;
+        overhead = Overhead.hardware; faults = Fabric.no_faults }
+      ~nodes:2
+  in
+  let outage = 200_000 in
+  let lc =
+    Lifecycle.create eng counters
+      { Lifecycle.none with Lifecycle.outage_cycles = outage }
+      ~nodes:2
+  in
+  Fabric.attach_lifecycle fab lc;
+  let rel = Reliable.create eng counters fab in
+  Reliable.start rel;
+  Lifecycle.start lc;
+  let arrived = ref [] in
+  spawn_handler eng rel ~node:0 ~on_msg:ignore;
+  spawn_handler eng rel ~node:1 ~on_msg:(fun env ->
+      arrived := (env.Msg.body, Engine.now eng) :: !arrived);
+  ignore
+    (Engine.spawn eng ~name:"tx" ~at:0 (fun f ->
+         Lifecycle.crash lc 1 ~at:(Engine.clock f);
+         Reliable.send rel f ~src:0 ~dst:1 ~class_:Msg.Miss
+           ~size:(Msg.sizes ()) 42));
+  (match Engine.run eng with
+  | () -> ()
+  | exception Reliable.Peer_unreachable _ ->
+      Alcotest.fail "Peer_unreachable with a lifecycle attached");
+  Alcotest.(check int) "one peer-down report for the packet" 1
+    (Counters.get counters "net.reliable.peer_down");
+  match !arrived with
+  | [ (body, at) ] ->
+      Alcotest.(check int) "the packet arrives" 42 body;
+      Alcotest.(check bool)
+        (Printf.sprintf "arrival %d after the restart at %d" at outage)
+        true (at >= outage)
+  | got ->
+      Alcotest.failf "expected one delivery, got %d" (List.length got)
+
 let test_watchdog_pending_note () =
   let eng, _counters, rel = mk_channel ~faults:drop_everything ~nodes:2 () in
   spawn_handler eng rel ~node:1 ~on_msg:ignore;
@@ -279,6 +327,8 @@ let suite =
       test_fifo_under_faults;
     Alcotest.test_case "backoff schedule and Peer_unreachable" `Quick
       test_backoff_and_peer_unreachable;
+    Alcotest.test_case "lifecycle on the fabric parks for the restart" `Quick
+      test_lifecycle_parks_for_restart;
     Alcotest.test_case "watchdog reports pending retransmissions" `Quick
       test_watchdog_pending_note;
     Alcotest.test_case "chaos matrix hits fault-free checksums" `Quick
