@@ -69,6 +69,26 @@ if grep -nE '^(let|and)( rec)? (fresh_req|register_req|drain_steal|route_respons
   exit 1
 fi
 
+# Recovery fork guard: the fabric's lifecycle is the one crash switch
+# and Shm_dsm.Checkpoint the one checkpoint store (DESIGN.md §13).  A
+# second WAL beside the per-page own-diff lists, a per-engine dirty map,
+# a settable retry policy or a separate crash-aware flag would restart
+# the fork, as would an engine's own record holding a checkpoint image.
+if grep -nwE 'own_diffs|ckpt_dirty|set_policy|crash_aware' lib/*/*.ml \
+     lib/*/*.mli || \
+   grep -nE '^ *(mutable +)?image *:' lib/tmk/*.ml lib/ivy/*.ml; then
+  echo "ci: crash recovery must use the fabric's lifecycle and Shm_dsm.Checkpoint" >&2
+  exit 1
+fi
+
+# Environment audit: lib/ reads one environment variable, the run
+# pool's SHMCS_JOBS.  Anything else that changes a run belongs on the
+# command line, where it is recorded; tracing is `shmsim run --trace`.
+if grep -n 'Sys\.getenv' lib/*/*.ml | grep -v '^lib/runner/pool\.ml:'; then
+  echo "ci: only lib/runner/pool.ml may read the environment in lib/" >&2
+  exit 1
+fi
+
 # Layering audit: lib/platform mounts coherence engines only through the
 # Shm_proto interface and the Shm_engines registry (DESIGN.md §11).  A
 # platform naming a concrete engine library would re-couple the layers
