@@ -347,6 +347,24 @@ if peak_mb > 200:
 print(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB")
 EOF
 
+# Shared-image guard (DESIGN.md §15): every DSM node maps one
+# copy-on-write initial image, so a node pays host memory for the pages
+# it touches, not for every page the app initialised.  Default-scale SOR
+# on flat LRC at 32 processors must peak under 400 MB (about 250 MB
+# today; 747 MB when the non-zero image was copied into every node).
+python3 - <<'EOF'
+import resource, subprocess, sys
+
+subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "sor", "-n", "32",
+     "--scale", "default", "--topology", "lrc*32"],
+    check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > 400:
+    sys.exit(f"ci: default-scale sor on lrc*32 peaked at {peak_mb:.0f} MB > 400 MB")
+print(f"ci: default-scale sor on lrc*32 peaked at {peak_mb:.0f} MB")
+EOF
+
 # Payload GC guard (DESIGN.md §12): IVY and Tardis move pages as
 # malloc'd copies outside the OCaml heap, so page traffic must not drive
 # the major collector.  KV on IVY at 8 nodes must finish within 50 major
@@ -373,7 +391,7 @@ EOF
 # Hot-path allocation guard (DESIGN.md §12): a hit allocates nothing, so
 # minor-heap traffic follows the simulated transactions, not the
 # accesses.  Default-scale SOR on the SGI bus at 8 processors must stay
-# within 150M minor words (about 108M today; 335M when every float read
+# within 150M minor words (about 63M today; 335M when every float read
 # boxed its value).
 python3 - <<'EOF'
 import os, re, subprocess, sys

@@ -72,6 +72,11 @@ let insert t block state =
     Some (old_tag, old_state)
   else None
 
+let fill t block state =
+  let line = line_of t block in
+  t.tags.(line) <- block;
+  t.states.(line) <- state
+
 let peek_victim t block =
   let line = line_of t block in
   if t.tags.(line) >= 0 && t.tags.(line) <> block && t.states.(line) <> Invalid

@@ -36,6 +36,10 @@ val probe : t -> int -> state
     [(block, state)] if a different, valid block occupied the line. *)
 val insert : t -> int -> state -> (int * state) option
 
+(** [fill t block state] is [insert] for a caller that drops the victim:
+    it allocates nothing. *)
+val fill : t -> int -> state -> unit
+
 (** [peek_victim t block] is what [insert] would evict, without changing
     anything — so callers can retire the victim {e before} starting a
     multi-step fill transaction. *)

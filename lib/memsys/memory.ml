@@ -54,7 +54,9 @@ let copy_all ~src ~dst = Array1.blit src dst
 (* Host pages of 4 KB: the unit a lazily mapped destination commits. *)
 let seed_chunk = 512
 
-let seed ~(src : t) ~len dsts =
+(* [iter_nonzero_chunks src len f] calls [f pos n] for each aligned
+   4 KB chunk of words [\[0, len)] of [src] holding a non-zero word. *)
+let iter_nonzero_chunks (src : t) len f =
   let pos = ref 0 in
   while !pos < len do
     let n = min seed_chunk (len - !pos) in
@@ -62,12 +64,77 @@ let seed ~(src : t) ~len dsts =
     while !k < n && Array1.unsafe_get src (!pos + !k) = 0L do
       incr k
     done;
-    if !k < n then
-      Array.iter
-        (fun dst -> blit ~src ~src_pos:!pos ~dst ~dst_pos:!pos ~len:n)
-        dsts;
+    if !k < n then f !pos n;
     pos := !pos + n
   done
+
+let seed ~src ~len dsts =
+  iter_nonzero_chunks src len (fun pos n ->
+      Array.iter
+        (fun dst -> blit ~src ~src_pos:pos ~dst ~dst_pos:pos ~len:n)
+        dsts)
+
+let image_error path e =
+  failwith
+    (Printf.sprintf "Memory.clones: cannot create %s: %s" path
+       (Unix.error_message e))
+
+(* The image file is created with O_EXCL under a name unique to this
+   process and domain, and unlinked at once, so concurrent runs never
+   share one; a name left behind by another process is skipped. *)
+let open_image () =
+  let dir = Filename.get_temp_dir_name () in
+  let rec attempt k =
+    let path =
+      Filename.concat dir
+        (Printf.sprintf "shmsim-image-%d-%d-%d" (Unix.getpid ())
+           (Domain.self () :> int) k)
+    in
+    match
+      Unix.openfile path
+        [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+        0o600
+    with
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> attempt (k + 1)
+    | exception Unix.Unix_error (e, _, _) -> image_error path e
+    | fd -> (
+        match Unix.unlink path with
+        | () -> (fd, path)
+        | exception Unix.Unix_error (e, _, _) ->
+            Unix.close fd;
+            image_error path e)
+  in
+  attempt 0
+
+(* An all-zero image needs no file: a /dev/zero mapping reads the same,
+   and creating and unlinking a file costs tens of microseconds on a
+   disk-backed temp dir. *)
+let clones ~(src : t) ~len sizes =
+  let rec zero_from i =
+    i >= len || (Array1.unsafe_get src i = 0L && zero_from (i + 1))
+  in
+  if zero_from 0 then Array.map (fun words -> create_mapped ~words) sizes
+  else begin
+    let fd, path = open_image () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        try
+          Unix.ftruncate fd (8 * Array.fold_left max len sizes);
+          let buf = Bytes.create (8 * seed_chunk) in
+          iter_nonzero_chunks src len (fun pos n ->
+              for k = 0 to n - 1 do
+                Bytes.set_int64_ne buf (8 * k) (Array1.unsafe_get src (pos + k))
+              done;
+              ignore (Unix.lseek fd (8 * pos) Unix.SEEK_SET);
+              ignore (Unix.write fd buf 0 (8 * n)));
+          Array.map
+            (fun words ->
+              array1_of_genarray
+                (Unix.map_file fd Int64 C_layout false [| words |]))
+            sizes
+        with Unix.Unix_error (e, _, _) -> image_error path e)
+  end
 
 let equal_range a b ~pos ~len =
   let rec loop i = i >= pos + len || (get a i = get b i && loop (i + 1)) in

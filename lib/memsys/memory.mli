@@ -14,11 +14,12 @@ val create : words:int -> t
 
 (** [create_mapped ~words] is a zero-filled store backed by a private,
     copy-on-write mapping of [/dev/zero]: a page costs host memory only
-    once it is written.  Use it for node-sized images of which a node
-    touches only part — a software-DSM node's memory, a checkpoint
-    image.  Each store is one kernel mapping, released when the store
-    is collected; the GC does not count it as allocation, so it is the
-    wrong choice for many small buffers. *)
+    once it is written.  Use it for a checkpoint image, of which a node
+    persists only part; a software-DSM node's memory comes from
+    {!clones}, which returns such stores only for an all-zero image.
+    Each store is one kernel mapping, released when the
+    store is collected; the GC does not count it as allocation, so it is
+    the wrong choice for many small buffers. *)
 val create_mapped : words:int -> t
 
 val words : t -> int
@@ -53,6 +54,19 @@ val copy_all : src:t -> dst:t -> unit
     are all zero in [src] are skipped, so a {!create_mapped} destination
     keeps them on the kernel's zero page. *)
 val seed : src:t -> len:int -> t array -> unit
+
+(** [clones ~src ~len sizes] is one store per entry of [sizes], of
+    [sizes.(i)] words, each reading words [\[0, len)] of [src] and zero
+    beyond.  The non-zero 4 KB chunks of [src] are written once into an
+    unlinked temporary file in [Filename.get_temp_dir_name ()], and each
+    store is a private, copy-on-write mapping of it: until a store first
+    writes a page it reads the one shared page-cache page, and a write
+    copies only that page.  The file is closed before [clones] returns
+    and goes away with the last mapping.  An all-zero image needs no
+    file: its clones are {!create_mapped} stores.  [len] must not exceed
+    any size.  Raises [Failure] naming the file if it cannot be
+    created. *)
+val clones : src:t -> len:int -> int array -> t array
 
 (** [equal_range a b ~pos ~len] checks word-for-word equality. *)
 val equal_range : t -> t -> pos:int -> len:int -> bool

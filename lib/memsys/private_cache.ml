@@ -30,7 +30,7 @@ let[@inline] read t fiber addr =
   match Cache.probe t.cache addr with
   | Cache.Invalid ->
       Cache.note_miss t.cache;
-      ignore (Cache.insert t.cache (Cache.block_of t.cache addr) Cache.Exclusive);
+      Cache.fill t.cache (Cache.block_of t.cache addr) Cache.Exclusive;
       Engine.advance fiber t.cfg.miss_cycles
   | Cache.Shared | Cache.Exclusive | Cache.Modified ->
       Cache.note_hit t.cache;
@@ -45,11 +45,11 @@ let[@inline] write t fiber addr =
       match Cache.probe t.cache addr with
       | Cache.Invalid ->
           Cache.note_miss t.cache;
-          ignore (Cache.insert t.cache (Cache.block_of t.cache addr) Cache.Modified);
+          Cache.fill t.cache (Cache.block_of t.cache addr) Cache.Modified;
           Engine.advance fiber t.cfg.miss_cycles
       | Cache.Shared | Cache.Exclusive | Cache.Modified ->
           Cache.note_hit t.cache;
-          ignore (Cache.insert t.cache (Cache.block_of t.cache addr) Cache.Modified);
+          Cache.fill t.cache (Cache.block_of t.cache addr) Cache.Modified;
           Engine.advance fiber t.cfg.hit_cycles)
 
 (* Range variants: charge exactly what the per-word loop would — same
@@ -69,7 +69,7 @@ let read_range t fiber addr words =
     (match Cache.state_of c block with
     | Cache.Invalid ->
         Cache.note_miss c;
-        ignore (Cache.insert c block Cache.Exclusive);
+        Cache.fill c block Cache.Exclusive;
         if cnt > 1 then Cache.note_hits c (cnt - 1);
         cycles := !cycles + t.cfg.miss_cycles + ((cnt - 1) * t.cfg.hit_cycles)
     | Cache.Shared | Cache.Exclusive | Cache.Modified ->
@@ -100,7 +100,7 @@ let write_range t fiber addr words =
         | Cache.Shared | Cache.Exclusive | Cache.Modified ->
             Cache.note_hits c cnt;
             cycles := !cycles + (cnt * t.cfg.hit_cycles));
-        ignore (Cache.insert c block Cache.Modified);
+        Cache.fill c block Cache.Modified;
         a := block + bw
       done;
       Engine.advance fiber !cycles

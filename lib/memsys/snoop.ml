@@ -209,7 +209,7 @@ let bus_upgrade t fiber ~cpu block =
 let[@inline] primary_fill t cpu addr =
   if Array.length t.primaries > 0 then begin
     let p = Array.unsafe_get t.primaries cpu in
-    ignore (Cache.insert p (Cache.block_of p addr) Cache.Shared)
+    Cache.fill p (Cache.block_of p addr) Cache.Shared
   end
 
 (* Coherence and timing of a load, without the data movement; see
@@ -355,7 +355,7 @@ let write_range t fiber ~cpu addr words ~f =
         let pbw = Cache.block_words p in
         let b = ref (Cache.block_of p !a) in
         while !b < !a + cnt do
-          ignore (Cache.insert p !b Cache.Shared);
+          Cache.fill p !b Cache.Shared;
           b := !b + pbw
         done
       end;

@@ -99,24 +99,21 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
     | Some _ -> (app.shared_words + page_words - 1) / page_words * page_words
     | None -> app.shared_words
   in
-  (* A DSM node's memory is a lazily mapped image, so it costs host
-     memory only for the pages the node touches; only the non-zero pages
-     of the initial image are copied in. *)
-  let create =
-    if Option.is_some dsm_engine then Memory.create_mapped else Memory.create
-  in
+  (* Every DSM node maps one shared initial image copy-on-write: a page
+     it only reads is the image's page, and its first write copies that
+     page alone. *)
   let memories =
-    Array.map
-      (fun node ->
-        create ~words:(shared_words + (count_doms node * Hw_sync.region_words)))
-      nodes
+    let words node = shared_words + (count_doms node * Hw_sync.region_words) in
+    match dsm_engine with
+    | None ->
+        let mem = Memory.create ~words:(words root) in
+        app.init mem;
+        [| mem |]
+    | Some _ ->
+        let image = Memory.create ~words:shared_words in
+        app.init image;
+        Memory.clones ~src:image ~len:shared_words (Array.map words nodes)
   in
-  if ntops = 1 then app.init memories.(0)
-  else begin
-    let image = Memory.create ~words:shared_words in
-    app.init image;
-    Memory.seed ~src:image ~len:shared_words memories
-  end;
   let dsm =
     Option.map
       (fun (module E : Shm_proto.ENGINE) ->

@@ -66,8 +66,46 @@ let test_no_allocation () =
       ("topo:lrc(mesi*2 x 2)", 4);
     ]
 
+(* A primary miss that hits the coherent level refills the primary line
+   and drops what it displaced.  Words 0 and 8192 share primary line 0
+   on the SGI bus but sit in different coherent lines, so after the first
+   round every read of processor 0 is exactly that refill. *)
+let test_primary_refill_no_allocation () =
+  let result = ref nan in
+  let work (ctx : Parmacs.ctx) =
+    if ctx.id = 0 then begin
+      let readi = ctx.readi in
+      readi 0;
+      readi 8192;
+      let before = Gc.minor_words () in
+      for _ = 1 to accesses do
+        readi 0;
+        readi 8192
+      done;
+      let after = Gc.minor_words () in
+      result := (after -. before) /. float_of_int (2 * accesses)
+    end
+  in
+  let app =
+    {
+      Parmacs.name = "refill-alloc";
+      shared_words = 16_384;
+      eager_lock_hints = [];
+      init = ignore;
+      work;
+      checksum_addr = 0;
+      stats = Parmacs.no_stats;
+    }
+  in
+  ignore ((Machines.get "sgi").Platform.run app ~nprocs:1);
+  if not (!result < 0.01) then
+    Alcotest.failf "sgi: %.3f minor words per refilling read (want < 0.01)"
+      !result
+
 let suite =
   [
     Alcotest.test_case "scalar accesses allocate nothing" `Quick
       test_no_allocation;
+    Alcotest.test_case "primary refills allocate nothing" `Quick
+      test_primary_refill_no_allocation;
   ]

@@ -129,6 +129,133 @@ let test_mapped_no_leak () =
         (a - b < 16_384)
   | _ -> ()
 
+(* Clones of one image read its words and zero past [len], and a write
+   to one clone reaches neither its siblings nor the source.  [len] ends
+   mid-chunk, one chunk's only non-zero word is its last, and a non-zero
+   source word past [len] is not copied. *)
+let test_clones_read_and_isolate () =
+  let len = 1500 in
+  let src = Memory.create ~words:2048 in
+  for i = 0 to 99 do
+    Memory.set_int src i (i + 1)
+  done;
+  Memory.set_int src 1023 77;
+  Memory.set_float src (len - 1) (-2.5);
+  Memory.set_int src len 99;
+  let clones = Memory.clones ~src ~len [| 2048; 4096; len |] in
+  Array.iteri
+    (fun k c ->
+      Alcotest.(check int) (Printf.sprintf "clone %d words" k)
+        [| 2048; 4096; len |].(k) (Memory.words c);
+      Alcotest.(check int) (Printf.sprintf "clone %d reads the image" k) (-1)
+        (Memory.first_diff src 0 c 0 len);
+      for i = len to Memory.words c - 1 do
+        if Memory.get c i <> 0L then
+          Alcotest.failf "clone %d word %d past len reads %Ld" k i
+            (Memory.get c i)
+      done)
+    clones;
+  Memory.set_int clones.(0) 5 (-5);
+  Memory.set_int clones.(0) 600 6;
+  Memory.set_int clones.(1) 3000 7;
+  Alcotest.(check int) "source untouched" 6 (Memory.get_int src 5);
+  Alcotest.(check int) "sibling untouched" 6 (Memory.get_int clones.(1) 5);
+  Alcotest.(check int) "sibling zero chunk untouched" 0
+    (Memory.get_int clones.(2) 600);
+  Alcotest.(check int) "writer sees its write" (-5)
+    (Memory.get_int clones.(0) 5);
+  Alcotest.(check int) "write past len" 7 (Memory.get_int clones.(1) 3000);
+  (* An all-zero image takes no file; its clones behave the same. *)
+  let zeros = Memory.clones ~src:(Memory.create ~words:1024) ~len:1024
+      [| 1024; 2048 |] in
+  Memory.set_int zeros.(0) 9 1;
+  Alcotest.(check int) "all-zero image: writer" 1 (Memory.get_int zeros.(0) 9);
+  Alcotest.(check int) "all-zero image: sibling" (-1)
+    (Memory.first_diff (Memory.create ~words:2048) 0 zeros.(1) 0 2048)
+
+(* Names of this process's image files in the temp dir. *)
+let image_files () =
+  let prefix = Printf.sprintf "shmsim-image-%d-" (Unix.getpid ()) in
+  Sys.readdir (Filename.get_temp_dir_name ())
+  |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | fds -> Some (Array.length fds)
+  | exception Sys_error _ -> None
+
+(* The image file is unlinked and its descriptor closed before [clones]
+   returns: no name is left in the temp dir and no descriptor leaks. *)
+let test_clones_leave_nothing () =
+  let src = Memory.create ~words:1024 in
+  Memory.set_int src 700 1;
+  let before = open_fds () in
+  for _ = 1 to 100 do
+    let c = Memory.clones ~src ~len:1024 [| 1024; 1024 |] in
+    Alcotest.(check (list string)) "no image file" [] (image_files ());
+    ignore (Sys.opaque_identity c)
+  done;
+  Gc.full_major ();
+  Alcotest.(check (option int)) "descriptors" before (open_fds ())
+
+(* Clones are mappings the GC does not count, like [create_mapped]: clone
+   and drop a 1 MB image a few hundred times, writing a few pages of each
+   clone, and host memory must stay flat. *)
+let test_clones_no_leak () =
+  let words = 131_072 in
+  let src = Memory.create ~words in
+  for k = 0 to 7 do
+    Memory.set_int src (k * 16_384) (k + 1)
+  done;
+  let cycle () =
+    for _ = 1 to 8 do
+      let cs = Memory.clones ~src ~len:words (Array.make 8 words) in
+      Array.iteri (fun k c -> Memory.set_int c (k * 16_384 + 1) k) cs;
+      ignore (Sys.opaque_identity cs)
+    done;
+    Gc.full_major ()
+  in
+  cycle ();
+  let before = vm_rss_kb () in
+  for _ = 1 to 48 do
+    cycle ()
+  done;
+  match (before, vm_rss_kb ()) with
+  | Some b, Some a ->
+      (* A leak would keep 3072 clones x 32 kB = 96 MB resident. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "VmRSS %d kB -> %d kB" b a)
+        true
+        (a - b < 16_384)
+  | _ -> ()
+
+(* Clones share the image's pages until they write: 16 clones of a
+   16 MB image with every page non-zero, each reading one word, stay far
+   below the 256 MB that 16 seeded copies would take. *)
+let test_clones_share_pages () =
+  let words = 2 * 1024 * 1024 in
+  let src = Memory.create ~words in
+  for i = 0 to words - 1 do
+    Memory.set_int src i (i + 1)
+  done;
+  match vm_rss_kb () with
+  | None -> ()
+  | Some before ->
+      let cs = Memory.clones ~src ~len:words (Array.make 16 words) in
+      Array.iteri
+        (fun k c ->
+          let i = k * (words / 16) in
+          Alcotest.(check int) "clone reads the image" (i + 1)
+            (Memory.get_int c i))
+        cs;
+      let after = Option.get (vm_rss_kb ()) in
+      ignore (Sys.opaque_identity (src, cs));
+      Alcotest.(check bool)
+        (Printf.sprintf "VmRSS %d kB -> %d kB" before after)
+        true
+        (after - before < 65_536)
+
 let test_memory_blit () =
   let a = Memory.create ~words:32 and b = Memory.create ~words:32 in
   for i = 0 to 31 do
@@ -432,6 +559,13 @@ let suite =
     Alcotest.test_case "mapped memory bulk ops and seeding" `Quick
       test_mapped_bulk_ops;
     Alcotest.test_case "mapped memory is released" `Quick test_mapped_no_leak;
+    Alcotest.test_case "clones read the image, writes stay private" `Quick
+      test_clones_read_and_isolate;
+    Alcotest.test_case "clones leave no file or descriptor" `Quick
+      test_clones_leave_nothing;
+    Alcotest.test_case "clones are released" `Quick test_clones_no_leak;
+    Alcotest.test_case "clones share unwritten pages" `Quick
+      test_clones_share_pages;
     Alcotest.test_case "cache direct mapping and eviction" `Quick
       test_cache_mapping;
     Alcotest.test_case "cache peek_victim" `Quick test_cache_peek_victim;
