@@ -49,6 +49,16 @@ if grep -nE 'Fabric\.(send|recv|loopback)' lib/tmk/*.ml lib/ivy/*.ml \
   exit 1
 fi
 
+# Window audit: acks are cumulative, so what a reliable link still owes
+# is the sequence window (acked, next_seq), not a table of
+# unacknowledged packets (DESIGN.md §9).  The reliable layer's one
+# Hashtbl is the inbound out-of-order buffer.
+if grep -n 'unacked' lib/net/*.ml || \
+   grep -n 'Hashtbl' lib/net/reliable.ml | grep -v 'ooo'; then
+  echo "ci: a reliable link keeps a sequence window, not an unacked table" >&2
+  exit 1
+fi
+
 # Diagnosability audit: a protocol layer that reaches an impossible state
 # must raise a descriptive error naming the page/requester/state, never
 # a bare `assert false` (DESIGN.md §10 — the Ivy manager's Invalid-state

@@ -93,6 +93,7 @@ type 'a t = {
      at send time); [Some] defers the final delivery decision to the
      arrival cycle, where a message landing on a down node is dropped. *)
   mutable lifecycle : Shm_sim.Lifecycle.t option;
+  mutable last_dropped : bool; (* the latest [send] lost its message *)
 }
 
 let create eng counters cfg ~nodes =
@@ -119,6 +120,7 @@ let create eng counters cfg ~nodes =
     prng = Prng.create ~seed:(0x5EED_F417 lxor cfg.faults.fault_seed);
     active = faults_active cfg.faults;
     lifecycle = None;
+    last_dropped = false;
   }
 
 let attach_lifecycle t lc = t.lifecycle <- Some lc
@@ -182,6 +184,7 @@ let send t fiber ~src ~dst ~class_ ~size body =
        in
        rate > 0.0 && Prng.float t.prng 1.0 < rate)
   in
+  t.last_dropped <- dropped;
   if dropped then begin
     (* The sender still paid the send overhead and occupies its transmit
        link — the packet left the host before the network lost it. *)
@@ -235,6 +238,8 @@ let send t fiber ~src ~dst ~class_ ~size body =
     end
   end
 
+let last_dropped t = t.last_dropped
+
 let charge_recv t fiber (env : 'a Msg.envelope) =
   let ov = t.cfg.overhead in
   Engine.advance fiber (ov.fixed_recv + (ov.per_word * data_words env.size));
@@ -245,6 +250,3 @@ let loopback t fiber ~node ~class_ ~size body =
     { Msg.src = node; dst = node; class_; size; body }
 
 let recv t fiber ~node = charge_recv t fiber (Mailbox.recv fiber t.inbox.(node))
-
-let poll t fiber ~node =
-  Option.map (charge_recv t fiber) (Mailbox.poll fiber t.inbox.(node))

@@ -109,6 +109,10 @@ val send :
   'a ->
   unit
 
+(** [last_dropped t] is whether the latest {!send} on [t] lost its
+    message; [send] decides it after its last yield. *)
+val last_dropped : 'a t -> bool
+
 (** [loopback t fiber ~node ~class_ ~size body] posts a message to the
     node's own inbox at the fiber's current clock, free of wire time,
     software overheads and traffic counters.  Protocol layers use it to
@@ -126,6 +130,3 @@ val loopback :
 (** [recv t fiber ~node] blocks until a message for [node] arrives and
     charges the receive overhead. *)
 val recv : 'a t -> Shm_sim.Engine.fiber -> node:int -> 'a Msg.envelope
-
-(** [poll t fiber ~node] consumes a pending message without blocking. *)
-val poll : 'a t -> Shm_sim.Engine.fiber -> node:int -> 'a Msg.envelope option

@@ -26,8 +26,10 @@ let max_retries = 10
    peer resumes promptly. *)
 let backoff_cap = 6
 
-(* Outbound packet awaiting acknowledgement. *)
+(* Outbound packet to [dst] awaiting acknowledgement. *)
 type 'a pending = {
+  dst : int;
+  seq : int;
   p_class : Msg.class_;
   p_size : Msg.sizes;
   p_body : 'a;
@@ -35,19 +37,21 @@ type 'a pending = {
   mutable noted_down : bool; (* [net.reliable.peer_down] counted *)
 }
 
-(* One direction of one (node, peer) pair.  [next_seq]/[unacked] describe
-   the outbound stream to [peer]; [next_expected]/[ooo] the inbound stream
-   from it; [ack_owed]/[ack_timer_armed] the delayed standalone ack. *)
+(* One direction of one (node, peer) pair.  [next_seq]/[acked] describe
+   the outbound stream to [peer]: acks are cumulative, so the packets
+   still owed are exactly the seqs in (acked, next_seq).  [next_expected]/
+   [ooo] describe the inbound stream from it; [ack_owed]/[ack_timer_armed]
+   the delayed standalone ack. *)
 type 'a link = {
   mutable next_seq : int;
-  unacked : (int, 'a pending) Hashtbl.t;
+  mutable acked : int;
   mutable next_expected : int;
   ooo : (int, Msg.class_ * Msg.sizes * 'a) Hashtbl.t;
   mutable ack_owed : bool;
   mutable ack_timer_armed : bool;
 }
 
-type cmd = Retx of { peer : int; seq : int } | Ack_due of { peer : int }
+type 'a cmd = Retx of 'a pending | Ack_due of { peer : int }
 
 type 'a t = {
   eng : Engine.t;
@@ -59,7 +63,7 @@ type 'a t = {
   links : 'a link array array;
       (* links.(node).(peer); empty when unarmed, as pass-through sends
          keep no per-link state *)
-  cmds : cmd Mailbox.t array; (* per-node retransmit-daemon timer queue *)
+  cmds : 'a cmd Mailbox.t array; (* per-node retransmit-daemon timer queue *)
   ready : 'a Msg.envelope Queue.t array; (* in-order backlog from ooo drain *)
   may_crash : bool; (* a lifecycle is attached to the fabric *)
 }
@@ -72,7 +76,7 @@ let create eng counters fabric =
   let link () =
     {
       next_seq = 0;
-      unacked = Hashtbl.create 8;
+      acked = -1;
       next_expected = 0;
       ooo = Hashtbl.create 8;
       ack_owed = false;
@@ -124,28 +128,43 @@ let ack_size = Msg.sizes ()
    everything has been delivered in order. *)
 let cumulative_ack l = l.next_expected - 1
 
+(* Arm [p]'s retransmit timer on [node]'s daemon for cycle [at].  A timer
+   whose packet is acked by then dies in its engine callback: it neither
+   queues a command nor wakes the daemon. *)
+let arm_retx t ~node p ~at =
+  let l = t.links.(node).(p.dst) and mb = t.cmds.(node) in
+  Engine.schedule t.eng ~at (fun () ->
+      if p.seq > l.acked then Mailbox.deliver mb (Retx p))
+
+(* Put [p] on the wire.  A lost data packet gets its own trace instant
+   beside the fabric's drop instant: lost data must be retransmitted,
+   while a lost standalone ack is covered by the next cumulative one. *)
+let send_data t fiber ~src l p =
+  l.ack_owed <- false (* this packet piggybacks the ack *);
+  Fabric.send t.fabric fiber ~src ~dst:p.dst ~class_:p.p_class ~size:p.p_size
+    (Data { seq = p.seq; ack = cumulative_ack l; body = p.p_body });
+  if Fabric.last_dropped t.fabric then Engine.instant fiber "net.drop.data"
+
 let send t fiber ~src ~dst ~class_ ~size body =
   if not t.armed then
     Fabric.send t.fabric fiber ~src ~dst ~class_ ~size (Raw body)
   else begin
     let l = t.links.(src).(dst) in
-    let seq = l.next_seq in
-    l.next_seq <- seq + 1;
-    Hashtbl.replace l.unacked seq
+    let p =
       {
+        dst;
+        seq = l.next_seq;
         p_class = class_;
         p_size = size;
         p_body = body;
         attempts = 0;
         noted_down = false;
-      };
-    l.ack_owed <- false (* this packet piggybacks the ack *);
+      }
+    in
+    l.next_seq <- p.seq + 1;
     Counters.bump t.c_data 1;
-    Fabric.send t.fabric fiber ~src ~dst ~class_ ~size
-      (Data { seq; ack = cumulative_ack l; body });
-    Mailbox.post t.cmds.(src)
-      ~at:(Engine.clock fiber + base_timeout t ~size)
-      (Retx { peer = dst; seq })
+    send_data t fiber ~src l p;
+    arm_retx t ~node:src p ~at:(Engine.clock fiber + base_timeout t ~size)
   end
 
 let loopback t fiber ~node ~class_ ~size body =
@@ -153,10 +172,7 @@ let loopback t fiber ~node ~class_ ~size body =
 
 let process_ack t ~node ~peer ack =
   let l = t.links.(node).(peer) in
-  let acked =
-    Hashtbl.fold (fun s _ acc -> if s <= ack then s :: acc else acc) l.unacked []
-  in
-  List.iter (Hashtbl.remove l.unacked) acked
+  if ack > l.acked then l.acked <- ack
 
 let send_ack t fiber ~src ~dst =
   let l = t.links.(src).(dst) in
@@ -249,54 +265,48 @@ let retx_daemon t node fiber =
        Engine.with_category fiber Engine.Net_wait (fun () ->
            Mailbox.recv fiber t.cmds.(node))
      with
-    | Retx { peer; seq } -> (
-        let l = t.links.(node).(peer) in
-        match Hashtbl.find_opt l.unacked seq with
-        | None -> () (* acked in the meantime; stale timer *)
-        | Some p ->
-            let now = Engine.clock fiber in
-            let self_down = node_down_until t node in
-            let peer_down = node_down_until t peer in
-            if self_down > now then
-              (* This node crashed: a dead host retransmits nothing.  The
-                 timer freezes (no attempt consumed) until restart. *)
-              Mailbox.post t.cmds.(node) ~at:self_down (Retx { peer; seq })
-            else if peer_down > now && t.may_crash then begin
-              (* The peer is down: report the death once per packet and
-                 park the timer at the peer's restart cycle — crash
-                 detection and transient loss share this one
-                 retransmission path. *)
-              note_peer_down t p;
-              Mailbox.post t.cmds.(node) ~at:peer_down (Retx { peer; seq })
-            end
-            else begin
-              p.attempts <- p.attempts + 1;
-              if p.attempts > max_retries then begin
-                if not t.may_crash then
-                  raise
-                    (Peer_unreachable
-                       { src = node; dst = peer; seq; attempts = p.attempts });
-                (* Keep probing: the peer may be down and restart later.
-                   Without the peer-down report above this packet has now
-                   also exhausted the transient-loss budget, so report. *)
-                note_peer_down t p
-              end;
-              Counters.incr t.counters "net.retrans.total";
-              Engine.instant fiber "net.retransmit";
-              l.ack_owed <- false;
-              Engine.with_category fiber Engine.Protocol (fun () ->
-                  Fabric.send t.fabric fiber ~src:node ~dst:peer
-                    ~class_:p.p_class ~size:p.p_size
-                    (Data { seq; ack = cumulative_ack l; body = p.p_body }));
-              let exp =
-                if t.may_crash then min p.attempts backoff_cap
-                else p.attempts
-              in
-              let backoff = base_timeout t ~size:p.p_size lsl exp in
-              Mailbox.post t.cmds.(node)
-                ~at:(Engine.clock fiber + backoff)
-                (Retx { peer; seq })
-            end)
+    | Retx p when p.seq <= t.links.(node).(p.dst).acked ->
+        (* Acked between its timer's delivery and this take: the daemon
+           was mid-send, or earlier events of the same cycle ran first. *)
+        ()
+    | Retx p ->
+        let peer = p.dst and now = Engine.clock fiber in
+        let self_down = node_down_until t node in
+        let peer_down = node_down_until t peer in
+        if self_down > now then
+          (* This node crashed: a dead host retransmits nothing.  The
+             timer freezes (no attempt consumed) until restart. *)
+          arm_retx t ~node p ~at:self_down
+        else if peer_down > now && t.may_crash then begin
+          (* The peer is down: report the death once per packet and park
+             the timer at the peer's restart cycle — crash detection and
+             transient loss share this one retransmission path. *)
+          note_peer_down t p;
+          arm_retx t ~node p ~at:peer_down
+        end
+        else begin
+          p.attempts <- p.attempts + 1;
+          if p.attempts > max_retries then begin
+            if not t.may_crash then
+              raise
+                (Peer_unreachable
+                   { src = node; dst = peer; seq = p.seq;
+                     attempts = p.attempts });
+            (* Keep probing: the peer may be down and restart later.
+               Without the peer-down report above this packet has now
+               also exhausted the transient-loss budget, so report. *)
+            note_peer_down t p
+          end;
+          Counters.incr t.counters "net.retrans.total";
+          Engine.instant fiber "net.retransmit";
+          Engine.with_category fiber Engine.Protocol (fun () ->
+              send_data t fiber ~src:node t.links.(node).(peer) p);
+          let exp =
+            if t.may_crash then min p.attempts backoff_cap else p.attempts
+          in
+          let backoff = base_timeout t ~size:p.p_size lsl exp in
+          arm_retx t ~node p ~at:(Engine.clock fiber + backoff)
+        end
     | Ack_due { peer } ->
         let now = Engine.clock fiber in
         let self_down = node_down_until t node in
@@ -324,20 +334,14 @@ let start t =
            (fun fiber -> retx_daemon t node fiber))
     done
 
-let pending_retx t ~node =
-  if not t.armed then 0
-  else
-    Array.fold_left
-      (fun acc l -> acc + Hashtbl.length l.unacked)
-      0 t.links.(node)
-
 let pending_note t =
   if not t.armed then ""
   else
     let n = Fabric.nodes t.fabric in
+    let owed acc l = acc + (l.next_seq - l.acked - 1) in
     let parts = ref [] in
     for node = n - 1 downto 0 do
-      let pending = pending_retx t ~node in
+      let pending = Array.fold_left owed 0 t.links.(node) in
       if pending > 0 then
         parts := Printf.sprintf "node%d:%d" node pending :: !parts
     done;

@@ -8,15 +8,17 @@
     this layer: their interconnects are reliable by construction.
 
     Per ordered (node, peer) pair the layer keeps an outbound sequence
-    stream with a table of unacknowledged packets, and an inbound stream
-    delivered strictly in sequence (early packets are buffered), which
-    both suppresses duplicates and preserves the per-link FIFO order the
-    protocol layers rely on.  Every data packet piggybacks a cumulative
-    ack for the reverse direction; a delayed standalone ack covers one-way
-    traffic, and a duplicate triggers an immediate re-ack.  A per-node
-    retransmit daemon fiber resends unacked packets on a timeout derived
-    from the fabric's latency/bandwidth model, doubling it per attempt,
-    and gives up after {!max_retries} resends (see below).
+    window and an inbound stream delivered strictly in sequence (early
+    packets are buffered), which both suppresses duplicates and preserves
+    the per-link FIFO order the protocol layers rely on.  Every data
+    packet piggybacks a cumulative ack for the reverse direction, so the
+    window is two integers: the packets still owed are those after the
+    highest ack received.  A delayed standalone ack covers one-way
+    traffic, and a duplicate triggers an immediate re-ack.  Each packet
+    has one retransmit timer, on a timeout derived from the fabric's
+    latency/bandwidth model that doubles per attempt.  A timer whose
+    packet is acked dies in place; a live one wakes the node's retransmit
+    daemon fiber, which gives up after {!max_retries} resends (below).
 
     When the fabric's fault policy is inactive the layer is a pure
     pass-through: no sequence numbers, timers or daemon fibers exist and
@@ -27,7 +29,9 @@
     [net.reliable.dups] (duplicates suppressed), [net.reliable.ooo]
     (early packets buffered), [net.retrans.total],
     [net.reliable.peer_down] (suspected-crash reports, at most one per
-    packet, only with a lifecycle attached).
+    packet, only with a lifecycle attached).  Trace instants:
+    [net.retransmit], and [net.drop.data] beside the fabric's drop
+    instant when the lost packet was data rather than a standalone ack.
 
     A {!Shm_sim.Lifecycle} attached to the fabric is the one crash
     switch.  With it, a crashed node's own retransmit and ack timers
@@ -98,10 +102,6 @@ val loopback :
 (** [recv t fiber ~node] blocks until the next in-order application
     message for [node]; acks and duplicates are consumed internally. *)
 val recv : 'a t -> Shm_sim.Engine.fiber -> node:int -> 'a Msg.envelope
-
-(** [pending_retx t ~node] is the number of outbound packets from [node]
-    still awaiting acknowledgement. *)
-val pending_retx : 'a t -> node:int -> int
 
 (** [pending_note t] summarizes pending retransmissions per node — the
     [diag] string for {!Shm_sim.Engine.run}, making a stall under faults

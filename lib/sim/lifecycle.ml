@@ -2,14 +2,14 @@
 
    A [t] owns the liveness state of every node in one simulation: a node
    is either alive or down-until-a-known-cycle.  Crashes come from an
-   explicit schedule and/or a seeded per-window draw; each crash fires
-   the registered [on_crash] hooks, schedules a detection event (the
-   survivors' re-homing point) and a restart event (the crashed node's
-   rejoin point), and the restart wakes every fiber parked on the node's
-   gate.  The module never touches protocol state itself — the DSM
-   engines register hooks — and a simulation without a policy attached
-   never constructs a [t] at all, so crash-free runs stay byte-identical
-   to the pre-lifecycle baseline. *)
+   explicit schedule and/or a seeded per-window draw; each crash
+   schedules a detection event (the survivors' re-homing point) and a
+   restart event (the crashed node's rejoin point), and the restart
+   wakes every fiber parked on the node's gate.  The module never
+   touches protocol state itself — the DSM engines register hooks — and
+   a simulation without a policy attached never constructs a [t] at
+   all, so crash-free runs stay byte-identical to the pre-lifecycle
+   baseline. *)
 
 type policy = {
   crashes : (int * int) list; (* (node, cycle) scheduled crashes *)
@@ -45,7 +45,6 @@ type t = {
   gates : Waitq.t array; (* app fibers of a down node park here *)
   prng : Prng.t;
   mutable drawn : int; (* randomly drawn crashes so far *)
-  mutable on_crash : (node:int -> at:int -> unit) list;
   mutable on_detect : (node:int -> at:int -> unit) list;
   mutable on_restart : (node:int -> at:int -> unit) list;
   mutable on_ckpt : (at:int -> unit) list;
@@ -63,7 +62,6 @@ let create eng counters policy ~nodes =
     gates = Array.init nodes (fun _ -> Waitq.create eng);
     prng = Prng.create ~seed:(0xC4A5_11FE lxor policy.crash_seed);
     drawn = 0;
-    on_crash = [];
     on_detect = [];
     on_restart = [];
     on_ckpt = [];
@@ -72,10 +70,8 @@ let create eng counters policy ~nodes =
     c_downtime = Shm_stats.Counters.cell counters "sim.downtime";
   }
 
-let nodes t = t.nodes
 let alive t node = t.down_until.(node) = 0
 let down_until t node = t.down_until.(node)
-let on_crash t f = t.on_crash <- t.on_crash @ [ f ]
 let on_detect t f = t.on_detect <- t.on_detect @ [ f ]
 let on_restart t f = t.on_restart <- t.on_restart @ [ f ]
 let on_ckpt t f = t.on_ckpt <- t.on_ckpt @ [ f ]
@@ -112,7 +108,6 @@ let crash t node ~at =
     t.down_until.(node) <- until;
     incr t.c_crashes;
     t.c_downtime := !(t.c_downtime) + t.policy.outage_cycles;
-    List.iter (fun f -> f ~node ~at) t.on_crash;
     Engine.schedule t.eng ~at:(at + t.policy.detect_cycles) (fun () ->
         detect t node ~at:(at + t.policy.detect_cycles));
     Engine.schedule t.eng ~at:until (fun () -> restart t node ~at:until)

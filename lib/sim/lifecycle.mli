@@ -3,12 +3,12 @@
     A lifecycle instance tracks per-node liveness for one simulation:
     crashes come from an explicit [(node, cycle)] schedule and/or a
     seeded per-window random draw.  Each crash marks the node down for
-    [outage_cycles], fires the [on_crash] hooks, schedules a detection
-    event after [detect_cycles] (where survivors re-home manager state)
-    and a restart event (where the node's rejoin hooks run and parked
-    fibers wake).  The module holds no protocol state — DSM engines
-    register hooks at mount time.  Crash-free runs never construct a
-    [t], preserving byte identity with the fault-free baseline. *)
+    [outage_cycles], schedules a detection event after [detect_cycles]
+    (where survivors re-home manager state) and a restart event (where
+    the node's rejoin hooks run and parked fibers wake).  The module
+    holds no protocol state — DSM engines register hooks at mount time.
+    Crash-free runs never construct a [t], preserving byte identity with
+    the fault-free baseline. *)
 
 type policy = {
   crashes : (int * int) list;  (** scheduled [(node, cycle)] crashes *)
@@ -31,8 +31,6 @@ type t
 
 val create : Engine.t -> Shm_stats.Counters.t -> policy -> nodes:int -> t
 
-val nodes : t -> int
-
 val alive : t -> int -> bool
 
 (** [down_until t node] is the node's restart cycle, or [0] if alive. *)
@@ -43,13 +41,10 @@ val down_until : t -> int -> int
     or synchronization operation of the node's processors. *)
 val gate : t -> Engine.fiber -> node:int -> unit
 
-(** Hook registration (mount time, before [start]).  [on_crash] fires at
-    the crash cycle, [on_detect] at crash + [detect_cycles] if the node
-    is still down (manager re-homing), [on_restart] at the restart cycle
-    before parked fibers wake (rejoin/replay), [on_ckpt] every
-    [ckpt_interval] cycles. *)
-
-val on_crash : t -> (node:int -> at:int -> unit) -> unit
+(** Hook registration (mount time, before [start]).  [on_detect] fires
+    at crash + [detect_cycles] if the node is still down (manager
+    re-homing), [on_restart] at the restart cycle before parked fibers
+    wake (rejoin/replay), [on_ckpt] every [ckpt_interval] cycles. *)
 
 val on_detect : t -> (node:int -> at:int -> unit) -> unit
 

@@ -6,18 +6,17 @@ type 'a t = {
 
 let create eng = { eng; pending = Queue.create (); waiters = Queue.create () }
 
-let length mb = Queue.length mb.pending
-
 let wake_one mb ~at =
   match Queue.take_opt mb.waiters with
   | None -> ()
   | Some f -> Engine.resume mb.eng f ~at
 
-let post mb ~at msg =
-  Engine.schedule mb.eng ~at (fun () ->
-      let at = Engine.now mb.eng in
-      Queue.push (at, msg) mb.pending;
-      wake_one mb ~at)
+let[@inline] deliver mb msg =
+  let at = Engine.now mb.eng in
+  Queue.push (at, msg) mb.pending;
+  wake_one mb ~at
+
+let post mb ~at msg = Engine.schedule mb.eng ~at (fun () -> deliver mb msg)
 
 let take fiber mb =
   let time, msg = Queue.pop mb.pending in

@@ -12,12 +12,12 @@ val create : Engine.t -> 'a t
     current engine time if in the past). *)
 val post : 'a t -> at:int -> 'a -> unit
 
+(** [deliver mb msg] delivers [msg] now; [post] schedules exactly this. *)
+val deliver : 'a t -> 'a -> unit
+
 (** [recv fiber mb] blocks the fiber until a message is available and
     returns the earliest one. *)
 val recv : Engine.fiber -> 'a t -> 'a
 
 (** [poll fiber mb] takes a pending message without blocking. *)
 val poll : Engine.fiber -> 'a t -> 'a option
-
-(** [length mb] is the number of delivered, unconsumed messages. *)
-val length : 'a t -> int

@@ -5,14 +5,14 @@
    off the free list and links it into a slot chain, allocating nothing.
 
    Wheel geometry: three levels of 256 slots.  Level [l] covers times
-   that agree with [start] (the last popped time) on all bits above
-   [8*(l+1)]; the slot index is bits [8*l .. 8*l+7] of the event time.
-   Classification is a single [lxor] against [start].  Level-0 slots are
-   one tick wide, so a slot chain is a FIFO of same-time events and its
-   head carries the smallest sequence number.  Times outside the 2^24
-   window (or below [start], which the engine never produces because
-   [schedule] clamps to the current time) go to the heap tier, ordered
-   by [(time, seq)] like the wheel.
+   that agree with [start] (the last time popped from the wheel, not the
+   heap) on all bits above [8*(l+1)]; the slot index is bits
+   [8*l .. 8*l+7] of the event time.  Classification is a single [lxor]
+   against [start].  Level-0 slots are one tick wide, so a slot chain is
+   a FIFO of same-time events and its head carries the smallest sequence
+   number.  Times outside the 2^24 window (or below [start], which the
+   engine never produces because [schedule] clamps to the current time)
+   go to the heap tier, ordered by [(time, seq)] like the wheel.
 
    Popping takes whichever of (wheel head, heap root) is smaller under
    [(time, seq)].  Finding the wheel head scans occupancy bitmaps; when
@@ -365,10 +365,6 @@ let min_time_exn q =
     refresh_cache q;
     q.cached_min
   end
-
-let min_time q =
-  let m = min_time_exn q in
-  if m = max_int && is_empty q then None else Some m
 
 (* Unlink the minimum node and return its index.
    @raise Not_found if the queue is empty. *)

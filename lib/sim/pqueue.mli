@@ -4,13 +4,14 @@
     with the same time pop in insertion order.  This is what makes the
     simulation deterministic.
 
-    Near-future events (within 2^24 ticks of the last popped time) live in
-    a three-level wheel of 256-slot arrays with per-slot FIFO chains built
-    from a preallocated node pool, so the steady-state push/pop cycle
-    allocates nothing.  Events outside the wheel window — far-future or
-    (for standalone users; the engine never does this) scheduled in the
-    past — fall back to an index-sorted binary heap over the same pool.
-    Pop compares the wheel head against the heap root under the same
+    Events within 2^24 ticks of the last time popped from the wheel
+    (heap-tier pops never move it) live in a three-level wheel of
+    256-slot arrays with per-slot FIFO chains built from a preallocated
+    node pool, so the steady-state push/pop cycle allocates nothing.
+    Other events — far-future, past (standalone users only), or all of
+    them once the clock outruns the window on heap pops — go to an
+    index-sorted binary heap over the same pool, which serves small
+    queues; the wheel serves wide ones (1024 fibers).  Pop compares the wheel head against the heap root under the same
     [(time, seq)] order, so the observable pop sequence is identical to a
     single binary heap's. *)
 
@@ -38,11 +39,8 @@ val pop : 'a t -> int * 'a
     @raise Not_found if the queue is empty. *)
 val pop_event : 'a t -> 'a
 
-(** [min_time q] is the time of the minimum entry without removing it. *)
-val min_time : 'a t -> int option
-
-(** [min_time_exn q] is [min_time] without the [Some] box: the minimum
-    entry's time, or [max_int] when the queue is empty.  O(1) when the
-    minimum is unchanged since the last call (the common case on the
-    engine's yield fast path). *)
+(** [min_time_exn q] is the minimum entry's time, without removing it,
+    or [max_int] when the queue is empty.  O(1) when the minimum is
+    unchanged since the last call (the common case on the engine's yield
+    fast path). *)
 val min_time_exn : 'a t -> int

@@ -16,7 +16,11 @@ type t = {
 let create () = { tracks = []; spans = []; marks = [] }
 
 let span_count t = List.length t.spans
-let instant_count t = List.length t.marks
+
+let instant_count ?name t =
+  match name with
+  | None -> List.length t.marks
+  | Some n -> List.length (List.filter (fun m -> m.m_name = n) t.marks)
 
 let tracer t =
   {

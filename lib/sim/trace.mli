@@ -21,7 +21,10 @@ val create : unit -> t
 val tracer : t -> Engine.tracer
 
 val span_count : t -> int
-val instant_count : t -> int
+
+(** [instant_count ?name t] counts the instant events, only those called
+    [name] when given. *)
+val instant_count : ?name:string -> t -> int
 
 (** [write_chrome t oc ~clock_mhz] writes the trace as Chrome trace event
     JSON.  Timestamps and durations are microseconds of simulated time:

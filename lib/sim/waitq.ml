@@ -20,5 +20,3 @@ let wake_all q ~at =
     Engine.resume q.eng f ~at
   done;
   n
-
-let waiting q = Queue.length q.waiters

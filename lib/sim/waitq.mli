@@ -13,5 +13,3 @@ val wake_one : t -> at:int -> bool
 
 (** [wake_all q ~at] resumes every waiting fiber.  Returns the count. *)
 val wake_all : t -> at:int -> int
-
-val waiting : t -> int

@@ -108,8 +108,10 @@ let test_tsp_parallel_matches_bruteforce_nondeterministic_path () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_tsp_greedy_bounds_optimal;
-    QCheck_alcotest.to_alcotest prop_tsp_optimal_positive;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x18A6)
+      prop_tsp_greedy_bounds_optimal;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xBB37)
+      prop_tsp_optimal_positive;
     Alcotest.test_case "problem scales are ordered" `Slow
       test_scales_are_ordered;
     Alcotest.test_case "SOR bands partition rows" `Quick

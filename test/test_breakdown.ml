@@ -378,7 +378,8 @@ let test_ivy_proto_error_printable () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_attribution_sums;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x1738)
+      prop_attribution_sums;
     Alcotest.test_case "wait cycles attributed to scope" `Quick
       test_wait_attribution;
     Alcotest.test_case "invariant holds on apps x platforms" `Slow

@@ -283,7 +283,8 @@ let suite =
       test_churn_matrix;
     Alcotest.test_case "crash-free matrix hits the same goldens" `Slow
       test_clean_matrix_matches;
-    QCheck_alcotest.to_alcotest prop_page_delta;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x60A7)
+      prop_page_delta;
     Alcotest.test_case "rejoin replays own diffs in seqno order" `Quick
       test_replay_in_seqno_order;
     Alcotest.test_case "seeded crash schedule reproduces" `Quick

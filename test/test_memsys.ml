@@ -553,7 +553,8 @@ let test_snoop_capacity_miss () =
 let suite =
   [
     Alcotest.test_case "memory int/float roundtrip" `Quick test_memory_roundtrip;
-    QCheck_alcotest.to_alcotest prop_memory_float_bits;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xDCAD)
+      prop_memory_float_bits;
     Alcotest.test_case "memory blit" `Quick test_memory_blit;
     Alcotest.test_case "mapped memory roundtrip" `Quick test_mapped_roundtrip;
     Alcotest.test_case "mapped memory bulk ops and seeding" `Quick
@@ -574,8 +575,10 @@ let suite =
     Alcotest.test_case "private cache range invalidation" `Quick
       test_private_cache_invalidate_range;
     Alcotest.test_case "snoop MESI state walk" `Quick test_snoop_mesi_walk;
-    QCheck_alcotest.to_alcotest prop_snoop_rmw_atomic;
-    QCheck_alcotest.to_alcotest prop_directory_rmw_atomic;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xF498)
+      prop_snoop_rmw_atomic;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xE7F5)
+      prop_directory_rmw_atomic;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xD1C7)
       prop_directory_random_traffic;
     Alcotest.test_case "directory remote > local latency" `Quick

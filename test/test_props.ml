@@ -287,21 +287,35 @@ let prop_sor_stays_bounded =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_vc_partial_order;
-    QCheck_alcotest.to_alcotest prop_vc_join_laws;
-    QCheck_alcotest.to_alcotest prop_vc_sum_strictly_monotone;
-    QCheck_alcotest.to_alcotest prop_diff_identical_is_empty;
-    QCheck_alcotest.to_alcotest prop_diff_apply_idempotent;
-    QCheck_alcotest.to_alcotest prop_diff_twin_apply_matches;
-    QCheck_alcotest.to_alcotest prop_diff_words_bound;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xB2CF)
+      prop_vc_partial_order;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xD713)
+      prop_vc_join_laws;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x2453)
+      prop_vc_sum_strictly_monotone;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x0490)
+      prop_diff_identical_is_empty;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x8853)
+      prop_diff_apply_idempotent;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xE357)
+      prop_diff_twin_apply_matches;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xF551)
+      prop_diff_words_bound;
     Alcotest.test_case "diffs carry words bit-exactly" `Quick
       test_diff_bit_exact;
-    QCheck_alcotest.to_alcotest prop_pqueue_sorts;
-    QCheck_alcotest.to_alcotest prop_pqueue_wheel_matches_reference;
-    QCheck_alcotest.to_alcotest prop_msg_total;
-    QCheck_alcotest.to_alcotest prop_layout_aligned;
-    QCheck_alcotest.to_alcotest prop_tsp_distances_symmetric;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xE3AF)
+      prop_pqueue_sorts;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x31A0)
+      prop_pqueue_wheel_matches_reference;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x5188)
+      prop_msg_total;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x10AB)
+      prop_layout_aligned;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x40CF)
+      prop_tsp_distances_symmetric;
     Alcotest.test_case "water pair cost" `Quick test_water_pair_cost_is_positive;
-    QCheck_alcotest.to_alcotest prop_ilink_costs_positive;
-    QCheck_alcotest.to_alcotest prop_sor_stays_bounded;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xEBB1)
+      prop_ilink_costs_positive;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xF699)
+      prop_sor_stays_bounded;
   ]

@@ -238,8 +238,10 @@ let suite =
     Alcotest.test_case "hist: bounded relative error" `Quick
       test_hist_error_bound;
     Alcotest.test_case "hist: merge equals record-all" `Quick test_hist_merge;
-    QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
-    QCheck_alcotest.to_alcotest prop_hist_merge_assoc;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x64B8)
+      prop_hist_percentile_monotone;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x8F3F)
+      prop_hist_merge_assoc;
     Alcotest.test_case "hist: recording is allocation-free" `Quick
       test_hist_zero_alloc;
   ]

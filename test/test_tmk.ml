@@ -499,8 +499,10 @@ let suite =
       test_protocol_determinism;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xBA55)
       prop_barrier_converges;
-    QCheck_alcotest.to_alcotest prop_diff_roundtrip;
-    QCheck_alcotest.to_alcotest prop_vc_join_lub;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xCC65)
+      prop_diff_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x0F85)
+      prop_vc_join_lub;
     Alcotest.test_case "record store ranges" `Quick test_record_store;
     Alcotest.test_case "applied vectors are per page" `Quick
       test_applied_vectors_per_page;

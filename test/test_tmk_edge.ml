@@ -238,7 +238,8 @@ let suite =
       test_barrier_manager_elsewhere;
     Alcotest.test_case "eager updates during faults" `Quick
       test_eager_update_during_activity;
-    QCheck_alcotest.to_alcotest prop_linear_key_respects_order;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x9A13)
+      prop_linear_key_respects_order;
     Alcotest.test_case "multiple writers through locks" `Quick
       test_multiwriter_through_locks;
   ]
