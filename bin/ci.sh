@@ -357,6 +357,24 @@ if peak_mb > 200:
 print(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB")
 EOF
 
+# Cache guard (DESIGN.md §15): a hardware cache's lines live in a
+# /dev/zero mapping, so a node holds host memory only for the lines it
+# writes.  Quick SOR on the 1024-node directory machine must peak under
+# 45 MB (about 29 MB today; 61 MB when every cache held a tag array and a
+# state array sized to the whole cache).
+python3 - <<'EOF'
+import resource, subprocess, sys
+
+subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "sor", "-n", "1024",
+     "--scale", "quick", "--slots", "1024", "--topology", "directory*1024"],
+    check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > 45:
+    sys.exit(f"ci: sor on directory*1024 peaked at {peak_mb:.0f} MB > 45 MB")
+print(f"ci: sor on directory*1024 peaked at {peak_mb:.0f} MB")
+EOF
+
 # Shared-image guard (DESIGN.md §15): every DSM node maps one
 # copy-on-write initial image, so a node pays host memory for the pages
 # it touches, not for every page the app initialised.  Default-scale SOR

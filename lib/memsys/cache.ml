@@ -6,14 +6,29 @@ let state_name = function
   | Exclusive -> "E"
   | Modified -> "M"
 
+(* A line is one packed word, [(block lsl 3) lor 4 lor code]: bit 2 marks
+   a tag as present, and [code] is the state's constructor index, so an
+   [Invalid] line keeps its tag and an all-zero word is an empty line.
+   Constant constructors are immediate ints, which makes the code and the
+   state one representation. *)
+let[@inline] code (s : state) : int = Obj.magic s
+let[@inline] state_of_code e : state = Obj.magic (e land 3)
+let[@inline] tag block = (block lsl 3) lor 4
+let[@inline] tag_of e = e land lnot 3
+
+type victim = int
+
+let no_victim = 0
+let[@inline] victim_block v = v asr 3
+let[@inline] victim_state v = state_of_code v
+
 type t = {
   block_words : int;
   block_shift : int; (* log2 block_words: block index = addr lsr block_shift *)
   block_mask : int; (* block_words - 1 *)
   lines : int;
   line_mask : int; (* lines - 1 *)
-  tags : int array; (* resident block address per line; -1 = empty *)
-  states : state array;
+  entries : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -36,8 +51,7 @@ let create ~size_words ~block_words =
     block_mask = block_words - 1;
     lines;
     line_mask = lines - 1;
-    tags = Array.make lines (-1);
-    states = Array.make lines Invalid;
+    entries = Memory.zero_mapped Bigarray.Int lines;
     hits = 0;
     misses = 0;
   }
@@ -50,56 +64,49 @@ let[@inline] block_of t addr = addr land lnot t.block_mask
 
 let[@inline] line_of t block = (block lsr t.block_shift) land t.line_mask
 
+let[@inline] get t line = Bigarray.Array1.unsafe_get t.entries line
+let[@inline] set t line e = Bigarray.Array1.unsafe_set t.entries line e
+
 let[@inline] state_of t block =
-  let line = line_of t block in
-  if Array.unsafe_get t.tags line = block then Array.unsafe_get t.states line
-  else Invalid
+  let e = get t (line_of t block) in
+  if tag_of e = tag block then state_of_code e else Invalid
 
 let set_state t block state =
   let line = line_of t block in
-  if t.tags.(line) <> block then
+  if tag_of (get t line) <> tag block then
     invalid_arg "Cache.set_state: block not resident";
-  t.states.(line) <- state
+  set t line (tag block lor code state)
 
 let[@inline] probe t addr = state_of t (block_of t addr)
 
+(* The old entry, if it held a valid line for another block. *)
+let[@inline] displaced old block =
+  if old land 3 <> 0 && tag_of old <> tag block then old
+  else no_victim
+
 let insert t block state =
   let line = line_of t block in
-  let old_tag = t.tags.(line) and old_state = t.states.(line) in
-  t.tags.(line) <- block;
-  t.states.(line) <- state;
-  if old_tag >= 0 && old_tag <> block && old_state <> Invalid then
-    Some (old_tag, old_state)
-  else None
+  let old = get t line in
+  set t line (tag block lor code state);
+  displaced old block
 
-let fill t block state =
-  let line = line_of t block in
-  t.tags.(line) <- block;
-  t.states.(line) <- state
+let fill t block state = set t (line_of t block) (tag block lor code state)
 
-let peek_victim t block =
-  let line = line_of t block in
-  if t.tags.(line) >= 0 && t.tags.(line) <> block && t.states.(line) <> Invalid
-  then Some (t.tags.(line), t.states.(line))
-  else None
+let peek_victim t block = displaced (get t (line_of t block)) block
 
 let invalidate t block =
   let line = line_of t block in
-  if t.tags.(line) = block then begin
-    let old = t.states.(line) in
-    t.states.(line) <- Invalid;
-    old
+  let e = get t line in
+  if tag_of e = tag block then begin
+    set t line (tag_of e);
+    state_of_code e
   end
   else Invalid
 
-let invalidate_all t =
-  Array.fill t.tags 0 t.lines (-1);
-  Array.fill t.states 0 t.lines Invalid
-
 let iter_valid t f =
   for line = 0 to t.lines - 1 do
-    if t.tags.(line) >= 0 && t.states.(line) <> Invalid then
-      f t.tags.(line) t.states.(line)
+    let e = get t line in
+    if e land 3 <> 0 then f (victim_block e) (state_of_code e)
   done
 
 let hits t = t.hits

@@ -138,30 +138,28 @@ let port_use t fiber ~node ~cycles =
    lines; dirty data travels back. *)
 let evict t fiber ~node victim =
   Engine.with_category fiber Engine.Mem_stall @@ fun () ->
-  match victim with
-  | None -> ()
-  | Some (vblock, vstate) -> (
-      match vstate with
-      | Cache.Invalid -> ()
-      | Cache.Shared ->
-          (* Silent: the directory keeps a (harmless) stale sharer bit. *)
-          ()
-      | Cache.Exclusive | Cache.Modified ->
-          (* Retire the line and the directory entry first — the port
-             occupancy below yields, and another node must be free to
-             claim the block meanwhile without us stomping it after. *)
-          ignore (Cache.invalidate t.caches.(node) vblock);
-          (match entry_of t vblock with
-          | Owned_by o when o = node -> set_entry t vblock Uncached
-          | Owned_by _ | Uncached | Shared_by _ -> ());
-          let home = home_of t vblock in
-          let dirty = vstate = Cache.Modified in
-          count_msg t ~payload:(if dirty then block_bytes t else 0);
-          Counters.bump
-            (if dirty then t.c_writebacks else t.c_replacement_hints)
-            1;
-          if home <> node && dirty then
-            port_use t fiber ~node:home ~cycles:t.cfg.port_block_cycles)
+  match Cache.victim_state victim with
+  | Cache.Invalid -> ()
+  | Cache.Shared ->
+      (* Silent: the directory keeps a (harmless) stale sharer bit. *)
+      ()
+  | Cache.Exclusive | Cache.Modified as vstate ->
+      (* Retire the line and the directory entry first — the port
+         occupancy below yields, and another node must be free to
+         claim the block meanwhile without us stomping it after. *)
+      let vblock = Cache.victim_block victim in
+      ignore (Cache.invalidate t.caches.(node) vblock);
+      (match entry_of t vblock with
+      | Owned_by o when o = node -> set_entry t vblock Uncached
+      | Owned_by _ | Uncached | Shared_by _ -> ());
+      let home = home_of t vblock in
+      let dirty = vstate = Cache.Modified in
+      count_msg t ~payload:(if dirty then block_bytes t else 0);
+      Counters.bump
+        (if dirty then t.c_writebacks else t.c_replacement_hints)
+        1;
+      if home <> node && dirty then
+        port_use t fiber ~node:home ~cycles:t.cfg.port_block_cycles
 
 let downgrade_owner t owner block =
   (match Cache.state_of t.caches.(owner) block with
@@ -190,13 +188,15 @@ let charge_fetch t fiber ~node ~home ~port ~cycles =
    with an Invalid line and retry forever.  State-only: no yield, so the
    caller's transaction stays atomic from its last yield. *)
 let insert_retiring t ~node cache block state =
-  match Cache.insert cache block state with
-  | Some (vblock, (Cache.Exclusive | Cache.Modified)) ->
+  let victim = Cache.insert cache block state in
+  match Cache.victim_state victim with
+  | Cache.Exclusive | Cache.Modified ->
+      let vblock = Cache.victim_block victim in
       (match entry_of t vblock with
       | Owned_by o when o = node -> set_entry t vblock Uncached
       | Owned_by _ | Uncached | Shared_by _ -> ());
       Counters.bump t.c_replacement_hints 1
-  | Some (_, (Cache.Shared | Cache.Invalid)) | None -> ()
+  | Cache.Shared | Cache.Invalid -> ()
 
 (* Install [block] in [node]'s cache for reading.  Yield points (port
    occupancy) can let competing transactions in, so the directory entry is

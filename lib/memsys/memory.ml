@@ -11,12 +11,13 @@ let create ~words : t =
    kernel's shared zero page until its first write.  The descriptor must
    be writable: [Unix.map_file] grows a file shorter than the mapping by
    writing its last byte, which /dev/zero accepts and discards. *)
-let create_mapped ~words : t =
+let zero_mapped kind n =
   let fd = Unix.openfile "/dev/zero" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      array1_of_genarray (Unix.map_file fd Int64 C_layout false [| words |]))
+    (fun () -> array1_of_genarray (Unix.map_file fd kind C_layout false [| n |]))
+
+let create_mapped ~words : t = zero_mapped Int64 words
 
 let words (t : t) = Array1.dim t
 

@@ -22,6 +22,12 @@ val create : words:int -> t
     the wrong choice for many small buffers. *)
 val create_mapped : words:int -> t
 
+(** [zero_mapped kind n] is the mapping behind {!create_mapped} for any
+    element kind: [n] zero elements in a private mapping of [/dev/zero],
+    each host page committed on its first write. *)
+val zero_mapped :
+  ('a, 'b) Bigarray.kind -> int -> ('a, 'b, Bigarray.c_layout) Bigarray.Array1.t
+
 val words : t -> int
 
 val get : t -> int -> int64

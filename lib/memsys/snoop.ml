@@ -152,9 +152,9 @@ let snoop_for_write t ~cpu block =
   !supply
 
 let handle_eviction t fiber ~cpu victim =
-  match victim with
-  | None -> ()
-  | Some (vblock, vstate) ->
+  match Cache.victim_state victim with
+  | Cache.Invalid -> ()
+  | vstate ->
       if vstate = Cache.Modified then begin
         (* Write the dirty line back over the bus. *)
         bus_occupy t fiber ~cycles:t.cfg.bus_block_cycles;
@@ -162,7 +162,7 @@ let handle_eviction t fiber ~cpu victim =
         Counters.bump t.c_bytes (block_bytes t)
       end;
       (* Inclusion: drop this CPU's primary copies of the victim. *)
-      primary_invalidate_block t cpu vblock
+      primary_invalidate_block t cpu (Cache.victim_block victim)
 
 (* Fill [block] into [cpu]'s coherent cache after a bus read.  The caller
    syncs once at the start; everything after runs without yielding so the

@@ -102,10 +102,50 @@ let test_primary_refill_no_allocation () =
     Alcotest.failf "sgi: %.3f minor words per refilling read (want < 0.01)"
       !result
 
+(* A coherent miss on the SGI bus refills the line through [bus_read]
+   and retires what the refill displaced.  Words 0 and 131072 share
+   line 0 of both SGI cache levels, so after the first round every read
+   of processor 0 is a bus refill that evicts the other block.  The
+   eviction allocates nothing; the 8 words a refill takes are the
+   closure [bus_read] hands [Engine.with_category]. *)
+let test_bus_refill_eviction_words () =
+  let result = ref nan in
+  let work (ctx : Parmacs.ctx) =
+    if ctx.id = 0 then begin
+      let readi = ctx.readi in
+      readi 0;
+      readi 131_072;
+      let before = Gc.minor_words () in
+      for _ = 1 to accesses do
+        readi 0;
+        readi 131_072
+      done;
+      let after = Gc.minor_words () in
+      result := (after -. before) /. float_of_int (2 * accesses)
+    end
+  in
+  let app =
+    {
+      Parmacs.name = "evict-alloc";
+      shared_words = 262_144;
+      eager_lock_hints = [];
+      init = ignore;
+      work;
+      checksum_addr = 0;
+      stats = Parmacs.no_stats;
+    }
+  in
+  ignore ((Machines.get "sgi").Platform.run app ~nprocs:1);
+  if not (!result < 9.0) then
+    Alcotest.failf "sgi: %.3f minor words per evicting bus refill (want < 9)"
+      !result
+
 let suite =
   [
     Alcotest.test_case "scalar accesses allocate nothing" `Quick
       test_no_allocation;
     Alcotest.test_case "primary refills allocate nothing" `Quick
       test_primary_refill_no_allocation;
+    Alcotest.test_case "evicting bus refills stay within their word budget"
+      `Quick test_bus_refill_eviction_words;
   ]

@@ -280,18 +280,157 @@ let test_cache_mapping () =
   (* Word 8 + 64 maps to the same line: conflict eviction. *)
   let victim = Cache.insert c (8 + 64) Cache.Modified in
   Alcotest.(check bool) "evicted the old block" true
-    (victim = Some (8, Cache.Shared));
+    (Cache.victim_block victim = 8 && Cache.victim_state victim = Cache.Shared);
   Alcotest.(check bool) "old block gone" true (Cache.probe c 8 = Cache.Invalid)
 
 let test_cache_peek_victim () =
   let c = Cache.create ~size_words:64 ~block_words:4 in
   ignore (Cache.insert c 0 Cache.Modified);
+  let victim = Cache.peek_victim c 64 in
   Alcotest.(check bool) "peek sees conflicting block" true
-    (Cache.peek_victim c 64 = Some (0, Cache.Modified));
+    (Cache.victim_block victim = 0 && Cache.victim_state victim = Cache.Modified);
   Alcotest.(check bool) "peek same block is none" true
-    (Cache.peek_victim c 0 = None);
+    (Cache.peek_victim c 0 = Cache.no_victim);
   (* Peek must not modify anything. *)
   Alcotest.(check bool) "still resident" true (Cache.probe c 0 = Cache.Modified)
+
+(* The two-array directory [Cache] used to keep, as a reference: a tag
+   per line (-1 = empty) beside a state per line. *)
+module Ref_cache = struct
+  type t = { bw : int; tags : int array; states : Cache.state array }
+
+  let create ~lines ~bw =
+    {
+      bw;
+      tags = Array.make lines (-1);
+      states = Array.make lines Cache.Invalid;
+    }
+
+  let line t block = block / t.bw land (Array.length t.tags - 1)
+
+  let state_of t block =
+    let l = line t block in
+    if t.tags.(l) = block then t.states.(l) else Cache.Invalid
+
+  let set_state t block state =
+    let l = line t block in
+    if t.tags.(l) <> block then invalid_arg "Ref_cache.set_state";
+    t.states.(l) <- state
+
+  let peek_victim t block =
+    let l = line t block in
+    if t.tags.(l) >= 0 && t.tags.(l) <> block && t.states.(l) <> Cache.Invalid
+    then Some (t.tags.(l), t.states.(l))
+    else None
+
+  let fill t block state =
+    let l = line t block in
+    t.tags.(l) <- block;
+    t.states.(l) <- state
+
+  let insert t block state =
+    let victim = peek_victim t block in
+    fill t block state;
+    victim
+
+  let invalidate t block =
+    let l = line t block in
+    if t.tags.(l) = block then begin
+      let old = t.states.(l) in
+      t.states.(l) <- Cache.Invalid;
+      old
+    end
+    else Cache.Invalid
+
+  let valid t =
+    List.filter_map
+      (fun l ->
+        if t.tags.(l) >= 0 && t.states.(l) <> Cache.Invalid then
+          Some (t.tags.(l), t.states.(l))
+        else None)
+      (List.init (Array.length t.tags) Fun.id)
+end
+
+let victim_opt v =
+  match Cache.victim_state v with
+  | Cache.Invalid -> None
+  | st -> Some (Cache.victim_block v, st)
+
+(* Random operation sequences on 8-line caches of 1-, 4- and 16-word
+   blocks give the packed directory exactly the reference's answers.
+   Addresses cluster near 0 (block 0 included) and near 2^50, so tags
+   collide on every line and large tags round-trip. *)
+let prop_cache_matches_reference =
+  let states =
+    [| Cache.Invalid; Cache.Shared; Cache.Exclusive; Cache.Modified |]
+  in
+  let addr =
+    QCheck.Gen.(
+      oneof
+        [ return 0; int_bound 511; map (fun k -> (1 lsl 50) + k) (int_bound 511) ])
+  in
+  let op = QCheck.Gen.(triple (int_bound 6) addr (int_bound 3)) in
+  QCheck.Test.make ~count:300 ~name:"packed cache matches the two-array model"
+    QCheck.(
+      make
+        ~print:(fun (bw, ops) ->
+          Printf.sprintf "block_words %d: %s" bw
+            (String.concat "; "
+               (List.map (fun (o, a, s) -> Printf.sprintf "%d@%d/%d" o a s) ops)))
+        Gen.(pair (oneofl [ 1; 4; 16 ]) (list_size (1 -- 200) op)))
+    (fun (bw, ops) ->
+      let lines = 8 in
+      let c = Cache.create ~size_words:(lines * bw) ~block_words:bw in
+      let r = Ref_cache.create ~lines ~bw in
+      let raises f =
+        match f () with () -> false | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun (o, a, s) ->
+          let block = Cache.block_of c a and st = states.(s) in
+          match o with
+          | 0 ->
+              victim_opt (Cache.insert c block st) = Ref_cache.insert r block st
+          | 1 ->
+              Cache.fill c block st;
+              Ref_cache.fill r block st;
+              true
+          | 2 -> Cache.invalidate c block = Ref_cache.invalidate r block
+          | 3 ->
+              raises (fun () -> Cache.set_state c block st)
+              = raises (fun () -> Ref_cache.set_state r block st)
+          | 4 -> Cache.probe c a = Ref_cache.state_of r block
+          | 5 ->
+              victim_opt (Cache.peek_victim c block)
+              = Ref_cache.peek_victim r block
+          | _ ->
+              let seen = ref [] in
+              Cache.iter_valid c (fun b st -> seen := (b, st) :: !seen);
+              List.rev !seen = Ref_cache.valid r)
+        ops)
+
+(* A cache holds host memory only for lines it has written: 2048 caches
+   of 8192 words, each probed once, stay well below the 64 MB that a tag
+   and a state array per line would take. *)
+let test_cache_unwritten_lines_free () =
+  match vm_rss_kb () with
+  | None -> ()
+  | Some before ->
+      let caches =
+        Array.init 2048 (fun _ -> Cache.create ~size_words:8192 ~block_words:4)
+      in
+      let empty = ref true in
+      Array.iteri
+        (fun k c ->
+          if Cache.probe c (k * 4) <> Cache.Invalid then empty := false)
+        caches;
+      Alcotest.(check bool) "every probe misses" true !empty;
+      let after = Option.get (vm_rss_kb ()) in
+      ignore (Sys.opaque_identity caches);
+      Alcotest.(check bool)
+        (Printf.sprintf "VmRSS %d kB -> %d kB" before after)
+        true
+        (after - before < 16_384)
 
 let test_private_cache_write_through () =
   let eng = Engine.create () in
@@ -570,6 +709,10 @@ let suite =
     Alcotest.test_case "cache direct mapping and eviction" `Quick
       test_cache_mapping;
     Alcotest.test_case "cache peek_victim" `Quick test_cache_peek_victim;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xCAC4)
+      prop_cache_matches_reference;
+    Alcotest.test_case "caches hold no memory for unwritten lines" `Quick
+      test_cache_unwritten_lines_free;
     Alcotest.test_case "private cache write-through timing" `Quick
       test_private_cache_write_through;
     Alcotest.test_case "private cache range invalidation" `Quick
