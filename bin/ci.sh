@@ -340,8 +340,9 @@ rm -f "$topo_json" "$topo_ref_json"
 
 # Memory guard (DESIGN.md §15): a software-DSM node's host memory follows
 # the pages, locks and links it touches, not the machine's size.  Flat
-# LRC at 256 processors must peak under 200 MB (about 100 MB today; it
-# took 554 MB when every node held a full copy of the shared image).  The
+# LRC at 256 processors must peak under 67 MB (about 52 MB today; 72 MB
+# when each node kept its own record store and tuple write notices, and
+# 554 MB when every node held a full copy of the shared image).  The
 # built binary runs directly so dune's own footprint is not measured.
 dune build bin/shmsim.exe
 python3 - <<'EOF'
@@ -352,8 +353,8 @@ subprocess.run(
      "--scale", "quick", "--slots", "256", "--topology", "lrc*256"],
     check=True, stdout=subprocess.DEVNULL)
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-if peak_mb > 200:
-    sys.exit(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB > 200 MB")
+if peak_mb > 67:
+    sys.exit(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB > 67 MB")
 print(f"ci: sor on lrc*256 peaked at {peak_mb:.0f} MB")
 EOF
 
@@ -378,7 +379,7 @@ EOF
 # Shared-image guard (DESIGN.md §15): every DSM node maps one
 # copy-on-write initial image, so a node pays host memory for the pages
 # it touches, not for every page the app initialised.  Default-scale SOR
-# on flat LRC at 32 processors must peak under 400 MB (about 250 MB
+# on flat LRC at 32 processors must peak under 400 MB (about 180 MB
 # today; 747 MB when the non-zero image was copied into every node).
 python3 - <<'EOF'
 import resource, subprocess, sys

@@ -78,6 +78,7 @@ type 'a t = {
   eng : Engine.t;
   counters : Counters.t;
   cells : cells;
+  c_dropped : Counters.key;
   cfg : config;
   n : int;
   tx : Resource.t array;
@@ -112,6 +113,7 @@ let create eng counters cfg ~nodes =
         c_offered = Counters.cell counters "net.msgs.offered";
         c_delivered = Counters.cell counters "net.msgs.delivered";
       };
+    c_dropped = Counters.key counters "net.faults.dropped";
     cfg;
     n = nodes;
     tx = Array.init nodes (fun i -> Resource.create ~name:(Printf.sprintf "tx%d" i) ());
@@ -188,7 +190,7 @@ let send t fiber ~src ~dst ~class_ ~size body =
   if dropped then begin
     (* The sender still paid the send overhead and occupies its transmit
        link — the packet left the host before the network lost it. *)
-    Counters.incr t.counters "net.faults.dropped";
+    Counters.bump t.c_dropped 1;
     Engine.instant fiber (if blackout then "net.blackout" else "net.drop");
     if blackout then Counters.incr t.counters "net.faults.blackout";
     let tx_done = Resource.reserve t.tx.(src) ~ready:launch ~cycles in

@@ -58,6 +58,9 @@ type 'a t = {
   counters : Counters.t;
   c_data : Counters.key;
   c_acks : Counters.key;
+  c_dups : Counters.key;
+  c_ooo : Counters.key;
+  c_retrans : Counters.key;
   fabric : 'a packet Fabric.t;
   armed : bool;
   links : 'a link array array;
@@ -89,6 +92,9 @@ let create eng counters fabric =
     counters;
     c_data = Counters.key counters "net.reliable.data";
     c_acks = Counters.key counters "net.reliable.acks";
+    c_dups = Counters.key counters "net.reliable.dups";
+    c_ooo = Counters.key counters "net.reliable.ooo";
+    c_retrans = Counters.key counters "net.retrans.total";
     fabric;
     armed;
     links =
@@ -226,7 +232,7 @@ let rec recv t fiber ~node =
           if seq < l.next_expected || Hashtbl.mem l.ooo seq then begin
             (* Duplicate (retransmission of something we already have):
                the peer evidently missed our ack, so re-ack immediately. *)
-            Counters.incr t.counters "net.reliable.dups";
+            Counters.bump t.c_dups 1;
             send_ack t fiber ~src:node ~dst:env.src;
             recv t fiber ~node
           end
@@ -240,7 +246,7 @@ let rec recv t fiber ~node =
           else begin
             (* Early: buffer until the gap fills so the protocol layers
                keep their per-link FIFO guarantee under jitter. *)
-            Counters.incr t.counters "net.reliable.ooo";
+            Counters.bump t.c_ooo 1;
             Hashtbl.replace l.ooo seq (env.class_, env.size, body);
             note_inbound t fiber ~node ~peer:env.src;
             recv t fiber ~node
@@ -297,7 +303,7 @@ let retx_daemon t node fiber =
                also exhausted the transient-loss budget, so report. *)
             note_peer_down t p
           end;
-          Counters.incr t.counters "net.retrans.total";
+          Counters.bump t.c_retrans 1;
           Engine.instant fiber "net.retransmit";
           Engine.with_category fiber Engine.Protocol (fun () ->
               send_data t fiber ~src:node t.links.(node).(peer) p);

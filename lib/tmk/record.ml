@@ -24,91 +24,134 @@ let compare_linear a b =
   else if a.creator <> b.creator then Int.compare a.creator b.creator
   else Int.compare a.seqno b.seqno
 
-module Store = struct
+(* A notice packs (creator, seqno) into one immediate: the creator in the
+   low [creator_bits], the seqno above. *)
+let creator_bits = 20
+
+let max_nodes = 1 lsl creator_bits
+
+let notice ~creator ~seqno = (seqno lsl creator_bits) lor creator
+
+let notice_creator k = k land (max_nodes - 1)
+
+let notice_seqno k = k lsr creator_bits
+
+let unapplied applied notices =
+  List.filter
+    (fun k -> notice_seqno k > applied.(notice_creator k))
+    notices
+
+(* Per creator, records dense by interval index: [t.(c).(s - 1)] is
+   record [s] of creator [c], or [absent]. *)
+module Table = struct
   type record = t
 
-  (* Records of one creator, dense by interval index: [by_seq.(s - 1)]
-     is record [s], or [absent].  [noticed] holds one byte per index,
-     set by the first [first_notice] call for it. *)
-  type per_creator = {
-    mutable by_seq : record array;
-    mutable noticed : Bytes.t;
-    mutable contig : int;
-  }
-
-  type t = per_creator array
+  type t = record array array
 
   let absent = { creator = -1; seqno = 0; vc = [||]; pages = []; vsum = 0 }
 
-  (* Creators start with empty arrays: a node pays only for the creators
-     it hears from. *)
   let create ~nodes =
-    Array.init nodes (fun _ ->
-        { by_seq = [||]; noticed = Bytes.empty; contig = 0 })
+    if nodes > max_nodes then
+      invalid_arg (Printf.sprintf "Record.Table: %d nodes > %d" nodes max_nodes);
+    Array.make nodes [||]
 
-  let mem_pc pc seqno =
-    seqno >= 1
-    && seqno <= Array.length pc.by_seq
-    && Array.unsafe_get pc.by_seq (seqno - 1) != absent
+  (* [get t c s] for an index the caller knows is filled. *)
+  let get t c s = Array.unsafe_get t.(c) (s - 1)
 
-  let find_pc pc seqno =
-    if mem_pc pc seqno then Some pc.by_seq.(seqno - 1) else None
+  (* Store [r] unless its slot is filled: every node holds the same value
+     for one (creator, seqno).  Growth at least doubles, so a run of
+     appends costs amortized O(1). *)
+  let put t (r : record) =
+    let a = t.(r.creator) in
+    let cap = Array.length a in
+    if r.seqno > cap then begin
+      let b = Array.make (max r.seqno (max 8 (2 * cap))) absent in
+      Array.blit a 0 b 0 cap;
+      b.(r.seqno - 1) <- r;
+      t.(r.creator) <- b
+    end
+    else if a.(r.seqno - 1) == absent then a.(r.seqno - 1) <- r
+end
 
-  (* Capacity that covers index [seqno] and at least doubles [cap], so a
-     run of appends costs amortized O(1). *)
-  let grown cap seqno = max seqno (max 8 (2 * cap))
+module Store = struct
+  type record = t
 
-  let reserve pc seqno =
-    let cap = Array.length pc.by_seq in
-    if seqno > cap then begin
-      let a = Array.make (grown cap seqno) absent in
-      Array.blit pc.by_seq 0 a 0 cap;
-      pc.by_seq <- a
+  (* What one node knows of the shared table: for each creator, the
+     prefix [1..contig.(c)], plus the notices of records parked above
+     it (eager release can deliver a creator's intervals out of order);
+     and which records have had their first notice, as a prefix
+     [1..noticed.(c)] plus marks above it. *)
+  type t = {
+    table : Table.t;
+    contig : int array;
+    noticed : int array;
+    mutable above : int list;
+    mutable marks : int list;
+  }
+
+  let create table =
+    let n = Array.length table in
+    {
+      table;
+      contig = Array.make n 0;
+      noticed = Array.make n 0;
+      above = [];
+      marks = [];
+    }
+
+  (* A set of one creator's seqnos is the prefix [1..prefix.(c)] plus
+     the notices parked above it.  [insert] extends the prefix when [s]
+     is next, absorbing the parked seqnos that follow, or parks [s]; it
+     returns what stays parked. *)
+  let in_set prefix parked c s =
+    s >= 1
+    && (s <= prefix.(c)
+       || (parked <> [] && List.mem (notice ~creator:c ~seqno:s) parked))
+
+  let rec insert prefix parked c s =
+    if s <> prefix.(c) + 1 then notice ~creator:c ~seqno:s :: parked
+    else begin
+      prefix.(c) <- s;
+      let next = notice ~creator:c ~seqno:(s + 1) in
+      if List.mem next parked then
+        insert prefix (List.filter (fun k -> k <> next) parked) c (s + 1)
+      else parked
     end
 
+  let mem t ~creator ~seqno = in_set t.contig t.above creator seqno
+
   let add t (r : record) =
-    let pc = t.(r.creator) in
-    if mem_pc pc r.seqno then false
+    if mem t ~creator:r.creator ~seqno:r.seqno then false
     else begin
-      reserve pc r.seqno;
-      pc.by_seq.(r.seqno - 1) <- r;
-      while mem_pc pc (pc.contig + 1) do
-        pc.contig <- pc.contig + 1
-      done;
+      Table.put t.table r;
+      t.above <- insert t.contig t.above r.creator r.seqno;
       true
     end
 
-  let find t ~creator ~seqno = find_pc t.(creator) seqno
+  let find t ~creator ~seqno =
+    if mem t ~creator ~seqno then Some (Table.get t.table creator seqno)
+    else None
 
-  let known t (r : record) = mem_pc t.(r.creator) r.seqno
+  let known t (r : record) = mem t ~creator:r.creator ~seqno:r.seqno
 
   let first_notice t (r : record) =
-    let pc = t.(r.creator) in
-    let len = Bytes.length pc.noticed in
-    if r.seqno > len then begin
-      let b = Bytes.make (grown len r.seqno) '\000' in
-      Bytes.blit pc.noticed 0 b 0 len;
-      pc.noticed <- b
-    end;
-    if Bytes.get pc.noticed (r.seqno - 1) <> '\000' then false
+    if in_set t.noticed t.marks r.creator r.seqno then false
     else begin
-      Bytes.set pc.noticed (r.seqno - 1) '\001';
+      t.marks <- insert t.noticed t.marks r.creator r.seqno;
       true
     end
 
   let range t ~creator ~lo ~hi =
-    let pc = t.(creator) in
     let rec loop seq acc =
       if seq <= lo then acc
+      else if mem t ~creator ~seqno:seq then
+        loop (seq - 1) (Table.get t.table creator seq :: acc)
       else
-        match find_pc pc seq with
-        | Some r -> loop (seq - 1) (r :: acc)
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Record.Store.range: creator %d missing seq %d"
-                 creator seq)
+        invalid_arg
+          (Printf.sprintf "Record.Store.range: creator %d missing seq %d"
+             creator seq)
     in
     loop hi []
 
-  let contiguous t ~creator = t.(creator).contig
+  let contiguous t ~creator = t.contig.(creator)
 end

@@ -1,4 +1,5 @@
-(** Interval records and per-node record stores.
+(** Interval records, write notices, the system's record table and each
+    node's view of it.
 
     An {e interval} is the span of a node's execution between consecutive
     synchronization points that dirtied at least one page.  Its record —
@@ -33,8 +34,39 @@ val linear_key : t -> int * int * int
     every happened-before sort uses. *)
 val compare_linear : t -> t -> int
 
+(** {2 Write notices}
+
+    A notice names a record by (creator, seqno), packed into one
+    immediate [int] so a page's pending notices cost one list cell
+    each.  Creators must be below {!max_nodes}. *)
+
+val max_nodes : int
+
+val notice : creator:int -> seqno:int -> int
+
+val notice_creator : int -> int
+
+val notice_seqno : int -> int
+
+(** [unapplied applied notices] keeps, in order, the notices whose seqno
+    is past [applied.(creator)]. *)
+val unapplied : Vc.t -> int list -> int list
+
+module Table : sig
+  (** One system's interval records, indexed by (creator, seqno).  A
+      record is immutable and every node that learns of it holds the
+      same value, so the nodes share one table and keep per node only
+      which of its records they know ({!Store}). *)
+
+  type t
+
+  (** @raise Invalid_argument if [nodes > max_nodes]. *)
+  val create : nodes:int -> t
+end
+
 module Store : sig
-  (** A node's collection of known interval records, indexed by creator.
+  (** A node's view of the shared {!Table}: which records it knows and
+      which have had their first notice.
 
       Invariant: for every creator, known records form a prefix
       [1..contiguous] plus possibly isolated records beyond it (delivered
@@ -44,9 +76,11 @@ module Store : sig
 
   type t
 
-  val create : nodes:int -> t
+  (** [create table] knows no record yet. *)
+  val create : Table.t -> t
 
-  (** [add t r] registers [r]; returns [true] if it was new. *)
+  (** [add t r] registers [r]; returns [true] if it was new to [t].  The
+      table keeps the first value added for a (creator, seqno). *)
   val add : t -> record -> bool
 
   val find : t -> creator:int -> seqno:int -> record option

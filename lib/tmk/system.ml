@@ -8,18 +8,6 @@ module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Checkpoint = Shm_dsm.Checkpoint
 
-type page_state = {
-  mutable valid : bool;
-  mutable twin : Memory.t option;  (** present iff writable *)
-  mutable applied : Vc.t;
-      (** per-creator highest interval reflected in our copy; the system's
-          shared [zero_vc] until the page's first write to it *)
-  mutable pending : (int * int) list;  (** (creator, seqno) notices awaiting diffs *)
-  mutable own : (int * Diff.t) list;
-      (** (seqno, diff) of this node's own intervals that dirtied the
-          page, newest first *)
-}
-
 type lock_state = {
   mutable has_token : bool;
   mutable in_use : bool;
@@ -44,12 +32,23 @@ type node = {
   vc : Vc.t;
   mutable seq : int;  (** own interval counter, = vc.(id) *)
   store : Record.Store.t;
-  pages : page_state array;
+  (* Page state, one field array per attribute, indexed by page. *)
+  valid : Bytes.t;  (** ['\001'] if the copy is current, else ['\000'] *)
+  twins : Memory.t option array;  (** present iff writable *)
+  applied : Vc.t array;
+      (** per-creator highest interval reflected in our copy; the system's
+          shared [zero_vc] until the page's first write to it *)
+  pending : int list array;
+      (** {!Record.notice}s awaiting diffs, newest first *)
+  own : (int * Diff.t) list array;
+      (** (seqno, diff) of this node's own intervals that dirtied the
+          page, newest first *)
   rights : Bytes.t;
       (** software TLB: one byte per page, ['\000'] = guard must fault,
           ['\001'] = readable, ['\002'] = readable and writable (twin in
-          place, or single node).  Derived from [pages]; consulted by the
-          platforms' fast paths to skip the guard call entirely. *)
+          place, or single node).  Derived from [valid] and [twins];
+          consulted by the platforms' fast paths to skip the guard call
+          entirely. *)
   mutable dirty : int list;  (** pages dirtied in the open interval *)
   eager_diffs : (int * int * int, Diff.t) Hashtbl.t;
       (** (page, creator, seqno) -> eagerly shipped diff, not yet applied *)
@@ -67,15 +66,30 @@ type barrier_state = {
           store when the barrier manager is re-homed after a crash *)
 }
 
+(* Counters bumped on every protocol event, resolved once. *)
+type keys = {
+  k_invalidations : Counters.key;
+  k_diffs_created : Counters.key;
+  k_intervals : Counters.key;
+  k_diffs_applied : Counters.key;
+  k_faults : Counters.key;
+  k_twins : Counters.key;
+  k_lock_local : Counters.key;
+  k_lock_remote : Counters.key;
+  k_eager_applies : Counters.key;
+}
+
 type t = {
   eng : Engine.t;
   counters : Counters.t;
+  keys : keys;
   net : Proto.t Reliable.t;
   cfg : Config.t;
   nodes : node array;
   zero_vc : Vc.t;
       (** all-zero vector shared by every page whose [applied] (or [snap])
           vector has not been written yet; never itself written *)
+  records : Record.Table.t;  (** every node's records, held once *)
   barriers : barrier_state array;
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
@@ -99,14 +113,21 @@ let page_shift t = t.page_shift
 
 let access_rights t ~node = t.nodes.(node).rights
 
-(* Recompute the TLB byte for one page from its protocol state.  Must be
-   called after every transition of [valid] or [twin]. *)
-let update_rights t nd page =
-  let st = nd.pages.(page) in
-  Bytes.unsafe_set nd.rights page
-    (if not st.valid then '\000'
-     else if st.twin <> None || t.cfg.n_nodes = 1 then '\002'
-     else '\001')
+let is_valid nd page = Bytes.get nd.valid page <> '\000'
+
+(* The TLB byte a page's protocol state implies. *)
+let rights_of t nd page =
+  if not (is_valid nd page) then '\000'
+  else if nd.twins.(page) <> None || t.cfg.n_nodes = 1 then '\002'
+  else '\001'
+
+(* Recompute the TLB byte for one page.  Must be called after every
+   transition of its valid byte or its twin. *)
+let update_rights t nd page = Bytes.unsafe_set nd.rights page (rights_of t nd page)
+
+let set_valid t nd page v =
+  Bytes.set nd.valid page (if v then '\001' else '\000');
+  update_rights t nd page
 
 let overhead t = Node.overhead t.net
 
@@ -115,9 +136,9 @@ let overhead t = Node.overhead t.net
 let own_vc t v = if v == t.zero_vc then Vc.create ~nodes:t.cfg.n_nodes else v
 
 (* The page's [applied] vector, ready to be written. *)
-let applied_for_write t st =
-  let v = own_vc t st.applied in
-  st.applied <- v;
+let applied_for_write t nd page =
+  let v = own_vc t nd.applied.(page) in
+  nd.applied.(page) <- v;
   v
 
 (* Node [nd]'s state for [lock], built on first use with the state every
@@ -156,6 +177,7 @@ let create eng counters fabric cfg ~memories =
   let n = cfg.n_nodes in
   let n_pages = Config.n_pages cfg in
   let zero_vc = Vc.create ~nodes:n in
+  let records = Record.Table.create ~nodes:n in
   (* A lifecycle on the fabric arms failure-atomic checkpointing: one
      store per node, plus per-page applied-vector snapshots so a rejoin
      knows which foreign intervals to distrust. *)
@@ -176,16 +198,12 @@ let create eng counters fabric cfg ~memories =
       mem = memories.(id);
       vc = Vc.create ~nodes:n;
       seq = 0;
-      store = Record.Store.create ~nodes:n;
-      pages =
-        Array.init n_pages (fun _ ->
-            {
-              valid = true;
-              twin = None;
-              applied = zero_vc;
-              pending = [];
-              own = [];
-            });
+      store = Record.Store.create records;
+      valid = Bytes.make n_pages '\001';
+      twins = Array.make n_pages None;
+      applied = Array.make n_pages zero_vc;
+      pending = Array.make n_pages [];
+      own = Array.make n_pages [];
       rights =
         (* Pages start valid everywhere; a single node never twins. *)
         Bytes.make n_pages (if n = 1 then '\002' else '\001');
@@ -197,13 +215,27 @@ let create eng counters fabric cfg ~memories =
       recov = recov memories.(id);
     }
   in
+  let key = Counters.key counters in
   {
     eng;
     counters;
+    keys =
+      {
+        k_invalidations = key "tmk.invalidations";
+        k_diffs_created = key "tmk.diffs_created";
+        k_intervals = key "tmk.intervals";
+        k_diffs_applied = key "tmk.diffs_applied";
+        k_faults = key "tmk.faults";
+        k_twins = key "tmk.twins";
+        k_lock_local = key "tmk.lock_local";
+        k_lock_remote = key "tmk.lock_remote";
+        k_eager_applies = key "tmk.eager_applies";
+      };
     net = Reliable.create eng counters fabric;
     cfg;
     nodes = Array.init n mk_node;
     zero_vc;
+    records;
     barriers =
       Array.init cfg.n_barriers (fun _ ->
           { arrivals = []; arrived = 0; stash = [] });
@@ -250,13 +282,13 @@ let register_records t fiber nd records =
       if r.creator <> nd.id && Record.Store.first_notice nd.store r then
         List.iter
           (fun p ->
-            let st = nd.pages.(p) in
-            if r.seqno > st.applied.(r.creator) then begin
-              st.pending <- (r.creator, r.seqno) :: st.pending;
-              if st.valid then begin
-                st.valid <- false;
-                update_rights t nd p;
-                Counters.incr t.counters "tmk.invalidations";
+            if r.seqno > nd.applied.(p).(r.creator) then begin
+              nd.pending.(p) <-
+                Record.notice ~creator:r.creator ~seqno:r.seqno
+                :: nd.pending.(p);
+              if is_valid nd p then begin
+                set_valid t nd p false;
+                Counters.bump t.keys.k_invalidations 1;
                 Engine.instant fiber "tmk.invalidate"
               end
             end)
@@ -298,9 +330,8 @@ let close_interval t fiber nd =
       let pages = List.sort compare dirty in
       List.iter
         (fun p ->
-          let st = nd.pages.(p) in
           let twin =
-            match st.twin with
+            match nd.twins.(p) with
             | Some tw -> tw
             | None -> failwith "close_interval: dirty page without twin"
           in
@@ -310,17 +341,17 @@ let close_interval t fiber nd =
           in
           Engine.with_category fiber Engine.Diff (fun () ->
               Engine.advance fiber (ov.diff_per_word * t.cfg.page_words));
-          st.own <- (nd.seq, diff) :: st.own;
-          Counters.incr t.counters "tmk.diffs_created";
-          st.twin <- None;
+          nd.own.(p) <- (nd.seq, diff) :: nd.own.(p);
+          Counters.bump t.keys.k_diffs_created 1;
+          nd.twins.(p) <- None;
           update_rights t nd p;
-          (applied_for_write t st).(nd.id) <- nd.seq)
+          (applied_for_write t nd p).(nd.id) <- nd.seq)
         pages;
       let record =
         Record.make ~creator:nd.id ~seqno:nd.seq ~vc:(Vc.copy nd.vc) ~pages
       in
       ignore (Record.Store.add nd.store record);
-      Counters.incr t.counters "tmk.intervals";
+      Counters.bump t.keys.k_intervals 1;
       Some record
 
 (* ------------------------------------------------------------------ *)
@@ -328,7 +359,7 @@ let close_interval t fiber nd =
 
 let eager_broadcast t fiber nd (record : Record.t) =
   let diffs =
-    List.map (fun p -> List.assoc record.seqno nd.pages.(p).own) record.pages
+    List.map (fun p -> List.assoc record.seqno nd.own.(p)) record.pages
   in
   let body = Proto.Eager_update { record; diffs } in
   for dst = 0 to t.cfg.n_nodes - 1 do
@@ -365,7 +396,7 @@ let apply_eager_update t fiber nd (record : Record.t) diffs =
   ignore (Record.Store.add nd.store record);
   List.iter
     (fun (d : Diff.t) ->
-      if record.seqno > nd.pages.(d.Diff.page).applied.(record.creator) then
+      if record.seqno > nd.applied.(d.Diff.page).(record.creator) then
         Hashtbl.replace nd.eager_diffs
           (d.Diff.page, record.creator, record.seqno)
           d)
@@ -384,68 +415,69 @@ let apply_diffs t fiber nd ~page items =
   let items =
     List.sort (fun (a, _) (b, _) -> Record.compare_linear a b) items
   in
-  let st = nd.pages.(page) in
   let base = page * t.cfg.page_words in
   List.iter
     (fun ((r : Record.t), (d : Diff.t)) ->
       Diff.apply d nd.mem ~base;
-      Option.iter (Diff.apply_to_twin d) st.twin;
+      Option.iter (Diff.apply_to_twin d) nd.twins.(page);
       Engine.with_category fiber Engine.Diff (fun () ->
           Engine.advance fiber (t.cfg.apply_per_word * Diff.words d));
       Engine.instant fiber "tmk.diff-apply";
-      if r.seqno > st.applied.(r.creator) then
-        (applied_for_write t st).(r.creator) <- r.seqno;
-      Counters.incr t.counters "tmk.diffs_applied")
+      if r.seqno > nd.applied.(page).(r.creator) then
+        (applied_for_write t nd page).(r.creator) <- r.seqno;
+      Counters.bump t.keys.k_diffs_applied 1)
     items;
   if items <> [] then mark_changed nd page
 
 let fault t fiber nd page =
   Node.sync nd.rt fiber;
-  let st = nd.pages.(page) in
-  while (not st.valid) && Node.wait_fetch nd.rt fiber page do
+  while (not (is_valid nd page)) && Node.wait_fetch nd.rt fiber page do
     ()
   done;
-  if not st.valid then
+  if not (is_valid nd page) then
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   begin
     let wq = Node.begin_fetch nd.rt page in
-    Counters.incr t.counters "tmk.faults";
+    Counters.bump t.keys.k_faults 1;
     Engine.instant fiber "tmk.fault";
     Engine.advance fiber (overhead t).handler;
     (* Needed notices, grouped by creator. *)
-    let needed =
-      List.filter (fun (c, s) -> s > st.applied.(c)) st.pending
-    in
+    let needed = Record.unapplied nd.applied.(page) nd.pending.(page) in
     let seqs_by_creator = Hashtbl.create 4 in
     List.iter
-      (fun (c, s) ->
+      (fun k ->
+        let c = Record.notice_creator k in
         let l =
           Option.value ~default:[] (Hashtbl.find_opt seqs_by_creator c)
         in
-        Hashtbl.replace seqs_by_creator c (s :: l))
+        Hashtbl.replace seqs_by_creator c (Record.notice_seqno k :: l))
       needed;
     (* Intervals whose diffs were eagerly shipped are served from the
        local stash.  A creator goes remote only if any of its needed
        intervals is missing there — the range request then covers all of
-       them, so stashed and fetched diffs never double-apply. *)
+       them, so stashed and fetched diffs never double-apply.  Lazy
+       release never stashes, so its creators all go remote. *)
     let stashed_items = ref [] in
     let by_creator = Hashtbl.create 4 in
+    let eager = Hashtbl.length nd.eager_diffs > 0 in
     Hashtbl.iter
       (fun c seqs ->
         let stashed =
-          List.filter_map
-            (fun s ->
-              match
-                ( Hashtbl.find_opt nd.eager_diffs (page, c, s),
-                  Record.Store.find nd.store ~creator:c ~seqno:s )
-              with
-              | Some d, Some r -> Some (r, d)
-              | _ -> None)
-            seqs
+          if not eager then []
+          else
+            List.filter_map
+              (fun s ->
+                match
+                  ( Hashtbl.find_opt nd.eager_diffs (page, c, s),
+                    Record.Store.find nd.store ~creator:c ~seqno:s )
+                with
+                | Some d, Some r -> Some (r, d)
+                | _ -> None)
+              seqs
         in
         if List.length stashed = List.length seqs then begin
           stashed_items := stashed @ !stashed_items;
-          Counters.add t.counters "tmk.eager_applies" (List.length stashed)
+          Counters.bump t.keys.k_eager_applies (List.length stashed)
         end
         else Hashtbl.replace by_creator c (List.fold_left max 0 seqs))
       seqs_by_creator;
@@ -456,7 +488,13 @@ let fault t fiber nd page =
       (fun creator hi ->
         send t fiber ~src:nd.id ~dst:creator
           (Proto.Diff_req
-             { page; requester = nd.id; req; lo = st.applied.(creator); hi }))
+             {
+               page;
+               requester = nd.id;
+               req;
+               lo = nd.applied.(page).(creator);
+               hi;
+             }))
       by_creator;
     let items = ref !stashed_items in
     for _ = 1 to expected do
@@ -471,13 +509,16 @@ let fault t fiber nd page =
                   let pend =
                     String.concat ";"
                       (List.map
-                         (fun (c, s) -> Printf.sprintf "(%d,%d)" c s)
-                         st.pending)
+                         (fun k ->
+                           Printf.sprintf "(%d,%d)" (Record.notice_creator k)
+                             (Record.notice_seqno k))
+                         nd.pending.(page))
                   in
                   let reqs =
                     Hashtbl.fold
                       (fun c hi acc ->
-                        Printf.sprintf "%d:(%d,%d] %s" c st.applied.(c) hi acc)
+                        Printf.sprintf "%d:(%d,%d] %s" c nd.applied.(page).(c) hi
+                          acc)
                       by_creator ""
                   in
                   failwith
@@ -487,22 +528,26 @@ let fault t fiber nd page =
                         reqs=%s"
                        nd.id page creator seqno
                        (Format.asprintf "%a" Vc.pp nd.vc)
-                       (Format.asprintf "%a" Vc.pp st.applied)
+                       (Format.asprintf "%a" Vc.pp nd.applied.(page))
                        (Record.Store.contiguous nd.store ~creator)
                        pend reqs))
             diffs
       | _ -> failwith "fault: unexpected response"
     done;
     apply_diffs t fiber nd ~page !items;
-    List.iter (fun (c, s) -> Hashtbl.remove nd.eager_diffs (page, c, s)) needed;
+    if Hashtbl.length nd.eager_diffs > 0 then
+      List.iter
+        (fun k ->
+          Hashtbl.remove nd.eager_diffs
+            (page, Record.notice_creator k, Record.notice_seqno k))
+        needed;
     (* Notices may have arrived while we were fetching; if any remain
        unapplied the page must stay invalid and fault again. *)
-    st.pending <- List.filter (fun (c, s) -> s > st.applied.(c)) st.pending;
-    if st.pending = [] then begin
-      st.valid <- true;
+    nd.pending.(page) <- Record.unapplied nd.applied.(page) nd.pending.(page);
+    if nd.pending.(page) = [] then begin
       (* Contents are final, then the TLB byte, then the hook: a hook that
          rebuilds derived state (platform caches) must observe both. *)
-      update_rights t nd page;
+      set_valid t nd page true;
       t.page_hook ~node:nd.id ~page
     end;
     Node.finish nd.rt req;
@@ -515,13 +560,12 @@ let fault t fiber nd page =
 let read_guard t fiber ~node addr =
   let nd = t.nodes.(node) in
   let page = page_of t addr in
-  let st = nd.pages.(page) in
-  while not st.valid do
+  while not (is_valid nd page) do
     fault t fiber nd page
   done
 
-let ensure_twin t fiber nd page (st : page_state) =
-  match st.twin with
+let ensure_twin t fiber nd page =
+  match nd.twins.(page) with
   | Some _ -> ()
   | None when t.cfg.n_nodes = 1 ->
       (* A single process never write-protects pages: no twins, no diffs. *)
@@ -531,7 +575,7 @@ let ensure_twin t fiber nd page (st : page_state) =
       Engine.sync fiber;
       (* Re-check after the yield: a co-located processor may have made
          the twin (or even written through it) meanwhile. *)
-      if st.twin = None then begin
+      if nd.twins.(page) = None then begin
         let base = page * t.cfg.page_words in
         let twin = Memory.create ~words:t.cfg.page_words in
         Memory.blit ~src:nd.mem ~src_pos:base ~dst:twin ~dst_pos:0
@@ -540,34 +584,32 @@ let ensure_twin t fiber nd page (st : page_state) =
             Engine.advance fiber
               ((overhead t).handler
               + (t.cfg.twin_copy_per_word * t.cfg.page_words)));
-        st.twin <- Some twin;
+        nd.twins.(page) <- Some twin;
         update_rights t nd page;
         nd.dirty <- page :: nd.dirty;
         mark_changed nd page;
-        Counters.incr t.counters "tmk.twins"
+        Counters.bump t.keys.k_twins 1
       end
 
 let write_guard t fiber ~node addr =
   let nd = t.nodes.(node) in
   let page = page_of t addr in
-  let st = nd.pages.(page) in
-  while not st.valid do
+  while not (is_valid nd page) do
     fault t fiber nd page
   done;
-  ensure_twin t fiber nd page st
+  ensure_twin t fiber nd page
 
 (* Range guards: one page guard per overlapped page, each followed by its
    run's data movement (see {!Shm_dsm.Node.walk_pages}). *)
 
 let read_page t nd fiber page =
-  let st = nd.pages.(page) in
-  while not st.valid do
+  while not (is_valid nd page) do
     fault t fiber nd page
   done
 
 let write_page t nd fiber page =
   read_page t nd fiber page;
-  ensure_twin t fiber nd page nd.pages.(page)
+  ensure_twin t fiber nd page
 
 let read_range_guard t fiber ~node addr words ~f =
   Node.walk_pages ~page_words:t.cfg.page_words ~page_shift:t.page_shift
@@ -634,7 +676,7 @@ let acquire t fiber ~node ~lock =
     ls.in_use <- true;
     Engine.with_category fiber Engine.Protocol (fun () ->
         Engine.advance fiber t.cfg.local_lock_cycles);
-    Counters.incr t.counters "tmk.lock_local"
+    Counters.bump t.keys.k_lock_local 1
   end
   else
     Engine.with_category fiber Engine.Protocol @@ fun () ->
@@ -662,7 +704,7 @@ let acquire t fiber ~node ~lock =
         ls.in_use <- true
     | _ -> failwith "acquire: unexpected response");
     Node.finish nd.rt req;
-    Counters.incr t.counters "tmk.lock_remote"
+    Counters.bump t.keys.k_lock_remote 1
   end
 
 (* Eager-invalidate RC: broadcast the closing interval's write notice to
@@ -733,9 +775,20 @@ let send_departs t fiber mgr ~id =
      the contiguity invariant for lock grants it makes meanwhile. *)
   let merged = Vc.create ~nodes:t.cfg.n_nodes in
   List.iter (fun (_, _, arr_vc) -> Vc.max_into ~into:merged arr_vc) arrivals;
+  (* Sort the episode's records once, from the component-wise minimum of
+     the arrival times up; each departure keeps, in that order, the ones
+     its arriver lacks. *)
+  let least = Vc.copy merged in
+  List.iter
+    (fun (_, _, arr_vc) ->
+      Array.iteri (fun c v -> if v < least.(c) then least.(c) <- v) arr_vc)
+    arrivals;
+  let union = records_range mgr ~lo_vc:least ~hi_vc:merged in
   List.iter
     (fun (node, req, arr_vc) ->
-      let records = records_range mgr ~lo_vc:arr_vc ~hi_vc:merged in
+      let records =
+        List.filter (fun (r : Record.t) -> r.seqno > arr_vc.(r.creator)) union
+      in
       let body = Proto.Barrier_depart { barrier = id; req; vc = merged; records } in
       if node = mgr.id then
         (* Local departure: no message. *)
@@ -804,13 +857,13 @@ let checkpoint t nd =
       let persist p =
         let snap = own_vc t rv.snap.(p) in
         rv.snap.(p) <- snap;
-        Array.blit nd.pages.(p).applied 0 snap 0 t.cfg.n_nodes;
+        Array.blit nd.applied.(p) 0 snap 0 t.cfg.n_nodes;
         Ckpt.page_delta ~src:nd.mem ~src_base:(p * pw) ~image
           ~image_base:(p * pw) ~words:pw
       in
       (* An open twin means the application can keep writing the page
          without another protocol event: keep it marked. *)
-      let keep p = nd.pages.(p).twin <> None in
+      let keep p = nd.twins.(p) <> None in
       let bytes = Checkpoint.sweep rv.store t.counters ~persist ~keep in
       rv.ckpt_seq <- nd.seq;
       (* Charge for the data the sweep persists, not for the pages it
@@ -849,36 +902,35 @@ let rejoin t nd =
             replay_words := !replay_words + Diff.words d
         | _ -> ()
       in
-      Array.iteri
-        (fun p st ->
-          replay p st.own;
-          if st.valid && st.twin = None && not (Node.fetching nd.rt p)
-          then begin
-            let snap = rv.snap.(p) in
-            let stale = ref [] in
-            for c = 0 to t.cfg.n_nodes - 1 do
-              if c <> nd.id && st.applied.(c) > snap.(c) then begin
-                List.iter
-                  (fun (r : Record.t) ->
-                    if List.mem p r.pages then stale := (c, r.seqno) :: !stale)
-                  (Record.Store.range nd.store ~creator:c ~lo:snap.(c)
-                     ~hi:st.applied.(c));
-                (applied_for_write t st).(c) <- snap.(c)
-              end
-            done;
-            if !stale <> [] then begin
+      for p = 0 to Config.n_pages t.cfg - 1 do
+        replay p nd.own.(p);
+        if is_valid nd p && nd.twins.(p) = None && not (Node.fetching nd.rt p)
+        then begin
+          let snap = rv.snap.(p) in
+          let stale = ref [] in
+          for c = 0 to t.cfg.n_nodes - 1 do
+            if c <> nd.id && nd.applied.(p).(c) > snap.(c) then begin
               List.iter
-                (fun e ->
-                  if not (List.mem e st.pending) then
-                    st.pending <- e :: st.pending)
-                !stale;
-              st.valid <- false;
-              update_rights t nd p;
-              t.page_hook ~node:nd.id ~page:p;
-              Counters.incr t.counters "recovery.invalidated"
+                (fun (r : Record.t) ->
+                  if List.mem p r.pages then
+                    stale := Record.notice ~creator:c ~seqno:r.seqno :: !stale)
+                (Record.Store.range nd.store ~creator:c ~lo:snap.(c)
+                   ~hi:nd.applied.(p).(c));
+              (applied_for_write t nd p).(c) <- snap.(c)
             end
-          end)
-        nd.pages;
+          done;
+          if !stale <> [] then begin
+            List.iter
+              (fun e ->
+                if not (List.mem e nd.pending.(p)) then
+                  nd.pending.(p) <- e :: nd.pending.(p))
+              !stale;
+            set_valid t nd p false;
+            t.page_hook ~node:nd.id ~page:p;
+            Counters.incr t.counters "recovery.invalidated"
+          end
+        end
+      done;
       let cycles =
         (overhead t).handler + Config.n_pages t.cfg
         + (t.cfg.apply_per_word * !replay_words)
@@ -930,7 +982,7 @@ let serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size =
         collect (if seqno <= hi then (seqno, d) :: acc else acc) rest
     | _ -> acc
   in
-  let diffs = collect [] nd.pages.(page).own in
+  let diffs = collect [] nd.own.(page) in
   let body = Proto.Diff_resp { page; req; creator = nd.id; diffs } in
   send t fiber ~src:nd.id ~dst:requester body;
   Node.charge nd.rt
@@ -997,9 +1049,20 @@ let retx_note t = Reliable.pending_note t.net
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let page_valid t ~node ~page = t.nodes.(node).pages.(page).valid
+let page_valid t ~node ~page = is_valid t.nodes.(node) page
 
 let vc t ~node = Vc.copy t.nodes.(node).vc
+
+let node_words t ~node =
+  let nd = t.nodes.(node) in
+  let words o = Obj.reachable_words (Obj.repr o) in
+  let shared = (t.records, t.zero_vc) in
+  let state =
+    (nd.vc, nd.store, nd.valid, nd.twins, nd.applied, nd.pending, nd.own,
+     nd.rights)
+  in
+  (* Less the two tuples built here. *)
+  words (shared, state) - words shared - 3 - (1 + Obj.size (Obj.repr state))
 
 let check_invariants t =
   Array.iter
@@ -1017,60 +1080,53 @@ let check_invariants t =
               (Printf.sprintf "node %d: vc.(%d)=%d beyond creator seq %d"
                  nd.id c v t.nodes.(c).seq))
         nd.vc;
-      Array.iteri
-        (fun p st ->
-          (* A valid page has no applicable pending notices. *)
-          if st.valid then
-            List.iter
-              (fun (c, s) ->
-                if s > st.applied.(c) then
-                  failwith
-                    (Printf.sprintf
-                       "node %d: page %d valid with pending (%d,%d)" nd.id p c
-                       s))
-              st.pending;
-          (* [register_records] queues a notice only on the record's first
-             registration, which is sound only if no page ever holds a
-             notice twice or one for a record the node does not know. *)
-          let rec check_pending = function
-            | [] -> ()
-            | (c, s) :: (e :: _) when e = (c, s) ->
+      for p = 0 to Config.n_pages t.cfg - 1 do
+        let valid = is_valid nd p and twin = nd.twins.(p) <> None in
+        (* A valid page has no applicable pending notices. *)
+        if valid then
+          List.iter
+            (fun k ->
+              failwith
+                (Printf.sprintf
+                   "node %d: page %d valid with pending (%d,%d)" nd.id p
+                   (Record.notice_creator k) (Record.notice_seqno k)))
+            (Record.unapplied nd.applied.(p) nd.pending.(p));
+        (* [register_records] queues a notice only on the record's first
+           registration, which is sound only if no page ever holds a
+           notice twice or one for a record the node does not know. *)
+        let rec check_pending = function
+          | [] -> ()
+          | k :: rest ->
+              let c = Record.notice_creator k and s = Record.notice_seqno k in
+              if (match rest with k' :: _ -> k' = k | [] -> false) then
                 failwith
                   (Printf.sprintf "node %d: page %d pending (%d,%d) twice"
-                     nd.id p c s)
-            | (c, s) :: rest ->
-                if Record.Store.find nd.store ~creator:c ~seqno:s = None then
-                  failwith
-                    (Printf.sprintf
-                       "node %d: page %d pending (%d,%d) not in the store"
-                       nd.id p c s);
-                check_pending rest
-          in
-          check_pending (List.sort compare st.pending);
-          (* The TLB byte is a pure function of the page state. *)
-          let expect =
-            if not st.valid then '\000'
-            else if st.twin <> None || t.cfg.n_nodes = 1 then '\002'
-            else '\001'
-          in
-          if Bytes.get nd.rights p <> expect then
-            failwith
-              (Printf.sprintf
-                 "node %d: page %d rights byte %d, expected %d (valid=%b \
-                  twin=%b)"
-                 nd.id p
-                 (Char.code (Bytes.get nd.rights p))
-                 (Char.code expect) st.valid (st.twin <> None));
-          (* Twins exist exactly for pages dirty in the open interval. *)
-          let dirty = List.mem p nd.dirty in
-          match st.twin with
-          | Some _ when not dirty ->
-              failwith
-                (Printf.sprintf "node %d: page %d has twin but not dirty"
-                   nd.id p)
-          | None when dirty ->
-              failwith
-                (Printf.sprintf "node %d: page %d dirty without twin" nd.id p)
-          | Some _ | None -> ())
-        nd.pages)
+                     nd.id p c s);
+              if Record.Store.find nd.store ~creator:c ~seqno:s = None then
+                failwith
+                  (Printf.sprintf
+                     "node %d: page %d pending (%d,%d) not in the store"
+                     nd.id p c s);
+              check_pending rest
+        in
+        check_pending (List.sort Int.compare nd.pending.(p));
+        (* The TLB byte is a pure function of the page state. *)
+        let expect = rights_of t nd p in
+        if Bytes.get nd.rights p <> expect then
+          failwith
+            (Printf.sprintf
+               "node %d: page %d rights byte %d, expected %d (valid=%b \
+                twin=%b)"
+               nd.id p
+               (Char.code (Bytes.get nd.rights p))
+               (Char.code expect) valid twin);
+        (* Twins exist exactly for pages dirty in the open interval. *)
+        let dirty = List.mem p nd.dirty in
+        if twin && not dirty then
+          failwith
+            (Printf.sprintf "node %d: page %d has twin but not dirty" nd.id p);
+        if dirty && not twin then
+          failwith
+            (Printf.sprintf "node %d: page %d dirty without twin" nd.id p)
+      done)
     t.nodes

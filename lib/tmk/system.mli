@@ -115,6 +115,12 @@ val page_valid : t -> node:int -> page:int -> bool
 (** [vc t ~node] is a copy of the node's vector time. *)
 val vc : t -> node:int -> Vc.t
 
+(** [node_words t ~node] is the host words the node's page state, vector
+    time and record-store view occupy.  It leaves out what the nodes
+    share: the interval records and the all-zero vector untouched pages
+    start from. *)
+val node_words : t -> node:int -> int
+
 (** [check_invariants t] asserts protocol sanity: vector clocks never
     exceed creators' interval counts, valid pages have no applicable
     pending notices, twins exist exactly for writable pages. *)

@@ -20,7 +20,8 @@ type cluster = {
   counters : Counters.t;
 }
 
-let make_cluster ?(eager_locks = []) ~nodes ~shared_words () =
+let make_cluster ?(eager_locks = []) ?(page_words = 512) ~nodes ~shared_words
+    () =
   let eng = Engine.create () in
   let counters = Counters.create () in
   let fabric =
@@ -29,7 +30,9 @@ let make_cluster ?(eager_locks = []) ~nodes ~shared_words () =
       ~nodes
   in
   let memories = Array.init nodes (fun _ -> Memory.create ~words:shared_words) in
-  let cfg = { (Config.default ~n_nodes:nodes ~shared_words) with eager_locks } in
+  let cfg =
+    { (Config.default ~n_nodes:nodes ~shared_words) with eager_locks; page_words }
+  in
   let sys = System.create eng counters fabric cfg ~memories in
   System.start sys;
   { eng; sys; counters }
@@ -291,7 +294,7 @@ let prop_vc_join_lub =
       && Vc.sum j <= Vc.sum a + Vc.sum b)
 
 let test_record_store () =
-  let s = Record.Store.create ~nodes:2 in
+  let s = Record.Store.create (Record.Table.create ~nodes:2) in
   let mk seqno = Record.make ~creator:1 ~seqno ~vc:[| 0; seqno |] ~pages:[ 0 ] in
   Alcotest.(check bool) "add new" true (Record.Store.add s (mk 1));
   Alcotest.(check bool) "add dup" false (Record.Store.add s (mk 1));
@@ -344,7 +347,7 @@ let prop_store_matches_model =
     QCheck.(list_of_size (Gen.int_bound 80) op)
     (fun ops ->
       let nodes = 3 and top = 42 in
-      let store = Record.Store.create ~nodes in
+      let store = Record.Store.create (Record.Table.create ~nodes) in
       let model = Hashtbl.create 64 and noticed = Hashtbl.create 64 in
       let mk creator seqno =
         let vc = Array.make nodes 0 in
@@ -425,6 +428,263 @@ let prop_store_matches_model =
       done;
       !ok)
 
+(* Reference store: each node keeps its own record array and notice
+   byte string per creator. *)
+module Old_store = struct
+  type per_creator = {
+    mutable by_seq : Record.t option array;
+    mutable noticed : Bytes.t;
+    mutable contig : int;
+  }
+
+  let create ~nodes =
+    Array.init nodes (fun _ ->
+        { by_seq = [||]; noticed = Bytes.empty; contig = 0 })
+
+  let find t ~creator ~seqno =
+    let pc = t.(creator) in
+    if seqno >= 1 && seqno <= Array.length pc.by_seq then
+      pc.by_seq.(seqno - 1)
+    else None
+
+  let grown cap seqno = max seqno (max 8 (2 * cap))
+
+  let add t (r : Record.t) =
+    let pc = t.(r.creator) in
+    if find t ~creator:r.creator ~seqno:r.seqno <> None then false
+    else begin
+      let cap = Array.length pc.by_seq in
+      if r.seqno > cap then begin
+        let a = Array.make (grown cap r.seqno) None in
+        Array.blit pc.by_seq 0 a 0 cap;
+        pc.by_seq <- a
+      end;
+      pc.by_seq.(r.seqno - 1) <- Some r;
+      while find t ~creator:r.creator ~seqno:(pc.contig + 1) <> None do
+        pc.contig <- pc.contig + 1
+      done;
+      true
+    end
+
+  let first_notice t (r : Record.t) =
+    let pc = t.(r.creator) in
+    let len = Bytes.length pc.noticed in
+    if r.seqno > len then begin
+      let b = Bytes.make (grown len r.seqno) '\000' in
+      Bytes.blit pc.noticed 0 b 0 len;
+      pc.noticed <- b
+    end;
+    if Bytes.get pc.noticed (r.seqno - 1) <> '\000' then false
+    else begin
+      Bytes.set pc.noticed (r.seqno - 1) '\001';
+      true
+    end
+
+  let range t ~creator ~lo ~hi =
+    let rec loop seq acc =
+      if seq <= lo then acc
+      else
+        match find t ~creator ~seqno:seq with
+        | Some r -> loop (seq - 1) (r :: acc)
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Record.Store.range: creator %d missing seq %d"
+                 creator seq)
+    in
+    loop hi []
+end
+
+(* Register/fault/rejoin-style sequences over three nodes and four pages,
+   run on the shared table with packed notices and on [Old_store] with
+   each page's notices as (creator, seqno) tuples, newest first.  Every record comes from one pool, as every node holds
+   the same value for a (creator, seqno).  After each step both sides
+   must agree on every page's pending notices, in order, and on every
+   store query. *)
+type store_op =
+  | Register of int * int * int  (** node, creator, seqno *)
+  | Stash of int * int * int  (** store only, as the barrier manager does *)
+  | Fault of int * int  (** node, page *)
+  | Rejoin of int * int * int  (** node, page, snapshot seqno *)
+
+let prop_notices_match_old_representation =
+  let nodes = 3 and pages = 4 and top = 12 in
+  let pool =
+    Array.init nodes (fun creator ->
+        Array.init (top + 1) (fun seqno ->
+            let vc = Array.make nodes 0 in
+            vc.(creator) <- seqno;
+            let pages =
+              List.sort_uniq compare
+                [ seqno mod pages; (seqno + creator) mod pages ]
+            in
+            Record.make ~creator ~seqno ~vc ~pages))
+  in
+  let op =
+    QCheck.Gen.(
+      let node = int_bound (nodes - 1) and seqno = int_range 1 top in
+      frequency
+        [
+          (4, map3 (fun n c s -> Register (n, c, s)) node node seqno);
+          (1, map3 (fun n c s -> Stash (n, c, s)) node node seqno);
+          (2, map2 (fun n p -> Fault (n, p)) node (int_bound (pages - 1)));
+          ( 1,
+            map3
+              (fun n p s -> Rejoin (n, p, s))
+              node (int_bound (pages - 1)) (int_bound top) );
+        ])
+  in
+  let print = function
+    | Register (n, c, s) -> Printf.sprintf "register %d (%d,%d)" n c s
+    | Stash (n, c, s) -> Printf.sprintf "stash %d (%d,%d)" n c s
+    | Fault (n, p) -> Printf.sprintf "fault %d page %d" n p
+    | Rejoin (n, p, s) -> Printf.sprintf "rejoin %d page %d snap %d" n p s
+  in
+  QCheck.Test.make ~count:300
+    ~name:"packed notices and shared store match the old representation"
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_bound 60) op))
+    (fun ops ->
+      let table = Record.Table.create ~nodes in
+      let stores = Array.init nodes (fun _ -> Record.Store.create table) in
+      let olds = Array.init nodes (fun _ -> Old_store.create ~nodes) in
+      (* Each side keeps its own applied vectors and pending lists. *)
+      let applied () =
+        Array.init nodes (fun _ -> Array.make_matrix pages nodes 0)
+      in
+      let new_applied = applied () and old_applied = applied () in
+      let pending = Array.make_matrix nodes pages [] in
+      let old_pending = Array.make_matrix nodes pages [] in
+      let decode k = (Record.notice_creator k, Record.notice_seqno k) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let same_find n c s =
+        match
+          ( Record.Store.find stores.(n) ~creator:c ~seqno:s,
+            Old_store.find olds.(n) ~creator:c ~seqno:s )
+        with
+        | Some g, Some w -> g == w
+        | None, None -> true
+        | _ -> false
+      in
+      let register n (r : Record.t) =
+        expect (Record.Store.add stores.(n) r = Old_store.add olds.(n) r);
+        if r.creator <> n then begin
+          let fresh = Record.Store.first_notice stores.(n) r in
+          expect (fresh = Old_store.first_notice olds.(n) r);
+          if fresh then
+            List.iter
+              (fun p ->
+                if r.seqno > new_applied.(n).(p).(r.creator) then
+                  pending.(n).(p) <-
+                    Record.notice ~creator:r.creator ~seqno:r.seqno
+                    :: pending.(n).(p);
+                if r.seqno > old_applied.(n).(p).(r.creator) then
+                  old_pending.(n).(p) <-
+                    (r.creator, r.seqno) :: old_pending.(n).(p))
+              r.pages
+        end
+      in
+      let fault n p =
+        let needed = Record.unapplied new_applied.(n).(p) pending.(n).(p) in
+        let old_needed =
+          List.filter
+            (fun (c, s) -> s > old_applied.(n).(p).(c))
+            old_pending.(n).(p)
+        in
+        expect (List.map decode needed = old_needed);
+        List.iter
+          (fun k ->
+            let c, s = decode k in
+            expect (same_find n c s);
+            let v = new_applied.(n).(p) in
+            v.(c) <- max v.(c) s)
+          needed;
+        List.iter
+          (fun (c, s) ->
+            let v = old_applied.(n).(p) in
+            v.(c) <- max v.(c) s)
+          old_needed;
+        pending.(n).(p) <- Record.unapplied new_applied.(n).(p) pending.(n).(p);
+        old_pending.(n).(p) <-
+          List.filter
+            (fun (c, s) -> s > old_applied.(n).(p).(c))
+            old_pending.(n).(p)
+      in
+      (* Roll the page back to [snap] for every foreign creator and
+         requeue the notices of the records it un-applies. *)
+      let rejoin n p snap =
+        let stale = ref [] and old_stale = ref [] in
+        for c = 0 to nodes - 1 do
+          let hi = new_applied.(n).(p).(c) in
+          if c <> n && hi > snap then begin
+            let got =
+              match Record.Store.range stores.(n) ~creator:c ~lo:snap ~hi with
+              | l -> Ok l
+              | exception Invalid_argument m -> Error m
+            in
+            let want =
+              match Old_store.range olds.(n) ~creator:c ~lo:snap ~hi with
+              | l -> Ok l
+              | exception Invalid_argument m -> Error m
+            in
+            expect
+              (match (got, want) with
+              | Ok g, Ok w ->
+                  List.length g = List.length w && List.for_all2 ( == ) g w
+              | Error g, Error w -> g = w
+              | _ -> false);
+            List.iter
+              (fun (r : Record.t) ->
+                if List.mem p r.pages then begin
+                  stale := Record.notice ~creator:c ~seqno:r.seqno :: !stale;
+                  old_stale := (c, r.seqno) :: !old_stale
+                end)
+              (match got with Ok l -> l | Error _ -> []);
+            new_applied.(n).(p).(c) <- snap;
+            old_applied.(n).(p).(c) <- snap
+          end
+        done;
+        List.iter
+          (fun k ->
+            if not (List.mem k pending.(n).(p)) then
+              pending.(n).(p) <- k :: pending.(n).(p))
+          !stale;
+        List.iter
+          (fun e ->
+            if not (List.mem e old_pending.(n).(p)) then
+              old_pending.(n).(p) <- e :: old_pending.(n).(p))
+          !old_stale
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Register (n, c, s) -> register n pool.(c).(s)
+          | Stash (n, c, s) ->
+              expect
+                (Record.Store.add stores.(n) pool.(c).(s)
+                = Old_store.add olds.(n) pool.(c).(s))
+          | Fault (n, p) -> fault n p
+          | Rejoin (n, p, s) -> rejoin n p s);
+          for n = 0 to nodes - 1 do
+            for p = 0 to pages - 1 do
+              expect (List.map decode pending.(n).(p) = old_pending.(n).(p));
+              expect (new_applied.(n).(p) = old_applied.(n).(p))
+            done;
+            for c = 0 to nodes - 1 do
+              expect
+                (Record.Store.contiguous stores.(n) ~creator:c
+                = olds.(n).(c).Old_store.contig);
+              for s = 0 to top + 1 do
+                expect (same_find n c s);
+                if s >= 1 && s <= top then
+                  expect
+                    (Record.Store.known stores.(n) pool.(c).(s)
+                    = (Old_store.find olds.(n) ~creator:c ~seqno:s <> None))
+              done
+            done
+          done)
+        ops;
+      !ok)
+
 (* The shared happened-before sort orders records exactly as sorting on
    [linear_key] does. *)
 let prop_compare_linear_is_linear_key =
@@ -482,6 +742,40 @@ let test_diff_req_serves_page_diffs () =
   Alcotest.(check int) "diffs 3 and 5 only" 2 !applied_on_refault;
   System.check_invariants c.sys
 
+(* TreadMarks state per node follows what the node holds, not the width
+   of the machine.  256 nodes share 128 pages, two writers to a page; in
+   each of four rounds every node writes its page, meets the others at a
+   barrier, reads its neighbour's page and meets them again.  A node ends
+   with a notice pending for nearly every page and knows every record, so
+   this measures the cost per notice and per known record.  Measured at
+   4,938 words a node; the budget is 6,000.  Notices as tuples in
+   lists, one record per page state and a store with its own arrays per
+   creator took 12,167. *)
+let test_width_budget () =
+  let nodes = 256 and pages = 128 and page_words = 32 and rounds = 4 in
+  let c =
+    make_cluster ~page_words ~nodes ~shared_words:(pages * page_words) ()
+  in
+  for node = 0 to nodes - 1 do
+    spawn_node c ~node (fun f ->
+        for r = 1 to rounds do
+          write c f ~node (((node / 2) * page_words) + (node mod 2)) r;
+          System.barrier_arrive c.sys f ~node ~id:0;
+          ignore (read c f ~node ((node / 2 + 1) mod pages * page_words));
+          System.barrier_arrive c.sys f ~node ~id:0
+        done)
+  done;
+  Engine.run c.eng;
+  System.check_invariants c.sys;
+  let worst = ref 0 in
+  for node = 0 to nodes - 1 do
+    worst := max !worst (System.node_words c.sys ~node)
+  done;
+  Printf.printf "per-node TreadMarks state at 256 nodes: %d words\n" !worst;
+  if !worst > 6_000 then
+    Alcotest.failf "a node holds %d words of TreadMarks state (want <= 6000)"
+      !worst
+
 let suite =
   [
     Alcotest.test_case "lock-protected counter" `Quick test_lock_counter;
@@ -510,6 +804,10 @@ let suite =
       prop_store_matches_model;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x50f7)
       prop_compare_linear_is_linear_key;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x7ac1)
+      prop_notices_match_old_representation;
     Alcotest.test_case "diff requests serve only the page's diffs" `Quick
       test_diff_req_serves_page_diffs;
+    Alcotest.test_case "per-node state within its width budget" `Quick
+      test_width_budget;
   ]
