@@ -1,11 +1,12 @@
 (* The app x platform baseline: every named platform and three hybrid
    topologies run the paper's applications at quick scale, plus the
-   software-DSM platforms under seeded message loss and a scheduled node
-   crash.  Each run is pinned to its simulated cycles, its checksum and
-   a digest of its full sorted counter list, so any change to simulated
-   behaviour — timing, protocol traffic or results — shows up here as a
-   named row.  The table is "same behaviour" for refactors of the
-   platform layer: regenerate it only for a deliberate modelling change. *)
+   software-DSM platforms under seeded message loss and a scheduled
+   crash of node 1 and of node 0 (the barrier manager).  Each run is
+   pinned to its simulated cycles, its checksum and a digest of its full
+   sorted counter list, so any change to simulated behaviour — timing,
+   protocol traffic or results — shows up here as a named row.  The
+   table is "same behaviour" for refactors of the platform layer:
+   regenerate it only for a deliberate modelling change. *)
 
 module Registry = Shm_apps.Registry
 module Platform = Shm_platform.Platform
@@ -29,6 +30,10 @@ let crash =
     Lifecycle.crashes = [ (1, 500_000) ];
     crash_seed = 1;
     ckpt_interval = 500_000 }
+
+(* --crash 0@500000: node 0 manages the barrier and a quarter of the
+   locks, so its crash re-homes both roles *)
+let crash0 = { crash with Lifecycle.crashes = [ (0, 500_000) ] }
 
 (* (row label, platform constructor, app, nprocs) *)
 let runs =
@@ -71,6 +76,10 @@ let runs =
             [
               (name ^ " drop", (fun () -> Machines.get ~faults:drop name), app, 4);
               (name ^ " crash", (fun () -> Machines.get ~crash name), app, 4);
+              ( name ^ " crash0",
+                (fun () -> Machines.get ~crash:crash0 name),
+                app,
+                4 );
             ])
           [ "sor"; "tsp" ])
       [ "treadmarks"; "ivy" ]
@@ -229,12 +238,16 @@ let expected =
     "topo:lrc(mesi*8 x 128) ilink-clp 8: 3207472 0x1.0eeb716a5b77bp+5 ae7f45ddb533219d4e1406c466f7f595";
     "treadmarks drop sor 4: 1946718 0x1.70d4575719efep+8 7332358a7def6e92577154045b2b405f";
     "treadmarks crash sor 4: 2495419 0x1.70d4575719efep+8 b079c5ba4bf49ec50759db1c8a939664";
+    "treadmarks crash0 sor 4: 2529343 0x1.70d4575719efep+8 15320cea50d6d79847efeea8835b94b6";
     "treadmarks drop tsp 4: 2441121 0x1.1f2p+11 0512226c07d1c28d6d8fe3ffeb4e685a";
     "treadmarks crash tsp 4: 2422381 0x1.1f2p+11 7c0f053a6e3da91f2edd186504fb3eb4";
+    "treadmarks crash0 tsp 4: 3314541 0x1.1f2p+11 8e1f8495c472db63018ae864072d3549";
     "ivy drop sor 4: 5614529 0x1.70d4575719efep+8 6bce82938fc5c7132f900dcc3e217994";
     "ivy crash sor 4: 6319617 0x1.70d4575719efep+8 0267a6836ef25ef7dc84729a46d63299";
+    "ivy crash0 sor 4: 6196227 0x1.70d4575719efep+8 0a0a61e57ce9a4c3fa86009f2adb9b09";
     "ivy drop tsp 4: 5995266 0x1.1f2p+11 8f7deb427dfe136181c8703e90551bb1";
     "ivy crash tsp 4: 6280716 0x1.1f2p+11 ad68157f3a75bbc845873824ec1d7ded";
+    "ivy crash0 tsp 4: 6484736 0x1.1f2p+11 bf1fbb1012449b9ea502ed696b1d7e4d";
     "treadmarks:tardis sor 4: 3915959 0x1.70d4575719efep+8 4bafa213307b3c571bb588f97965a5d3";
     "treadmarks:tardis sor 8: 23782409 0x1.70d4575719f03p+8 3d8757a48545ba3b0792d895c8795734";
     "treadmarks:tardis tsp 4: 4682859 0x1.1f2p+11 3345f6f6d3b8ac2555f265248bc494b8";
