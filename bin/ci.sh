@@ -69,13 +69,14 @@ if grep -n 'assert false' lib/ivy/*.ml lib/tmk/*.ml lib/tardis/*.ml \
   exit 1
 fi
 
-# Fork guard: the software-DSM engines share one node runtime and one
-# home manager (lib/dsm, DESIGN.md §6).  An engine defining its own
-# request table, steal account, reply routing or manager queues again
-# would restart the fork that lib/dsm replaced.
-if grep -nE '^(let|and)( rec)? (fresh_req|register_req|drain_steal|route_response|mgr_request|mgr_lock_req|mgr_barrier_arrive)\b' \
+# Fork guard: the software-DSM engines share one node runtime, one home
+# manager and one role record (lib/dsm, DESIGN.md §6).  An engine
+# defining its own request table, steal account, reply routing, manager
+# queues, lock or barrier manager placement or re-homing again would
+# restart the fork that lib/dsm replaced.
+if grep -nE '^(let|and)( rec)? (fresh_req|register_req|drain_steal|route_response|mgr_request|mgr_lock_req|mgr_barrier_arrive|rehome|lock_home|barrier_home)\b|^ +(mutable +)?(lock_home|barrier_home) *:' \
      lib/ivy/*.ml lib/tardis/*.ml lib/tmk/*.ml; then
-  echo "ci: the DSM engines must use Shm_dsm.Node/Home, not their own copies" >&2
+  echo "ci: the DSM engines must use Shm_dsm.Node/Home/Roles, not their own copies" >&2
   exit 1
 fi
 

@@ -1,11 +1,10 @@
 (* The home manager of a page-based DSM with a static home per page
    ([page mod n_nodes]), shared by IVY and Tardis: per-page transaction
-   serialization, the queued lock manager and the counting barrier
-   manager, with the lock and barrier roles re-homed onto a survivor when
-   their node crashes.  The managers are pure state machines: they say
-   who to grant or depart, and the engine sends its own messages. *)
-
-module Counters = Shm_stats.Counters
+   serialization and the queued lock manager.  Where a lock's manager
+   and the barrier manager live, the counting barrier and their
+   re-homing after a crash are {!Roles}, shared with TreadMarks.  The
+   managers are pure state machines: they say who to grant, and the
+   engine sends its own messages. *)
 
 (* The engine's protocol-state error, printed as [<engine>.Proto_error].
    Raised when a message violates the manager's state machine, carrying
@@ -49,33 +48,19 @@ type lock = {
   waiters : (int * int) Queue.t;  (** (requester, req), FIFO *)
 }
 
-type barrier = {
-  mutable arrivals : (int * int) list;  (** (node, req), newest first *)
-  mutable arrived : int;  (** [List.length arrivals] *)
-  mutable high : int;  (** highest arrival stamp so far *)
-}
-
 type ('txn, 'page) t = {
   engine : string;
-  counters : Counters.t;
   n_nodes : int;
   n_pages : int;
   homes : ('txn, 'page) slot array array;
       (** [homes.(page mod n_nodes).(page / n_nodes)]: each node's home
           pages, densely *)
   locks : (int, lock) Hashtbl.t;  (** built on first request *)
-  lock_home : (int, int) Hashtbl.t;
-      (** re-homed lock managers; empty (fall through to the static
-          [lock mod n_nodes]) until a crash moves one *)
-  barriers : barrier array;
-  mutable barrier_home : int;  (** current barrier manager; starts at 0 *)
-  barrier_counter : string;  (** counts completed barrier episodes *)
 }
 
-let create ~engine counters ~n_nodes ~n_pages ~barrier_counter make =
+let create ~engine ~n_nodes ~n_pages make =
   {
     engine;
-    counters;
     n_nodes;
     n_pages;
     homes =
@@ -89,11 +74,6 @@ let create ~engine counters ~n_nodes ~n_pages ~barrier_counter make =
                 waiting = Queue.create ();
               }));
     locks = Hashtbl.create 16;
-    lock_home = Hashtbl.create 8;
-    barriers =
-      Array.init 16 (fun _ -> { arrivals = []; arrived = 0; high = 0 });
-    barrier_home = 0;
-    barrier_counter;
   }
 
 (* ---------------- per-page transaction serialization --------------- *)
@@ -101,7 +81,7 @@ let create ~engine counters ~n_nodes ~n_pages ~barrier_counter make =
 (* The page directory is deliberately NOT re-homed on a crash: requests
    to a down manager stall in the senders' retransmit queues until it
    restarts (a documented deviation — see DESIGN.md §13).  Locks and the
-   barrier do re-home. *)
+   barrier do re-home ({!Roles.rehome}). *)
 let[@inline] manager h page = page mod h.n_nodes
 
 let[@inline] slot h page = h.homes.(page mod h.n_nodes).(page / h.n_nodes)
@@ -137,11 +117,6 @@ let txn_done h page =
 
 (* ---------------- lock manager ------------------------------------- *)
 
-let lock_home h lock =
-  match Hashtbl.find_opt h.lock_home lock with
-  | Some home -> home
-  | None -> lock mod h.n_nodes
-
 (* [Hashtbl.find], not [find_opt]: a lock or unlock message allocates no
    option. *)
 let lock h l =
@@ -174,65 +149,9 @@ let unlock ml ~stamp =
       ml.held <- false;
       None
 
-(* ---------------- barrier manager ---------------------------------- *)
-
-(* [barrier_arrive h ~id ~node ~req ~stamp]: record an arrival.  The
-   [n_nodes]-th closes the episode and returns every (node, req) to
-   depart, newest first, with [barrier_stamp] the highest stamp seen;
-   earlier arrivals return []. *)
-let barrier_arrive h ~id ~node ~req ~stamp =
-  let b = h.barriers.(id) in
-  b.arrivals <- (node, req) :: b.arrivals;
-  b.arrived <- b.arrived + 1;
-  if stamp > b.high then b.high <- stamp;
-  if b.arrived = h.n_nodes then begin
-    let arrivals = b.arrivals in
-    b.arrivals <- [];
-    b.arrived <- 0;
-    Counters.incr h.counters h.barrier_counter;
-    arrivals
-  end
-  else []
-
-let barrier_stamp h id = h.barriers.(id).high
-
-let barrier_home h = h.barrier_home
-
-(* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
-
-(* [stale h ~self home]: [true] when a crash moved the role this node
-   was addressed for to [home]: the request outlived the outage in a
-   peer's retransmit queue, and the caller forwards it there. *)
-let stale h ~self home =
-  home <> self
-  && begin
-       Counters.incr h.counters "recovery.forwards";
-       true
-     end
-
-(* Re-home the lock and barrier managers of a crashed node onto the next
-   surviving node.  The [lock] records are shared (replicated manager
-   state), so holders and queued waiters survive the move; so does the
-   barrier's arrival state, and only the role moves.  Requests that
-   still name the dead node are forwarded by its handler after restart
-   (see [stale]). *)
-let rehome h lc ~dead =
-  match Node.successor lc ~nodes:h.n_nodes ~dead with
-  | None -> ()
-  | Some s ->
-      let moved = ref 0 in
-      Hashtbl.iter
-        (fun l _ ->
-          if lock_home h l = dead then begin
-            Hashtbl.replace h.lock_home l s;
-            incr moved
-          end)
-        h.locks;
-      if h.barrier_home = dead then begin
-        h.barrier_home <- s;
-        incr moved
-      end;
-      if !moved > 0 then Counters.add h.counters "recovery.rehomes" !moved
+(* The locks that have a manager record: the ones IVY and Tardis
+   re-home. *)
+let iter_locks h f = Hashtbl.iter (fun l _ -> f l) h.locks
 
 (* ---------------- end-of-run check --------------------------------- *)
 

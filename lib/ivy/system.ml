@@ -6,6 +6,7 @@ module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Checkpoint = Shm_dsm.Checkpoint
 module Home = Shm_dsm.Home
+module Roles = Shm_dsm.Roles
 module Iset = Set.Make (Int)
 
 type page_access = Invalid | Read | Write
@@ -48,6 +49,7 @@ type t = {
   n_nodes : int;
   nodes : node array;
   home : (pending_txn, mpage) Home.t;
+  roles : (int * int) Roles.t;  (** barrier arrivals: (node, req) *)
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
 }
@@ -107,9 +109,9 @@ let create eng counters fabric ~page_words ~shared_words ~memories =
                 (Shm_net.Fabric.lifecycle fabric);
           });
     home =
-      Home.create ~engine:"ivy" counters ~n_nodes ~n_pages
-        ~barrier_counter:"ivy.barriers" (fun page ->
+      Home.create ~engine:"ivy" ~n_nodes ~n_pages (fun page ->
           { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 });
+    roles = Roles.create counters ~n_nodes ~barrier_counter:"ivy.barriers" ();
     page_shift = Node.page_shift page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
   }
@@ -235,15 +237,15 @@ and dispatch t fiber nd ~src body =
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
-      let home = Home.lock_home t.home lock in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.lock_home t.roles lock in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else if Home.lock_req (Home.lock t.home lock) ~requester ~req then
         deliver t fiber ~src:nd.id ~dst:requester
           (Proto.Lock_grant { lock; req })
   | Proto.Unlock { lock; _ } -> (
-      let home = Home.lock_home t.home lock in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.lock_home t.roles lock in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else
         match Home.unlock (Home.lock t.home lock) ~stamp:0 with
@@ -252,11 +254,11 @@ and dispatch t fiber nd ~src body =
               (Proto.Lock_grant { lock; req })
         | None -> ())
   | Proto.Barrier_arrive { barrier; node; req } ->
-      let home = Home.barrier_home t.home in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.barrier_home t.roles in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else begin
-        match Home.barrier_arrive t.home ~id:barrier ~node ~req ~stamp:0 with
+        match Roles.arrive t.roles ~id:barrier (node, req) with
         | [] -> ()
         | departs ->
             List.iter
@@ -345,7 +347,8 @@ let start t =
   Reliable.start t.net;
   Node.on_lifecycle t.net ~nodes:t.n_nodes
     ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
-    ~rehome:(Home.rehome t.home)
+    ~rehome:(fun lc ~dead ->
+      Roles.rehome t.roles lc ~dead ~locks:(Home.iter_locks t.home) ())
     ~rejoin:(fun id -> rejoin t t.nodes.(id));
   Node.spawn_handlers t.eng t.net ~engine:"ivy" ~nodes:t.n_nodes
     (fun fiber id env -> serve t fiber id env)
@@ -431,7 +434,7 @@ let acquire t fiber ~node ~lock =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Home.lock_home t.home lock)
+  deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
     (Proto.Lock_req { lock; requester = node; req });
   (match Node.await fiber Engine.Lock_wait mb with
   | Proto.Lock_grant _ -> ()
@@ -442,7 +445,7 @@ let acquire t fiber ~node ~lock =
 let release t fiber ~node ~lock =
   Node.sync t.nodes.(node).rt fiber;
   Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:node ~dst:(Home.lock_home t.home lock)
+      deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
         (Proto.Unlock { lock; requester = node }))
 
 let barrier_arrive t fiber ~node ~id =
@@ -451,7 +454,7 @@ let barrier_arrive t fiber ~node ~id =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Home.barrier_home t.home)
+  deliver t fiber ~src:node ~dst:(Roles.barrier_home t.roles)
     (Proto.Barrier_arrive { barrier = id; node; req });
   (match Node.await fiber Engine.Barrier_wait mb with
   | Proto.Barrier_depart _ -> ()

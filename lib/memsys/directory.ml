@@ -78,10 +78,6 @@ let create _eng counters mem cfg =
     c_replacement_hints = key "dir.replacement_hints";
   }
 
-let config t = t.cfg
-
-let memory t = t.mem
-
 let entry_of t block =
   let i = block lsr t.block_shift in
   let c = t.chunks.(i lsr chunk_shift) in

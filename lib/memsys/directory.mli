@@ -25,14 +25,6 @@ type t
 val create :
   Shm_sim.Engine.t -> Shm_stats.Counters.t -> Memory.t -> config -> t
 
-val config : t -> config
-
-val memory : t -> Memory.t
-
-(** [home_of t block] is the node owning the directory entry and memory
-    slice for [block]. *)
-val home_of : t -> int -> int
-
 val read : t -> Shm_sim.Engine.fiber -> node:int -> int -> int64
 
 val write : t -> Shm_sim.Engine.fiber -> node:int -> int -> int64 -> unit
@@ -60,10 +52,6 @@ val write_range :
 (** Atomic read-modify-write (fetch-and-phi at the block's home). *)
 val rmw :
   t -> Shm_sim.Engine.fiber -> node:int -> int -> (int64 -> int64) -> int64
-
-(** [port_use t fiber ~node ~cycles] occupies [node]'s crossbar port
-    (synchronization traffic modelled by the platform). *)
-val port_use : t -> Shm_sim.Engine.fiber -> node:int -> cycles:int -> unit
 
 (** [invalidate_range t ~addr ~words] forgets every directory entry and
     cached copy of the blocks covering the range, without bus or port

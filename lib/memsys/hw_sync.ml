@@ -66,13 +66,14 @@ let unlock t fiber ~cpu l =
   ignore (t.access.rmw fiber ~cpu (lock_addr t l) (fun _ -> 0L));
   ignore (Waitq.wake_one (waitq t.lock_waiters t.eng l) ~at:(Engine.clock fiber))
 
-let barrier t fiber ~cpu b =
+let barrier t ?last fiber ~cpu b =
   Engine.with_category fiber Engine.Barrier_wait @@ fun () ->
   let arrived =
     Int64.to_int (t.access.rmw fiber ~cpu (counter_addr t b) Int64.succ) + 1
   in
   if arrived = t.nprocs then begin
     ignore (t.access.rmw fiber ~cpu (counter_addr t b) (fun _ -> 0L));
+    (match last with Some up -> up b | None -> ());
     ignore (t.access.rmw fiber ~cpu (generation_addr t b) Int64.succ);
     ignore
       (Waitq.wake_all (waitq t.barrier_waiters t.eng b) ~at:(Engine.clock fiber))

@@ -29,4 +29,10 @@ val lock : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit
 
 val unlock : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit
 
-val barrier : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit
+(** [barrier t ?last fiber ~cpu b]: arrive at barrier [b] and wait for
+    the other [nprocs - 1] participants.  The last to arrive resets the
+    counter, runs [last b] (a hierarchical barrier ascends to the next
+    level there), then bumps the generation word and wakes the rest,
+    each of which re-reads the generation through [access.read]. *)
+val barrier :
+  t -> ?last:(int -> unit) -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit

@@ -76,14 +76,6 @@ let create _eng counters mem cfg =
     c_wb = Counters.key counters "bus.wb";
   }
 
-let config t = t.cfg
-
-let memory t = t.mem
-
-let bus_use t fiber ~cycles =
-  Resource.use fiber t.bus ~cycles;
-  Counters.bump t.c_busy cycles
-
 (* Claim bus occupancy without yielding: used inside a transaction whose
    state transitions must be atomic with respect to other processors
    (the caller has already synced at the transaction start). *)
@@ -414,5 +406,3 @@ let check_coherence t =
           (Printf.sprintf "coherence violation on block %d: %s" block
              (String.concat "," (List.map Cache.state_name states))))
     owners
-
-let bus_busy_cycles t = Resource.busy_cycles t.bus

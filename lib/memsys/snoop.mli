@@ -37,10 +37,6 @@ type t
 val create :
   Shm_sim.Engine.t -> Shm_stats.Counters.t -> Memory.t -> config -> t
 
-val config : t -> config
-
-val memory : t -> Memory.t
-
 val read : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> int64
 
 val write : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> int64 -> unit
@@ -80,10 +76,6 @@ val write_range :
     returning [old]; costs a write transaction. *)
 val rmw : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> (int64 -> int64) -> int64
 
-(** [bus_use t fiber ~cycles] occupies the bus directly (synchronization
-    traffic modelled by the platform). *)
-val bus_use : t -> Shm_sim.Engine.fiber -> cycles:int -> unit
-
 (** [invalidate_range t ~addr ~words] drops the range from every cache on
     the machine without bus traffic (DSM page replacement on an HS node). *)
 val invalidate_range : t -> addr:int -> words:int -> unit
@@ -92,5 +84,3 @@ val invalidate_range : t -> addr:int -> words:int -> unit
     [Modified]/[Exclusive] holder per block, never alongside [Shared]
     copies elsewhere); raises [Failure] on violation.  For tests. *)
 val check_coherence : t -> unit
-
-val bus_busy_cycles : t -> int

@@ -19,7 +19,3 @@ let sweep ~fixed ~per_word =
 
 let hardware =
   { fixed_send = 0; fixed_recv = 0; per_word = 0; handler = 0; diff_per_word = 0 }
-
-let pp ppf t =
-  Format.fprintf ppf "fixed=%d/%d per_word=%d handler=%d diff=%d" t.fixed_send
-    t.fixed_recv t.per_word t.handler t.diff_per_word

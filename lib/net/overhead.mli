@@ -28,5 +28,3 @@ val sweep : fixed:int -> per_word:int -> t
 
 (** Hardware-implemented messaging (AH crossbar): all costs zero. *)
 val hardware : t
-
-val pp : Format.formatter -> t -> unit

@@ -57,12 +57,6 @@ let read_range_f ctx addr (dst : float array) =
 let write_range_f ctx addr (src : float array) =
   ctx.range.write_fs addr src 0 (Array.length src)
 
-let read_range_i ctx addr (dst : int array) =
-  ctx.range.read_is addr dst 0 (Array.length dst)
-
-let write_range_i ctx addr (src : int array) =
-  ctx.range.write_is addr src 0 (Array.length src)
-
 let range_ops_of_runs ~mem ~read_run ~write_run =
   {
     read_fs =

@@ -75,8 +75,6 @@ val write_i : ctx -> int -> int -> unit
 val read_range_f : ctx -> int -> float array -> unit
 
 val write_range_f : ctx -> int -> float array -> unit
-val read_range_i : ctx -> int -> int array -> unit
-val write_range_i : ctx -> int -> int array -> unit
 
 (** {2 Constructors for platforms} *)
 

@@ -1,6 +1,5 @@
 module Engine = Shm_sim.Engine
 module Lifecycle = Shm_sim.Lifecycle
-module Waitq = Shm_sim.Waitq
 module Counters = Shm_stats.Counters
 module Hw_sync = Shm_memsys.Hw_sync
 module Memory = Shm_memsys.Memory
@@ -50,9 +49,8 @@ let rec count_doms = function
 (* One mounted hardware domain. *)
 type level = {
   inst : Shm_proto.instance;
-  expected : int; (* direct participants: cpus + sub-domains *)
-  sync_base : int; (* this domain's slice of the sync region *)
-  waitqs : (int, Waitq.t) Hashtbl.t; (* per-barrier-id wait queues *)
+  sync : Hw_sync.t;
+      (* this domain's barriers, over its slice of the sync region *)
 }
 
 (* One processor: its memory node, its index within the node, and the
@@ -172,13 +170,26 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
               lifecycle = None;
             }
         in
-        if Option.is_some dsm && Option.is_none inst.Shm_proto.rmw then
-          invalid_arg
-            (Printf.sprintf
-               "platform %S: engine %S provides no atomic rmw and cannot \
-                anchor a hierarchical barrier level"
-               name D.name);
-        let lv = { inst; expected; sync_base; waitqs = Hashtbl.create 8 } in
+        let rmw =
+          match inst.Shm_proto.rmw with
+          | Some rmw -> rmw
+          | None ->
+              invalid_arg
+                (Printf.sprintf
+                   "platform %S: engine %S provides no atomic rmw and cannot \
+                    anchor a hierarchical barrier level"
+                   name D.name)
+        in
+        let sync =
+          Hw_sync.create eng
+            {
+              Hw_sync.rmw = (fun f ~cpu addr g -> rmw f ~node:cpu addr g);
+              read =
+                (fun f ~cpu addr -> inst.Shm_proto.read_guard f ~node:cpu addr);
+            }
+            ~base:sync_base ~nprocs:expected
+        in
+        let lv = { inst; sync } in
         levels := lv :: !levels;
         node_levels.(i) <- lv :: node_levels.(i);
         List.fold_left
@@ -233,46 +244,15 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
   Option.iter (fun d -> d.Shm_proto.start ()) dsm;
   List.iter (fun lv -> lv.inst.Shm_proto.start ()) (List.rev !levels);
   (* Hierarchical barriers, the HS last-arriver pattern at every level:
-     an on-domain counter in the domain's sync-region slice; the last
-     direct participant to arrive ascends one level (ultimately doing
-     the outermost engine's arrival), then on the way back down bumps
-     the generation word and wakes the domain's waiters, each of which
-     re-reads the generation through its own level's coherence. *)
-  let counter_addr lv b = lv.sync_base + Hw_sync.max_locks + b in
-  let gen_addr lv b =
-    lv.sync_base + Hw_sync.max_locks + Hw_sync.max_barriers + b
-  in
-  let waitq_of lv b =
-    match Hashtbl.find_opt lv.waitqs b with
-    | Some wq -> wq
-    | None ->
-        let wq = Waitq.create eng in
-        Hashtbl.add lv.waitqs b wq;
-        wq
-  in
-  let hier_barrier f chain outer b =
-    Engine.with_category f Engine.Barrier_wait @@ fun () ->
-    let rec arrive k =
-      if k >= Array.length chain then outer b
-      else begin
-        let lv, m = chain.(k) in
-        let rmw = Option.get lv.inst.Shm_proto.rmw in
-        let arrived =
-          Int64.to_int (rmw f ~node:m (counter_addr lv b) Int64.succ) + 1
-        in
-        if arrived = lv.expected then begin
-          ignore (rmw f ~node:m (counter_addr lv b) (fun _ -> 0L));
-          arrive (k + 1);
-          ignore (rmw f ~node:m (gen_addr lv b) Int64.succ);
-          ignore (Waitq.wake_all (waitq_of lv b) ~at:(Engine.clock f))
-        end
-        else begin
-          Waitq.wait f (waitq_of lv b);
-          lv.inst.Shm_proto.read_guard f ~node:m (gen_addr lv b)
-        end
-      end
-    in
-    arrive 0
+     each domain's own hardware barrier, whose last direct participant
+     ascends one level (ultimately doing the outermost engine's arrival)
+     before it bumps the generation word and wakes the domain's waiters.
+     A processor's levels are chained once, when its context is built,
+     so an arrival allocates no continuation. *)
+  let hier_barrier f chain outer =
+    Array.fold_right
+      (fun (lv, m) up b -> Hw_sync.barrier lv.sync ~last:up f ~cpu:m b)
+      chain outer
   in
   let dsm_tlb =
     Option.map
@@ -449,8 +429,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           let arrive b = s.Shm_proto.barrier_arrive f ~node ~id:b in
           ( (fun l -> s.Shm_proto.acquire f ~node ~lock:l),
             (fun l -> s.Shm_proto.release f ~node ~lock:l),
-            if Array.length bchain = 0 then arrive
-            else fun b -> hier_barrier f bchain arrive b )
+            hier_barrier f bchain arrive )
     in
     let ctx =
       {

@@ -4,11 +4,3 @@ type t = {
   max_procs : int;
   run : Shm_parmacs.Parmacs.app -> nprocs:int -> Report.t;
 }
-
-let speedup_series t app ~procs =
-  let base = t.run app ~nprocs:1 in
-  List.map
-    (fun n ->
-      let r = if n = 1 then base else t.run app ~nprocs:n in
-      (n, Report.speedup ~base r, r))
-    procs

@@ -7,12 +7,3 @@ type t = {
   max_procs : int;
   run : Shm_parmacs.Parmacs.app -> nprocs:int -> Report.t;
 }
-
-(** [speedup_series t app ~procs] runs [app] at each processor count and
-    returns [(procs, speedup, report)] rows, speedups relative to the
-    1-processor run on the same platform. *)
-val speedup_series :
-  t ->
-  Shm_parmacs.Parmacs.app ->
-  procs:int list ->
-  (int * float * Report.t) list

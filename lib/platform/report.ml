@@ -31,14 +31,6 @@ let duplicated t = get t "net.faults.duplicated"
 let retransmissions t = get t "net.retrans.total"
 let dups_suppressed t = get t "net.reliable.dups"
 
-let fault_summary t =
-  Printf.sprintf
-    "offered=%d delivered=%d dropped=%d duplicated=%d retrans=%d \
-     dups_suppressed=%d acks=%d"
-    (offered t) (delivered t) (dropped t) (duplicated t) (retransmissions t)
-    (dups_suppressed t)
-    (get t "net.reliable.acks")
-
 let crashes t = get t "sim.crashes"
 let restarts t = get t "sim.restarts"
 let downtime t = get t "sim.downtime"
@@ -98,7 +90,3 @@ let consumed_names =
     "ckpt.count"; "ckpt.bytes"; "recovery.count"; "recovery.cycles";
     "recovery.invalidated"; "recovery.rehomes";
   ]
-
-let pp ppf t =
-  Format.fprintf ppf "%s/%s p=%d: %.4f s (%d cycles), checksum=%.6g"
-    t.platform t.app t.nprocs (seconds t) t.cycles t.checksum

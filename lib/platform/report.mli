@@ -50,9 +50,6 @@ val retransmissions : t -> int  (** [net.retrans.total] *)
 
 val dups_suppressed : t -> int  (** [net.reliable.dups] *)
 
-(** One-line rendering of the counters above. *)
-val fault_summary : t -> string
-
 (** {2 Crash-injection / recovery counters (DESIGN.md §13)}
 
     All zero on crash-free runs. *)
@@ -81,5 +78,3 @@ val crash_summary : t -> string
     separated, in a fixed order and without braces.  [shmsim run --json]
     and the bench harness's run records both write it. *)
 val json_members : t -> string
-
-val pp : Format.formatter -> t -> unit

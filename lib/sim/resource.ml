@@ -19,6 +19,4 @@ let use fiber r ~cycles =
   let finish = reserve r ~ready:(Engine.clock fiber) ~cycles in
   Engine.set_clock fiber finish
 
-let next_free r = r.free_at
-
 let busy_cycles r = r.busy

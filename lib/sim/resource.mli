@@ -22,7 +22,5 @@ val use : Engine.fiber -> t -> cycles:int -> unit
     returned.  Used by callback-driven models. *)
 val reserve : t -> ready:int -> cycles:int -> int
 
-val next_free : t -> int
-
 (** [busy_cycles r] is the total time the resource has been held. *)
 val busy_cycles : t -> int

@@ -52,6 +52,3 @@ let reset t = Hashtbl.iter (fun _ r -> r := 0) t
 let to_list t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%-32s %d@." name v) (to_list t)

@@ -46,5 +46,3 @@ val reset : t -> unit
 
 (** [to_list t] is the (name, value) pairs sorted by name. *)
 val to_list : t -> (string * int) list
-
-val pp : Format.formatter -> t -> unit

@@ -5,6 +5,7 @@ module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Home = Shm_dsm.Home
+module Roles = Shm_dsm.Roles
 
 (* Tardis (Yu & Devadas, arXiv 1501.04504) over a page DSM: coherence by
    logical timestamps instead of invalidation.
@@ -24,12 +25,13 @@ module Home = Shm_dsm.Home
 
    The home manager (static, [page mod n_nodes]) tracks the version
    timestamp [wts], the highest lease handed out [rts] and the exclusive
-   owner.  Its transaction serializer, lock manager and barrier manager
-   are IVY's own code ({!Shm_dsm.Home}), stamped with release and
-   arrival timestamps.  All messaging goes through {!Shm_net.Reliable},
-   so the engine runs under fault injection; every protocol decision
-   depends only on logical timestamps carried in messages, never on
-   arrival times. *)
+   owner.  Its transaction serializer and lock manager are IVY's own
+   code ({!Shm_dsm.Home}), the lock stamped with release timestamps;
+   lock placement and the counting barrier are every software DSM's
+   ({!Shm_dsm.Roles}), the arrivals carrying the nodes' timestamps.
+   All messaging goes through {!Shm_net.Reliable}, so the engine runs
+   under fault injection; every protocol decision depends only on
+   logical timestamps carried in messages, never on arrival times. *)
 
 type page_access = Tinvalid | Tshared | Texclusive
 
@@ -86,6 +88,8 @@ type t = {
   n_nodes : int;
   nodes : node array;
   home : (pending_txn, mpage) Home.t;
+  roles : (int * int * int) Roles.t;
+      (** barrier arrivals: (node, req, pts) *)
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
 }
@@ -137,9 +141,10 @@ let create eng counters fabric ~page_words ~shared_words ~memories =
             rt = Node.create eng ~engine:"tardis";
           });
     home =
-      Home.create ~engine:"tardis" counters ~n_nodes ~n_pages
-        ~barrier_counter:"tardis.barriers" (fun _ ->
+      Home.create ~engine:"tardis" ~n_nodes ~n_pages (fun _ ->
           { owner = None; m_wts = 0; m_rts = 0 });
+    roles =
+      Roles.create counters ~n_nodes ~barrier_counter:"tardis.barriers" ();
     page_shift = Node.page_shift page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
   }
@@ -273,8 +278,8 @@ and dispatch t fiber nd ~src body =
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
-      let home = Home.lock_home t.home lock in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.lock_home t.roles lock in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else
         let ml = Home.lock t.home lock in
@@ -282,8 +287,8 @@ and dispatch t fiber nd ~src body =
           deliver t fiber ~src:nd.id ~dst:requester
             (Proto.Lock_grant { lock; req; ts = ml.stamp })
   | Proto.Unlock { lock; pts; _ } -> (
-      let home = Home.lock_home t.home lock in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.lock_home t.roles lock in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else
         let ml = Home.lock t.home lock in
@@ -293,19 +298,21 @@ and dispatch t fiber nd ~src body =
               (Proto.Lock_grant { lock; req; ts = ml.stamp })
         | None -> ())
   | Proto.Barrier_arrive { barrier; node; req; pts } ->
-      let home = Home.barrier_home t.home in
-      if Home.stale t.home ~self:nd.id home then
+      let home = Roles.barrier_home t.roles in
+      if Roles.stale t.roles ~self:nd.id home then
         deliver t fiber ~src:nd.id ~dst:home body
       else begin
-        match Home.barrier_arrive t.home ~id:barrier ~node ~req ~stamp:pts with
+        match Roles.arrive t.roles ~id:barrier (node, req, pts) with
         | [] -> ()
         | departs ->
             (* Departures jump every node to the epoch's maximum
                timestamp, so leases on anything written before the
                barrier are already spent on the far side. *)
-            let ts = Home.barrier_stamp t.home barrier in
+            let ts =
+              List.fold_left (fun m (_, _, pts) -> max m pts) 0 departs
+            in
             List.iter
-              (fun (dst, dreq) ->
+              (fun (dst, dreq, _) ->
                 deliver t fiber ~src:nd.id ~dst
                   (Proto.Barrier_depart { barrier; req = dreq; ts }))
               departs
@@ -427,7 +434,7 @@ let acquire t fiber ~node ~lock =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Home.lock_home t.home lock)
+  deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
     (Proto.Lock_req { lock; requester = node; req });
   (match Node.await fiber Engine.Lock_wait mb with
   | Proto.Lock_grant { ts; _ } ->
@@ -442,7 +449,7 @@ let release t fiber ~node ~lock =
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:node ~dst:(Home.lock_home t.home lock)
+      deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
         (Proto.Unlock { lock; requester = node; pts = nd.pts }))
 
 let barrier_arrive t fiber ~node ~id =
@@ -451,7 +458,7 @@ let barrier_arrive t fiber ~node ~id =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Home.barrier_home t.home)
+  deliver t fiber ~src:node ~dst:(Roles.barrier_home t.roles)
     (Proto.Barrier_arrive { barrier = id; node; req; pts = nd.pts });
   (match Node.await fiber Engine.Barrier_wait mb with
   | Proto.Barrier_depart { ts; _ } -> if ts > nd.pts then nd.pts <- ts

@@ -29,8 +29,6 @@ let default ~n_nodes ~shared_words =
     eager_locks = [];
   }
 
-let manager_of t lock = lock mod t.n_nodes
-
 let n_pages t = (t.shared_words + t.page_words - 1) / t.page_words
 
 let validate t =

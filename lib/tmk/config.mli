@@ -32,9 +32,6 @@ type t = {
 (** [default ~n_nodes ~shared_words] fills in paper-derived constants. *)
 val default : n_nodes:int -> shared_words:int -> t
 
-(** [manager_of t lock] is the lock's statically-assigned manager node. *)
-val manager_of : t -> int -> int
-
 val n_pages : t -> int
 
 val validate : t -> unit

@@ -38,7 +38,3 @@ let is_empty t = t.runs = []
 let words t = List.fold_left (fun acc r -> acc + Array.length r.words) 0 t.runs
 
 let bytes t = 16 + List.fold_left (fun acc r -> acc + 4 + (8 * Array.length r.words)) 0 t.runs
-
-let pp ppf t =
-  Format.fprintf ppf "diff(page=%d, runs=%d, words=%d)" t.page
-    (List.length t.runs) (words t)

@@ -38,5 +38,3 @@ val words : t -> int
 
 (** Wire size: 16-byte descriptor, 4 bytes per run header, 8 per word. *)
 val bytes : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -7,6 +7,7 @@ module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Checkpoint = Shm_dsm.Checkpoint
+module Roles = Shm_dsm.Roles
 
 type lock_state = {
   mutable has_token : bool;
@@ -58,14 +59,6 @@ type node = {
   recov : recov option;  (** checkpoint state; [None] = crash-free *)
 }
 
-type barrier_state = {
-  mutable arrivals : (int * int * Vc.t) list;
-  mutable arrived : int;  (** [List.length arrivals] *)
-  mutable stash : Record.t list;
-      (** arrival records of the open episode; copied to a successor's
-          store when the barrier manager is re-homed after a crash *)
-}
-
 (* Counters bumped on every protocol event, resolved once. *)
 type keys = {
   k_invalidations : Counters.key;
@@ -90,13 +83,13 @@ type t = {
       (** all-zero vector shared by every page whose [applied] (or [snap])
           vector has not been written yet; never itself written *)
   records : Record.Table.t;  (** every node's records, held once *)
-  barriers : barrier_state array;
+  roles : (int * int * Vc.t) Roles.t;
+      (** lock and barrier managers; arrivals carry (node, req, vc) *)
+  stash : Record.t list array;
+      (** per barrier, the arrival records of the open episode; copied to
+          a successor's store when the barrier manager is re-homed *)
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
-  lock_home : int array;
-      (** current manager of each lock; starts at [Config.manager_of] and
-          moves to a surviving node when the manager crashes *)
-  mutable barrier_home : int;  (** current barrier manager, likewise *)
 }
 
 let config t = t.cfg
@@ -142,7 +135,7 @@ let applied_for_write t nd page =
   v
 
 (* Node [nd]'s state for [lock], built on first use with the state every
-   node starts in: the token and the queue tail at the lock's initial
+   node starts in: the token and the queue tail at the lock's static
    manager. *)
 let lock_of t nd l =
   match Hashtbl.find_opt nd.locks l with
@@ -150,7 +143,7 @@ let lock_of t nd l =
   | None ->
       if l < 0 || l >= t.cfg.n_locks then
         invalid_arg (Printf.sprintf "Tmk: lock %d out of range" l);
-      let manager = Config.manager_of t.cfg l in
+      let manager = Roles.static_home t.roles l in
       let ls =
         {
           has_token = nd.id = manager;
@@ -236,13 +229,12 @@ let create eng counters fabric cfg ~memories =
     nodes = Array.init n mk_node;
     zero_vc;
     records;
-    barriers =
-      Array.init cfg.n_barriers (fun _ ->
-          { arrivals = []; arrived = 0; stash = [] });
+    roles =
+      Roles.create counters ~n_nodes:n ~n_barriers:cfg.n_barriers
+        ~barrier_home:cfg.barrier_manager ~barrier_counter:"tmk.barriers" ();
+    stash = Array.make cfg.n_barriers [];
     page_shift = Node.page_shift cfg.page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
-    lock_home = Array.init cfg.n_locks (Config.manager_of cfg);
-    barrier_home = cfg.barrier_manager;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -684,7 +676,7 @@ let acquire t fiber ~node ~lock =
     let req = Node.fresh nd.rt in
     let mb = Node.register nd.rt req in
     let vc = Vc.copy nd.vc in
-    let manager = t.lock_home.(lock) in
+    let manager = Roles.lock_home t.roles lock in
     let body = Proto.Lock_req { lock; requester = nd.id; req; vc } in
     if manager = nd.id then
       (* Even a local request goes through the handler fiber: the manager's
@@ -759,15 +751,11 @@ let release t fiber ~node ~lock =
 (* ------------------------------------------------------------------ *)
 (* Barriers                                                            *)
 
-let send_departs t fiber mgr ~id =
-  let b = t.barriers.(id) in
-  (* Snapshot and clear before the first yield: a node that receives its
-     departure early can re-arrive for the next episode while we are still
-     sending the remaining departures. *)
-  let arrivals = b.arrivals in
-  b.arrivals <- [];
-  b.arrived <- 0;
-  b.stash <- [];
+(* The closing arrival's episode, [arrivals] taken and cleared by
+   [Roles.arrive] before the first yield: a node that receives its
+   departure early can re-arrive for the next episode while we are still
+   sending the remaining departures. *)
+let send_departs t fiber mgr ~id arrivals =
   (* The episode's time is the join of the arrival snapshots.  The
      manager's own vector time is NOT merged at arrival: an arriver's
      clock can cover third-party intervals whose records only arrive with
@@ -794,11 +782,9 @@ let send_departs t fiber mgr ~id =
         (* Local departure: no message. *)
         Node.route mgr.rt ~req body ~at:(Engine.clock fiber)
       else send t fiber ~src:mgr.id ~dst:node body)
-    arrivals;
-  Counters.incr t.counters "tmk.barriers"
+    arrivals
 
 let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
-  let b = t.barriers.(id) in
   (* Stash arrival records in the store (the departure ranges need them)
      but do NOT invalidate yet: arrivals trickle in causally incomplete,
      and a premature notice would let the manager's still-running
@@ -806,10 +792,12 @@ let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
      manager's own departure re-delivers the complete merged set and the
      invalidations happen there. *)
   List.iter (fun r -> ignore (Record.Store.add mgr.store r)) records;
-  b.stash <- records @ b.stash;
-  b.arrivals <- (node, req, arr_vc) :: b.arrivals;
-  b.arrived <- b.arrived + 1;
-  if b.arrived = t.cfg.n_nodes then send_departs t fiber mgr ~id
+  t.stash.(id) <- records @ t.stash.(id);
+  match Roles.arrive t.roles ~id (node, req, arr_vc) with
+  | [] -> ()
+  | arrivals ->
+      t.stash.(id) <- [];
+      send_departs t fiber mgr ~id arrivals
 
 let barrier_arrive t fiber ~node ~id =
   let nd = t.nodes.(node) in
@@ -823,7 +811,7 @@ let barrier_arrive t fiber ~node ~id =
   nd.sent_to_manager <- nd.seq;
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  let mgr_id = t.barrier_home in
+  let mgr_id = Roles.barrier_home t.roles in
   let arr_vc = Vc.copy nd.vc in
   if mgr_id = nd.id then
     note_arrival t fiber t.nodes.(mgr_id) ~id ~node:nd.id ~req ~arr_vc
@@ -940,37 +928,6 @@ let rejoin t nd =
       Counters.add t.counters "recovery.cycles" cycles;
       Counters.add t.counters "recovery.replay_bytes" (8 * !replay_words)
 
-(* Re-home manager state owned by a crashed node onto the next surviving
-   node: lock queue tails (the replicated directory) and the barrier
-   manager role with its stashed arrival records.  Requests already in
-   flight — or parked in a peer's retransmit queue — still name the dead
-   node; its handler forwards them to the new home after restart. *)
-let rehome t lc ~dead =
-  match Node.successor lc ~nodes:t.cfg.n_nodes ~dead with
-  | None -> ()
-  | Some s ->
-      let moved = ref 0 in
-      Array.iteri
-        (fun l home ->
-          if home = dead then begin
-            t.lock_home.(l) <- s;
-            (lock_of t t.nodes.(s) l).tail <-
-              (lock_of t t.nodes.(dead) l).tail;
-            incr moved
-          end)
-        t.lock_home;
-      if t.barrier_home = dead then begin
-        t.barrier_home <- s;
-        Array.iter
-          (fun b ->
-            List.iter
-              (fun r -> ignore (Record.Store.add t.nodes.(s).store r))
-              b.stash)
-          t.barriers;
-        incr moved
-      end;
-      if !moved > 0 then Counters.add t.counters "recovery.rehomes" !moved
-
 (* ------------------------------------------------------------------ *)
 (* Message handler daemon                                              *)
 
@@ -996,13 +953,9 @@ let handle t fiber nd (env : Proto.t Msg.envelope) =
   match env.body with
   | Proto.Lock_req { lock; requester; req; vc } as body ->
       Engine.advance fiber (overhead t).handler;
-      if t.lock_home.(lock) <> nd.id then begin
-        (* Stale destination: we managed this lock before a crash
-           re-homed it (the request outlived the outage in a peer's
-           retransmit queue).  Forward to the current home. *)
-        Counters.incr t.counters "recovery.forwards";
-        send t fiber ~src:nd.id ~dst:t.lock_home.(lock) body
-      end
+      let home = Roles.lock_home t.roles lock in
+      if Roles.stale t.roles ~self:nd.id home then
+        send t fiber ~src:nd.id ~dst:home body
       else handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc:vc;
       steal_simple ()
   | Proto.Lock_forward { lock; requester; req; vc } ->
@@ -1014,10 +967,9 @@ let handle t fiber nd (env : Proto.t Msg.envelope) =
       serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size
   | Proto.Barrier_arrive { barrier; node; req; vc; records } as body ->
       Engine.advance fiber (overhead t).handler;
-      if t.barrier_home <> nd.id then begin
-        Counters.incr t.counters "recovery.forwards";
-        send t fiber ~src:nd.id ~dst:t.barrier_home body
-      end
+      let home = Roles.barrier_home t.roles in
+      if Roles.stale t.roles ~self:nd.id home then
+        send t fiber ~src:nd.id ~dst:home body
       else note_arrival t fiber nd ~id:barrier ~node ~req ~arr_vc:vc ~records;
       steal_simple ()
   | Proto.Eager_update { record; diffs } ->
@@ -1039,7 +991,24 @@ let start t =
   Reliable.start t.net;
   Node.on_lifecycle t.net ~nodes:t.cfg.n_nodes
     ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
-    ~rehome:(rehome t)
+    ~rehome:(fun lc ~dead ->
+      (* Every lock re-homes, touched or not; a moved lock takes the
+         distributed queue's tail along, and a moved barrier manager the
+         open episodes' arrival records. *)
+      Roles.rehome t.roles lc ~dead
+        ~locks:(fun f ->
+          for l = 0 to t.cfg.n_locks - 1 do
+            f l
+          done)
+        ~move_lock:(fun l ~succ ->
+          let tail = (lock_of t t.nodes.(dead) l).tail in
+          (lock_of t t.nodes.(succ) l).tail <- tail)
+        ~move_barrier:(fun ~succ ->
+          let store = t.nodes.(succ).store in
+          Array.iter
+            (List.iter (fun r -> ignore (Record.Store.add store r)))
+            t.stash)
+        ())
     ~rejoin:(fun id -> rejoin t t.nodes.(id));
   Node.spawn_handlers t.eng t.net ~engine:"tmk" ~nodes:t.cfg.n_nodes
     (fun fiber id env -> handle t fiber t.nodes.(id) env)

@@ -5,6 +5,11 @@
     barrier manager, exchanging {!Proto} messages over a
     {!Shm_net.Reliable} channel (which is a pure pass-through to the
     underlying {!Shm_net.Fabric} unless the fabric injects faults).
+    Where each lock's manager and the barrier manager live, the
+    barrier's arrival count and their re-homing after a crash are the
+    role record every software DSM shares ({!Shm_dsm.Roles}); this
+    engine keeps only what those roles carry here: the lock queue
+    tails, the arrival vector times and the episode's records.
 
     {b Node vs processor.}  The protocol works on {e nodes}.  On AS and the
     DEC cluster a node has one processor; on HS a node is a bus-based
@@ -27,10 +32,10 @@ type t
     [create]) arms crash recovery (DESIGN.md §13): per-node
     failure-atomic checkpoint stores ({!Shm_dsm.Checkpoint}) updated on
     the lifecycle's [on_ckpt] tick (sub-page run-length deltas, counters
-    [ckpt.count]/[ckpt.bytes]), manager re-homing of lock queue tails and
-    the barrier role to a surviving node on crash detection
-    ([recovery.rehomes], stale requests forwarded as
-    [recovery.forwards]), and an online rejoin at restart that replays
+    [ckpt.count]/[ckpt.bytes]), re-homing of every lock (with its queue
+    tail) and the barrier role to a surviving node on crash detection
+    ({!Shm_dsm.Roles.rehome}: [recovery.rehomes], stale requests
+    forwarded as [recovery.forwards]), and an online rejoin at restart that replays
     the node's own diffs since the last checkpoint in seqno order and
     re-validates pages touched by foreign intervals ([recovery.count],
     [recovery.cycles], [recovery.replay_bytes],

@@ -1,16 +1,22 @@
-(* The software-DSM home manager shared by IVY and Tardis, driven
-   directly: transaction serialization, the lock and barrier managers,
-   the end-of-run drain check and the engines' protocol-error printer. *)
+(* The software-DSM managers, driven directly: IVY's and Tardis' home
+   manager (transaction serialization, the lock manager, the end-of-run
+   drain check, the engines' protocol-error printer) and the role record
+   every software DSM shares (lock placement, the counting barrier and
+   re-homing after a crash). *)
 
 module Home = Shm_dsm.Home
+module Roles = Shm_dsm.Roles
 module Counters = Shm_stats.Counters
+module Engine = Shm_sim.Engine
+module Lifecycle = Shm_sim.Lifecycle
 
-let home ?(n_nodes = 2) counters =
-  Home.create ~engine:"test" counters ~n_nodes ~n_pages:4
-    ~barrier_counter:"test.barriers" Fun.id
+let home ?(n_nodes = 2) () = Home.create ~engine:"test" ~n_nodes ~n_pages:4 Fun.id
+
+let roles ?(n_nodes = 2) counters =
+  Roles.create counters ~n_nodes ~barrier_counter:"test.barriers" ()
 
 let test_serializer_fifo () =
-  let h = home (Counters.create ()) in
+  let h = home () in
   Alcotest.(check bool) "idle page starts" true (Home.request h 1 "a");
   Alcotest.(check bool) "busy page queues" false (Home.request h 1 "b");
   Alcotest.(check bool) "busy page queues" false (Home.request h 1 "c");
@@ -25,9 +31,10 @@ let test_serializer_fifo () =
   Alcotest.(check int) "static manager" 1 (Home.manager h 3)
 
 let test_lock_fifo_stamp () =
-  let h = home (Counters.create ()) in
+  let h = home () in
   let ml = Home.lock h 3 in
-  Alcotest.(check int) "static home" 1 (Home.lock_home h 3);
+  Alcotest.(check int) "static home" 1
+    (Roles.lock_home (roles (Counters.create ())) 3);
   Alcotest.(check bool) "free lock granted" true
     (Home.lock_req ml ~requester:0 ~req:10);
   Alcotest.(check bool) "held lock queues" false
@@ -46,27 +53,71 @@ let test_lock_fifo_stamp () =
 
 let test_barrier_departs_at_n () =
   let counters = Counters.create () in
-  let h = home ~n_nodes:3 counters in
-  let departs = Alcotest.(list (pair int int)) in
-  let arrive ~node ~req ~stamp =
-    Home.barrier_arrive h ~id:2 ~node ~req ~stamp
-  in
+  let r = roles ~n_nodes:3 counters in
+  (* The arrival payload is the engine's: here (node, req, stamp). *)
+  let departs = Alcotest.(list (triple int int int)) in
+  let arrive ~node ~req ~stamp = Roles.arrive r ~id:2 (node, req, stamp) in
   Alcotest.check departs "first" [] (arrive ~node:0 ~req:5 ~stamp:4);
   Alcotest.check departs "second" [] (arrive ~node:1 ~req:6 ~stamp:9);
   Alcotest.(check int) "no episode yet" 0
     (Counters.get counters "test.barriers");
   Alcotest.check departs "n-th departs everyone, newest first"
-    [ (2, 7); (1, 6); (0, 5) ]
+    [ (2, 7, 2); (1, 6, 9); (0, 5, 4) ]
     (arrive ~node:2 ~req:7 ~stamp:2);
-  Alcotest.(check int) "max stamp" 9 (Home.barrier_stamp h 2);
   Alcotest.(check int) "episode counted" 1
     (Counters.get counters "test.barriers");
   Alcotest.check departs "next episode starts empty" []
     (arrive ~node:1 ~req:8 ~stamp:0);
-  Alcotest.(check int) "home" 0 (Home.barrier_home h)
+  Alcotest.(check int) "home" 0 (Roles.barrier_home r)
+
+(* Nodes 3 and 0 of 4 are down.  Re-homing node 3 skips node 0 and
+   wraps to node 1; re-homing node 0 moves its locks and the barrier to
+   node 1.  Only the locks the engine enumerates move, each hook runs
+   once per moved role, and [recovery.rehomes] counts them. *)
+let test_rehome () =
+  let eng = Engine.create () in
+  let counters = Counters.create () in
+  let lc = Lifecycle.create eng counters Lifecycle.none ~nodes:4 in
+  let r = roles ~n_nodes:4 counters in
+  let lock_moves = ref [] and barrier_moves = ref [] in
+  let rehome ~dead ~locks =
+    Roles.rehome r lc ~dead
+      ~locks:(fun f -> List.iter f locks)
+      ~move_lock:(fun l ~succ -> lock_moves := (l, succ) :: !lock_moves)
+      ~move_barrier:(fun ~succ -> barrier_moves := succ :: !barrier_moves)
+      ()
+  in
+  let after_3 = ref (0, []) in
+  ignore
+    (Engine.spawn eng ~name:"crasher" ~at:0 (fun f ->
+         Lifecycle.crash lc 3 ~at:(Engine.clock f);
+         Lifecycle.crash lc 0 ~at:(Engine.clock f);
+         rehome ~dead:3 ~locks:[ 0; 1; 2; 3; 5; 6; 7 ];
+         after_3 := (Counters.get counters "recovery.rehomes", !barrier_moves);
+         (* Lock 4 is not enumerated: it stays at its static home. *)
+         rehome ~dead:0 ~locks:[ 0; 1; 2; 3; 5; 6; 7 ]));
+  Engine.run eng;
+  let moves = Alcotest.(list (pair int int)) in
+  Alcotest.(check (pair int (list int))) "node 3: two locks, no barrier"
+    (2, []) !after_3;
+  Alcotest.check moves "moved locks, in enumeration order"
+    [ (3, 1); (7, 1); (0, 1) ]
+    (List.rev !lock_moves);
+  Alcotest.(check (list int)) "the barrier moved once" [ 1 ] !barrier_moves;
+  Alcotest.(check int) "recovery.rehomes" 4
+    (Counters.get counters "recovery.rehomes");
+  Alcotest.(check (list int)) "lock homes" [ 1; 1; 2; 1; 0; 1; 2; 1 ]
+    (List.init 8 (Roles.lock_home r));
+  Alcotest.(check int) "barrier home" 1 (Roles.barrier_home r);
+  Alcotest.(check bool) "a request to the old home is stale" true
+    (Roles.stale r ~self:3 (Roles.lock_home r 7));
+  Alcotest.(check bool) "one at the new home is not" false
+    (Roles.stale r ~self:1 (Roles.lock_home r 7));
+  Alcotest.(check int) "recovery.forwards" 1
+    (Counters.get counters "recovery.forwards")
 
 let test_check_drained () =
-  let h = home (Counters.create ()) in
+  let h = home () in
   Home.check_drained h;
   ignore (Home.request h 2 "a");
   Alcotest.check_raises "undrained page"
@@ -106,6 +157,8 @@ let suite =
       test_lock_fifo_stamp;
     Alcotest.test_case "barrier departs at n arrivals with the max stamp"
       `Quick test_barrier_departs_at_n;
+    Alcotest.test_case "rehome skips dead nodes and moves each role once"
+      `Quick test_rehome;
     Alcotest.test_case "check_drained: undrained page, stuck lock" `Quick
       test_check_drained;
     Alcotest.test_case "Proto_error names its engine" `Quick
