@@ -395,6 +395,25 @@ if peak_mb > 400:
 print(f"ci: default-scale sor on lrc*32 peaked at {peak_mb:.0f} MB")
 EOF
 
+# Diff-log guard (DESIGN.md §12.1): crash-free, a TreadMarks creator
+# keeps only the diffs some node can still request, and a record keeps
+# the sum of its vector time, not the vector.  Default-scale KV on
+# TreadMarks at 8 nodes with 2% drop must peak under 28 MB (about 25 MB
+# today; 32 MB when every creator kept every diff it made and every
+# record a copy of its vector time).
+python3 - <<'EOF'
+import resource, subprocess, sys
+
+subprocess.run(
+    ["_build/default/bin/shmsim.exe", "run", "-a", "kv", "-p", "treadmarks",
+     "-n", "8", "--scale", "default", "--drop", "0.02"],
+    check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > 28:
+    sys.exit(f"ci: kv on treadmarks with 2% drop peaked at {peak_mb:.0f} MB > 28 MB")
+print(f"ci: kv on treadmarks with 2% drop peaked at {peak_mb:.0f} MB")
+EOF
+
 # Payload GC guard (DESIGN.md §12): IVY and Tardis move pages as
 # malloc'd copies outside the OCaml heap, so page traffic must not drive
 # the major collector.  KV on IVY at 8 nodes must finish within 50 major

@@ -1,21 +1,17 @@
 type t = {
   creator : int;
   seqno : int;
-  vc : Vc.t;
   pages : int list;
   vsum : int;
 }
 
-let make ~creator ~seqno ~vc ~pages =
-  { creator; seqno; vc; pages; vsum = Vc.sum vc }
+let make ~creator ~seqno ~vsum ~pages = { creator; seqno; pages; vsum }
 
 (* Wire size.  Interval vector times are delta-encoded against the
    enclosing message (an interval differs from the previously-described
    one in one or two components), so a record costs a fixed 16-byte
    descriptor plus 4 bytes per dirtied page. *)
 let bytes r = 16 + (4 * List.length r.pages)
-
-let happened_before a b = (not (Vc.equal a.vc b.vc)) && Vc.dominates b.vc a.vc
 
 let linear_key r = (r.vsum, r.creator, r.seqno)
 
@@ -48,7 +44,7 @@ module Table = struct
 
   type t = record array array
 
-  let absent = { creator = -1; seqno = 0; vc = [||]; pages = []; vsum = 0 }
+  let absent = { creator = -1; seqno = 0; pages = []; vsum = 0 }
 
   let create ~nodes =
     if nodes > max_nodes then

@@ -3,27 +3,25 @@
 
     An {e interval} is the span of a node's execution between consecutive
     synchronization points that dirtied at least one page.  Its record —
-    the creator, the creator's interval index, the vector time at close,
-    and the dirtied pages — is what travels in write notices. *)
+    the creator, the creator's interval index, the sum of the creator's
+    vector time at close, and the dirtied pages — is what travels in
+    write notices.  No protocol path compares two records' vector times:
+    ordering diffs needs only a linear extension of happened-before-1,
+    which the sum gives, so a record carries one word, not an [n]-wide
+    vector. *)
 
 type t = {
   creator : int;
   seqno : int;  (** creator's 1-based interval index *)
-  vc : Vc.t;  (** creator's vector time at interval close *)
   pages : int list;  (** pages dirtied during the interval *)
-  vsum : int;  (** [Vc.sum vc], cached for {!linear_key} *)
+  vsum : int;  (** [Vc.sum] of the creator's vector time at close *)
 }
 
-(** [make ~creator ~seqno ~vc ~pages] builds a record, computing [vsum]
-    once. *)
-val make : creator:int -> seqno:int -> vc:Vc.t -> pages:int list -> t
+val make : creator:int -> seqno:int -> vsum:int -> pages:int list -> t
 
 (** Wire size of one record in a notice: 16-byte descriptor (including
     the delta-encoded vector time), 4 bytes per page id. *)
 val bytes : t -> int
-
-(** [happened_before a b] in the happened-before-1 partial order. *)
-val happened_before : t -> t -> bool
 
 (** [linear_key r] sorts any set of records into a linear extension of
     happened-before-1 ([Vc.sum] is strictly monotone along the order). *)

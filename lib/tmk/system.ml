@@ -43,7 +43,9 @@ type node = {
       (** {!Record.notice}s awaiting diffs, newest first *)
   own : (int * Diff.t) list array;
       (** (seqno, diff) of this node's own intervals that dirtied the
-          page, newest first *)
+          page, newest first; crash-free, only those some node can still
+          request (see [prune_own]) *)
+  mutable logged : int list;  (** the pages whose [own] list is not empty *)
   rights : Bytes.t;
       (** software TLB: one byte per page, ['\000'] = guard must fault,
           ['\001'] = readable, ['\002'] = readable and writable (twin in
@@ -197,6 +199,7 @@ let create eng counters fabric cfg ~memories =
       applied = Array.make n_pages zero_vc;
       pending = Array.make n_pages [];
       own = Array.make n_pages [];
+      logged = [];
       rights =
         (* Pages start valid everywhere; a single node never twins. *)
         Bytes.make n_pages (if n = 1 then '\002' else '\001');
@@ -306,6 +309,42 @@ let records_between nd ~vc_dst = records_range nd ~lo_vc:vc_dst ~hi_vc:nd.vc
 (* ------------------------------------------------------------------ *)
 (* Interval closing and diff creation                                  *)
 
+(* Own intervals between two prunes of a node's diff log. *)
+let prune_period = 16
+
+(* The highest of [creator]'s intervals that every other node has
+   applied to [page]. *)
+let applied_floor t ~creator page =
+  let floor = ref max_int and c = ref 0 in
+  while !floor > 0 && !c < t.cfg.n_nodes do
+    if !c <> creator then
+      floor := min !floor t.nodes.(!c).applied.(page).(creator);
+    incr c
+  done;
+  !floor
+
+(* Drop the own diffs no node can still request.  A diff request's [lo]
+   is the requester's [applied] entry for the creator, and crash-free
+   that entry only grows, so a diff at or below every other node's entry
+   is never served again.  Under a lifecycle the log stays whole: a
+   rejoin rolls [applied] back to its snapshot and fetches again.  Run
+   every [prune_period] own intervals over the pages that hold a log, so
+   the [nodes]-wide floor is not paid per fault or per diff. *)
+let prune_own t nd =
+  let rec above floor = function
+    | (seqno, _) :: _ when seqno <= floor -> []
+    | d :: rest as l ->
+        let rest' = above floor rest in
+        if rest' == rest then l else d :: rest'
+    | [] -> []
+  in
+  nd.logged <-
+    List.filter
+      (fun p ->
+        nd.own.(p) <- above (applied_floor t ~creator:nd.id p) nd.own.(p);
+        nd.own.(p) <> [])
+      nd.logged
+
 let close_interval t fiber nd =
   match nd.dirty with
   | [] -> None
@@ -333,14 +372,16 @@ let close_interval t fiber nd =
           in
           Engine.with_category fiber Engine.Diff (fun () ->
               Engine.advance fiber (ov.diff_per_word * t.cfg.page_words));
+          if nd.own.(p) = [] then nd.logged <- p :: nd.logged;
           nd.own.(p) <- (nd.seq, diff) :: nd.own.(p);
           Counters.bump t.keys.k_diffs_created 1;
           nd.twins.(p) <- None;
           update_rights t nd p;
           (applied_for_write t nd p).(nd.id) <- nd.seq)
         pages;
+      if nd.recov = None && nd.seq mod prune_period = 0 then prune_own t nd;
       let record =
-        Record.make ~creator:nd.id ~seqno:nd.seq ~vc:(Vc.copy nd.vc) ~pages
+        Record.make ~creator:nd.id ~seqno:nd.seq ~vsum:(Vc.sum nd.vc) ~pages
       in
       ignore (Record.Store.add nd.store record);
       Counters.bump t.keys.k_intervals 1;
@@ -871,9 +912,9 @@ let checkpoint t nd =
    (2) conservatively distrusts every foreign interval applied after the
    checkpoint: the page's applied vector rolls back to the snapshot, the
    write notices requeue and the page invalidates, so the next access
-   re-fetches the diffs from their creators (served from the
-   never-pruned per-node logs; re-application is idempotent, so contents
-   are unchanged). *)
+   re-fetches the diffs from their creators (served from the per-node
+   logs, which are never pruned under a lifecycle; re-application is
+   idempotent, so contents are unchanged). *)
 let rejoin t nd =
   match nd.recov with
   | None -> ()
@@ -994,15 +1035,23 @@ let start t =
     ~rehome:(fun lc ~dead ->
       (* Every lock re-homes, touched or not; a moved lock takes the
          distributed queue's tail along, and a moved barrier manager the
-         open episodes' arrival records. *)
+         open episodes' arrival records.  A lock the dead node holds no
+         state for never left its static home's tail, which is what
+         [lock_of] gives a node that has no state for it either, so
+         only a successor that already holds state needs the tail
+         set. *)
       Roles.rehome t.roles lc ~dead
         ~locks:(fun f ->
           for l = 0 to t.cfg.n_locks - 1 do
             f l
           done)
         ~move_lock:(fun l ~succ ->
-          let tail = (lock_of t t.nodes.(dead) l).tail in
-          (lock_of t t.nodes.(succ) l).tail <- tail)
+          match Hashtbl.find_opt t.nodes.(dead).locks l with
+          | Some ls -> (lock_of t t.nodes.(succ) l).tail <- ls.tail
+          | None ->
+              Option.iter
+                (fun ls -> ls.tail <- Roles.static_home t.roles l)
+                (Hashtbl.find_opt t.nodes.(succ).locks l))
         ~move_barrier:(fun ~succ ->
           let store = t.nodes.(succ).store in
           Array.iter
@@ -1022,13 +1071,18 @@ let page_valid t ~node ~page = is_valid t.nodes.(node) page
 
 let vc t ~node = Vc.copy t.nodes.(node).vc
 
+let logged_diffs t ~node =
+  Array.fold_left (fun n l -> n + List.length l) 0 t.nodes.(node).own
+
+let lock_states t ~node = Hashtbl.length t.nodes.(node).locks
+
 let node_words t ~node =
   let nd = t.nodes.(node) in
   let words o = Obj.reachable_words (Obj.repr o) in
   let shared = (t.records, t.zero_vc) in
   let state =
     (nd.vc, nd.store, nd.valid, nd.twins, nd.applied, nd.pending, nd.own,
-     nd.rights)
+     nd.logged, nd.rights)
   in
   (* Less the two tuples built here. *)
   words (shared, state) - words shared - 3 - (1 + Obj.size (Obj.repr state))

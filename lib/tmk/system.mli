@@ -120,6 +120,13 @@ val page_valid : t -> node:int -> page:int -> bool
 (** [vc t ~node] is a copy of the node's vector time. *)
 val vc : t -> node:int -> Vc.t
 
+(** [logged_diffs t ~node] is how many of its own diffs the node keeps
+    to serve diff requests. *)
+val logged_diffs : t -> node:int -> int
+
+(** [lock_states t ~node] is how many locks the node holds state for. *)
+val lock_states : t -> node:int -> int
+
 (** [node_words t ~node] is the host words the node's page state, vector
     time and record-store view occupy.  It leaves out what the nodes
     share: the interval records and the all-zero vector untouched pages

@@ -6,6 +6,7 @@ module Engine = Shm_sim.Engine
 module Prng = Shm_sim.Prng
 module Counters = Shm_stats.Counters
 module Fabric = Shm_net.Fabric
+module Lifecycle = Shm_sim.Lifecycle
 module Overhead = Shm_net.Overhead
 module Memory = Shm_memsys.Memory
 module Vc = Shm_tmk.Vc
@@ -18,10 +19,11 @@ type cluster = {
   eng : Engine.t;
   sys : System.t;
   counters : Counters.t;
+  lc : Lifecycle.t option;  (** attached iff built with [~crash] *)
 }
 
-let make_cluster ?(eager_locks = []) ?(page_words = 512) ~nodes ~shared_words
-    () =
+let make_cluster ?(eager_locks = []) ?(page_words = 512) ?crash ~nodes
+    ~shared_words () =
   let eng = Engine.create () in
   let counters = Counters.create () in
   let fabric =
@@ -29,13 +31,22 @@ let make_cluster ?(eager_locks = []) ?(page_words = 512) ~nodes ~shared_words
       (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
       ~nodes
   in
+  let lc =
+    Option.map
+      (fun policy ->
+        let lc = Lifecycle.create eng counters policy ~nodes in
+        Fabric.attach_lifecycle fabric lc;
+        lc)
+      crash
+  in
   let memories = Array.init nodes (fun _ -> Memory.create ~words:shared_words) in
   let cfg =
     { (Config.default ~n_nodes:nodes ~shared_words) with eager_locks; page_words }
   in
   let sys = System.create eng counters fabric cfg ~memories in
   System.start sys;
-  { eng; sys; counters }
+  Option.iter Lifecycle.start lc;
+  { eng; sys; counters; lc }
 
 let spawn_node c ~node body =
   ignore
@@ -295,7 +306,7 @@ let prop_vc_join_lub =
 
 let test_record_store () =
   let s = Record.Store.create (Record.Table.create ~nodes:2) in
-  let mk seqno = Record.make ~creator:1 ~seqno ~vc:[| 0; seqno |] ~pages:[ 0 ] in
+  let mk seqno = Record.make ~creator:1 ~seqno ~vsum:seqno ~pages:[ 0 ] in
   Alcotest.(check bool) "add new" true (Record.Store.add s (mk 1));
   Alcotest.(check bool) "add dup" false (Record.Store.add s (mk 1));
   ignore (Record.Store.add s (mk 2));
@@ -350,9 +361,7 @@ let prop_store_matches_model =
       let store = Record.Store.create (Record.Table.create ~nodes) in
       let model = Hashtbl.create 64 and noticed = Hashtbl.create 64 in
       let mk creator seqno =
-        let vc = Array.make nodes 0 in
-        vc.(creator) <- seqno;
-        Record.make ~creator ~seqno ~vc ~pages:[ seqno mod 5 ]
+        Record.make ~creator ~seqno ~vsum:seqno ~pages:[ seqno mod 5 ]
       in
       let ok = ref true in
       let expect b = if not b then ok := false in
@@ -511,13 +520,11 @@ let prop_notices_match_old_representation =
   let pool =
     Array.init nodes (fun creator ->
         Array.init (top + 1) (fun seqno ->
-            let vc = Array.make nodes 0 in
-            vc.(creator) <- seqno;
             let pages =
               List.sort_uniq compare
                 [ seqno mod pages; (seqno + creator) mod pages ]
             in
-            Record.make ~creator ~seqno ~vc ~pages))
+            Record.make ~creator ~seqno ~vsum:seqno ~pages))
   in
   let op =
     QCheck.Gen.(
@@ -691,7 +698,8 @@ let prop_compare_linear_is_linear_key =
   let record =
     QCheck.(
       map
-        (fun (creator, seqno, vc) -> Record.make ~creator ~seqno ~vc ~pages:[])
+        (fun (creator, seqno, vc) ->
+          Record.make ~creator ~seqno ~vsum:(Vc.sum vc) ~pages:[])
         (triple (int_bound 3) (int_bound 6)
            (array_of_size (Gen.return 4) (int_bound 6))))
   in
@@ -748,7 +756,7 @@ let test_diff_req_serves_page_diffs () =
    barrier, reads its neighbour's page and meets them again.  A node ends
    with a notice pending for nearly every page and knows every record, so
    this measures the cost per notice and per known record.  Measured at
-   4,938 words a node; the budget is 6,000.  Notices as tuples in
+   4,941 words a node; the budget is 6,000.  Notices as tuples in
    lists, one record per page state and a store with its own arrays per
    creator took 12,167. *)
 let test_width_budget () =
@@ -775,6 +783,84 @@ let test_width_budget () =
   if !worst > 6_000 then
     Alcotest.failf "a node holds %d words of TreadMarks state (want <= 6000)"
       !worst
+
+(* A creator keeps only the diffs some node can still request.  Four
+   nodes each write their word of one page under one lock, then all read
+   the whole page after a barrier, so every node soon applies every
+   interval: each node's log stays under 20 at 100 and at 400 rounds
+   (a prune every 16 own intervals leaves the few that some node has
+   not applied yet).  With a lifecycle attached a rejoin may roll [applied] back
+   and fetch again, so there every diff is kept. *)
+let logged_after ?crash ~rounds () =
+  let nodes = 4 in
+  let c = make_cluster ?crash ~nodes ~shared_words:1024 () in
+  for node = 0 to nodes - 1 do
+    spawn_node c ~node (fun f ->
+        for _ = 1 to rounds do
+          System.acquire c.sys f ~node ~lock:0;
+          write c f ~node node (read c f ~node node + 1);
+          System.release c.sys f ~node ~lock:0;
+          System.barrier_arrive c.sys f ~node ~id:0;
+          for w = 0 to nodes - 1 do
+            ignore (read c f ~node w)
+          done
+        done)
+  done;
+  Engine.run c.eng;
+  System.check_invariants c.sys;
+  Array.init nodes (fun node ->
+      Alcotest.(check int) "every round's write arrived" rounds
+        (Memory.get_int (System.memory c.sys ~node) node);
+      System.logged_diffs c.sys ~node)
+
+let test_diff_log_bounded () =
+  List.iter
+    (fun rounds ->
+      let logged = logged_after ~rounds () in
+      Printf.printf "diffs kept after %d rounds: %s\n" rounds
+        (String.concat " " (Array.to_list (Array.map string_of_int logged)));
+      Array.iteri
+        (fun node n ->
+          if n > 20 then
+            Alcotest.failf "node %d keeps %d diffs after %d rounds (want <= 20)"
+              node n rounds)
+        logged)
+    [ 100; 400 ]
+
+let test_diff_log_kept_under_lifecycle () =
+  Alcotest.(check (array int)) "one diff per round" (Array.make 4 100)
+    (logged_after ~crash:Lifecycle.none ~rounds:100 ())
+
+(* A crash re-homes the dead node's 256 locks, but only the one it holds
+   state for moves: node 2 takes lock 5 (managed by node 1) before node
+   1 dies, so nodes 1 and 2 each hold state for lock 5 alone.  After
+   the re-homing node 3 takes lock 5 through its new manager, node 2,
+   and sees node 2's write. *)
+let test_rehome_moves_held_locks () =
+  let nodes = 4 in
+  let c = make_cluster ~crash:Lifecycle.none ~nodes ~shared_words:1024 () in
+  let lc = Option.get c.lc in
+  let after_rehome = ref [||] and seen = ref (-1) in
+  spawn_node c ~node:2 (fun f ->
+      System.acquire c.sys f ~node:2 ~lock:5;
+      write c f ~node:2 0 42;
+      System.release c.sys f ~node:2 ~lock:5);
+  spawn_node c ~node:3 (fun f ->
+      Engine.wait_until f 100_000;
+      Lifecycle.crash lc 1 ~at:(Engine.clock f);
+      (* Past detection, which re-homes node 1's roles. *)
+      Engine.wait_until f 400_000;
+      after_rehome :=
+        Array.init nodes (fun node -> System.lock_states c.sys ~node);
+      System.acquire c.sys f ~node:3 ~lock:5;
+      seen := read c f ~node:3 0;
+      System.release c.sys f ~node:3 ~lock:5);
+  Engine.run c.eng;
+  Alcotest.(check int) "node 1's locks re-homed" 256
+    (Counters.get c.counters "recovery.rehomes");
+  Alcotest.(check (array int)) "lock states after the re-homing"
+    [| 0; 1; 1; 0 |] !after_rehome;
+  Alcotest.(check int) "node 2's write under lock 5" 42 !seen
 
 let suite =
   [
@@ -810,4 +896,10 @@ let suite =
       test_diff_req_serves_page_diffs;
     Alcotest.test_case "per-node state within its width budget" `Quick
       test_width_budget;
+    Alcotest.test_case "diff log bounded by what can be requested" `Quick
+      test_diff_log_bounded;
+    Alcotest.test_case "diff log kept whole under a lifecycle" `Quick
+      test_diff_log_kept_under_lifecycle;
+    Alcotest.test_case "re-homing moves only held locks" `Quick
+      test_rehome_moves_held_locks;
   ]
