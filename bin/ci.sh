@@ -80,6 +80,16 @@ if grep -nE '^(let|and)( rec)? (fresh_req|register_req|drain_steal|route_respons
   exit 1
 fi
 
+# Skeleton fork guard: IVY and Tardis run on one home-based page-DSM
+# skeleton (Shm_dsm.Paged, DESIGN.md §6) and keep only their protocol.
+# An engine defining its own sending, serving, start-up, guards or
+# synchronization clients again would restart the fork Paged replaced.
+if grep -nE '^(let|and)( rec)? (deliver|serve|start|read_guard|write_guard|read_range_guard|write_range_guard|acquire|release|barrier_arrive)\b' \
+     lib/ivy/*.ml lib/tardis/*.ml; then
+  echo "ci: IVY and Tardis must use Shm_dsm.Paged, not their own skeleton" >&2
+  exit 1
+fi
+
 # Recovery fork guard: the fabric's lifecycle is the one crash switch
 # and Shm_dsm.Checkpoint the one checkpoint store (DESIGN.md §13).  A
 # second WAL beside the per-page own-diff lists, a per-engine dirty map,

@@ -3,9 +3,14 @@
    being fetched, the handler time owed by the application, the handler
    daemons and the crash-recovery wiring.  The engine keeps only its
    protocol: what to send, and what a message does when it arrives.
-   Sending stays in the engine: a shared [deliver] would reach the
-   engine's message functions through closures, and ocamlopt without
-   flambda does not turn those into direct calls even when inlined. *)
+   IVY and Tardis also share sending and serving ({!Paged}), which
+   reaches the engine's message functions through a record of closures:
+   an indirect call where a per-engine copy had a direct one, and no
+   allocation.  Measured on [kv] at [ivy] 8, default scale (408,224
+   messages, 20 alternating runs on a 2-core x86-64 host): median user
+   time 0.742 s against 0.714 s for per-engine sending, minimum 0.557 s
+   against 0.556 s; the paired median difference, 15 ms or about 35 ns
+   a message, is inside the host's run-to-run spread (0.56 to 0.90 s). *)
 
 module Engine = Shm_sim.Engine
 module Mailbox = Shm_sim.Mailbox
@@ -104,13 +109,6 @@ let fetching rt page = Hashtbl.mem rt.inflight page
 
 let overhead net = (Fabric.config (Reliable.fabric net)).Fabric.overhead
 
-(* The handler's CPU time for one message: [handler] cycles now, charged
-   back to the application unless the message is a [reply] completing one
-   of its own waits. *)
-let[@inline] serve_step rt fiber (ov : Shm_net.Overhead.t) ~reply =
-  Engine.advance fiber ov.handler;
-  if not reply then charge rt (ov.handler + ov.fixed_recv)
-
 (* One handler daemon per node: receive the next message, then
    [serve fiber node envelope] in the Protocol category. *)
 let spawn_handlers eng net ~engine ~nodes serve =
@@ -174,10 +172,6 @@ let page_data mem ~page_words page =
   Memory.blit ~src:mem ~src_pos:(page * page_words) ~dst:data ~dst_pos:0
     ~len:page_words;
   data
-
-let install mem ~page_words page data =
-  Memory.blit ~src:data ~src_pos:0 ~dst:mem ~dst_pos:(page * page_words)
-    ~len:page_words
 
 (* The range guards' page walk: [guard a b fiber page] once per page
    overlapping [addr, addr+words), in address order, each followed at

@@ -17,8 +17,10 @@ type 'a episode = {
 }
 
 type 'a t = {
+  engine : string;  (** engine name, for diagnostics *)
   counters : Counters.t;
   n_nodes : int;
+  n_locks : int;
   moved : (int, int) Hashtbl.t;
       (** lock -> current home, for the locks a crash re-homed; empty
           (every lock at its static home) until then *)
@@ -27,16 +29,31 @@ type 'a t = {
   barrier_counter : Counters.key;  (** counts completed episodes *)
 }
 
-let create counters ~n_nodes ?(n_barriers = 16) ?(barrier_home = 0)
+let create ~engine counters ~n_nodes ?(n_locks = Shm_memsys.Hw_sync.max_locks)
+    ?(n_barriers = Shm_memsys.Hw_sync.max_barriers) ?(barrier_home = 0)
     ~barrier_counter () =
   {
+    engine;
     counters;
     n_nodes;
+    n_locks;
     moved = Hashtbl.create 8;
     barrier_home;
     barriers = Array.init n_barriers (fun _ -> { arrivals = []; arrived = 0 });
     barrier_counter = Counters.key counters barrier_counter;
   }
+
+(* ---------------- ids ---------------------------------------------- *)
+
+(* Lock ids run over [0, n_locks) and barrier ids over [0, n_barriers).
+   The calling processor checks its id before any message leaves it, so
+   a bad id fails there, the same way on every engine. *)
+let check r what id n =
+  if id < 0 || id >= n then
+    invalid_arg (Printf.sprintf "%s: %s %d out of range [0, %d)" r.engine what id n)
+
+let check_lock r lock = check r "lock" lock r.n_locks
+let check_barrier r id = check r "barrier" id (Array.length r.barriers)
 
 (* ---------------- where each role lives ---------------------------- *)
 

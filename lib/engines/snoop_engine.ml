@@ -4,7 +4,6 @@
    an HS node's local bus. *)
 
 module Snoop = Shm_memsys.Snoop
-module Hw_sync = Shm_memsys.Hw_sync
 
 let name = "mesi"
 let kind = Shm_proto.Hw
@@ -36,34 +35,15 @@ let config_of (ctx : Shm_proto.ctx) =
 
 let mount (ctx : Shm_proto.ctx) =
   let machine = Snoop.create ctx.eng ctx.counters ctx.memories.(0) (config_of ctx) in
-  let access =
-    {
-      Hw_sync.rmw = (fun f ~cpu addr g -> Snoop.rmw machine f ~cpu addr g);
-      read = (fun f ~cpu addr -> ignore (Snoop.read machine f ~cpu addr));
-    }
-  in
-  let sync = Hw_sync.create ctx.eng access ~base:ctx.shared_words ~nprocs:ctx.nodes in
-  {
-    Shm_proto.i_name = name;
-    page_shift = -1;
-    wordwise_ranges = false;
-    access_rights = None;
-    set_page_hook = (fun _ -> ());
-    start = (fun () -> ());
-    retx_note = (fun () -> "");
-    read_guard = (fun f ~node addr -> Snoop.read_timing machine f ~cpu:node addr);
-    write_guard = (fun f ~node addr -> Snoop.write_timing machine f ~cpu:node addr);
-    read_range_guard =
-      (fun f ~node addr words ~f:move ->
-        Snoop.read_range machine f ~cpu:node addr words ~f:move);
-    write_range_guard =
-      (fun f ~node addr words ~f:move ->
-        Snoop.write_range machine f ~cpu:node addr words ~f:move);
-    acquire = (fun f ~node ~lock -> Hw_sync.lock sync f ~cpu:node lock);
-    release = (fun f ~node ~lock -> Hw_sync.unlock sync f ~cpu:node lock);
-    barrier_arrive = (fun f ~node ~id -> Hw_sync.barrier sync f ~cpu:node id);
-    rmw = Some (fun f ~node addr g -> Snoop.rmw machine f ~cpu:node addr g);
-    invalidate_range =
-      Some (fun ~addr ~words -> Snoop.invalidate_range machine ~addr ~words);
-    check_invariants = (fun () -> Snoop.check_coherence machine);
-  }
+  Hw_mount.instance ctx ~i_name:name
+    ~rmw:(fun f ~cpu addr g -> Snoop.rmw machine f ~cpu addr g)
+    ~read:(fun f ~cpu addr -> ignore (Snoop.read machine f ~cpu addr))
+    ~read_guard:(fun f ~node addr -> Snoop.read_timing machine f ~cpu:node addr)
+    ~write_guard:(fun f ~node addr -> Snoop.write_timing machine f ~cpu:node addr)
+    ~read_range_guard:(fun f ~node addr words ~f:move ->
+      Snoop.read_range machine f ~cpu:node addr words ~f:move)
+    ~write_range_guard:(fun f ~node addr words ~f:move ->
+      Snoop.write_range machine f ~cpu:node addr words ~f:move)
+    ~invalidate_range:(fun ~addr ~words ->
+      Snoop.invalidate_range machine ~addr ~words)
+    ~check_invariants:(fun () -> Snoop.check_coherence machine)

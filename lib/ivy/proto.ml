@@ -31,14 +31,6 @@ let sizes = function
     ->
       Msg.sizes ~consistency:8 ()
 
-let class_ = function
-  | Lock_req _ | Lock_grant _ | Unlock _ | Barrier_arrive _ | Barrier_depart _
-    ->
-      Msg.Sync
-  | Read_req _ | Read_fwd _ | Page_copy _ | Write_req _ | Invalidate _
-  | Inval_ack _ | Write_fwd _ | Page_grant _ | Txn_done _ ->
-      Msg.Miss
-
 (* Replies complete a wait of the receiving node's own application. *)
 let is_reply = function
   | Page_copy _ | Page_grant _ | Lock_grant _ | Barrier_depart _ -> true

@@ -29,8 +29,6 @@ type t =
 
 val sizes : t -> Shm_net.Msg.sizes
 
-val class_ : t -> Shm_net.Msg.class_
-
 (** [is_reply m]: [m] completes a wait of the receiving node's own
     application (its handler time is not charged back to it). *)
 val is_reply : t -> bool

@@ -1,14 +1,14 @@
 module Engine = Shm_sim.Engine
-module Reliable = Shm_net.Reliable
-module Msg = Shm_net.Msg
 module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Checkpoint = Shm_dsm.Checkpoint
 module Home = Shm_dsm.Home
-module Roles = Shm_dsm.Roles
+module Paged = Shm_dsm.Paged
 module Iset = Set.Make (Int)
 
+(* The kind of a page transaction, and the state a node's rights byte
+   encodes: ['\000'] Invalid, ['\001'] Read, ['\002'] Write. *)
 type page_access = Invalid | Read | Write
 
 let access_name = function
@@ -29,114 +29,32 @@ type mpage = {
   mutable acks_waited : int;
 }
 
-type node = {
-  id : int;
-  mem : Memory.t;
-  access : page_access array;
-  rights : Bytes.t;
-      (** software TLB mirroring [access]: ['\000'] Invalid, ['\001'] Read,
-          ['\002'] Write — consulted by the platforms' fast paths. *)
-  rt : Proto.t Node.t;
-  ckpt : Checkpoint.t option;  (** checkpoint store; [None] = crash-free *)
-}
+type t = (Proto.t, unit, pending_txn, mpage) Paged.t
+type node = (Proto.t, unit) Paged.node
 
-type t = {
-  eng : Engine.t;
-  counters : Counters.t;
-  net : Proto.t Reliable.t;
-  page_words : int;
-  n_pages : int;
-  n_nodes : int;
-  nodes : node array;
-  home : (pending_txn, mpage) Home.t;
-  roles : (int * int) Roles.t;  (** barrier arrivals: (node, req) *)
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
-}
+let access (nd : node) page =
+  match Bytes.unsafe_get nd.rights page with
+  | '\000' -> Invalid
+  | '\001' -> Read
+  | _ -> Write
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
-
-let page_shift t = t.page_shift
-
-let access_rights t ~node = t.nodes.(node).rights
-
-(* Every [access] transition goes through here so the TLB mirror never
-   drifts.  A transition to [Write] marks the page for the next
-   checkpoint: once writable, the application mutates it with no further
-   protocol event. *)
-let set_access nd page (a : page_access) =
-  nd.access.(page) <- a;
+(* Every access transition goes through here.  A transition to [Write]
+   marks the page for the next checkpoint: once writable, the
+   application mutates it with no further protocol event. *)
+let set_access (nd : node) page (a : page_access) =
   (match nd.ckpt with
   | Some c when a = Write -> Checkpoint.mark c page
   | Some _ | None -> ());
   Bytes.unsafe_set nd.rights page
     (match a with Invalid -> '\000' | Read -> '\001' | Write -> '\002')
 
-let memory t ~node = t.nodes.(node).mem
-
-let set_page_hook t f = t.page_hook <- f
-
-let overhead t = Node.overhead t.net
-
-let create eng counters fabric ~page_words ~shared_words ~memories =
-  let n_nodes = Array.length memories in
-  let n_pages = (shared_words + page_words - 1) / page_words in
-  (* The initial owner (the manager) holds each page in Read like everyone
-     else; ownership only matters once someone writes.  [Iset] is
-     immutable, so every page shares the one full copyset. *)
-  let everyone = Iset.of_list (List.init n_nodes Fun.id) in
-  {
-    eng;
-    counters;
-    net = Reliable.create eng counters fabric;
-    page_words;
-    n_pages;
-    n_nodes;
-    nodes =
-      Array.init n_nodes (fun id ->
-          {
-            id;
-            mem = memories.(id);
-            access = Array.make n_pages Read;
-            rights =
-              Bytes.make n_pages (if n_nodes = 1 then '\002' else '\001');
-            rt = Node.create eng ~engine:"ivy";
-            ckpt =
-              Option.map
-                (fun _ ->
-                  Checkpoint.create memories.(id) ~pages:n_pages ~page_words)
-                (Shm_net.Fabric.lifecycle fabric);
-          });
-    home =
-      Home.create ~engine:"ivy" ~n_nodes ~n_pages (fun page ->
-          { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 });
-    roles = Roles.create counters ~n_nodes ~barrier_counter:"ivy.barriers" ();
-    page_shift = Node.page_shift page_words;
-    page_hook = (fun ~node:_ ~page:_ -> ());
-  }
-
-let install_page t fiber nd page data =
-  Node.install nd.mem ~page_words:t.page_words page data;
-  Option.iter (fun c -> Checkpoint.mark c page) nd.ckpt;
-  Engine.advance fiber t.page_words;
-  t.page_hook ~node:nd.id ~page
-
-(* Deliver [body] to [dst]: over the fabric, or by running the dispatch
-   inline when [dst] is the local node (no message, no cost). *)
-let rec deliver t fiber ~src ~dst body =
-  if src = dst then dispatch t fiber t.nodes.(dst) ~src body
-  else
-    Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
-      ~size:(Proto.sizes body) body
-
 (* ---------------- manager-side page state machine ------------------ *)
 
-and mgr_start_txn t fiber mgr page (txn : pending_txn) =
+let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
   let mp = Home.page t.home page in
   match txn.kind with
   | Read ->
-      deliver t fiber ~src:mgr ~dst:mp.owner
+      Paged.deliver t fiber ~src:mgr ~dst:mp.owner
         (Proto.Read_fwd { page; requester = txn.requester; req = txn.req })
   | Write ->
       let invals =
@@ -148,7 +66,7 @@ and mgr_start_txn t fiber mgr page (txn : pending_txn) =
       else
         Iset.iter
           (fun dst ->
-            deliver t fiber ~src:mgr ~dst
+            Paged.deliver t fiber ~src:mgr ~dst
               (Proto.Invalidate { page; req = txn.req }))
           invals
   | Invalid ->
@@ -179,17 +97,16 @@ and mgr_proceed_write t fiber mgr page =
   | Some { requester; req; _ } ->
       if mp.owner = requester then
         (* Ownership upgrade: the requester already holds the data. *)
-        deliver t fiber ~src:mgr ~dst:requester
+        Paged.deliver t fiber ~src:mgr ~dst:requester
           (Proto.Page_grant { page; req; data = None })
       else
-        deliver t fiber ~src:mgr ~dst:mp.owner
+        Paged.deliver t fiber ~src:mgr ~dst:mp.owner
           (Proto.Write_fwd { page; requester; req })
   | None -> failwith "ivy: write proceed without transaction"
 
 (* ---------------- message dispatch --------------------------------- *)
 
-and dispatch t fiber nd ~src body =
-  ignore src;
+let dispatch (t : t) fiber (nd : node) body =
   match body with
   | Proto.Read_req { page; requester; req } ->
       let txn = { kind = Read; requester; req } in
@@ -199,9 +116,9 @@ and dispatch t fiber nd ~src body =
       if Home.request t.home page txn then mgr_start_txn t fiber nd.id page txn
   | Proto.Read_fwd { page; requester; req } ->
       (* We are the owner: downgrade and ship a copy. *)
-      if nd.access.(page) = Write then set_access nd page Read;
+      if access nd page = Write then set_access nd page Read;
       Engine.advance fiber t.page_words;
-      deliver t fiber ~src:nd.id ~dst:requester
+      Paged.deliver t fiber ~src:nd.id ~dst:requester
         (Proto.Page_copy
            {
              page;
@@ -214,13 +131,13 @@ and dispatch t fiber nd ~src body =
       Engine.advance fiber t.page_words;
       let data = Some (Node.page_data nd.mem ~page_words:t.page_words page) in
       set_access nd page Invalid;
-      deliver t fiber ~src:nd.id ~dst:requester
+      Paged.deliver t fiber ~src:nd.id ~dst:requester
         (Proto.Page_grant { page; req; data });
       Counters.incr t.counters "ivy.page_transfers"
   | Proto.Invalidate { page; req } ->
       set_access nd page Invalid;
       Engine.instant fiber "ivy.invalidate";
-      deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
+      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
         (Proto.Inval_ack { page; req })
   | Proto.Inval_ack { page; _ } ->
       let mp = Home.page t.home page in
@@ -237,44 +154,24 @@ and dispatch t fiber nd ~src body =
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
-      let home = Roles.lock_home t.roles lock in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else if Home.lock_req (Home.lock t.home lock) ~requester ~req then
-        deliver t fiber ~src:nd.id ~dst:requester
-          (Proto.Lock_grant { lock; req })
-  | Proto.Unlock { lock; _ } -> (
-      let home = Roles.lock_home t.roles lock in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else
-        match Home.unlock (Home.lock t.home lock) ~stamp:0 with
-        | Some (requester, req) ->
-            deliver t fiber ~src:nd.id ~dst:requester
-              (Proto.Lock_grant { lock; req })
-        | None -> ())
+      Paged.serve_lock_req t fiber nd body ~lock ~requester ~req
+  | Proto.Unlock { lock; _ } -> Paged.serve_unlock t fiber nd body ~lock ~stamp:0
   | Proto.Barrier_arrive { barrier; node; req } ->
-      let home = Roles.barrier_home t.roles in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else begin
-        match Roles.arrive t.roles ~id:barrier (node, req) with
-        | [] -> ()
-        | departs ->
-            List.iter
-              (fun (dst, dreq) ->
-                deliver t fiber ~src:nd.id ~dst
-                  (Proto.Barrier_depart { barrier; req = dreq }))
-              departs
-      end
+      Paged.serve_arrival t fiber nd body ~barrier ~node ~req ~stamp:0
   | Proto.Page_copy { req; _ } | Proto.Page_grant { req; _ }
   | Proto.Lock_grant { req; _ } | Proto.Barrier_depart { req; _ } ->
-      Node.route nd.rt ~req body ~at:(Engine.clock fiber)
+      Paged.reply nd fiber ~req body
 
-let serve t fiber id (env : Proto.t Msg.envelope) =
-  Node.serve_step t.nodes.(id).rt fiber (overhead t)
-    ~reply:(Proto.is_reply env.body);
-  dispatch t fiber t.nodes.(id) ~src:env.src env.body
+(* A fault's reply: a read copy, or ownership with the data unless the
+   requester already held it. *)
+let complete t fiber nd page = function
+  | Proto.Page_copy { data; _ } ->
+      Paged.install_page t fiber nd page data;
+      set_access nd page Read
+  | Proto.Page_grant { data; _ } ->
+      Option.iter (Paged.install_page t fiber nd page) data;
+      set_access nd page Write
+  | _ -> failwith "ivy: unexpected fault response"
 
 (* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
 
@@ -282,7 +179,7 @@ let serve t fiber id (env : Proto.t Msg.envelope) =
    the image (IVY moves whole pages, so it persists whole pages —
    contrast the TreadMarks sub-page run-length deltas).  Runs from an
    [Engine.schedule] callback; cost charged to the application. *)
-let checkpoint t nd =
+let checkpoint (t : t) (nd : node) =
   match nd.ckpt with
   | None -> ()
   | Some store ->
@@ -308,9 +205,9 @@ let checkpoint t nd =
       in
       (* A writable page keeps changing with no further protocol event:
          keep it marked for the next checkpoint. *)
-      let keep p = nd.access.(p) = Write in
+      let keep p = access nd p = Write in
       ignore (Checkpoint.sweep store t.counters ~persist ~keep : int);
-      Node.charge nd.rt ((overhead t).handler + !copied)
+      Node.charge nd.rt ((Paged.overhead t).handler + !copied)
 
 (* Online rejoin of a restarted node: every page it neither owns nor has
    a transaction in flight for is conservatively invalidated, so the
@@ -318,12 +215,12 @@ let checkpoint t nd =
    consistent) manager.  Owned pages are authoritative — the volatile
    copy survives the outage under the failure-atomic heap model — and
    invalidating them would strand the directory. *)
-let rejoin t nd =
+let rejoin (t : t) (nd : node) =
   match nd.ckpt with
   | None -> ()
   | Some _ ->
       for p = 0 to t.n_pages - 1 do
-        if nd.access.(p) <> Invalid && not (Node.fetching nd.rt p) then begin
+        if access nd p <> Invalid && not (Node.fetching nd.rt p) then begin
           let ours =
             (Home.page t.home p).owner = nd.id
             ||
@@ -338,139 +235,22 @@ let rejoin t nd =
           end
         end
       done;
-      let cycles = (overhead t).handler + t.n_pages in
+      let cycles = (Paged.overhead t).handler + t.n_pages in
       Node.charge nd.rt cycles;
       Counters.incr t.counters "recovery.count";
       Counters.add t.counters "recovery.cycles" cycles
 
-let start t =
-  Reliable.start t.net;
-  Node.on_lifecycle t.net ~nodes:t.n_nodes
-    ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
-    ~rehome:(fun lc ~dead ->
-      Roles.rehome t.roles lc ~dead ~locks:(Home.iter_locks t.home) ())
-    ~rejoin:(fun id -> rejoin t t.nodes.(id));
-  Node.spawn_handlers t.eng t.net ~engine:"ivy" ~nodes:t.n_nodes
-    (fun fiber id env -> serve t fiber id env)
-
-let retx_note t = Reliable.pending_note t.net
-
-(* ---------------- application-facing operations -------------------- *)
-
-let satisfied nd page ~write =
-  match nd.access.(page) with
-  | Write -> true
-  | Read -> not write
-  | Invalid -> false
-
-let fault t fiber nd page ~write =
-  Node.sync nd.rt fiber;
-  while (not (satisfied nd page ~write)) && Node.wait_fetch nd.rt fiber page do
-    ()
-  done;
-  if not (satisfied nd page ~write) then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Node.begin_fetch nd.rt page in
-    Counters.incr t.counters
-      (if write then "ivy.write_faults" else "ivy.read_faults");
-    Engine.instant fiber "ivy.fault";
-    Engine.advance fiber (overhead t).handler;
-    let req = Node.fresh nd.rt in
-    let mb = Node.register nd.rt req in
-    let mgr = Home.manager t.home page in
-    let body =
-      if write then Proto.Write_req { page; requester = nd.id; req }
-      else Proto.Read_req { page; requester = nd.id; req }
-    in
-    deliver t fiber ~src:nd.id ~dst:mgr body;
-    (match Node.await fiber Engine.Net_wait mb with
-    | Proto.Page_copy { data; _ } ->
-        install_page t fiber nd page data;
-        set_access nd page Read
-    | Proto.Page_grant { data; _ } ->
-        Option.iter (install_page t fiber nd page) data;
-        set_access nd page Write
-    | _ -> failwith "ivy: unexpected fault response");
-    deliver t fiber ~src:nd.id ~dst:mgr
-      (Proto.Txn_done
-         { page; requester = nd.id; write = (if write then 1 else 0) });
-    Node.finish nd.rt req;
-    Node.end_fetch nd.rt fiber page wq
-  end
-
-let[@inline] read_page t nd fiber page =
-  while nd.access.(page) = Invalid do
-    fault t fiber nd page ~write:false
-  done
-
-let[@inline] write_page t nd fiber page =
-  while nd.access.(page) <> Write do
-    fault t fiber nd page ~write:true
-  done
-
-let read_guard t fiber ~node addr =
-  if t.n_nodes > 1 then read_page t t.nodes.(node) fiber (page_of t addr)
-
-(* A single process never write-protects pages. *)
-let write_guard t fiber ~node addr =
-  if t.n_nodes > 1 then write_page t t.nodes.(node) fiber (page_of t addr)
-
-let read_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      read_page t t.nodes.(node) fiber addr words ~f
-
-let write_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      write_page t t.nodes.(node) fiber addr words ~f
-
-let acquire t fiber ~node ~lock =
-  let nd = t.nodes.(node) in
-  Node.sync nd.rt fiber;
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = Node.fresh nd.rt in
-  let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-    (Proto.Lock_req { lock; requester = node; req });
-  (match Node.await fiber Engine.Lock_wait mb with
-  | Proto.Lock_grant _ -> ()
-  | _ -> failwith "ivy: unexpected lock response");
-  Node.finish nd.rt req;
-  Counters.incr t.counters "ivy.lock_acquires"
-
-let release t fiber ~node ~lock =
-  Node.sync t.nodes.(node).rt fiber;
-  Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-        (Proto.Unlock { lock; requester = node }))
-
-let barrier_arrive t fiber ~node ~id =
-  let nd = t.nodes.(node) in
-  Node.sync nd.rt fiber;
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = Node.fresh nd.rt in
-  let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Roles.barrier_home t.roles)
-    (Proto.Barrier_arrive { barrier = id; node; req });
-  (match Node.await fiber Engine.Barrier_wait mb with
-  | Proto.Barrier_depart _ -> ()
-  | _ -> failwith "ivy: unexpected barrier response");
-  Node.finish nd.rt req
-
-let check_invariants t =
-  Home.check_drained t.home;
+(* Exactly one owner per page, the owner's copy valid, writers are
+   owners, copysets cover every valid copy. *)
+let check (t : t) =
   for page = 0 to t.n_pages - 1 do
     let mp = Home.page t.home page in
-    if t.nodes.(mp.owner).access.(page) = Invalid then
+    if access t.nodes.(mp.owner) page = Invalid then
       failwith
         (Printf.sprintf "ivy: page %d owner %d has no copy" page mp.owner);
     Array.iter
-      (fun nd ->
-        match nd.access.(page) with
+      (fun (nd : node) ->
+        match access nd page with
         | Invalid -> ()
         | Read ->
             if not (Iset.mem nd.id mp.copyset) then
@@ -484,3 +264,53 @@ let check_invariants t =
                    nd.id mp.owner))
       t.nodes
   done
+
+let satisfied (nd : node) page ~write =
+  match Bytes.unsafe_get nd.rights page with
+  | '\002' -> true
+  | '\001' -> not write
+  | _ -> false
+
+let protocol =
+  {
+    Paged.engine = "ivy";
+    sizes = Proto.sizes;
+    is_reply = Proto.is_reply;
+    dispatch;
+    satisfied;
+    read_hit = (fun _ _ -> ());
+    page_req =
+      (fun nd page ~write ~req ->
+        if write then Proto.Write_req { page; requester = nd.id; req }
+        else Proto.Read_req { page; requester = nd.id; req });
+    complete;
+    txn_done =
+      (fun ~page ~requester ~write ->
+        Proto.Txn_done { page; requester; write = (if write then 1 else 0) });
+    lock_req =
+      (fun ~lock ~requester ~req -> Proto.Lock_req { lock; requester; req });
+    lock_grant = (fun ~lock ~req ~stamp:_ -> Proto.Lock_grant { lock; req });
+    unlock = (fun _ ~lock ~requester -> Proto.Unlock { lock; requester });
+    arrival =
+      (fun _ ~barrier ~node ~req -> Proto.Barrier_arrive { barrier; node; req });
+    departure =
+      (fun ~barrier ~req ~stamp:_ -> Proto.Barrier_depart { barrier; req });
+    synced =
+      (fun _ -> function
+        | Proto.Lock_grant _ | Proto.Barrier_depart _ -> ()
+        | _ -> failwith "ivy: unexpected synchronization response");
+    checkpoint;
+    rejoin;
+    check;
+  }
+
+let create eng counters fabric ~page_words ~shared_words ~memories =
+  let n_nodes = Array.length memories in
+  (* The initial owner (the manager) holds each page in Read like everyone
+     else; ownership only matters once someone writes.  [Iset] is
+     immutable, so every page shares the one full copyset. *)
+  let everyone = Iset.of_list (List.init n_nodes Fun.id) in
+  Paged.create protocol eng counters fabric ~page_words ~shared_words ~memories
+    ~rights:'\001' ~x:ignore
+    ~mpage:(fun page ->
+      { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 })

@@ -56,14 +56,6 @@ let sizes = function
     ->
       Msg.sizes ~consistency:16 ()
 
-let class_ = function
-  | Lock_req _ | Lock_grant _ | Unlock _ | Barrier_arrive _ | Barrier_depart _
-    ->
-      Msg.Sync
-  | Read_req _ | Read_grant _ | Write_req _ | Write_grant _ | Flush_req _
-  | Flush_resp _ | Txn_done _ ->
-      Msg.Miss
-
 (* Replies complete a wait of the receiving node's own application. *)
 let is_reply = function
   | Read_grant _ | Write_grant _ | Lock_grant _ | Barrier_depart _ -> true

@@ -1,11 +1,8 @@
 module Engine = Shm_sim.Engine
-module Reliable = Shm_net.Reliable
-module Msg = Shm_net.Msg
-module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Home = Shm_dsm.Home
-module Roles = Shm_dsm.Roles
+module Paged = Shm_dsm.Paged
 
 (* Tardis (Yu & Devadas, arXiv 1501.04504) over a page DSM: coherence by
    logical timestamps instead of invalidation.
@@ -25,13 +22,17 @@ module Roles = Shm_dsm.Roles
 
    The home manager (static, [page mod n_nodes]) tracks the version
    timestamp [wts], the highest lease handed out [rts] and the exclusive
-   owner.  Its transaction serializer and lock manager are IVY's own
-   code ({!Shm_dsm.Home}), the lock stamped with release timestamps;
-   lock placement and the counting barrier are every software DSM's
-   ({!Shm_dsm.Roles}), the arrivals carrying the nodes' timestamps.
-   All messaging goes through {!Shm_net.Reliable}, so the engine runs
-   under fault injection; every protocol decision depends only on
-   logical timestamps carried in messages, never on arrival times. *)
+   owner.  The rest is the home-based page-DSM skeleton Tardis shares
+   with IVY ({!Shm_dsm.Paged}): the node and system records, messaging
+   through {!Shm_net.Reliable} (so the engine runs under fault
+   injection), the transaction serializer and the lock manager
+   ({!Shm_dsm.Home}, the lock stamped with release timestamps), lock
+   placement and the counting barrier ({!Shm_dsm.Roles}, arrivals
+   carrying the nodes' timestamps), the fault sequence, the guards and
+   the synchronization clients.  This file keeps the protocol: its page
+   messages, the home's state machine, the lease rule and the [pts]
+   bumps, handed to the skeleton as one [Paged.protocol] record.  Every protocol decision depends only on logical timestamps
+   carried in messages, never on arrival times. *)
 
 type page_access = Tinvalid | Tshared | Texclusive
 
@@ -64,115 +65,47 @@ type mpage = {
   mutable m_rts : int;  (** highest lease handed out; >= m_wts *)
 }
 
-type node = {
-  id : int;
-  mem : Memory.t;
+(* A node's page state.  Its rights bytes read ['\002'] for Exclusive
+   (guards skippable) and ['\000'] otherwise: a Shared copy's
+   readability depends on [pts <= lease], which changes at
+   synchronization, so Shared reads must always reach the guard (a hit
+   is free there). *)
+type tnode = {
   access : page_access array;
-  rights : Bytes.t;
-      (** software TLB: ['\002'] for Exclusive (guards skippable),
-          ['\000'] otherwise — a Shared copy's readability depends on
-          [pts <= lease], which changes at synchronization, so Shared
-          reads must always reach the guard (a hit is free there). *)
   wts : int array;  (** version timestamp of the local copy, per page *)
   lease : int array;  (** local copy readable while [pts <= lease] *)
   mutable pts : int;  (** the node's program timestamp *)
-  rt : Proto.t Node.t;
 }
 
-type t = {
-  eng : Engine.t;
-  counters : Counters.t;
-  net : Proto.t Reliable.t;
-  page_words : int;
-  n_pages : int;
-  n_nodes : int;
-  nodes : node array;
-  home : (pending_txn, mpage) Home.t;
-  roles : (int * int * int) Roles.t;
-      (** barrier arrivals: (node, req, pts) *)
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
-}
+type t = (Proto.t, tnode, pending_txn, mpage) Paged.t
+type node = (Proto.t, tnode) Paged.node
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
-
-let page_shift t = t.page_shift
-
-let access_rights t ~node = t.nodes.(node).rights
-
-(* Every [access] transition goes through here so the TLB mirror never
+(* Every access transition goes through here so the rights byte never
    drifts. *)
-let set_access nd page (a : page_access) =
-  nd.access.(page) <- a;
+let set_access (nd : node) page (a : page_access) =
+  nd.x.access.(page) <- a;
   Bytes.unsafe_set nd.rights page
     (match a with Texclusive -> '\002' | Tshared | Tinvalid -> '\000')
 
-let memory t ~node = t.nodes.(node).mem
-
-let set_page_hook t f = t.page_hook <- f
-
-let overhead t = Node.overhead t.net
-
-let create eng counters fabric ~page_words ~shared_words ~memories =
-  let n_nodes = Array.length memories in
-  let n_pages = (shared_words + page_words - 1) / page_words in
-  {
-    eng;
-    counters;
-    net = Reliable.create eng counters fabric;
-    page_words;
-    n_pages;
-    n_nodes;
-    nodes =
-      Array.init n_nodes (fun id ->
-          {
-            id;
-            mem = memories.(id);
-            access = Array.make n_pages Tshared;
-            (* pts starts at 0 and every initial copy is version 0 with a
-               lease of 0, so the warm start costs nothing: first reads
-               hit, the first write of a page mints version >= 1. *)
-            rights =
-              Bytes.make n_pages (if n_nodes = 1 then '\002' else '\000');
-            wts = Array.make n_pages 0;
-            lease = Array.make n_pages 0;
-            pts = 0;
-            rt = Node.create eng ~engine:"tardis";
-          });
-    home =
-      Home.create ~engine:"tardis" ~n_nodes ~n_pages (fun _ ->
-          { owner = None; m_wts = 0; m_rts = 0 });
-    roles =
-      Roles.create counters ~n_nodes ~barrier_counter:"tardis.barriers" ();
-    page_shift = Node.page_shift page_words;
-    page_hook = (fun ~node:_ ~page:_ -> ());
-  }
+(* Logical time only moves forward: to a version read, a grant, or the
+   time a lock grant or a barrier departure carries, so leases on
+   everything written before it are expired from here on. *)
+let synchronize x ts = if ts > x.pts then x.pts <- ts
 
 (* Replace a page's contents with version [wts].  The local access kind
    is the caller's business; the version stamp is not, so it updates
    here and the platform's cache hook always fires. *)
-let install_page t fiber nd page ~wts data =
-  Node.install nd.mem ~page_words:t.page_words page data;
-  nd.wts.(page) <- wts;
-  Engine.advance fiber t.page_words;
-  t.page_hook ~node:nd.id ~page
-
-(* Deliver [body] to [dst]: over the fabric, or by running the dispatch
-   inline when [dst] is the local node (no message, no cost). *)
-let rec deliver t fiber ~src ~dst body =
-  if src = dst then dispatch t fiber t.nodes.(dst) ~src body
-  else
-    Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
-      ~size:(Proto.sizes body) body
+let install t fiber (nd : node) page ~wts data =
+  nd.x.wts.(page) <- wts;
+  Paged.install_page t fiber nd page data
 
 (* ---------------- manager-side page state machine ------------------ *)
 
-and mgr_start_txn t fiber mgr page (txn : pending_txn) =
+let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
   let mp = Home.page t.home page in
   match mp.owner with
   | Some o when o <> txn.requester ->
-      deliver t fiber ~src:mgr ~dst:o
+      Paged.deliver t fiber ~src:mgr ~dst:o
         (Proto.Flush_req { page; req = txn.req; drop = txn.write })
   | Some _ ->
       (* The exclusive holder neither read- nor write-faults on its own
@@ -217,22 +150,21 @@ and mgr_grant t fiber mgr page =
         mp.m_wts <- ts;
         mp.m_rts <- ts;
         mp.owner <- Some requester;
-        deliver t fiber ~src:mgr ~dst:requester
+        Paged.deliver t fiber ~src:mgr ~dst:requester
           (Proto.Write_grant { page; req; ts; data })
       end
       else begin
         let lease = max mp.m_rts (pts + lease_span) in
         let data = fresh () in
         mp.m_rts <- lease;
-        deliver t fiber ~src:mgr ~dst:requester
+        Paged.deliver t fiber ~src:mgr ~dst:requester
           (Proto.Read_grant { page; req; wts = current; lease; data })
       end
   | None -> failwith "tardis: grant without transaction"
 
 (* ---------------- message dispatch --------------------------------- *)
 
-and dispatch t fiber nd ~src body =
-  ignore src;
+let dispatch (t : t) fiber (nd : node) body =
   match body with
   | Proto.Read_req { page; requester; req; pts; have_wts } ->
       let txn = { write = false; requester; req; pts; have_wts } in
@@ -244,7 +176,7 @@ and dispatch t fiber nd ~src body =
       (* We are the owner: ship the latest contents back to the home
          manager and give up exclusivity.  The copy we keep (unless
          dropped) is the current version, already stamped [wts]. *)
-      if nd.access.(page) <> Texclusive then
+      if nd.x.access.(page) <> Texclusive then
         raise
           (Proto_error
              {
@@ -253,12 +185,12 @@ and dispatch t fiber nd ~src body =
                manager = Home.manager t.home page;
                state =
                  Printf.sprintf "flush of a %s copy (req %d)"
-                   (access_name nd.access.(page))
+                   (access_name nd.x.access.(page))
                    req;
              });
       set_access nd page (if drop then Tinvalid else Tshared);
       Engine.advance fiber t.page_words;
-      deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
+      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
         (Proto.Flush_resp
            {
              page;
@@ -270,7 +202,7 @@ and dispatch t fiber nd ~src body =
       (* We are the manager: refresh the home copy and serve the waiting
          transaction from it. *)
       let mp = Home.page t.home page in
-      install_page t fiber nd page ~wts:mp.m_wts data;
+      install t fiber nd page ~wts:mp.m_wts data;
       mp.owner <- None;
       mgr_grant t fiber nd.id page
   | Proto.Txn_done { page; _ } -> (
@@ -278,195 +210,43 @@ and dispatch t fiber nd ~src body =
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
-      let home = Roles.lock_home t.roles lock in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else
-        let ml = Home.lock t.home lock in
-        if Home.lock_req ml ~requester ~req then
-          deliver t fiber ~src:nd.id ~dst:requester
-            (Proto.Lock_grant { lock; req; ts = ml.stamp })
-  | Proto.Unlock { lock; pts; _ } -> (
-      let home = Roles.lock_home t.roles lock in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else
-        let ml = Home.lock t.home lock in
-        match Home.unlock ml ~stamp:pts with
-        | Some (requester, req) ->
-            deliver t fiber ~src:nd.id ~dst:requester
-              (Proto.Lock_grant { lock; req; ts = ml.stamp })
-        | None -> ())
+      Paged.serve_lock_req t fiber nd body ~lock ~requester ~req
+  | Proto.Unlock { lock; pts; _ } ->
+      Paged.serve_unlock t fiber nd body ~lock ~stamp:pts
   | Proto.Barrier_arrive { barrier; node; req; pts } ->
-      let home = Roles.barrier_home t.roles in
-      if Roles.stale t.roles ~self:nd.id home then
-        deliver t fiber ~src:nd.id ~dst:home body
-      else begin
-        match Roles.arrive t.roles ~id:barrier (node, req, pts) with
-        | [] -> ()
-        | departs ->
-            (* Departures jump every node to the epoch's maximum
-               timestamp, so leases on anything written before the
-               barrier are already spent on the far side. *)
-            let ts =
-              List.fold_left (fun m (_, _, pts) -> max m pts) 0 departs
-            in
-            List.iter
-              (fun (dst, dreq, _) ->
-                deliver t fiber ~src:nd.id ~dst
-                  (Proto.Barrier_depart { barrier; req = dreq; ts }))
-              departs
-      end
+      Paged.serve_arrival t fiber nd body ~barrier ~node ~req ~stamp:pts
   | Proto.Read_grant { req; _ } | Proto.Write_grant { req; _ }
   | Proto.Lock_grant { req; _ } | Proto.Barrier_depart { req; _ } ->
-      Node.route nd.rt ~req body ~at:(Engine.clock fiber)
+      Paged.reply nd fiber ~req body
 
-let serve t fiber id (env : Proto.t Msg.envelope) =
-  Node.serve_step t.nodes.(id).rt fiber (overhead t)
-    ~reply:(Proto.is_reply env.body);
-  dispatch t fiber t.nodes.(id) ~src:env.src env.body
+(* A fault's reply: a leased read copy or exclusive ownership, with the
+   data unless the requester already holds the version. *)
+(* A grant of version [wts] readable until [lease], with the data unless
+   the requester already held that version ([held] counts those). *)
+let granted t fiber (nd : node) page access ~wts ~lease data ~held =
+  (match data with
+  | Some d ->
+      install t fiber nd page ~wts d;
+      Counters.incr t.counters "tardis.page_fetches"
+  | None ->
+      nd.x.wts.(page) <- wts;
+      Counters.incr t.counters held);
+  set_access nd page access;
+  nd.x.lease.(page) <- lease;
+  (* Load rule: reading version [wts] moves logical time to it. *)
+  synchronize nd.x wts
 
-let start t =
-  Reliable.start t.net;
-  Node.spawn_handlers t.eng t.net ~engine:"tardis" ~nodes:t.n_nodes
-    (fun fiber id env -> serve t fiber id env)
+let complete t fiber nd page = function
+  | Proto.Read_grant { wts; lease; data; _ } ->
+      granted t fiber nd page Tshared ~wts ~lease data ~held:"tardis.renewals"
+  | Proto.Write_grant { ts; data; _ } ->
+      granted t fiber nd page Texclusive ~wts:ts ~lease:ts data
+        ~held:"tardis.upgrades"
+  | _ -> failwith "tardis: unexpected fault response"
 
-let retx_note t = Reliable.pending_note t.net
-
-(* ---------------- application-facing operations -------------------- *)
-
-let satisfied nd page ~write =
-  match nd.access.(page) with
-  | Texclusive -> true
-  | Tshared -> (not write) && nd.pts <= nd.lease.(page)
-  | Tinvalid -> false
-
-let fault t fiber nd page ~write =
-  Node.sync nd.rt fiber;
-  while (not (satisfied nd page ~write)) && Node.wait_fetch nd.rt fiber page do
-    ()
-  done;
-  if not (satisfied nd page ~write) then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Node.begin_fetch nd.rt page in
-    Counters.incr t.counters
-      (if write then "tardis.write_faults" else "tardis.read_faults");
-    Engine.instant fiber "tardis.fault";
-    Engine.advance fiber (overhead t).handler;
-    let req = Node.fresh nd.rt in
-    let mb = Node.register nd.rt req in
-    let mgr = Home.manager t.home page in
-    let have_wts = if nd.access.(page) = Tinvalid then -1 else nd.wts.(page) in
-    let body =
-      if write then
-        Proto.Write_req { page; requester = nd.id; req; pts = nd.pts; have_wts }
-      else
-        Proto.Read_req { page; requester = nd.id; req; pts = nd.pts; have_wts }
-    in
-    deliver t fiber ~src:nd.id ~dst:mgr body;
-    (match Node.await fiber Engine.Net_wait mb with
-    | Proto.Read_grant { wts; lease; data; _ } ->
-        (match data with
-        | Some d ->
-            install_page t fiber nd page ~wts d;
-            Counters.incr t.counters "tardis.page_fetches"
-        | None ->
-            nd.wts.(page) <- wts;
-            Counters.incr t.counters "tardis.renewals");
-        set_access nd page Tshared;
-        nd.lease.(page) <- lease;
-        (* Load rule: reading version [wts] moves logical time to it. *)
-        if wts > nd.pts then nd.pts <- wts
-    | Proto.Write_grant { ts; data; _ } ->
-        (match data with
-        | Some d ->
-            install_page t fiber nd page ~wts:ts d;
-            Counters.incr t.counters "tardis.page_fetches"
-        | None ->
-            nd.wts.(page) <- ts;
-            Counters.incr t.counters "tardis.upgrades");
-        set_access nd page Texclusive;
-        nd.lease.(page) <- ts;
-        if ts > nd.pts then nd.pts <- ts
-    | _ -> failwith "tardis: unexpected fault response");
-    deliver t fiber ~src:nd.id ~dst:mgr
-      (Proto.Txn_done { page; requester = nd.id });
-    Node.finish nd.rt req;
-    Node.end_fetch nd.rt fiber page wq
-  end
-
-(* A Shared hit still executes the load rule: the version's [wts] drags
-   [pts] forward (a free register update — the guard was reached anyway
-   because Shared pages keep rights '\000'). *)
-let[@inline] read_page t nd fiber page =
-  while not (satisfied nd page ~write:false) do
-    fault t fiber nd page ~write:false
-  done;
-  if nd.wts.(page) > nd.pts then nd.pts <- nd.wts.(page)
-
-let[@inline] write_page t nd fiber page =
-  while nd.access.(page) <> Texclusive do
-    fault t fiber nd page ~write:true
-  done
-
-let read_guard t fiber ~node addr =
-  if t.n_nodes > 1 then read_page t t.nodes.(node) fiber (page_of t addr)
-
-let write_guard t fiber ~node addr =
-  if t.n_nodes > 1 then write_page t t.nodes.(node) fiber (page_of t addr)
-
-let read_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      read_page t t.nodes.(node) fiber addr words ~f
-
-let write_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      write_page t t.nodes.(node) fiber addr words ~f
-
-let acquire t fiber ~node ~lock =
-  let nd = t.nodes.(node) in
-  Node.sync nd.rt fiber;
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = Node.fresh nd.rt in
-  let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-    (Proto.Lock_req { lock; requester = node; req });
-  (match Node.await fiber Engine.Lock_wait mb with
-  | Proto.Lock_grant { ts; _ } ->
-      (* Synchronize logical time with the previous holder, so leases on
-         everything it wrote are expired from here on. *)
-      if ts > nd.pts then nd.pts <- ts
-  | _ -> failwith "tardis: unexpected lock response");
-  Node.finish nd.rt req;
-  Counters.incr t.counters "tardis.lock_acquires"
-
-let release t fiber ~node ~lock =
-  let nd = t.nodes.(node) in
-  Node.sync nd.rt fiber;
-  Engine.with_category fiber Engine.Protocol (fun () ->
-      deliver t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-        (Proto.Unlock { lock; requester = node; pts = nd.pts }))
-
-let barrier_arrive t fiber ~node ~id =
-  let nd = t.nodes.(node) in
-  Node.sync nd.rt fiber;
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  let req = Node.fresh nd.rt in
-  let mb = Node.register nd.rt req in
-  deliver t fiber ~src:node ~dst:(Roles.barrier_home t.roles)
-    (Proto.Barrier_arrive { barrier = id; node; req; pts = nd.pts });
-  (match Node.await fiber Engine.Barrier_wait mb with
-  | Proto.Barrier_depart { ts; _ } -> if ts > nd.pts then nd.pts <- ts
-  | _ -> failwith "tardis: unexpected barrier response");
-  Node.finish nd.rt req
-
-let check_invariants t =
-  Home.check_drained t.home;
+(* One exclusive holder per page, the owner; no copy newer than the
+   home's version or leased beyond its highest lease. *)
+let check (t : t) =
   for page = 0 to t.n_pages - 1 do
     let mp = Home.page t.home page in
     if mp.m_rts < mp.m_wts then
@@ -474,8 +254,8 @@ let check_invariants t =
         (Printf.sprintf "tardis: page %d rts %d below wts %d" page mp.m_rts
            mp.m_wts);
     Array.iter
-      (fun nd ->
-        (match nd.access.(page) with
+      (fun (nd : node) ->
+        (match nd.x.access.(page) with
         | Texclusive ->
             if mp.owner <> Some nd.id then
               failwith
@@ -489,14 +269,84 @@ let check_invariants t =
               failwith
                 (Printf.sprintf "tardis: page %d owner %d holds a %s copy"
                    page nd.id
-                   (access_name nd.access.(page))));
-        if nd.wts.(page) > mp.m_wts then
+                   (access_name nd.x.access.(page))));
+        if nd.x.wts.(page) > mp.m_wts then
           failwith
             (Printf.sprintf "tardis: page %d copy at %d newer than home" page
                nd.id);
-        if nd.lease.(page) > mp.m_rts then
+        if nd.x.lease.(page) > mp.m_rts then
           failwith
             (Printf.sprintf "tardis: page %d lease at %d beyond home rts" page
                nd.id))
       t.nodes
   done
+
+let satisfied (nd : node) page ~write =
+  match nd.x.access.(page) with
+  | Texclusive -> true
+  | Tshared -> (not write) && nd.x.pts <= nd.x.lease.(page)
+  | Tinvalid -> false
+
+let protocol =
+  {
+    Paged.engine = "tardis";
+    sizes = Proto.sizes;
+    is_reply = Proto.is_reply;
+    dispatch;
+    satisfied;
+    (* A Shared hit still executes the load rule: the version's [wts]
+       drags [pts] forward (a free register update — the guard was
+       reached anyway because Shared pages keep rights '\000'). *)
+    read_hit = (fun nd page -> synchronize nd.x nd.x.wts.(page));
+    page_req =
+      (fun nd page ~write ~req ->
+        let x = nd.x in
+        let have_wts =
+          if x.access.(page) = Tinvalid then -1 else x.wts.(page)
+        in
+        if write then
+          Proto.Write_req
+            { page; requester = nd.id; req; pts = x.pts; have_wts }
+        else
+          Proto.Read_req { page; requester = nd.id; req; pts = x.pts; have_wts });
+    complete;
+    txn_done = (fun ~page ~requester ~write:_ -> Proto.Txn_done { page; requester });
+    lock_req =
+      (fun ~lock ~requester ~req -> Proto.Lock_req { lock; requester; req });
+    lock_grant =
+      (fun ~lock ~req ~stamp -> Proto.Lock_grant { lock; req; ts = stamp });
+    unlock =
+      (fun x ~lock ~requester -> Proto.Unlock { lock; requester; pts = x.pts });
+    arrival =
+      (fun x ~barrier ~node ~req ->
+        Proto.Barrier_arrive { barrier; node; req; pts = x.pts });
+    (* Departures jump every node to the epoch's maximum timestamp, so
+       leases on anything written before the barrier are already spent
+       on the far side. *)
+    departure =
+      (fun ~barrier ~req ~stamp ->
+        Proto.Barrier_depart { barrier; req; ts = stamp });
+    synced =
+      (fun x -> function
+        | Proto.Lock_grant { ts; _ } | Proto.Barrier_depart { ts; _ } ->
+            synchronize x ts
+        | _ -> failwith "tardis: unexpected synchronization response");
+    checkpoint = (fun _ _ -> ());
+    rejoin = (fun _ _ -> ());
+    check;
+  }
+
+(* pts starts at 0 and every initial copy is version 0 with a lease of
+   0, so the warm start costs nothing: first reads hit, the first write
+   of a page mints version >= 1. *)
+let create eng counters fabric ~page_words ~shared_words ~memories =
+  Paged.create protocol eng counters fabric ~page_words ~shared_words
+    ~memories ~rights:'\000'
+    ~x:(fun n_pages ->
+      {
+        access = Array.make n_pages Tshared;
+        wts = Array.make n_pages 0;
+        lease = Array.make n_pages 0;
+        pts = 0;
+      })
+    ~mpage:(fun _ -> { owner = None; m_wts = 0; m_rts = 0 })

@@ -18,10 +18,4 @@ let mount (ctx : Shm_proto.ctx) =
     invalid_arg
       "tardis: whole-node crash injection is not supported (no lease \
        recovery); use lrc, eager-lrc, erc or ivy";
-  let sys =
-    System.create ctx.eng ctx.counters (Shm_dsm.Mount.fabric ctx)
-      ~page_words:ctx.page_words ~shared_words:ctx.shared_words
-      ~memories:ctx.memories
-  in
-  Shm_dsm.Mount.instance (module System) sys ~i_name:name
-    ~wordwise_ranges:false
+  Shm_dsm.Paged.mount System.create ctx ~i_name:name

@@ -143,8 +143,6 @@ let lock_of t nd l =
   match Hashtbl.find_opt nd.locks l with
   | Some ls -> ls
   | None ->
-      if l < 0 || l >= t.cfg.n_locks then
-        invalid_arg (Printf.sprintf "Tmk: lock %d out of range" l);
       let manager = Roles.static_home t.roles l in
       let ls =
         {
@@ -233,7 +231,8 @@ let create eng counters fabric cfg ~memories =
     zero_vc;
     records;
     roles =
-      Roles.create counters ~n_nodes:n ~n_barriers:cfg.n_barriers
+      Roles.create ~engine:"tmk" counters ~n_nodes:n ~n_locks:cfg.n_locks
+        ~n_barriers:cfg.n_barriers
         ~barrier_home:cfg.barrier_manager ~barrier_counter:"tmk.barriers" ();
     stash = Array.make cfg.n_barriers [];
     page_shift = Node.page_shift cfg.page_words;
@@ -697,6 +696,7 @@ let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
       (Proto.Lock_forward { lock; requester; req; vc = req_vc })
 
 let acquire t fiber ~node ~lock =
+  Roles.check_lock t.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   let ls = lock_of t nd lock in
@@ -774,6 +774,7 @@ let after_close t fiber nd ~lock closed =
           then eager_broadcast t fiber nd record)
 
 let release t fiber ~node ~lock =
+  Roles.check_lock t.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
@@ -841,6 +842,7 @@ let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
       send_departs t fiber mgr ~id arrivals
 
 let barrier_arrive t fiber ~node ~id =
+  Roles.check_barrier t.roles id;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->

@@ -9,11 +9,15 @@ module Roles = Shm_dsm.Roles
 module Counters = Shm_stats.Counters
 module Engine = Shm_sim.Engine
 module Lifecycle = Shm_sim.Lifecycle
+module Machines = Shm_platform.Machines
+module Platform = Shm_platform.Platform
+module Report = Shm_platform.Report
+module Parmacs = Shm_parmacs.Parmacs
 
 let home ?(n_nodes = 2) () = Home.create ~engine:"test" ~n_nodes ~n_pages:4 Fun.id
 
 let roles ?(n_nodes = 2) counters =
-  Roles.create counters ~n_nodes ~barrier_counter:"test.barriers" ()
+  Roles.create ~engine:"test" counters ~n_nodes ~barrier_counter:"test.barriers" ()
 
 let test_serializer_fifo () =
   let h = home () in
@@ -149,6 +153,67 @@ let test_proto_error_names_engine () =
     "Tardis.Proto_error: page 4, requester 2, manager 1: t"
     (Printexc.to_string tardis)
 
+(* A bad lock or barrier id fails the same way on every engine: with
+   [Invalid_argument] at the calling processor, which can catch it, and
+   before any message leaves it.  The software engines name themselves
+   and the id. *)
+let test_bad_ids () =
+  let run machine protocol work =
+    let app =
+      {
+        Parmacs.name = "bad-id";
+        shared_words = 64;
+        eager_lock_hints = [];
+        init = ignore;
+        work;
+        checksum_addr = 0;
+        stats = Parmacs.no_stats;
+      }
+    in
+    (Machines.get ?protocol machine).Platform.run app ~nprocs:4
+  in
+  let ops =
+    [
+      ("lock", -1, fun (c : Parmacs.ctx) -> c.lock (-1));
+      ("lock", 1024, fun c -> c.lock 1024);
+      ("barrier", 16, fun c -> c.barrier 16);
+    ]
+  in
+  List.iter
+    (fun (machine, protocol, engine) ->
+      let quiet = Report.offered (run machine protocol ignore) in
+      List.iter
+        (fun (kind, id, op) ->
+          let label =
+            Printf.sprintf "%s%s: %s %d" machine
+              (match protocol with Some p -> ":" ^ p | None -> "")
+              kind id
+          in
+          let caught = ref None in
+          let r =
+            run machine protocol (fun c ->
+                if c.Parmacs.id = 0 then
+                  try op c with Invalid_argument m -> caught := Some m)
+          in
+          (match (!caught, engine) with
+          | None, _ -> Alcotest.failf "%s: not refused at the caller" label
+          | Some m, Some e ->
+              let range = if kind = "lock" then 1024 else 16 in
+              Alcotest.(check string) label
+                (Printf.sprintf "%s: %s %d out of range [0, %d)" e kind id
+                   range)
+                m
+          | Some _, None -> ());
+          Alcotest.(check int) (label ^ ": no message") quiet
+            (Report.offered r))
+        ops)
+    [
+      ("ivy", None, Some "ivy");
+      ("treadmarks", Some "tardis", Some "tardis");
+      ("treadmarks", None, Some "tmk");
+      ("sgi", None, None);
+    ]
+
 let suite =
   [
     Alcotest.test_case "serializer runs queued transactions FIFO" `Quick
@@ -163,4 +228,6 @@ let suite =
       test_check_drained;
     Alcotest.test_case "Proto_error names its engine" `Quick
       test_proto_error_names_engine;
+    Alcotest.test_case "bad lock and barrier ids fail at the caller" `Quick
+      test_bad_ids;
   ]

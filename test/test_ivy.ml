@@ -1,4 +1,6 @@
-(* Tests for the IVY-style sequentially-consistent page DSM baseline. *)
+(* Tests for the home-based page DSMs on the shared skeleton: IVY (the
+   sequentially-consistent baseline) and Tardis, each case run on both
+   where its protocol promises the outcome. *)
 
 module Engine = Shm_sim.Engine
 module Prng = Shm_sim.Prng
@@ -6,54 +8,97 @@ module Counters = Shm_stats.Counters
 module Fabric = Shm_net.Fabric
 module Overhead = Shm_net.Overhead
 module Memory = Shm_memsys.Memory
-module Ivy = Shm_ivy.System
+module Paged = Shm_dsm.Paged
 
-type cluster = { eng : Engine.t; sys : Ivy.t; counters : Counters.t }
+let fabric eng counters ~nodes =
+  Fabric.create eng counters
+    (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
+    ~nodes
 
-let make_cluster ~nodes ~shared_words () =
+(* The home-based page DSMs built on {!Shm_dsm.Paged}, mounted through
+   its instance.  [transfers] counts ownership moves, [shipped] the
+   messages that carried a page's data. *)
+type engine = {
+  name : string;
+  mount :
+    Engine.t -> Counters.t -> nodes:int -> shared_words:int ->
+    Memory.t array -> Shm_proto.instance;
+  transfers : string;
+  shipped : Counters.t -> int;
+}
+
+let ivy =
+  {
+    name = "ivy";
+    mount =
+      (fun eng counters ~nodes ~shared_words memories ->
+        Paged.instance ~i_name:"ivy"
+          (Shm_ivy.System.create eng counters (fabric eng counters ~nodes)
+             ~page_words:512 ~shared_words ~memories));
+    transfers = "ivy.page_transfers";
+    shipped =
+      (fun c ->
+        Counters.get c "ivy.page_copies" + Counters.get c "ivy.page_transfers");
+  }
+
+let tardis =
+  {
+    name = "tardis";
+    mount =
+      (fun eng counters ~nodes ~shared_words memories ->
+        Paged.instance ~i_name:"tardis"
+          (Shm_tardis.System.create eng counters (fabric eng counters ~nodes)
+             ~page_words:512 ~shared_words ~memories));
+    transfers = "tardis.flushes";
+    shipped =
+      (fun c ->
+        Counters.get c "tardis.page_fetches" + Counters.get c "tardis.flushes");
+  }
+
+type cluster = {
+  eng : Engine.t;
+  sys : Shm_proto.instance;
+  counters : Counters.t;
+  memories : Memory.t array;
+}
+
+let make_cluster ?(engine = ivy) ~nodes ~shared_words () =
   let eng = Engine.create () in
   let counters = Counters.create () in
-  let fabric =
-    Fabric.create eng counters
-      (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
-      ~nodes
-  in
   let memories = Array.init nodes (fun _ -> Memory.create ~words:shared_words) in
-  let sys =
-    Ivy.create eng counters fabric ~page_words:512 ~shared_words ~memories
-  in
-  Ivy.start sys;
-  { eng; sys; counters }
+  let sys = engine.mount eng counters ~nodes ~shared_words memories in
+  sys.start ();
+  { eng; sys; counters; memories }
 
 let spawn c ~node body =
   ignore (Engine.spawn c.eng ~name:(Printf.sprintf "node%d" node) ~at:0 body)
 
 let read c f ~node addr =
-  Ivy.read_guard c.sys f ~node addr;
-  Memory.get_int (Ivy.memory c.sys ~node) addr
+  c.sys.read_guard f ~node addr;
+  Memory.get_int c.memories.(node) addr
 
 let write c f ~node addr v =
-  Ivy.write_guard c.sys f ~node addr;
-  Memory.set_int (Ivy.memory c.sys ~node) addr v
+  c.sys.write_guard f ~node addr;
+  Memory.set_int c.memories.(node) addr v
 
-let test_lock_counter () =
+let test_lock_counter engine () =
   let nodes = 4 in
-  let c = make_cluster ~nodes ~shared_words:1024 () in
+  let c = make_cluster ~engine ~nodes ~shared_words:1024 () in
   let final = ref (-1) in
   for node = 0 to nodes - 1 do
     spawn c ~node (fun f ->
         for _ = 1 to 10 do
-          Ivy.acquire c.sys f ~node ~lock:3;
+          c.sys.acquire f ~node ~lock:3;
           let v = read c f ~node 0 in
           write c f ~node 0 (v + 1);
-          Ivy.release c.sys f ~node ~lock:3
+          c.sys.release f ~node ~lock:3
         done;
-        Ivy.barrier_arrive c.sys f ~node ~id:0;
+        c.sys.barrier_arrive f ~node ~id:0;
         if node = 0 then final := read c f ~node 0)
   done;
   Engine.run c.eng;
   Alcotest.(check int) "all increments" 40 !final;
-  Ivy.check_invariants c.sys
+  c.sys.check_invariants ()
 
 (* Sequential consistency: a reader polling an unsynchronized flag DOES
    see the writer's update (contrast with the LRC staleness test). *)
@@ -78,30 +123,31 @@ let test_sc_propagates_without_sync () =
   Engine.run c.eng;
   Alcotest.(check int) "update visible without synchronization" 7 !observed
 
-let test_write_ping_pong_counts () =
+let test_write_ping_pong_counts engine () =
   (* Two nodes alternately writing the same page transfer the whole page
      each time: the false-sharing failure mode. *)
-  let c = make_cluster ~nodes:2 ~shared_words:1024 () in
+  let c = make_cluster ~engine ~nodes:2 ~shared_words:1024 () in
   let rounds = 5 in
   for node = 0 to 1 do
     spawn c ~node (fun f ->
         for r = 1 to rounds do
           (* Barriers force strict alternation. *)
           if r mod 2 = node then write c f ~node node (r * 10) else ();
-          Ivy.barrier_arrive c.sys f ~node ~id:0
+          c.sys.barrier_arrive f ~node ~id:0
         done)
   done;
   Engine.run c.eng;
-  Ivy.check_invariants c.sys;
+  c.sys.check_invariants ();
   Alcotest.(check bool) "page transfers happened" true
-    (Counters.get c.counters "ivy.page_transfers" >= rounds - 1)
+    (Counters.get c.counters engine.transfers >= rounds - 1)
 
-let prop_random_writes_converge =
-  QCheck.Test.make ~count:15 ~name:"ivy: disjoint writes all visible"
+let prop_random_writes_converge engine =
+  QCheck.Test.make ~count:15
+    ~name:(engine.name ^ ": disjoint writes all visible")
     QCheck.(int_bound 1000)
     (fun seed ->
       let nodes = 3 in
-      let c = make_cluster ~nodes ~shared_words:2048 () in
+      let c = make_cluster ~engine ~nodes ~shared_words:2048 () in
       let rng = Prng.create ~seed in
       let plans =
         Array.init nodes (fun node ->
@@ -111,10 +157,10 @@ let prop_random_writes_converge =
       for node = 0 to nodes - 1 do
         spawn c ~node (fun f ->
             Array.iter (fun (a, v) -> write c f ~node a v) plans.(node);
-            Ivy.barrier_arrive c.sys f ~node ~id:0)
+            c.sys.barrier_arrive f ~node ~id:0)
       done;
       Engine.run c.eng;
-      Ivy.check_invariants c.sys;
+      c.sys.check_invariants ();
       (* Node 0 reads everything through the protocol. *)
       let eng2 = c.eng in
       ignore eng2;
@@ -136,52 +182,58 @@ let prop_random_writes_converge =
 
 (* A page moves between nodes as a raw copy: the bit patterns a float
    round trip could disturb (a signalling NaN among them) arrive intact. *)
-let test_page_transfer_bit_exact () =
+let test_page_transfer_bit_exact engine () =
   let words = Test_props.tricky_words in
-  let c = make_cluster ~nodes:2 ~shared_words:1024 () in
+  let c = make_cluster ~engine ~nodes:2 ~shared_words:1024 () in
   let seen = ref [] in
   spawn c ~node:0 (fun f ->
       List.iteri
         (fun k w ->
-          Ivy.write_guard c.sys f ~node:0 k;
-          Memory.set (Ivy.memory c.sys ~node:0) k w)
+          c.sys.write_guard f ~node:0 k;
+          Memory.set c.memories.(0) k w)
         words;
-      Ivy.barrier_arrive c.sys f ~node:0 ~id:0);
+      c.sys.barrier_arrive f ~node:0 ~id:0);
   spawn c ~node:1 (fun f ->
-      Ivy.barrier_arrive c.sys f ~node:1 ~id:0;
+      c.sys.barrier_arrive f ~node:1 ~id:0;
       seen :=
         List.mapi
           (fun k _ ->
-            Ivy.read_guard c.sys f ~node:1 k;
-            Memory.get (Ivy.memory c.sys ~node:1) k)
+            c.sys.read_guard f ~node:1 k;
+            Memory.get c.memories.(1) k)
           words);
   Engine.run c.eng;
-  Ivy.check_invariants c.sys;
-  Alcotest.(check bool) "page shipped" true
-    (Counters.get c.counters "ivy.page_copies"
-     + Counters.get c.counters "ivy.page_transfers"
-    >= 1);
+  c.sys.check_invariants ();
+  Alcotest.(check bool) "page shipped" true (engine.shipped c.counters >= 1);
   Alcotest.(check (list int64)) "bits intact" words !seen
 
-let test_single_node_is_free () =
-  let c = make_cluster ~nodes:1 ~shared_words:1024 () in
+let test_single_node_is_free engine () =
+  let c = make_cluster ~engine ~nodes:1 ~shared_words:1024 () in
   spawn c ~node:0 (fun f ->
       write c f ~node:0 0 5;
       ignore (read c f ~node:0 0);
       Alcotest.(check int) "no protocol cost" 0 (Engine.clock f));
   Engine.run c.eng
 
-let suite =
+(* The cases every engine on the skeleton passes; IVY adds sequential
+   consistency without synchronization, which Tardis' leases do not
+   promise. *)
+let cases engine =
   [
-    Alcotest.test_case "lock-protected counter" `Quick test_lock_counter;
-    Alcotest.test_case "SC propagates without sync" `Quick
-      test_sc_propagates_without_sync;
+    Alcotest.test_case "lock-protected counter" `Quick
+      (test_lock_counter engine);
     Alcotest.test_case "write ping-pong transfers pages" `Quick
-      test_write_ping_pong_counts;
+      (test_write_ping_pong_counts engine);
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x1717)
-      prop_random_writes_converge;
+      (prop_random_writes_converge engine);
     Alcotest.test_case "single node costs nothing" `Quick
-      test_single_node_is_free;
+      (test_single_node_is_free engine);
     Alcotest.test_case "page transfers are bit-exact" `Quick
-      test_page_transfer_bit_exact;
+      (test_page_transfer_bit_exact engine);
   ]
+
+let suite =
+  Alcotest.test_case "SC propagates without sync" `Quick
+    test_sc_propagates_without_sync
+  :: cases ivy
+
+let tardis_suite = cases tardis

@@ -11,6 +11,7 @@ let () =
       ("tmk", Test_tmk.suite);
       ("tmk-edge", Test_tmk_edge.suite);
       ("ivy", Test_ivy.suite);
+      ("tardis", Test_ivy.tardis_suite);
       ("dsm", Test_dsm.suite);
       ("erc", Test_erc.suite);
       ("proto", Test_proto.suite);
