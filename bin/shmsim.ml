@@ -408,7 +408,9 @@ let run_cmd =
        parameter errors before any simulation starts. *)
     let make_app () = Registry.app ~scale ~params app_name in
     let app =
-      try make_app ()
+      try
+        Registry.app ~scale ~params ~nprocs:(List.fold_left max 1 procs)
+          app_name
       with Invalid_argument msg ->
         Printf.eprintf "shmsim: %s\n" msg;
         exit 2
@@ -623,8 +625,13 @@ let compare_cmd =
         Printf.eprintf "shmsim: %s\n" msg;
         exit 2
     in
-    (* Surface an invalid machine x protocol combination before any runs. *)
+    (* Surface an invalid machine x protocol combination, or too many
+       processors for the app, before any runs. *)
     List.iter (fun spec -> ignore (machine spec)) platforms;
+    (try ignore (scale_apps ~nprocs:(List.fold_left max 1 procs) app_name)
+     with Invalid_argument msg ->
+       Printf.eprintf "shmsim: %s\n" msg;
+       exit 2);
     let table =
       Table.create
         ~title:

@@ -69,7 +69,7 @@ let family_term ~family ~slot theta_k =
   sin ((theta_k *. float_of_int (family + 1)) +. float_of_int slot)
 
 let work p sh lay costs (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
+  Layout.check_slots ~app:"ilink" ~slots:p.slots ctx.nprocs;
   let ll = ref 0.0 in
   (* The peeling loop interleaves theta reads with result writes, so it
      cannot batch into range ops without reordering accesses; instead the

@@ -13,3 +13,11 @@ let alloc_aligned t words ~align =
   base
 
 let size t = t.next
+
+let check_slots ~app ~slots nprocs =
+  if nprocs > slots then
+    invalid_arg
+      (Printf.sprintf
+         "app %S lays out %d per-processor slots, too few for %d processors \
+          (raise them with --slots %d)"
+         app slots nprocs nprocs)

@@ -14,3 +14,8 @@ val alloc_aligned : t -> int -> align:int -> int
 
 (** Total words allocated so far. *)
 val size : t -> int
+
+(** [check_slots ~app ~slots nprocs] refuses a run of [app] on more
+    processors than the per-processor slots it lays out.
+    @raise Invalid_argument naming the [--slots] knob. *)
+val check_slots : app:string -> slots:int -> int -> unit

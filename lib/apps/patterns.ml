@@ -124,7 +124,7 @@ let read_mostly (p : params) lay (ctx : Parmacs.ctx) =
   !sum
 
 let work (p : params) lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
+  Layout.check_slots ~app:"patterns" ~slots:p.slots ctx.nprocs;
   let digest =
     match p.kind with
     | Migratory -> migratory p lay ctx

@@ -129,8 +129,9 @@ let kv_params ~scale params =
 
 let kv ~scale ?(params = []) () = Kvstore.make (kv_params ~scale params)
 
-let app ~scale ?(params = []) name =
+let app ~scale ?(params = []) ?nprocs name =
   let check known = check_keys ~app:name known params in
+  let fits slots = Option.iter (Layout.check_slots ~app:name ~slots) nprocs in
   match name with
   | ("sor" | "sor-square" | "sor-touchall") as n ->
       check [ "rows"; "cols"; "iters"; "slots" ];
@@ -138,7 +139,7 @@ let app ~scale ?(params = []) name =
         sor_params ~scale ~square:(n = "sor-square")
           ~touch_all:(n = "sor-touchall")
       in
-      Sor.make
+      let p =
         {
           base with
           Sor.rows = pint params "rows" base.Sor.rows;
@@ -146,6 +147,9 @@ let app ~scale ?(params = []) name =
           iters = pint params "iters" base.Sor.iters;
           slots = pint params "slots" base.Sor.slots;
         }
+      in
+      fits p.slots;
+      Sor.make p
   | ("tsp" | "tsp-small") as n ->
       (* tsp has no per-processor layout, so [slots] is accepted for CLI
          uniformity (the generic --slots knob) and has nothing to size. *)
@@ -156,24 +160,30 @@ let app ~scale ?(params = []) name =
       check [ "molecules"; "steps"; "slots" ];
       let mode = if n = "water" then Water.Locked else Water.Batched in
       let base = water_params ~scale mode in
-      Water.make
+      let p =
         {
           base with
           Water.molecules = pint params "molecules" base.Water.molecules;
           steps = pint params "steps" base.Water.steps;
           slots = pint params "slots" base.Water.slots;
         }
+      in
+      fits p.slots;
+      Water.make p
   | ("ilink-clp" | "ilink-bad") as n ->
       check [ "iters"; "scale"; "slots" ];
       let input = if n = "ilink-clp" then Ilink.Clp else Ilink.Bad in
       let base = ilink_params ~scale input in
-      Ilink.make
+      let p =
         {
           base with
           Ilink.iters = pint params "iters" base.Ilink.iters;
           scale = pfloat params "scale" base.Ilink.scale;
           slots = pint params "slots" base.Ilink.slots;
         }
+      in
+      fits p.slots;
+      Ilink.make p
   | ("migratory" | "producer-consumer" | "false-sharing" | "read-mostly") as n
     ->
       check [ "rounds"; "words"; "compute"; "slots" ];
@@ -185,7 +195,7 @@ let app ~scale ?(params = []) name =
         | _ -> Patterns.Read_mostly
       in
       let base = pattern_params ~scale kind in
-      Patterns.make
+      let p =
         {
           base with
           Patterns.rounds = pint params "rounds" base.Patterns.rounds;
@@ -193,5 +203,8 @@ let app ~scale ?(params = []) name =
           compute = pint params "compute" base.Patterns.compute;
           slots = pint params "slots" base.Patterns.slots;
         }
+      in
+      fits p.slots;
+      Patterns.make p
   | "kv" -> (kv ~scale ~params ()).Kvstore.app
   | name -> invalid_arg (Printf.sprintf "unknown application %S" name)

@@ -19,12 +19,16 @@ val names : string list
     on top of the scale defaults; each app declares its known keys
     (e.g. sor: rows/cols/iters; tsp: cities; water: molecules/steps;
     ilink: iters/scale; patterns: rounds/words/compute; kv:
-    keys/zipf/get-ratio/requests/shards/mean-gap/service/seed).
-    @raise Invalid_argument for an unknown name, an unknown key, or an
-    unparsable value. *)
+    keys/zipf/get-ratio/requests/shards/mean-gap/service/seed).  With
+    [nprocs], an app that lays out per-processor slots (sor, water,
+    ilink, the patterns) refuses a run on more processors than its
+    [slots] before any platform is built.
+    @raise Invalid_argument for an unknown name, an unknown key, an
+    unparsable value, or [nprocs] beyond the app's slots. *)
 val app :
   scale:scale ->
   ?params:(string * string) list ->
+  ?nprocs:int ->
   string ->
   Shm_parmacs.Parmacs.app
 

@@ -54,7 +54,7 @@ let init p lay mem =
   done
 
 let work p lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
+  Layout.check_slots ~app:"sor" ~slots:p.slots ctx.nprocs;
   let cols = p.cols in
   let addr i j = lay.grid + (i * cols) + j in
   let lo = 1 + (p.rows * ctx.id / ctx.nprocs) in

@@ -68,7 +68,7 @@ let init p lay mem =
   done
 
 let work p lay (ctx : Parmacs.ctx) =
-  assert (ctx.nprocs <= p.slots);
+  Layout.check_slots ~app:"water" ~slots:p.slots ctx.nprocs;
   let n = p.molecules in
   let lo = n * ctx.id / ctx.nprocs and hi = n * (ctx.id + 1) / ctx.nprocs in
   let buf3 = Array.make 3 0.0 in

@@ -19,17 +19,19 @@ type t =
   | Barrier_arrive of { barrier : int; node : int; req : int }
   | Barrier_depart of { barrier : int; req : int }
 
+(* Every control message carries one 8-byte word, so one record serves
+   them all. *)
+let control = Msg.sizes ~consistency:8 ()
+
 let sizes = function
   | Page_copy { data; _ } -> Msg.sizes ~payload:(8 * Memory.words data) ()
   | Page_grant { data = Some d; _ } -> Msg.sizes ~payload:(8 * Memory.words d) ()
   | Read_req _ | Read_fwd _ | Write_req _ | Invalidate _ | Inval_ack _
   | Write_fwd _
   | Page_grant { data = None; _ }
-  | Txn_done _ ->
-      Msg.sizes ~consistency:8 ()
-  | Lock_req _ | Lock_grant _ | Unlock _ | Barrier_arrive _ | Barrier_depart _
-    ->
-      Msg.sizes ~consistency:8 ()
+  | Txn_done _ | Lock_req _ | Lock_grant _ | Unlock _ | Barrier_arrive _
+  | Barrier_depart _ ->
+      control
 
 (* Replies complete a wait of the receiving node's own application. *)
 let is_reply = function

@@ -41,7 +41,12 @@ type t =
   | Barrier_depart of { barrier : int; req : int; ts : int }
 
 (* Timestamps ride in the consistency section: two 8-byte words cover a
-   version and a lease (or a pts and a have_wts). *)
+   version and a lease (or a pts and a have_wts).  The control sizes are
+   constants, so each is one record that every such message shares. *)
+let timestamps = Msg.sizes ~consistency:16 ()
+
+let one_word = Msg.sizes ~consistency:8 ()
+
 let sizes = function
   | Read_grant { data = Some d; _ } | Write_grant { data = Some d; _ } ->
       Msg.sizes ~consistency:16 ~payload:(8 * Memory.words d) ()
@@ -49,12 +54,11 @@ let sizes = function
       Msg.sizes ~consistency:8 ~payload:(8 * Memory.words data) ()
   | Read_req _ | Write_req _
   | Read_grant { data = None; _ }
-  | Write_grant { data = None; _ } ->
-      Msg.sizes ~consistency:16 ()
-  | Flush_req _ | Txn_done _ -> Msg.sizes ~consistency:8 ()
+  | Write_grant { data = None; _ }
   | Lock_req _ | Lock_grant _ | Unlock _ | Barrier_arrive _ | Barrier_depart _
     ->
-      Msg.sizes ~consistency:16 ()
+      timestamps
+  | Flush_req _ | Txn_done _ -> one_word
 
 (* Replies complete a wait of the receiving node's own application. *)
 let is_reply = function

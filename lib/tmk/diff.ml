@@ -2,9 +2,9 @@ module Memory = Shm_memsys.Memory
 
 type run = { offset : int; words : float array }
 
-type t = { page : int; runs : run list }
+type t = { page : int; runs : run list; creator : int; seqno : int; vsum : int }
 
-let make ~page ~twin ~current ~base ~words =
+let make_stamped ~creator ~seqno ~vsum ~page ~twin ~current ~base ~words =
   let runs = ref [] in
   let i = ref 0 in
   while !i < words do
@@ -23,7 +23,14 @@ let make ~page ~twin ~current ~base ~words =
       i := stop
     end
   done;
-  { page; runs = List.rev !runs }
+  { page; runs = List.rev !runs; creator; seqno; vsum }
+
+let make = make_stamped ~creator:(-1) ~seqno:0 ~vsum:0
+
+let compare_linear a b =
+  if a.vsum <> b.vsum then Int.compare a.vsum b.vsum
+  else if a.creator <> b.creator then Int.compare a.creator b.creator
+  else Int.compare a.seqno b.seqno
 
 let apply t mem ~base =
   List.iter
@@ -38,3 +45,4 @@ let is_empty t = t.runs = []
 let words t = List.fold_left (fun acc r -> acc + Array.length r.words) 0 t.runs
 
 let bytes t = 16 + List.fold_left (fun acc r -> acc + 4 + (8 * Array.length r.words)) 0 t.runs
+

@@ -12,11 +12,28 @@
     exactly, NaN payloads included). *)
 type run = { offset : int; words : float array }
 
-type t = { page : int; runs : run list }
+(** A diff of [page], stamped with its interval: the creator, the
+    creator's seqno and the vector-time sum its record carries, enough to
+    place it in a linear extension of happened-before-1 without the
+    record.  The stamp is host-side: it adds nothing to {!bytes}. *)
+type t = { page : int; runs : run list; creator : int; seqno : int; vsum : int }
 
-(** [make ~page ~twin ~current ~base ~words] compares the twin (at index 0)
-    against page contents at [base] in [current], producing runs of
-    differing words. *)
+(** [make_stamped ~creator ~seqno ~vsum ~page ~twin ~current ~base ~words]
+    compares the twin (at index 0) against page contents at [base] in
+    [current], producing runs of differing words. *)
+val make_stamped :
+  creator:int ->
+  seqno:int ->
+  vsum:int ->
+  page:int ->
+  twin:Shm_memsys.Memory.t ->
+  current:Shm_memsys.Memory.t ->
+  base:int ->
+  words:int ->
+  t
+
+(** [make] is {!make_stamped} for a diff outside any interval (creator
+    [-1], seqno and vsum 0). *)
 val make :
   page:int ->
   twin:Shm_memsys.Memory.t ->
@@ -38,3 +55,8 @@ val words : t -> int
 
 (** Wire size: 16-byte descriptor, 4 bytes per run header, 8 per word. *)
 val bytes : t -> int
+
+(** [compare_linear a b] orders diffs by their stamps' (vsum, creator,
+    seqno), as {!Record.compare_linear} orders the intervals' records. *)
+val compare_linear : t -> t -> int
+

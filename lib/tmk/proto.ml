@@ -5,13 +5,14 @@ type t =
   | Lock_forward of { lock : int; requester : int; req : int; vc : Vc.t }
   | Lock_grant of { lock : int; req : int; vc : Vc.t; records : Record.t list }
   | Diff_req of { page : int; requester : int; req : int; lo : int; hi : int }
-  | Diff_resp of { page : int; req : int; creator : int; diffs : (int * Diff.t) list }
+  | Diff_resp of { page : int; req : int; creator : int; diffs : Diff.t list }
   | Barrier_arrive of {
       barrier : int;
       node : int;
       req : int;
       vc : Vc.t;
       records : Record.t list;
+      dropped_bytes : int;
     }
   | Barrier_depart of { barrier : int; req : int; vc : Vc.t; records : Record.t list }
   | Eager_update of { record : Record.t; diffs : Diff.t list }
@@ -21,22 +22,25 @@ type t =
 let records_bytes records =
   List.fold_left (fun acc r -> acc + Record.bytes r) 0 records
 
+let diffs_bytes diffs =
+  List.fold_left (fun acc d -> acc + Diff.bytes d) 0 diffs
+
 let sizes = function
   | Lock_req { vc; _ } | Lock_forward { vc; _ } ->
       Msg.sizes ~consistency:(Vc.bytes vc) ()
   | Lock_grant { vc; records; _ } ->
       Msg.sizes ~consistency:(Vc.bytes vc + records_bytes records) ()
   | Diff_req _ -> Msg.sizes ~consistency:16 ()
-  | Diff_resp { diffs; _ } ->
-      let payload =
-        List.fold_left (fun acc (_, d) -> acc + Diff.bytes d) 0 diffs
-      in
-      Msg.sizes ~payload ()
-  | Barrier_arrive { vc; records; _ } | Barrier_depart { vc; records; _ } ->
+  | Diff_resp { diffs; _ } -> Msg.sizes ~payload:(diffs_bytes diffs) ()
+  | Barrier_arrive { vc; records; dropped_bytes; _ } ->
+      Msg.sizes
+        ~consistency:(Vc.bytes vc + records_bytes records + dropped_bytes)
+        ()
+  | Barrier_depart { vc; records; _ } ->
       Msg.sizes ~consistency:(Vc.bytes vc + records_bytes records) ()
   | Eager_update { record; diffs } ->
-      let payload = List.fold_left (fun acc d -> acc + Diff.bytes d) 0 diffs in
-      Msg.sizes ~consistency:(Record.bytes record) ~payload ()
+      Msg.sizes ~consistency:(Record.bytes record) ~payload:(diffs_bytes diffs)
+        ()
   | Eager_notice { record; _ } ->
       Msg.sizes ~consistency:(Record.bytes record) ()
   | Eager_ack _ -> Msg.sizes ()

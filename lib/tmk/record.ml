@@ -37,36 +37,75 @@ let unapplied applied notices =
     (fun k -> notice_seqno k > applied.(notice_creator k))
     notices
 
-(* Per creator, records dense by interval index: [t.(c).(s - 1)] is
-   record [s] of creator [c], or [absent]. *)
+(* Per creator, the records above a floor, dense by interval index:
+   [recs.(c).(s - 1 - base.(c))] is record [s] of creator [c], or
+   [absent].  Records at or below [floor.(c)] are dropped: their slots
+   between [base.(c)] and [floor.(c)] are a cleared dead prefix, moved
+   out once it fills half the array, so each drop costs amortized O(1). *)
 module Table = struct
   type record = t
 
-  type t = record array array
+  type t = { recs : record array array; base : int array; floor : int array }
 
   let absent = { creator = -1; seqno = 0; pages = []; vsum = 0 }
 
   let create ~nodes =
     if nodes > max_nodes then
       invalid_arg (Printf.sprintf "Record.Table: %d nodes > %d" nodes max_nodes);
-    Array.make nodes [||]
+    {
+      recs = Array.make nodes [||];
+      base = Array.make nodes 0;
+      floor = Array.make nodes 0;
+    }
 
-  (* [get t c s] for an index the caller knows is filled. *)
-  let get t c s = Array.unsafe_get t.(c) (s - 1)
+  let floor t c = t.floor.(c)
 
-  (* Store [r] unless its slot is filled: every node holds the same value
-     for one (creator, seqno).  Growth at least doubles, so a run of
-     appends costs amortized O(1). *)
+  (* [get t c s] for an index the caller knows is filled and above the
+     floor. *)
+  let get t c s = Array.unsafe_get t.recs.(c) (s - 1 - t.base.(c))
+
+  (* Store [r] unless its slot is filled or dropped: every node holds the
+     same value for one (creator, seqno).  Growth at least doubles the
+     live span and leaves the dead prefix behind, so a run of appends
+     costs amortized O(1). *)
   let put t (r : record) =
-    let a = t.(r.creator) in
-    let cap = Array.length a in
-    if r.seqno > cap then begin
-      let b = Array.make (max r.seqno (max 8 (2 * cap))) absent in
-      Array.blit a 0 b 0 cap;
-      b.(r.seqno - 1) <- r;
-      t.(r.creator) <- b
+    let c = r.creator in
+    if r.seqno > t.floor.(c) then begin
+      let a = t.recs.(c) in
+      let i = r.seqno - 1 - t.base.(c) in
+      if i >= Array.length a then begin
+        let dead = t.floor.(c) - t.base.(c) in
+        let live = Array.length a - dead in
+        let b = Array.make (max (i + 1 - dead) (max 8 (2 * live))) absent in
+        Array.blit a dead b 0 live;
+        b.(i - dead) <- r;
+        t.recs.(c) <- b;
+        t.base.(c) <- t.floor.(c)
+      end
+      else if a.(i) == absent then a.(i) <- r
     end
-    else if a.(r.seqno - 1) == absent then a.(r.seqno - 1) <- r
+
+  let drop t ~creator:c floor =
+    if floor > t.floor.(c) then begin
+      let a = t.recs.(c) and base = t.base.(c) in
+      let len = Array.length a in
+      let dead = min (floor - base) len in
+      let cleared = t.floor.(c) - base in
+      if dead > cleared then Array.fill a cleared (dead - cleared) absent;
+      t.floor.(c) <- floor;
+      if 2 * dead >= len then begin
+        (* The live slots fit in the cleared prefix: move them down. *)
+        Array.blit a dead a 0 (len - dead);
+        Array.fill a dead (len - dead) absent;
+        t.base.(c) <- floor
+      end
+    end
+
+  let held t =
+    Array.fold_left
+      (fun n a ->
+        Array.fold_left (fun n r -> if r == absent then n else n + 1) n a)
+      0 t.recs
 end
 
 module Store = struct
@@ -85,8 +124,8 @@ module Store = struct
     mutable marks : int list;
   }
 
-  let create table =
-    let n = Array.length table in
+  let create (table : Table.t) =
+    let n = Array.length table.recs in
     {
       table;
       contig = Array.make n 0;
@@ -124,9 +163,16 @@ module Store = struct
       true
     end
 
+  let dropped t ~creator ~seqno =
+    invalid_arg
+      (Printf.sprintf "Record.Store: creator %d seq %d is below the floor %d"
+         creator seqno (Table.floor t.table creator))
+
   let find t ~creator ~seqno =
-    if mem t ~creator ~seqno then Some (Table.get t.table creator seqno)
-    else None
+    if not (mem t ~creator ~seqno) then None
+    else if seqno <= Table.floor t.table creator then
+      dropped t ~creator ~seqno
+    else Some (Table.get t.table creator seqno)
 
   let known t (r : record) = mem t ~creator:r.creator ~seqno:r.seqno
 
@@ -138,6 +184,8 @@ module Store = struct
     end
 
   let range t ~creator ~lo ~hi =
+    if hi > lo && lo < Table.floor t.table creator then
+      dropped t ~creator ~seqno:(lo + 1);
     let rec loop seq acc =
       if seq <= lo then acc
       else if mem t ~creator ~seqno:seq then

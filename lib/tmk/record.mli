@@ -60,6 +60,18 @@ module Table : sig
 
   (** @raise Invalid_argument if [nodes > max_nodes]. *)
   val create : nodes:int -> t
+
+  (** [floor t c]: [c]'s records at or below it are dropped; 0 until the
+      first {!drop}. *)
+  val floor : t -> int -> int
+
+  (** [drop t ~creator f] drops [creator]'s records at or below [f] and
+      ignores any later {!Store.add} of one; a lower [f] than the current
+      floor is a no-op.  Amortized O(1) per dropped record. *)
+  val drop : t -> creator:int -> int -> unit
+
+  (** How many records the table holds (tests). *)
+  val held : t -> int
 end
 
 module Store : sig
@@ -81,12 +93,19 @@ module Store : sig
       table keeps the first value added for a (creator, seqno). *)
   val add : t -> record -> bool
 
+  (** [mem t ~creator ~seqno] is whether [t] knows the record, dropped
+      from the table or not. *)
+  val mem : t -> creator:int -> seqno:int -> bool
+
+  (** @raise Invalid_argument for a known record below the table's
+      floor. *)
   val find : t -> creator:int -> seqno:int -> record option
 
   val known : t -> record -> bool
 
   (** [range t ~creator ~lo ~hi] is the records with [lo < seqno <= hi],
-      oldest first.  @raise Invalid_argument on a gap. *)
+      oldest first.  @raise Invalid_argument on a gap, or if [lo] is
+      below the table's floor. *)
   val range : t -> creator:int -> lo:int -> hi:int -> record list
 
   (** [first_notice t r] is [true] the first time it is called for

@@ -41,10 +41,10 @@ type node = {
           shared [zero_vc] until the page's first write to it *)
   pending : int list array;
       (** {!Record.notice}s awaiting diffs, newest first *)
-  own : (int * Diff.t) list array;
-      (** (seqno, diff) of this node's own intervals that dirtied the
-          page, newest first; crash-free, only those some node can still
-          request (see [prune_own]) *)
+  own : Diff.t list array;
+      (** this node's own intervals' diffs of the page, newest first;
+          crash-free, only those some node can still request (see
+          [prune_own]) *)
   mutable logged : int list;  (** the pages whose [own] list is not empty *)
   rights : Bytes.t;
       (** software TLB: one byte per page, ['\000'] = guard must fault,
@@ -57,6 +57,12 @@ type node = {
       (** (page, creator, seqno) -> eagerly shipped diff, not yet applied *)
   locks : (int, lock_state) Hashtbl.t;  (** built on first use; see [lock_of] *)
   mutable sent_to_manager : int;  (** own seq already pushed to barrier mgr *)
+  mutable unsent_bytes : int;
+      (** wire bytes of the own records closed since the last arrival *)
+  mutable asks : Vc.t list;
+      (** the vector times of this node's lock requests and barrier
+          arrivals not yet answered: a grant or departure is built from
+          them, so they bound the record floor (see [drop_records]) *)
   rt : Proto.t Node.t;
   recov : recov option;  (** checkpoint state; [None] = crash-free *)
 }
@@ -84,7 +90,9 @@ type t = {
   zero_vc : Vc.t;
       (** all-zero vector shared by every page whose [applied] (or [snap])
           vector has not been written yet; never itself written *)
-  records : Record.Table.t;  (** every node's records, held once *)
+  records : Record.Table.t;
+      (** every node's records, held once; crash-free, only those a
+          message can still carry (see [drop_records]) *)
   roles : (int * int * Vc.t) Roles.t;
       (** lock and barrier managers; arrivals carry (node, req, vc) *)
   stash : Record.t list array;
@@ -205,6 +213,8 @@ let create eng counters fabric cfg ~memories =
       eager_diffs = Hashtbl.create 64;
       locks = Hashtbl.create 8;
       sent_to_manager = 0;
+      unsent_bytes = 0;
+      asks = [];
       rt = Node.create eng ~engine:"tmk";
       recov = recov memories.(id);
     }
@@ -331,7 +341,7 @@ let applied_floor t ~creator page =
    the [nodes]-wide floor is not paid per fault or per diff. *)
 let prune_own t nd =
   let rec above floor = function
-    | (seqno, _) :: _ when seqno <= floor -> []
+    | (d : Diff.t) :: _ when d.seqno <= floor -> []
     | d :: rest as l ->
         let rest' = above floor rest in
         if rest' == rest then l else d :: rest'
@@ -343,6 +353,32 @@ let prune_own t nd =
         nd.own.(p) <- above (applied_floor t ~creator:nd.id p) nd.own.(p);
         nd.own.(p) <> [])
       nd.logged
+
+(* The highest of [creator]'s intervals that every node's vector time
+   covers, and every vector time a grant or departure may still be
+   built from (the nodes' [asks]).  No path reads the table at or below
+   it: grants and departures read past those vector times, an eager
+   update past the receiver's contiguous prefix, an arrival past the
+   floor (it counts the rest as bytes), and a fault orders diffs by
+   their stamps (DESIGN.md §12.1). *)
+let record_floor t ~creator =
+  let floor = ref max_int in
+  Array.iter
+    (fun nd ->
+      floor := Int.min !floor nd.vc.(creator);
+      List.iter (fun (v : Vc.t) -> floor := Int.min !floor v.(creator)) nd.asks)
+    t.nodes;
+  !floor
+
+(* Drop the node's own records below the floor.  Crash-free only, on the
+   diff log's cadence: a rejoin reads the records past its checkpoint's
+   snapshot, so under a lifecycle the table stays whole. *)
+let drop_records t nd =
+  Record.Table.drop t.records ~creator:nd.id (record_floor t ~creator:nd.id)
+
+let rec forget v = function
+  | [] -> []
+  | x :: rest -> if x == v then rest else x :: forget v rest
 
 let close_interval t fiber nd =
   match nd.dirty with
@@ -357,7 +393,8 @@ let close_interval t fiber nd =
       let ov = overhead t in
       nd.seq <- nd.seq + 1;
       nd.vc.(nd.id) <- nd.seq;
-      let pages = List.sort compare dirty in
+      let pages = List.sort Int.compare dirty in
+      let vsum = Vc.sum nd.vc in
       List.iter
         (fun p ->
           let twin =
@@ -366,23 +403,26 @@ let close_interval t fiber nd =
             | None -> failwith "close_interval: dirty page without twin"
           in
           let diff =
-            Diff.make ~page:p ~twin ~current:nd.mem
-              ~base:(p * t.cfg.page_words) ~words:t.cfg.page_words
+            Diff.make_stamped ~creator:nd.id ~seqno:nd.seq ~vsum ~page:p ~twin
+              ~current:nd.mem ~base:(p * t.cfg.page_words)
+              ~words:t.cfg.page_words
           in
           Engine.with_category fiber Engine.Diff (fun () ->
               Engine.advance fiber (ov.diff_per_word * t.cfg.page_words));
           if nd.own.(p) = [] then nd.logged <- p :: nd.logged;
-          nd.own.(p) <- (nd.seq, diff) :: nd.own.(p);
+          nd.own.(p) <- diff :: nd.own.(p);
           Counters.bump t.keys.k_diffs_created 1;
           nd.twins.(p) <- None;
           update_rights t nd p;
           (applied_for_write t nd p).(nd.id) <- nd.seq)
         pages;
-      if nd.recov = None && nd.seq mod prune_period = 0 then prune_own t nd;
-      let record =
-        Record.make ~creator:nd.id ~seqno:nd.seq ~vsum:(Vc.sum nd.vc) ~pages
-      in
+      if nd.recov = None && nd.seq mod prune_period = 0 then begin
+        prune_own t nd;
+        drop_records t nd
+      end;
+      let record = Record.make ~creator:nd.id ~seqno:nd.seq ~vsum ~pages in
       ignore (Record.Store.add nd.store record);
+      nd.unsent_bytes <- nd.unsent_bytes + Record.bytes record;
       Counters.bump t.keys.k_intervals 1;
       Some record
 
@@ -391,7 +431,10 @@ let close_interval t fiber nd =
 
 let eager_broadcast t fiber nd (record : Record.t) =
   let diffs =
-    List.map (fun p -> List.assoc record.seqno nd.own.(p)) record.pages
+    List.map
+      (fun p ->
+        List.find (fun (d : Diff.t) -> d.seqno = record.seqno) nd.own.(p))
+      record.pages
   in
   let body = Proto.Eager_update { record; diffs } in
   for dst = 0 to t.cfg.n_nodes - 1 do
@@ -428,10 +471,8 @@ let apply_eager_update t fiber nd (record : Record.t) diffs =
   ignore (Record.Store.add nd.store record);
   List.iter
     (fun (d : Diff.t) ->
-      if record.seqno > nd.applied.(d.Diff.page).(record.creator) then
-        Hashtbl.replace nd.eager_diffs
-          (d.Diff.page, record.creator, record.seqno)
-          d)
+      if record.seqno > nd.applied.(d.page).(record.creator) then
+        Hashtbl.replace nd.eager_diffs (d.page, record.creator, record.seqno) d)
     diffs;
   let hi = Record.Store.contiguous nd.store ~creator:record.creator in
   if hi > before then
@@ -442,21 +483,18 @@ let apply_eager_update t fiber nd (record : Record.t) diffs =
 (* Page faults                                                         *)
 
 let apply_diffs t fiber nd ~page items =
-  (* [items]: (record, diff) pairs; apply in a linear extension of
-     happened-before-1. *)
-  let items =
-    List.sort (fun (a, _) (b, _) -> Record.compare_linear a b) items
-  in
+  (* Apply in a linear extension of happened-before-1. *)
+  let items = List.sort Diff.compare_linear items in
   let base = page * t.cfg.page_words in
   List.iter
-    (fun ((r : Record.t), (d : Diff.t)) ->
+    (fun (d : Diff.t) ->
       Diff.apply d nd.mem ~base;
       Option.iter (Diff.apply_to_twin d) nd.twins.(page);
       Engine.with_category fiber Engine.Diff (fun () ->
           Engine.advance fiber (t.cfg.apply_per_word * Diff.words d));
       Engine.instant fiber "tmk.diff-apply";
-      if r.seqno > nd.applied.(page).(r.creator) then
-        (applied_for_write t nd page).(r.creator) <- r.seqno;
+      if d.seqno > nd.applied.(page).(d.creator) then
+        (applied_for_write t nd page).(d.creator) <- d.seqno;
       Counters.bump t.keys.k_diffs_applied 1)
     items;
   if items <> [] then mark_changed nd page
@@ -498,13 +536,7 @@ let fault t fiber nd page =
           if not eager then []
           else
             List.filter_map
-              (fun s ->
-                match
-                  ( Hashtbl.find_opt nd.eager_diffs (page, c, s),
-                    Record.Store.find nd.store ~creator:c ~seqno:s )
-                with
-                | Some d, Some r -> Some (r, d)
-                | _ -> None)
+              (fun s -> Hashtbl.find_opt nd.eager_diffs (page, c, s))
               seqs
         in
         if List.length stashed = List.length seqs then begin
@@ -534,35 +566,36 @@ let fault t fiber nd page =
       | Proto.Diff_resp { page = p; creator; diffs; _ } ->
           assert (p = page);
           List.iter
-            (fun (seqno, diff) ->
-              match Record.Store.find nd.store ~creator ~seqno with
-              | Some record -> items := (record, diff) :: !items
-              | None ->
-                  let pend =
-                    String.concat ";"
-                      (List.map
-                         (fun k ->
-                           Printf.sprintf "(%d,%d)" (Record.notice_creator k)
-                             (Record.notice_seqno k))
-                         nd.pending.(page))
-                  in
-                  let reqs =
-                    Hashtbl.fold
-                      (fun c hi acc ->
-                        Printf.sprintf "%d:(%d,%d] %s" c nd.applied.(page).(c) hi
-                          acc)
-                      by_creator ""
-                  in
-                  failwith
-                    (Printf.sprintf
-                       "fault: node %d page %d: diff (creator %d, seq %d) \
-                        unknown; vc=%s applied=%s contiguous=%d pending=%s \
-                        reqs=%s"
-                       nd.id page creator seqno
-                       (Format.asprintf "%a" Vc.pp nd.vc)
-                       (Format.asprintf "%a" Vc.pp nd.applied.(page))
-                       (Record.Store.contiguous nd.store ~creator)
-                       pend reqs))
+            (fun (d : Diff.t) ->
+              let seqno = d.seqno in
+              if Record.Store.mem nd.store ~creator ~seqno then
+                items := d :: !items
+              else
+                let pend =
+                  String.concat ";"
+                    (List.map
+                       (fun k ->
+                         Printf.sprintf "(%d,%d)" (Record.notice_creator k)
+                           (Record.notice_seqno k))
+                       nd.pending.(page))
+                in
+                let reqs =
+                  Hashtbl.fold
+                    (fun c hi acc ->
+                      Printf.sprintf "%d:(%d,%d] %s" c nd.applied.(page).(c) hi
+                        acc)
+                    by_creator ""
+                in
+                failwith
+                  (Printf.sprintf
+                     "fault: node %d page %d: diff (creator %d, seq %d) \
+                      unknown; vc=%s applied=%s contiguous=%d pending=%s \
+                      reqs=%s"
+                     nd.id page creator seqno
+                     (Format.asprintf "%a" Vc.pp nd.vc)
+                     (Format.asprintf "%a" Vc.pp nd.applied.(page))
+                     (Record.Store.contiguous nd.store ~creator)
+                     pend reqs))
             diffs
       | _ -> failwith "fault: unexpected response"
     done;
@@ -717,6 +750,7 @@ let acquire t fiber ~node ~lock =
     let req = Node.fresh nd.rt in
     let mb = Node.register nd.rt req in
     let vc = Vc.copy nd.vc in
+    nd.asks <- vc :: nd.asks;
     let manager = Roles.lock_home t.roles lock in
     let body = Proto.Lock_req { lock; requester = nd.id; req; vc } in
     if manager = nd.id then
@@ -736,6 +770,7 @@ let acquire t fiber ~node ~lock =
         ls.has_token <- true;
         ls.in_use <- true
     | _ -> failwith "acquire: unexpected response");
+    nd.asks <- forget vc nd.asks;
     Node.finish nd.rt req;
     Counters.bump t.keys.k_lock_remote 1
   end
@@ -848,26 +883,41 @@ let barrier_arrive t fiber ~node ~id =
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let closed = close_interval t fiber nd in
   after_close t fiber nd ~lock:None closed;
+  (* The own records below the floor are known everywhere: only their
+     bytes travel. *)
   let own_records =
-    Record.Store.range nd.store ~creator:nd.id ~lo:nd.sent_to_manager ~hi:nd.seq
+    Record.Store.range nd.store ~creator:nd.id
+      ~lo:(Int.max nd.sent_to_manager (Record.Table.floor t.records nd.id))
+      ~hi:nd.seq
   in
+  let dropped_bytes = nd.unsent_bytes - Proto.records_bytes own_records in
   nd.sent_to_manager <- nd.seq;
+  nd.unsent_bytes <- 0;
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
   let mgr_id = Roles.barrier_home t.roles in
   let arr_vc = Vc.copy nd.vc in
+  nd.asks <- arr_vc :: nd.asks;
   if mgr_id = nd.id then
     note_arrival t fiber t.nodes.(mgr_id) ~id ~node:nd.id ~req ~arr_vc
       ~records:own_records
   else
     send t fiber ~src:nd.id ~dst:mgr_id
       (Proto.Barrier_arrive
-         { barrier = id; node = nd.id; req; vc = arr_vc; records = own_records });
+         {
+           barrier = id;
+           node = nd.id;
+           req;
+           vc = arr_vc;
+           records = own_records;
+           dropped_bytes;
+         });
   (match Node.await fiber Engine.Barrier_wait mb with
   | Proto.Barrier_depart { vc; records; _ } ->
       register_records t fiber nd records;
       Vc.max_into ~into:nd.vc vc
   | _ -> failwith "barrier: unexpected response");
+  nd.asks <- forget arr_vc nd.asks;
   Node.finish nd.rt req
 
 (* ------------------------------------------------------------------ *)
@@ -927,7 +977,7 @@ let rejoin t nd =
       (* [own] is newest first: its entries past the checkpoint are a
          prefix, replayed from its far end. *)
       let rec replay p = function
-        | (seqno, d) :: rest when seqno > rv.ckpt_seq ->
+        | (d : Diff.t) :: rest when d.seqno > rv.ckpt_seq ->
             replay p rest;
             Diff.apply d image ~base:(p * pw);
             replay_words := !replay_words + Diff.words d
@@ -978,8 +1028,8 @@ let serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size =
   (* Walk the page's own diffs newest first and stop at [lo]: the cost
      follows the diffs returned, not the width of the range. *)
   let rec collect acc = function
-    | (seqno, d) :: rest when seqno > lo ->
-        collect (if seqno <= hi then (seqno, d) :: acc else acc) rest
+    | (d : Diff.t) :: rest when d.seqno > lo ->
+        collect (if d.seqno <= hi then d :: acc else acc) rest
     | _ -> acc
   in
   let diffs = collect [] nd.own.(page) in
@@ -1008,7 +1058,7 @@ let handle t fiber nd (env : Proto.t Msg.envelope) =
   | Proto.Diff_req { page; requester; req; lo; hi } ->
       Engine.advance fiber (overhead t).handler;
       serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size
-  | Proto.Barrier_arrive { barrier; node; req; vc; records } as body ->
+  | Proto.Barrier_arrive { barrier; node; req; vc; records; _ } as body ->
       Engine.advance fiber (overhead t).handler;
       let home = Roles.barrier_home t.roles in
       if Roles.stale t.roles ~self:nd.id home then
@@ -1078,6 +1128,8 @@ let logged_diffs t ~node =
 
 let lock_states t ~node = Hashtbl.length t.nodes.(node).locks
 
+let records_held t = Record.Table.held t.records
+
 let node_words t ~node =
   let nd = t.nodes.(node) in
   let words o = Obj.reachable_words (Obj.repr o) in
@@ -1127,7 +1179,7 @@ let check_invariants t =
                 failwith
                   (Printf.sprintf "node %d: page %d pending (%d,%d) twice"
                      nd.id p c s);
-              if Record.Store.find nd.store ~creator:c ~seqno:s = None then
+              if not (Record.Store.mem nd.store ~creator:c ~seqno:s) then
                 failwith
                   (Printf.sprintf
                      "node %d: page %d pending (%d,%d) not in the store"

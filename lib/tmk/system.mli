@@ -127,6 +127,11 @@ val logged_diffs : t -> node:int -> int
 (** [lock_states t ~node] is how many locks the node holds state for. *)
 val lock_states : t -> node:int -> int
 
+(** [records_held t] is how many interval records the system's shared
+    table holds.  Crash-free, a record goes once no message can carry it
+    again; under a lifecycle every record stays. *)
+val records_held : t -> int
+
 (** [node_words t ~node] is the host words the node's page state, vector
     time and record-store view occupy.  It leaves out what the nodes
     share: the interval records and the all-zero vector untouched pages

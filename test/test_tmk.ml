@@ -3,6 +3,7 @@
    staleness, eager release, fault merging, and protocol invariants. *)
 
 module Engine = Shm_sim.Engine
+module Waitq = Shm_sim.Waitq
 module Prng = Shm_sim.Prng
 module Counters = Shm_stats.Counters
 module Fabric = Shm_net.Fabric
@@ -692,8 +693,57 @@ let prop_notices_match_old_representation =
         ops;
       !ok)
 
+(* The table keeps exactly each creator's records above its floor,
+   through any mix of in-order appends and rising drops (partial ones
+   leave a dead prefix, full ones compact), and refuses a range that
+   reaches below a floor. *)
+let prop_table_keeps_records_above_floor =
+  QCheck.Test.make ~count:300 ~name:"record table keeps what is above the floor"
+    QCheck.(list (pair (int_bound 2) (int_bound 9)))
+    (fun ops ->
+      let nodes = 3 in
+      let table = Record.Table.create ~nodes in
+      let store = Record.Store.create table in
+      let top = Array.make nodes 0 and floor = Array.make nodes 0 in
+      List.iter
+        (fun (c, op) ->
+          if op < 7 then begin
+            top.(c) <- top.(c) + 1;
+            ignore
+              (Record.Store.add store
+                 (Record.make ~creator:c ~seqno:top.(c) ~vsum:top.(c)
+                    ~pages:[]))
+          end
+          else begin
+            let f = floor.(c) + ((top.(c) - floor.(c)) * (op - 6) / 3) in
+            Record.Table.drop table ~creator:c f;
+            floor.(c) <- f
+          end)
+        ops;
+      let kept c =
+        List.map
+          (fun (r : Record.t) -> (r.creator, r.seqno))
+          (Record.Store.range store ~creator:c ~lo:floor.(c) ~hi:top.(c))
+      in
+      let below c =
+        match Record.Store.range store ~creator:c ~lo:0 ~hi:top.(c) with
+        | exception Invalid_argument _ -> true
+        | _ -> floor.(c) = 0
+      in
+      let expected = ref 0 and ok = ref true in
+      for c = 0 to nodes - 1 do
+        expected := !expected + top.(c) - floor.(c);
+        ok :=
+          !ok
+          && kept c = List.init (top.(c) - floor.(c)) (fun i -> (c, floor.(c) + i + 1))
+          && below c
+          && Record.Table.floor table c = floor.(c)
+      done;
+      !ok && Record.Table.held table = !expected)
+
 (* The shared happened-before sort orders records exactly as sorting on
-   [linear_key] does. *)
+   [linear_key] does, and a fault's sort of stamped diffs orders their
+   intervals the same way. *)
 let prop_compare_linear_is_linear_key =
   let record =
     QCheck.(
@@ -711,7 +761,16 @@ let prop_compare_linear_is_linear_key =
           (fun a b -> compare (Record.linear_key a) (Record.linear_key b))
           rs
       in
-      List.for_all2 ( == ) (List.sort Record.compare_linear rs) by_key)
+      let stamp (r : Record.t) =
+        { Diff.page = 0; runs = []; creator = r.creator; seqno = r.seqno;
+          vsum = r.vsum }
+      in
+      let stamped = List.sort Diff.compare_linear (List.map stamp rs) in
+      List.for_all2 ( == ) (List.sort Record.compare_linear rs) by_key
+      && List.for_all2
+           (fun (d : Diff.t) (r : Record.t) ->
+             (d.vsum, d.creator, d.seqno) = Record.linear_key r)
+           stamped by_key)
 
 (* A diff request names a seqno range, but the creator serves only the
    diffs of the faulting page inside it.  Node 0 writes page A in its
@@ -831,6 +890,75 @@ let test_diff_log_kept_under_lifecycle () =
   Alcotest.(check (array int)) "one diff per round" (Array.make 4 100)
     (logged_after ~crash:Lifecycle.none ~rounds:100 ())
 
+(* The record table keeps only what a message can still carry.  Each
+   of four nodes runs two processors: processor [p] takes lock [p] every
+   round, and every fourth round the node's two processors meet at a
+   barrier, the second to arrive calling it for the node.  So a node's
+   vector time moves on through one processor while the other's lock
+   request still waits on an older one, and that older vector time must
+   hold the floor down.  Crash-free, the table holds a few dozen records
+   at 100 and at 400 rounds, and every message is as large as when the
+   table kept every record (the byte counts were taken before records
+   were dropped); under a lifecycle it keeps one per interval. *)
+let held_after ?crash ~rounds () =
+  let nodes = 4 in
+  let c = make_cluster ?crash ~nodes ~shared_words:1024 () in
+  let seen = Array.make 2 0 in
+  let waiting = Array.make nodes false in
+  let gate = Array.init nodes (fun _ -> Waitq.create c.eng) in
+  let barrier f ~node =
+    if waiting.(node) then begin
+      waiting.(node) <- false;
+      System.barrier_arrive c.sys f ~node ~id:0;
+      ignore (Waitq.wake_all gate.(node) ~at:(Engine.clock f))
+    end
+    else begin
+      waiting.(node) <- true;
+      Waitq.wait f gate.(node)
+    end
+  in
+  for node = 0 to nodes - 1 do
+    for cpu = 0 to 1 do
+      ignore
+        (Engine.spawn c.eng ~name:(Printf.sprintf "n%dcpu%d" node cpu) ~at:0
+           (fun f ->
+             let addr = cpu * 512 in
+             for r = 1 to rounds do
+               System.acquire c.sys f ~node ~lock:cpu;
+               write c f ~node addr (read c f ~node addr + 1);
+               System.release c.sys f ~node ~lock:cpu;
+               if r mod 4 = 0 then barrier f ~node
+             done;
+             System.acquire c.sys f ~node ~lock:cpu;
+             seen.(cpu) <- max seen.(cpu) (read c f ~node addr);
+             System.release c.sys f ~node ~lock:cpu))
+    done
+  done;
+  Engine.run c.eng;
+  System.check_invariants c.sys;
+  Alcotest.(check (array int)) "every round's increment arrived"
+    (Array.make 2 (nodes * rounds)) seen;
+  ( System.records_held c.sys,
+    Counters.get c.counters "tmk.intervals",
+    Counters.get c.counters "net.bytes.consistency" )
+
+let test_records_bounded () =
+  List.iter
+    (fun (rounds, whole_table_bytes) ->
+      let held, intervals, bytes = held_after ~rounds () in
+      Printf.printf "records held after %d rounds: %d of %d\n" rounds held
+        intervals;
+      if held > 64 then
+        Alcotest.failf "the table holds %d records after %d rounds (want <= 64)"
+          held rounds;
+      Alcotest.(check int) "consistency bytes as with the whole table"
+        whole_table_bytes bytes)
+    [ (100, 129_876); (400, 521_800) ]
+
+let test_records_kept_under_lifecycle () =
+  let held, intervals, _ = held_after ~crash:Lifecycle.none ~rounds:100 () in
+  Alcotest.(check int) "one record per interval" intervals held
+
 (* A crash re-homes the dead node's 256 locks, but only the one it holds
    state for moves: node 2 takes lock 5 (managed by node 1) before node
    1 dies, so nodes 1 and 2 each hold state for lock 5 alone.  After
@@ -890,6 +1018,8 @@ let suite =
       prop_store_matches_model;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x50f7)
       prop_compare_linear_is_linear_key;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0xf1007)
+      prop_table_keeps_records_above_floor;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x7ac1)
       prop_notices_match_old_representation;
     Alcotest.test_case "diff requests serve only the page's diffs" `Quick
@@ -900,6 +1030,10 @@ let suite =
       test_diff_log_bounded;
     Alcotest.test_case "diff log kept whole under a lifecycle" `Quick
       test_diff_log_kept_under_lifecycle;
+    Alcotest.test_case "records held bounded by what can be sent" `Quick
+      test_records_bounded;
+    Alcotest.test_case "record table kept whole under a lifecycle" `Quick
+      test_records_kept_under_lifecycle;
     Alcotest.test_case "re-homing moves only held locks" `Quick
       test_rehome_moves_held_locks;
   ]

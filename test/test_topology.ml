@@ -229,6 +229,18 @@ let check_refused what f =
         Alcotest.failf "%s: refusal message too terse: %S" what msg
   | _ -> Alcotest.failf "%s: was accepted" what
 
+(* Like [check_refused], and the reason names [knob]. *)
+let check_refused_naming knob what f =
+  match f () with
+  | exception Invalid_argument msg ->
+      let rec has i =
+        i + String.length knob <= String.length msg
+        && (String.sub msg i (String.length knob) = knob || has (i + 1))
+      in
+      if not (has 0) then
+        Alcotest.failf "%s: refusal does not name %s: %S" what knob msg
+  | _ -> Alcotest.failf "%s: was accepted" what
+
 let test_refusals () =
   (* Parser errors. *)
   check_refused "unbalanced spec" (fun () -> Machines.topology "lrc(mesi*8");
@@ -275,7 +287,20 @@ let test_refusals () =
       let p = Machines.get name in
       check_refused (name ^ " beyond capacity") (fun () ->
           p.Platform.run (quick_app "sor") ~nprocs:16))
-    [ "treadmarks"; "sgi" ]
+    [ "treadmarks"; "sgi" ];
+  (* An app refuses more processors than it lays out reduction slots
+     for, naming the knob that raises them: before any machine exists
+     when it is told the count, else as its run starts. *)
+  List.iter
+    (fun name ->
+      check_refused_naming "--slots" (name ^ " beyond its slots") (fun () ->
+          Registry.app ~scale:Registry.Quick ~nprocs:256 name);
+      check_refused_naming "--slots" (name ^ " run beyond its slots")
+        (fun () ->
+          (Machines.topology "lrc*128").Platform.run (quick_app name)
+            ~nprocs:128))
+    [ "sor"; "water"; "ilink-clp"; "migratory" ];
+  ignore (Registry.app ~scale:Registry.Quick ~nprocs:64 "sor")
 
 let suite =
   [
