@@ -1052,19 +1052,7 @@ let pool_probe () =
 (* Hand-rolled JSON envelope (no JSON library in the tree).  Floats use
    %.17g so values round-trip bit-exactly. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Shm_sim.Trace.json_escape
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then

@@ -90,6 +90,21 @@ if grep -nE '^(let|and)( rec)? (deliver|serve|start|read_guard|write_guard|read_
   exit 1
 fi
 
+# Shell fork guard: all three software engines run on one page-DSM
+# shell (Shm_dsm.Paged, DESIGN.md §6): the node header and page
+# accessors, the guards and range guards, the fault shell, start-up and
+# the mounted instance.  TreadMarks keeps only its protocol; defining
+# any of those again, or a second system signature for mounting, would
+# restart the fork the shell replaced.  The one exempt line is the
+# alias of Paged.start that bench/perf calls as System.start.
+if grep -nE '^(let|and)( rec)? (start|read_guard|write_guard|read_range_guard|write_range_guard|read_page|write_page|page_of|access_rights|set_page_hook)\b' \
+     lib/tmk/*.ml \
+     | grep -vE '^lib/tmk/system\.ml:[0-9]+:let start = Paged\.start$' || \
+   grep -n 'module type SYSTEM' lib/dsm/*.ml; then
+  echo "ci: TreadMarks must use the Shm_dsm.Paged shell, not its own copy" >&2
+  exit 1
+fi
+
 # Recovery fork guard: the fabric's lifecycle is the one crash switch
 # and Shm_dsm.Checkpoint the one checkpoint store (DESIGN.md §13).  A
 # second WAL beside the per-page own-diff lists, a per-engine dirty map,

@@ -51,12 +51,12 @@ let () =
   spawn 0 (fun f ->
       System.acquire sys f ~node:0 ~lock:5;
       show sys ~node:0 "acquired lock 5";
-      System.write_guard sys f ~node:0 10;
+      Shm_dsm.Paged.write_guard sys f ~node:0 10;
       Memory.set_int memories.(0) 10 111;
       show sys ~node:0 "wrote page 0 (twin made)";
       System.release sys f ~node:0 ~lock:5;
       show sys ~node:0 "released (interval closed)";
-      System.write_guard sys f ~node:0 (page_words + 7);
+      Shm_dsm.Paged.write_guard sys f ~node:0 (page_words + 7);
       Memory.set_int memories.(0) (page_words + 7) 222;
       System.barrier_arrive sys f ~node:0 ~id:0;
       show sys ~node:0 "passed barrier");
@@ -68,14 +68,14 @@ let () =
       Engine.wait_until f 1_000_000;
       System.acquire sys f ~node:1 ~lock:5;
       show sys ~node:1 "acquired lock 5 (page 0 invalid)";
-      System.read_guard sys f ~node:1 10;
+      Shm_dsm.Paged.read_guard sys f ~node:1 10;
       Printf.printf "  node 1 read word 10 -> %d (diff fetched and applied)\n"
         (Memory.get_int memories.(1) 10);
       show sys ~node:1 "after fault";
       System.release sys f ~node:1 ~lock:5;
       System.barrier_arrive sys f ~node:1 ~id:0;
       show sys ~node:1 "passed barrier (page 1 invalid)";
-      System.read_guard sys f ~node:1 (page_words + 7);
+      Shm_dsm.Paged.read_guard sys f ~node:1 (page_words + 7);
       Printf.printf "  node 1 read word %d -> %d\n" (page_words + 7)
         (Memory.get_int memories.(1) (page_words + 7)));
 

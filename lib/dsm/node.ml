@@ -1,23 +1,23 @@
 (* The per-node runtime every software-DSM engine (TreadMarks, IVY,
    Tardis) runs on: the table of requests awaiting a reply, the pages
-   being fetched, the handler time owed by the application, the handler
-   daemons and the crash-recovery wiring.  The engine keeps only its
-   protocol: what to send, and what a message does when it arrives.
-   IVY and Tardis also share sending and serving ({!Paged}), which
-   reaches the engine's message functions through a record of closures:
-   an indirect call where a per-engine copy had a direct one, and no
-   allocation.  Measured on [kv] at [ivy] 8, default scale (408,224
-   messages, 20 alternating runs on a 2-core x86-64 host): median user
-   time 0.742 s against 0.714 s for per-engine sending, minimum 0.557 s
-   against 0.556 s; the paired median difference, 15 ms or about 35 ns
-   a message, is inside the host's run-to-run spread (0.56 to 0.90 s). *)
+   being fetched and the handler time owed by the application, plus the
+   page helpers the shell uses.  The engine keeps only its protocol:
+   what to send, and what a message does when it arrives.  All three
+   run on one page-DSM shell ({!Paged}: node header, guards, fault
+   shell, start-up and mounting), which reaches the engine's protocol
+   through a record of closures: an indirect call where a per-engine
+   copy had a direct one, and no allocation.  Measured when IVY and
+   Tardis first shared sending and serving this way, on [kv] at [ivy]
+   8, default scale (408,224 messages, 20 alternating runs on a 2-core
+   x86-64 host): median user time 0.742 s against 0.714 s for
+   per-engine sending, minimum 0.557 s against 0.556 s; the paired
+   median difference, 15 ms or about 35 ns a message, is inside the
+   host's run-to-run spread (0.56 to 0.90 s). *)
 
 module Engine = Shm_sim.Engine
 module Mailbox = Shm_sim.Mailbox
 module Waitq = Shm_sim.Waitq
 module Lifecycle = Shm_sim.Lifecycle
-module Reliable = Shm_net.Reliable
-module Fabric = Shm_net.Fabric
 module Memory = Shm_memsys.Memory
 
 type 'msg t = {
@@ -105,46 +105,7 @@ let end_fetch rt fiber page wq =
 
 let fetching rt page = Hashtbl.mem rt.inflight page
 
-(* ---------------- messages ----------------------------------------- *)
-
-let overhead net = (Fabric.config (Reliable.fabric net)).Fabric.overhead
-
-(* One handler daemon per node: receive the next message, then
-   [serve fiber node envelope] in the Protocol category. *)
-let spawn_handlers eng net ~engine ~nodes serve =
-  for id = 0 to nodes - 1 do
-    ignore
-      (Engine.spawn eng ~daemon:true
-         ~name:(Printf.sprintf "%s-handler-%d" engine id)
-         ~at:0
-         (fun fiber ->
-           let rec loop () =
-             let env =
-               Engine.with_category fiber Engine.Net_wait (fun () ->
-                   Reliable.recv net fiber ~node:id)
-             in
-             Engine.with_category fiber Engine.Protocol (fun () ->
-                 serve fiber id env);
-             loop ()
-           in
-           loop ()))
-  done
-
 (* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
-
-(* Under the lifecycle attached to the channel's fabric, if any (the one
-   crash switch): checkpoint every live node on its tick, re-home a dead
-   node's manager roles on detection, rejoin a node at restart. *)
-let on_lifecycle net ~nodes ~checkpoint ~rehome ~rejoin =
-  Option.iter
-    (fun lc ->
-      Lifecycle.on_ckpt lc (fun ~at:_ ->
-          for id = 0 to nodes - 1 do
-            if Lifecycle.alive lc id then checkpoint id
-          done);
-      Lifecycle.on_detect lc (fun ~node ~at:_ -> rehome lc ~dead:node);
-      Lifecycle.on_restart lc (fun ~node ~at:_ -> rejoin node))
-    (Fabric.lifecycle (Reliable.fabric net))
 
 (* The next surviving node after [dead], in id order, wrapping. *)
 let successor lc ~nodes ~dead =

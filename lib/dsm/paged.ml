@@ -1,25 +1,35 @@
-(* The home-based page DSM that IVY and Tardis share: every page has a
-   static home manager ([page mod n_nodes], {!Home}) that serializes the
-   transactions on it, a fault asks the home for the page and tells it
-   when the transaction is done, and locks and barriers run through the
-   role record every software DSM holds ({!Roles}).  This module is that
-   skeleton: the node and system records, sending and serving messages,
-   lock and barrier serving, the fault's request/await/done sequence, the
-   four guards, the acquire, release and barrier clients, crash-recovery
-   wiring and the mounted instance.  The engine hands it a [protocol]
-   record with what its protocol decides: its page messages and the
-   manager's state machine ([dispatch]), when a copy serves an access,
-   what a fault asks for and what its reply installs, and the logical
-   time synchronization carries.
+(* The page-DSM shell all three software engines (TreadMarks, IVY,
+   Tardis) run on: the node header, the page accessors and the four
+   guards, the fault's wait-and-fetch shell, start-up with the crash
+   lifecycle and the handler daemons, and the mounted
+   {!Shm_proto.instance}.  The engine hands it a [protocol] record with
+   what its protocol decides: when a page copy serves an access, what a
+   fault fetches, what a write hit does, how a message is served, its
+   synchronization clients, and its checkpoint, re-home and rejoin moves.
 
-   The skeleton reaches the engine through the record's fields, an
-   indirect call each (see {!Node} for the measured cost).  Its own
-   functions are not functor-bound, so the closures a fault or a lock
-   operation builds capture what the per-engine copies captured and no
-   more. *)
+   IVY and Tardis also share a home-based page DSM, the second half of
+   this file: every page has a static home manager ([page mod n_nodes],
+   {!Home}) that serializes the transactions on it, a fault asks the home
+   for the page and tells it when the transaction is done, and locks and
+   barriers run through the role record ({!Roles}).  Such an engine
+   plugs the home-based helpers below ([fetch], [serve], the
+   synchronization clients, [rehome]) into its shell [protocol], and
+   hands [create_home] a second record, its [home_protocol]: its page
+   messages, the manager's state machine, what a fault asks for and what
+   its reply installs, and the logical time synchronization carries.
+   TreadMarks keeps its own messages, lock queues and barrier records and
+   allocates no home.  Both records are static: building a system
+   allocates no protocol.
+
+   The shell reaches the engine through the record's fields, an indirect
+   call each (see {!Node} for the measured cost).  Its own functions are
+   not functor-bound, so the closures a fault or a lock operation builds
+   capture what the per-engine copies captured and no more. *)
 
 module Engine = Shm_sim.Engine
+module Lifecycle = Shm_sim.Lifecycle
 module Reliable = Shm_net.Reliable
+module Fabric = Shm_net.Fabric
 module Msg = Shm_net.Msg
 module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
@@ -37,31 +47,9 @@ type ('msg, 'x) node = {
   x : 'x;
 }
 
-(* What the engine's protocol decides, over its system ['s] (a [t]). *)
-type ('msg, 'x, 's) protocol = {
-  engine : string;  (** lowercase: names counters, fibers and errors *)
-  sizes : 'msg -> Msg.sizes;
-  is_reply : 'msg -> bool;  (** completes a wait of the receiver's own app *)
-  dispatch : 's -> Engine.fiber -> ('msg, 'x) node -> 'msg -> unit;
-  satisfied : ('msg, 'x) node -> int -> write:bool -> bool;
-  read_hit : ('msg, 'x) node -> int -> unit;  (** after a satisfied read *)
-  page_req : ('msg, 'x) node -> int -> write:bool -> req:int -> 'msg;
-  complete : 's -> Engine.fiber -> ('msg, 'x) node -> int -> 'msg -> unit;
-  txn_done : page:int -> requester:int -> write:bool -> 'msg;
-  lock_req : lock:int -> requester:int -> req:int -> 'msg;
-  lock_grant : lock:int -> req:int -> stamp:int -> 'msg;
-  unlock : 'x -> lock:int -> requester:int -> 'msg;
-  arrival : 'x -> barrier:int -> node:int -> req:int -> 'msg;
-  departure : barrier:int -> req:int -> stamp:int -> 'msg;
-  synced : 'x -> 'msg -> unit;
-      (** a lock grant or a departure reached the node; fails on any other
-          message *)
-  checkpoint : 's -> ('msg, 'x) node -> unit;
-  rejoin : 's -> ('msg, 'x) node -> unit;
-  check : 's -> unit;  (** end-of-run invariants *)
-}
-
-type ('msg, 'x, 'txn, 'page) t = {
+(* A system: the shell's state, the engine's [protocol] and its
+   system-wide state [s]. *)
+type ('msg, 'x, 's) t = {
   eng : Engine.t;
   counters : Counters.t;
   net : 'msg Reliable.t;
@@ -69,28 +57,53 @@ type ('msg, 'x, 'txn, 'page) t = {
   n_pages : int;
   n_nodes : int;
   nodes : ('msg, 'x) node array;
-  home : ('txn, 'page) Home.t;
-  roles : (int * int * int) Roles.t;  (** barrier arrivals: (node, req, stamp) *)
   page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
   mutable page_hook : node:int -> page:int -> unit;
-  p : ('msg, 'x, ('msg, 'x, 'txn, 'page) t) protocol;
+      (** fires whenever a page's contents are replaced, so the platforms
+          can drop cached lines *)
+  p : ('msg, 'x, 's) protocol;
+  s : 's;
   fault_event : string;
   read_faults : Counters.key;
   write_faults : Counters.key;
-  lock_acquires : Counters.key;
+}
+
+(* What the engine's protocol decides. *)
+and ('msg, 'x, 's) protocol = {
+  engine : string;  (** lowercase: names counters, fibers and errors *)
+  read_fault : string;  (** the counters a read and a write fault bump *)
+  write_fault : string;
+  satisfied : ('msg, 'x) node -> int -> write:bool -> bool;
+  read_hit : ('msg, 'x) node -> int -> unit;  (** after a satisfied read *)
+  write_hit : ('msg, 'x, 's) t -> Engine.fiber -> ('msg, 'x) node -> int -> unit;
+      (** after a satisfied write; may yield *)
+  fetch :
+    ('msg, 'x, 's) t -> Engine.fiber -> ('msg, 'x) node -> int -> write:bool ->
+    unit;
+      (** a fault's middle: bring the page's copy up to date *)
+  serve :
+    ('msg, 'x, 's) t -> Engine.fiber -> ('msg, 'x) node -> 'msg Msg.envelope ->
+    unit;
+      (** the node's handler daemon received the message *)
+  acquire : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> lock:int -> unit;
+  release : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> lock:int -> unit;
+  barrier_arrive : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> id:int -> unit;
+  checkpoint : ('msg, 'x, 's) t -> ('msg, 'x) node -> unit;
+  rehome : ('msg, 'x, 's) t -> Lifecycle.t -> dead:int -> unit;
+  rejoin : ('msg, 'x, 's) t -> ('msg, 'x) node -> unit;
+  check : ('msg, 'x, 's) t -> unit;  (** end-of-run invariants *)
 }
 
 (* [rights] is every page's byte at start when there are peers: a single
-   node owns everything and never write-protects a page.  [x] builds a
-   node's page state from the page count, [mpage] a home's page record.
-   A lifecycle attached to [fabric] gives every node a checkpoint
-   store. *)
-let create p eng counters fabric ~page_words ~shared_words ~memories ~rights
-    ~x ~mpage =
+   node owns everything and never write-protects a page.  [s] builds the
+   engine's system-wide state and [x] a node's page state, both from the
+   page count.  A lifecycle attached to [fabric] gives every node a
+   checkpoint store. *)
+let create (p : (_, _, _) protocol) eng counters fabric ~page_words
+    ~shared_words ~memories ~rights ~s ~x =
   let n_nodes = Array.length memories in
   let n_pages = (shared_words + page_words - 1) / page_words in
-  let lifecycle = Shm_net.Fabric.lifecycle fabric in
-  let key name = Counters.key counters (p.engine ^ name) in
+  let lifecycle = Fabric.lifecycle fabric in
   {
     eng;
     counters;
@@ -112,133 +125,70 @@ let create p eng counters fabric ~page_words ~shared_words ~memories ~rights
                 lifecycle;
             x = x n_pages;
           });
-    home = Home.create ~engine:p.engine ~n_nodes ~n_pages mpage;
-    roles =
-      Roles.create ~engine:p.engine counters ~n_nodes
-        ~barrier_counter:(p.engine ^ ".barriers") ();
     page_shift = Node.page_shift page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
     p;
+    s = s n_pages;
     fault_event = p.engine ^ ".fault";
-    read_faults = key ".read_faults";
-    write_faults = key ".write_faults";
-    lock_acquires = key ".lock_acquires";
+    read_faults = Counters.key counters p.read_fault;
+    write_faults = Counters.key counters p.write_fault;
   }
 
 let page_of t addr =
   if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
 
-(* [log2 page_words], or -1 when [page_words] is not a power of two
-   (then the platforms' rights-byte fast path must not be used). *)
-let page_shift t = t.page_shift
+let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
 
-(* The node's rights bytes, one per page; read-only for the platforms,
-   which index them with [addr lsr page_shift] to skip the guard call
-   when the page is already accessible. *)
-let access_rights t ~node = t.nodes.(node).rights
-
-(* [f ~node ~page] fires whenever a page's contents are replaced, so the
-   platforms can drop cached lines. *)
-let set_page_hook t f = t.page_hook <- f
-
-let overhead t = Node.overhead t.net
-
-(* {!Shm_net.Reliable.pending_note} for the channel: the [diag] line of
-   {!Shm_sim.Engine.run}. *)
-let retx_note t = Reliable.pending_note t.net
-
-(* Replace a page's contents, charging the copy, and tell the platform.
-   The page changed, so the next checkpoint persists it. *)
-let install_page t fiber nd page data =
-  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem ~dst_pos:(page * t.page_words)
-    ~len:t.page_words;
-  (match nd.ckpt with Some c -> Checkpoint.mark c page | None -> ());
-  Engine.advance fiber t.page_words;
-  t.page_hook ~node:nd.id ~page
-
-(* ---------------- messages ----------------------------------------- *)
-
-(* Send [body] to [dst]: over the fabric, or by running the engine's
-   handler inline when [dst] is the local node (no message, no cost).
-   The skeleton's lock and barrier traffic is [Sync]; the engine's page
-   traffic, sent with [deliver], is [Miss]. *)
-let send t fiber ~class_ ~src ~dst body =
-  if src = dst then t.p.dispatch t fiber t.nodes.(dst) body
-  else Reliable.send t.net fiber ~src ~dst ~class_ ~size:(t.p.sizes body) body
-
-let deliver t fiber ~src ~dst body = send t fiber ~class_:Msg.Miss ~src ~dst body
-let send_sync t fiber ~src ~dst body = send t fiber ~class_:Msg.Sync ~src ~dst body
-
-(* The handler's CPU time for one message: [handler] cycles now, charged
-   back to the application unless the message is a reply completing one
-   of its own waits. *)
-let serve t fiber id (env : _ Msg.envelope) =
-  let nd = t.nodes.(id) and ov = overhead t in
-  Engine.advance fiber ov.handler;
-  if not (t.p.is_reply env.body) then
-    Node.charge nd.rt (ov.handler + ov.fixed_recv);
-  t.p.dispatch t fiber nd env.body
+(* Record that a page's contents diverged from the checkpoint image;
+   free crash-free ([ckpt = None]). *)
+let mark_changed nd page =
+  match nd.ckpt with Some c -> Checkpoint.mark c page | None -> ()
 
 (* Hand a reply to the application fiber waiting on request [req]. *)
 let reply nd fiber ~req body =
   Node.route nd.rt ~req body ~at:(Engine.clock fiber)
 
-(* The lock and barrier managers' side: [at_home] is [false] for a
-   request addressed to a role a crash moved on, which it forwards
-   ({!Roles.stale}). *)
-let at_home t fiber nd body home =
-  if Roles.stale t.roles ~self:nd.id home then begin
-    send_sync t fiber ~src:nd.id ~dst:home body;
-    false
-  end
-  else true
+(* ---------------- start-up (DESIGN.md §13) ------------------------- *)
 
-let serve_lock_req t fiber nd body ~lock ~requester ~req =
-  if at_home t fiber nd body (Roles.lock_home t.roles lock) then
-    let ml = Home.lock t.home lock in
-    if Home.lock_req ml ~requester ~req then
-      send_sync t fiber ~src:nd.id ~dst:requester
-        (t.p.lock_grant ~lock ~req ~stamp:ml.stamp)
-
-let serve_unlock t fiber nd body ~lock ~stamp =
-  if at_home t fiber nd body (Roles.lock_home t.roles lock) then
-    let ml = Home.lock t.home lock in
-    match Home.unlock ml ~stamp with
-    | Some (requester, req) ->
-        send_sync t fiber ~src:nd.id ~dst:requester
-          (t.p.lock_grant ~lock ~req ~stamp:ml.stamp)
-    | None -> ()
-
-(* Departures carry the episode's highest arrival stamp. *)
-let serve_arrival t fiber nd body ~barrier ~node ~req ~stamp =
-  if at_home t fiber nd body (Roles.barrier_home t.roles) then
-    match Roles.arrive t.roles ~id:barrier (node, req, stamp) with
-    | [] -> ()
-    | departs ->
-        let stamp = List.fold_left (fun m (_, _, s) -> max m s) 0 departs in
-        List.iter
-          (fun (dst, dreq, _) ->
-            send_sync t fiber ~src:nd.id ~dst
-              (t.p.departure ~barrier ~req:dreq ~stamp))
-          departs
-
-(* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
-
+(* The channel's daemons, then, under the lifecycle attached to the
+   channel's fabric, if any (the one crash switch): checkpoint every live
+   node on its tick, re-home a dead node's manager roles on detection,
+   rejoin a node at restart.  Last, one handler daemon per node: receive
+   the next message, then serve it in the Protocol category. *)
 let start t =
   Reliable.start t.net;
-  Node.on_lifecycle t.net ~nodes:t.n_nodes
-    ~checkpoint:(fun id -> t.p.checkpoint t t.nodes.(id))
-    ~rehome:(fun lc ~dead ->
-      Roles.rehome t.roles lc ~dead ~locks:(Home.iter_locks t.home) ())
-    ~rejoin:(fun id -> t.p.rejoin t t.nodes.(id));
-  Node.spawn_handlers t.eng t.net ~engine:t.p.engine ~nodes:t.n_nodes
-    (fun fiber id env -> serve t fiber id env)
+  Option.iter
+    (fun lc ->
+      Lifecycle.on_ckpt lc (fun ~at:_ ->
+          Array.iter
+            (fun nd -> if Lifecycle.alive lc nd.id then t.p.checkpoint t nd)
+            t.nodes);
+      Lifecycle.on_detect lc (fun ~node ~at:_ -> t.p.rehome t lc ~dead:node);
+      Lifecycle.on_restart lc (fun ~node ~at:_ -> t.p.rejoin t t.nodes.(node)))
+    (Fabric.lifecycle (Reliable.fabric t.net));
+  Array.iter
+    (fun nd ->
+      ignore
+        (Engine.spawn t.eng ~daemon:true
+           ~name:(Printf.sprintf "%s-handler-%d" t.p.engine nd.id)
+           ~at:0
+           (fun fiber ->
+             let rec loop () =
+               let env =
+                 Engine.with_category fiber Engine.Net_wait (fun () ->
+                     Reliable.recv t.net fiber ~node:nd.id)
+               in
+               Engine.with_category fiber Engine.Protocol (fun () ->
+                   t.p.serve t fiber nd env);
+               loop ()
+             in
+             loop ())))
+    t.nodes
 
-(* ---------------- application-facing operations -------------------- *)
+(* ---------------- guards ------------------------------------------- *)
 
 (* A fault waits out a co-located processor's fetch of the page, then, if
-   the copy still does not serve the access, asks the home, installs the
-   reply and ends the transaction. *)
+   the copy still does not serve the access, fetches it. *)
 let fault t fiber nd page ~write =
   Node.sync nd.rt fiber;
   while
@@ -253,14 +203,7 @@ let fault t fiber nd page ~write =
     Counters.bump (if write then t.write_faults else t.read_faults) 1;
     Engine.instant fiber t.fault_event;
     Engine.advance fiber (overhead t).handler;
-    let req = Node.fresh nd.rt in
-    let mb = Node.register nd.rt req in
-    let mgr = Home.manager t.home page in
-    deliver t fiber ~src:nd.id ~dst:mgr (t.p.page_req nd page ~write ~req);
-    t.p.complete t fiber nd page (Node.await fiber Engine.Net_wait mb);
-    deliver t fiber ~src:nd.id ~dst:mgr
-      (t.p.txn_done ~page ~requester:nd.id ~write);
-    Node.finish nd.rt req;
+    t.p.fetch t fiber nd page ~write;
     Node.end_fetch nd.rt fiber page wq
   end
 
@@ -273,7 +216,8 @@ let[@inline] read_page t nd fiber page =
 let[@inline] write_page t nd fiber page =
   while not (t.p.satisfied nd page ~write:true) do
     fault t fiber nd page ~write:true
-  done
+  done;
+  t.p.write_hit t fiber nd page
 
 let read_guard t fiber ~node addr =
   if t.n_nodes > 1 then read_page t t.nodes.(node) fiber (page_of t addr)
@@ -296,69 +240,216 @@ let write_range_guard t fiber ~node addr words ~f =
     Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
       write_page t t.nodes.(node) fiber addr words ~f
 
+(* ---------------- mounting ----------------------------------------- *)
+
+(* The machine's message fabric, with the crash lifecycle (if any)
+   attached before the system creates its reliable channel, so the
+   channel arms sequencing/retransmission and sees node liveness. *)
+let fabric (ctx : Shm_proto.ctx) =
+  let fabric = Fabric.create ctx.eng ctx.counters ctx.fabric ~nodes:ctx.nodes in
+  Option.iter (Fabric.attach_lifecycle fabric) ctx.lifecycle;
+  fabric
+
+(* The system as a {!Shm_proto.instance}.  [wordwise_ranges] makes the
+   platforms run a range as the literal per-word loop. *)
+let instance sys ~i_name ~wordwise_ranges =
+  {
+    Shm_proto.i_name;
+    page_shift = sys.page_shift;
+    wordwise_ranges;
+    access_rights = Some (fun ~node -> sys.nodes.(node).rights);
+    set_page_hook = (fun f -> sys.page_hook <- f);
+    start = (fun () -> start sys);
+    retx_note = (fun () -> Reliable.pending_note sys.net);
+    read_guard = (fun f ~node addr -> read_guard sys f ~node addr);
+    write_guard = (fun f ~node addr -> write_guard sys f ~node addr);
+    read_range_guard =
+      (fun f ~node addr words ~f:move ->
+        read_range_guard sys f ~node addr words ~f:move);
+    write_range_guard =
+      (fun f ~node addr words ~f:move ->
+        write_range_guard sys f ~node addr words ~f:move);
+    acquire = (fun f ~node ~lock -> sys.p.acquire sys f ~node ~lock);
+    release = (fun f ~node ~lock -> sys.p.release sys f ~node ~lock);
+    barrier_arrive = (fun f ~node ~id -> sys.p.barrier_arrive sys f ~node ~id);
+    rmw = None;
+    invalidate_range = None;
+    check_invariants = (fun () -> sys.p.check sys);
+  }
+
+(* ================ the home-based page DSM (IVY, Tardis) ============ *)
+
+(* The system-wide state of a home-based engine: the home managers, the
+   lock and barrier roles, and the engine's home protocol. *)
+type ('msg, 'x, 'txn, 'page) homes = {
+  home : ('txn, 'page) Home.t;
+  roles : (int * int * int) Roles.t;  (** barrier arrivals: (node, req, stamp) *)
+  hp : ('msg, 'x, 'txn, 'page) home_protocol;
+  lock_acquires : Counters.key;
+}
+
+(* What a home-based engine's protocol decides, over its system. *)
+and ('msg, 'x, 'txn, 'page) home_protocol = {
+  sizes : 'msg -> Msg.sizes;
+  is_reply : 'msg -> bool;  (** completes a wait of the receiver's own app *)
+  dispatch :
+    ('msg, 'x, 'txn, 'page) homed -> Engine.fiber -> ('msg, 'x) node -> 'msg ->
+    unit;
+  page_req : ('msg, 'x) node -> int -> write:bool -> req:int -> 'msg;
+  complete :
+    ('msg, 'x, 'txn, 'page) homed -> Engine.fiber -> ('msg, 'x) node -> int ->
+    'msg -> unit;
+  txn_done : page:int -> requester:int -> write:bool -> 'msg;
+  lock_req : lock:int -> requester:int -> req:int -> 'msg;
+  lock_grant : lock:int -> req:int -> stamp:int -> 'msg;
+  unlock : 'x -> lock:int -> requester:int -> 'msg;
+  arrival : 'x -> barrier:int -> node:int -> req:int -> 'msg;
+  departure : barrier:int -> req:int -> stamp:int -> 'msg;
+  synced : 'x -> 'msg -> unit;
+      (** a lock grant or a departure reached the node; fails on any other
+          message *)
+}
+
+and ('msg, 'x, 'txn, 'page) homed =
+  ('msg, 'x, ('msg, 'x, 'txn, 'page) homes) t
+
+(* Replace a page's contents, charging the copy, and tell the platform.
+   The page changed, so the next checkpoint persists it. *)
+let install_page t fiber nd page data =
+  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem ~dst_pos:(page * t.page_words)
+    ~len:t.page_words;
+  mark_changed nd page;
+  Engine.advance fiber t.page_words;
+  t.page_hook ~node:nd.id ~page
+
+(* ---------------- messages ----------------------------------------- *)
+
+(* Send [body] to [dst]: over the fabric, or by running the engine's
+   handler inline when [dst] is the local node (no message, no cost).
+   Lock and barrier traffic is [Sync]; the engine's page traffic, sent
+   with [deliver], is [Miss]. *)
+let send t fiber ~class_ ~src ~dst body =
+  if src = dst then t.s.hp.dispatch t fiber t.nodes.(dst) body
+  else Reliable.send t.net fiber ~src ~dst ~class_ ~size:(t.s.hp.sizes body) body
+
+let deliver t fiber ~src ~dst body = send t fiber ~class_:Msg.Miss ~src ~dst body
+let send_sync t fiber ~src ~dst body = send t fiber ~class_:Msg.Sync ~src ~dst body
+
+(* The handler's CPU time for one message: [handler] cycles now, charged
+   back to the application unless the message is a reply completing one
+   of its own waits. *)
+let serve t fiber nd (env : _ Msg.envelope) =
+  let ov = overhead t in
+  Engine.advance fiber ov.handler;
+  if not (t.s.hp.is_reply env.body) then
+    Node.charge nd.rt (ov.handler + ov.fixed_recv);
+  t.s.hp.dispatch t fiber nd env.body
+
+(* The lock and barrier managers' side: [at_home] is [false] for a
+   request addressed to a role a crash moved on, which it forwards
+   ({!Roles.stale}). *)
+let at_home t fiber nd body home =
+  if Roles.stale t.s.roles ~self:nd.id home then begin
+    send_sync t fiber ~src:nd.id ~dst:home body;
+    false
+  end
+  else true
+
+let serve_lock_req t fiber nd body ~lock ~requester ~req =
+  if at_home t fiber nd body (Roles.lock_home t.s.roles lock) then
+    let ml = Home.lock t.s.home lock in
+    if Home.lock_req ml ~requester ~req then
+      send_sync t fiber ~src:nd.id ~dst:requester
+        (t.s.hp.lock_grant ~lock ~req ~stamp:ml.stamp)
+
+let serve_unlock t fiber nd body ~lock ~stamp =
+  if at_home t fiber nd body (Roles.lock_home t.s.roles lock) then
+    let ml = Home.lock t.s.home lock in
+    match Home.unlock ml ~stamp with
+    | Some (requester, req) ->
+        send_sync t fiber ~src:nd.id ~dst:requester
+          (t.s.hp.lock_grant ~lock ~req ~stamp:ml.stamp)
+    | None -> ()
+
+(* Departures carry the episode's highest arrival stamp. *)
+let serve_arrival t fiber nd body ~barrier ~node ~req ~stamp =
+  if at_home t fiber nd body (Roles.barrier_home t.s.roles) then
+    match Roles.arrive t.s.roles ~id:barrier (node, req, stamp) with
+    | [] -> ()
+    | departs ->
+        let stamp = List.fold_left (fun m (_, _, s) -> max m s) 0 departs in
+        List.iter
+          (fun (dst, dreq, _) ->
+            send_sync t fiber ~src:nd.id ~dst
+              (t.s.hp.departure ~barrier ~req:dreq ~stamp))
+          departs
+
+(* ---------------- the shell's plug-ins ----------------------------- *)
+
+(* A fault's middle: ask the home, install the reply, end the
+   transaction. *)
+let fetch t fiber nd page ~write =
+  let req = Node.fresh nd.rt in
+  let mb = Node.register nd.rt req in
+  let mgr = Home.manager t.s.home page in
+  deliver t fiber ~src:nd.id ~dst:mgr (t.s.hp.page_req nd page ~write ~req);
+  t.s.hp.complete t fiber nd page (Node.await fiber Engine.Net_wait mb);
+  deliver t fiber ~src:nd.id ~dst:mgr
+    (t.s.hp.txn_done ~page ~requester:nd.id ~write);
+  Node.finish nd.rt req
+
 let acquire t fiber ~node ~lock =
-  Roles.check_lock t.roles lock;
+  Roles.check_lock t.s.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  send_sync t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-    (t.p.lock_req ~lock ~requester:node ~req);
-  t.p.synced nd.x (Node.await fiber Engine.Lock_wait mb);
+  send_sync t fiber ~src:node ~dst:(Roles.lock_home t.s.roles lock)
+    (t.s.hp.lock_req ~lock ~requester:node ~req);
+  t.s.hp.synced nd.x (Node.await fiber Engine.Lock_wait mb);
   Node.finish nd.rt req;
-  Counters.bump t.lock_acquires 1
+  Counters.bump t.s.lock_acquires 1
 
 let release t fiber ~node ~lock =
-  Roles.check_lock t.roles lock;
+  Roles.check_lock t.s.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol (fun () ->
-      send_sync t fiber ~src:node ~dst:(Roles.lock_home t.roles lock)
-        (t.p.unlock nd.x ~lock ~requester:node))
+      send_sync t fiber ~src:node ~dst:(Roles.lock_home t.s.roles lock)
+        (t.s.hp.unlock nd.x ~lock ~requester:node))
 
 let barrier_arrive t fiber ~node ~id =
-  Roles.check_barrier t.roles id;
+  Roles.check_barrier t.s.roles id;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  send_sync t fiber ~src:node ~dst:(Roles.barrier_home t.roles)
-    (t.p.arrival nd.x ~barrier:id ~node ~req);
-  t.p.synced nd.x (Node.await fiber Engine.Barrier_wait mb);
+  send_sync t fiber ~src:node ~dst:(Roles.barrier_home t.s.roles)
+    (t.s.hp.arrival nd.x ~barrier:id ~node ~req);
+  t.s.hp.synced nd.x (Node.await fiber Engine.Barrier_wait mb);
   Node.finish nd.rt req
 
-(* Every transaction drained and no lock queue stranded behind a free
-   lock, then the engine's own invariants. *)
-let check_invariants t =
-  Home.check_drained t.home;
-  t.p.check t
+let rehome t lc ~dead =
+  Roles.rehome t.s.roles lc ~dead ~locks:(Home.iter_locks t.s.home) ()
 
-(* The system as a {!Shm_proto.instance}. *)
-let instance (type m x txn page) (sys : (m, x, txn, page) t) ~i_name =
-  Mount.instance
-    (module struct
-      type nonrec t = (m, x, txn, page) t
+(* [mpage] builds a home's page record. *)
+let create_home p hp eng counters fabric ~page_words ~shared_words ~memories
+    ~rights ~x ~mpage =
+  let n_nodes = Array.length memories in
+  create p eng counters fabric ~page_words ~shared_words ~memories ~rights ~x
+    ~s:(fun n_pages ->
+      {
+        home = Home.create ~engine:p.engine ~n_nodes ~n_pages mpage;
+        roles = Roles.create ~engine:p.engine counters ~n_nodes ();
+        hp;
+        lock_acquires = Counters.key counters (p.engine ^ ".lock_acquires");
+      })
 
-      let page_shift = page_shift
-      let access_rights = access_rights
-      let set_page_hook = set_page_hook
-      let start = start
-      let retx_note = retx_note
-      let read_guard = read_guard
-      let write_guard = write_guard
-      let read_range_guard = read_range_guard
-      let write_range_guard = write_range_guard
-      let acquire = acquire
-      let release = release
-      let barrier_arrive = barrier_arrive
-      let check_invariants = check_invariants
-    end)
-    sys ~i_name ~wordwise_ranges:false
-
-(* Mount the system [create] builds over the machine [ctx] describes. *)
+(* Mount the home-based system [create] builds over the machine [ctx]
+   describes. *)
 let mount create (ctx : Shm_proto.ctx) ~i_name =
-  instance ~i_name
-    (create ctx.eng ctx.counters (Mount.fabric ctx) ~page_words:ctx.page_words
+  instance ~i_name ~wordwise_ranges:false
+    (create ctx.eng ctx.counters (fabric ctx) ~page_words:ctx.page_words
        ~shared_words:ctx.shared_words ~memories:ctx.memories)

@@ -9,6 +9,7 @@
    stays with the engine, which moves it through [rehome]'s hooks. *)
 
 module Counters = Shm_stats.Counters
+module Hw_sync = Shm_memsys.Hw_sync
 
 (* One barrier's open episode; ['a] is what an arrival carries. *)
 type 'a episode = {
@@ -20,39 +21,37 @@ type 'a t = {
   engine : string;  (** engine name, for diagnostics *)
   counters : Counters.t;
   n_nodes : int;
-  n_locks : int;
   moved : (int, int) Hashtbl.t;
       (** lock -> current home, for the locks a crash re-homed; empty
           (every lock at its static home) until then *)
   mutable barrier_home : int;
   barriers : 'a episode array;
-  barrier_counter : Counters.key;  (** counts completed episodes *)
+  barrier_counter : Counters.key;  (** [<engine>.barriers]: completed episodes *)
 }
 
-let create ~engine counters ~n_nodes ?(n_locks = Shm_memsys.Hw_sync.max_locks)
-    ?(n_barriers = Shm_memsys.Hw_sync.max_barriers) ?(barrier_home = 0)
-    ~barrier_counter () =
+let create ~engine counters ~n_nodes ?(barrier_home = 0) () =
   {
     engine;
     counters;
     n_nodes;
-    n_locks;
     moved = Hashtbl.create 8;
     barrier_home;
-    barriers = Array.init n_barriers (fun _ -> { arrivals = []; arrived = 0 });
-    barrier_counter = Counters.key counters barrier_counter;
+    barriers =
+      Array.init Hw_sync.max_barriers (fun _ -> { arrivals = []; arrived = 0 });
+    barrier_counter = Counters.key counters (engine ^ ".barriers");
   }
 
 (* ---------------- ids ---------------------------------------------- *)
 
-(* Lock ids run over [0, n_locks) and barrier ids over [0, n_barriers).
+(* Lock ids run over [0, Hw_sync.max_locks) and barrier ids over
+   [0, Hw_sync.max_barriers), as on the hardware platforms.
    The calling processor checks its id before any message leaves it, so
    a bad id fails there, the same way on every engine. *)
 let check r what id n =
   if id < 0 || id >= n then
     invalid_arg (Printf.sprintf "%s: %s %d out of range [0, %d)" r.engine what id n)
 
-let check_lock r lock = check r "lock" lock r.n_locks
+let check_lock r lock = check r "lock" lock Hw_sync.max_locks
 let check_barrier r id = check r "barrier" id (Array.length r.barriers)
 
 (* ---------------- where each role lives ---------------------------- *)

@@ -29,7 +29,7 @@ type mpage = {
   mutable acks_waited : int;
 }
 
-type t = (Proto.t, unit, pending_txn, mpage) Paged.t
+type t = (Proto.t, unit, pending_txn, mpage) Paged.homed
 type node = (Proto.t, unit) Paged.node
 
 let access (nd : node) page =
@@ -42,16 +42,14 @@ let access (nd : node) page =
    marks the page for the next checkpoint: once writable, the
    application mutates it with no further protocol event. *)
 let set_access (nd : node) page (a : page_access) =
-  (match nd.ckpt with
-  | Some c when a = Write -> Checkpoint.mark c page
-  | Some _ | None -> ());
+  if a = Write then Paged.mark_changed nd page;
   Bytes.unsafe_set nd.rights page
     (match a with Invalid -> '\000' | Read -> '\001' | Write -> '\002')
 
 (* ---------------- manager-side page state machine ------------------ *)
 
 let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
-  let mp = Home.page t.home page in
+  let mp = Home.page t.s.home page in
   match txn.kind with
   | Read ->
       Paged.deliver t fiber ~src:mgr ~dst:mp.owner
@@ -87,13 +85,13 @@ let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
                  (access_name txn.kind) txn.req mp.owner
                  (String.concat ","
                     (List.map string_of_int (Iset.elements mp.copyset)))
-                 (Home.busy t.home page) mp.acks_waited
-                 (Home.queued t.home page);
+                 (Home.busy t.s.home page) mp.acks_waited
+                 (Home.queued t.s.home page);
            })
 
 and mgr_proceed_write t fiber mgr page =
-  let mp = Home.page t.home page in
-  match Home.current t.home page with
+  let mp = Home.page t.s.home page in
+  match Home.current t.s.home page with
   | Some { requester; req; _ } ->
       if mp.owner = requester then
         (* Ownership upgrade: the requester already holds the data. *)
@@ -110,10 +108,10 @@ let dispatch (t : t) fiber (nd : node) body =
   match body with
   | Proto.Read_req { page; requester; req } ->
       let txn = { kind = Read; requester; req } in
-      if Home.request t.home page txn then mgr_start_txn t fiber nd.id page txn
+      if Home.request t.s.home page txn then mgr_start_txn t fiber nd.id page txn
   | Proto.Write_req { page; requester; req } ->
       let txn = { kind = Write; requester; req } in
-      if Home.request t.home page txn then mgr_start_txn t fiber nd.id page txn
+      if Home.request t.s.home page txn then mgr_start_txn t fiber nd.id page txn
   | Proto.Read_fwd { page; requester; req } ->
       (* We are the owner: downgrade and ship a copy. *)
       if access nd page = Write then set_access nd page Read;
@@ -137,20 +135,20 @@ let dispatch (t : t) fiber (nd : node) body =
   | Proto.Invalidate { page; req } ->
       set_access nd page Invalid;
       Engine.instant fiber "ivy.invalidate";
-      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
+      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.s.home page)
         (Proto.Inval_ack { page; req })
   | Proto.Inval_ack { page; _ } ->
-      let mp = Home.page t.home page in
+      let mp = Home.page t.s.home page in
       mp.acks_waited <- mp.acks_waited - 1;
       if mp.acks_waited = 0 then mgr_proceed_write t fiber nd.id page
   | Proto.Txn_done { page; requester; write } -> (
-      let mp = Home.page t.home page in
+      let mp = Home.page t.s.home page in
       if write = 1 then begin
         mp.owner <- requester;
         mp.copyset <- Iset.singleton requester
       end
       else mp.copyset <- Iset.add requester mp.copyset;
-      match Home.txn_done t.home page with
+      match Home.txn_done t.s.home page with
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
@@ -222,9 +220,9 @@ let rejoin (t : t) (nd : node) =
       for p = 0 to t.n_pages - 1 do
         if access nd p <> Invalid && not (Node.fetching nd.rt p) then begin
           let ours =
-            (Home.page t.home p).owner = nd.id
+            (Home.page t.s.home p).owner = nd.id
             ||
-            match Home.current t.home p with
+            match Home.current t.s.home p with
             | Some { requester; _ } -> requester = nd.id
             | None -> false
           in
@@ -243,8 +241,9 @@ let rejoin (t : t) (nd : node) =
 (* Exactly one owner per page, the owner's copy valid, writers are
    owners, copysets cover every valid copy. *)
 let check (t : t) =
+  Home.check_drained t.s.home;
   for page = 0 to t.n_pages - 1 do
-    let mp = Home.page t.home page in
+    let mp = Home.page t.s.home page in
     if access t.nodes.(mp.owner) page = Invalid then
       failwith
         (Printf.sprintf "ivy: page %d owner %d has no copy" page mp.owner);
@@ -271,14 +270,11 @@ let satisfied (nd : node) page ~write =
   | '\001' -> not write
   | _ -> false
 
-let protocol =
+let home : (_, _, _, _) Paged.home_protocol =
   {
-    Paged.engine = "ivy";
     sizes = Proto.sizes;
     is_reply = Proto.is_reply;
     dispatch;
-    satisfied;
-    read_hit = (fun _ _ -> ());
     page_req =
       (fun nd page ~write ~req ->
         if write then Proto.Write_req { page; requester = nd.id; req }
@@ -299,7 +295,25 @@ let protocol =
       (fun _ -> function
         | Proto.Lock_grant _ | Proto.Barrier_depart _ -> ()
         | _ -> failwith "ivy: unexpected synchronization response");
+  }
+
+(* The shell's view of the protocol: the page predicates and recovery
+   moves above, the home-based helpers for the rest. *)
+let protocol : (_, _, _) Paged.protocol =
+  {
+    engine = "ivy";
+    read_fault = "ivy.read_faults";
+    write_fault = "ivy.write_faults";
+    satisfied;
+    read_hit = (fun _ _ -> ());
+    write_hit = (fun _ _ _ _ -> ());
+    fetch = Paged.fetch;
+    serve = Paged.serve;
+    acquire = Paged.acquire;
+    release = Paged.release;
+    barrier_arrive = Paged.barrier_arrive;
     checkpoint;
+    rehome = Paged.rehome;
     rejoin;
     check;
   }
@@ -310,7 +324,7 @@ let create eng counters fabric ~page_words ~shared_words ~memories =
      else; ownership only matters once someone writes.  [Iset] is
      immutable, so every page shares the one full copyset. *)
   let everyone = Iset.of_list (List.init n_nodes Fun.id) in
-  Paged.create protocol eng counters fabric ~page_words ~shared_words ~memories
-    ~rights:'\001' ~x:ignore
+  Paged.create_home protocol home eng counters fabric ~page_words ~shared_words
+    ~memories ~rights:'\001' ~x:ignore
     ~mpage:(fun page ->
       { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 })

@@ -16,11 +16,13 @@
     centralized counter.  The usage discipline matches {!Shm_tmk.System}:
     guard immediately before each access.
 
-    Everything but that protocol is the home-based page-DSM skeleton
-    IVY shares with Tardis ({!Shm_dsm.Paged}): the node and system
-    records, messaging, lock and barrier serving, the fault sequence,
-    the guards and the synchronization clients.  A node's rights bytes
-    are its page state: ['\000'] Invalid, ['\001'] Read, ['\002'] Write.
+    Everything but that protocol is the page-DSM shell all three
+    software engines share ({!Shm_dsm.Paged}: the node and system
+    records, the guards, the fault shell, start-up and mounting) and its
+    home-based half IVY shares with Tardis (messaging, lock and barrier
+    serving, the fault's request/await/done middle and the
+    synchronization clients).  A node's rights bytes are its page state:
+    ['\000'] Invalid, ['\001'] Read, ['\002'] Write.
 
     A {!Shm_sim.Lifecycle} attached to the fabric (before [create]) arms
     crash recovery (DESIGN.md §13): page-granular failure-atomic
@@ -35,16 +37,16 @@
     restarts (documented deviation).  Without a lifecycle every code
     path is byte-identical to the pre-crash-layer system.
 
-    {!Shm_dsm.Paged.check_invariants} adds IVY's own to the skeleton's
-    drain check: exactly one owner per page, the owner's copy valid,
-    writers are owners, copysets cover every valid copy. *)
+    The mounted instance's [check_invariants] runs the home's drain
+    check, then IVY's own: exactly one owner per page, the owner's copy
+    valid, writers are owners, copysets cover every valid copy. *)
 
 type pending_txn
 type mpage
 
-(** Run it through the skeleton's operations ({!Shm_dsm.Paged.start},
-    the guards, {!Shm_dsm.Paged.acquire}, {!Shm_dsm.Paged.instance}, ...). *)
-type t = (Proto.t, unit, pending_txn, mpage) Shm_dsm.Paged.t
+(** Run it through the shell's operations ({!Shm_dsm.Paged.start},
+    the guards, {!Shm_dsm.Paged.instance}, ...). *)
+type t = (Proto.t, unit, pending_txn, mpage) Shm_dsm.Paged.homed
 
 val create :
   Shm_sim.Engine.t ->

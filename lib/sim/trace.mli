@@ -31,4 +31,9 @@ val instant_count : ?name:string -> t -> int
     [cycles /. clock_mhz]. *)
 val write_chrome : t -> out_channel -> clock_mhz:float -> unit
 
+(** [json_escape s] is [s] escaped for a JSON string literal: quote,
+    backslash and newline as their escapes, every other control byte as
+    [\u00XX]. *)
+val json_escape : string -> string
+
 val write_chrome_file : t -> string -> clock_mhz:float -> unit

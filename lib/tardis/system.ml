@@ -22,17 +22,19 @@ module Paged = Shm_dsm.Paged
 
    The home manager (static, [page mod n_nodes]) tracks the version
    timestamp [wts], the highest lease handed out [rts] and the exclusive
-   owner.  The rest is the home-based page-DSM skeleton Tardis shares
-   with IVY ({!Shm_dsm.Paged}): the node and system records, messaging
-   through {!Shm_net.Reliable} (so the engine runs under fault
-   injection), the transaction serializer and the lock manager
+   owner.  The rest is the page-DSM shell all three software engines
+   share ({!Shm_dsm.Paged}: the node and system records, the guards,
+   the fault shell, start-up) and its home-based half Tardis shares with
+   IVY: messaging through {!Shm_net.Reliable} (so the engine runs under
+   fault injection), the transaction serializer and the lock manager
    ({!Shm_dsm.Home}, the lock stamped with release timestamps), lock
    placement and the counting barrier ({!Shm_dsm.Roles}, arrivals
-   carrying the nodes' timestamps), the fault sequence, the guards and
-   the synchronization clients.  This file keeps the protocol: its page
-   messages, the home's state machine, the lease rule and the [pts]
-   bumps, handed to the skeleton as one [Paged.protocol] record.  Every protocol decision depends only on logical timestamps
-   carried in messages, never on arrival times. *)
+   carrying the nodes' timestamps), the fault's request/await/done
+   middle and the synchronization clients.  This file keeps the
+   protocol: its page messages, the home's state machine, the lease rule
+   and the [pts] bumps, handed over as a [Paged.protocol] and a
+   [Paged.home_protocol] record.  Every protocol decision depends only
+   on logical timestamps carried in messages, never on arrival times. *)
 
 type page_access = Tinvalid | Tshared | Texclusive
 
@@ -77,7 +79,7 @@ type tnode = {
   mutable pts : int;  (** the node's program timestamp *)
 }
 
-type t = (Proto.t, tnode, pending_txn, mpage) Paged.t
+type t = (Proto.t, tnode, pending_txn, mpage) Paged.homed
 type node = (Proto.t, tnode) Paged.node
 
 (* Every access transition goes through here so the rights byte never
@@ -102,7 +104,7 @@ let install t fiber (nd : node) page ~wts data =
 (* ---------------- manager-side page state machine ------------------ *)
 
 let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
-  let mp = Home.page t.home page in
+  let mp = Home.page t.s.home page in
   match mp.owner with
   | Some o when o <> txn.requester ->
       Paged.deliver t fiber ~src:mgr ~dst:o
@@ -122,14 +124,14 @@ let rec mgr_start_txn (t : t) fiber mgr page (txn : pending_txn) =
                  "%s transaction (req %d) from the exclusive owner; manager \
                   state: wts=%d rts=%d busy=%b queued=%d"
                  (if txn.write then "write" else "read")
-                 txn.req mp.m_wts mp.m_rts (Home.busy t.home page)
-                 (Home.queued t.home page);
+                 txn.req mp.m_wts mp.m_rts (Home.busy t.s.home page)
+                 (Home.queued t.s.home page);
            })
   | None -> mgr_grant t fiber mgr page
 
 and mgr_grant t fiber mgr page =
-  let mp = Home.page t.home page in
-  match Home.current t.home page with
+  let mp = Home.page t.s.home page in
+  match Home.current t.s.home page with
   | Some { write; requester; req; pts; have_wts } ->
       (* With no owner, the home copy is the current version, so grants
          are served from the manager's own memory — unless the requester
@@ -168,10 +170,10 @@ let dispatch (t : t) fiber (nd : node) body =
   match body with
   | Proto.Read_req { page; requester; req; pts; have_wts } ->
       let txn = { write = false; requester; req; pts; have_wts } in
-      if Home.request t.home page txn then mgr_start_txn t fiber nd.id page txn
+      if Home.request t.s.home page txn then mgr_start_txn t fiber nd.id page txn
   | Proto.Write_req { page; requester; req; pts; have_wts } ->
       let txn = { write = true; requester; req; pts; have_wts } in
-      if Home.request t.home page txn then mgr_start_txn t fiber nd.id page txn
+      if Home.request t.s.home page txn then mgr_start_txn t fiber nd.id page txn
   | Proto.Flush_req { page; req; drop } ->
       (* We are the owner: ship the latest contents back to the home
          manager and give up exclusivity.  The copy we keep (unless
@@ -182,7 +184,7 @@ let dispatch (t : t) fiber (nd : node) body =
              {
                page;
                requester = nd.id;
-               manager = Home.manager t.home page;
+               manager = Home.manager t.s.home page;
                state =
                  Printf.sprintf "flush of a %s copy (req %d)"
                    (access_name nd.x.access.(page))
@@ -190,7 +192,7 @@ let dispatch (t : t) fiber (nd : node) body =
              });
       set_access nd page (if drop then Tinvalid else Tshared);
       Engine.advance fiber t.page_words;
-      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.home page)
+      Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.s.home page)
         (Proto.Flush_resp
            {
              page;
@@ -201,12 +203,12 @@ let dispatch (t : t) fiber (nd : node) body =
   | Proto.Flush_resp { page; data; _ } ->
       (* We are the manager: refresh the home copy and serve the waiting
          transaction from it. *)
-      let mp = Home.page t.home page in
+      let mp = Home.page t.s.home page in
       install t fiber nd page ~wts:mp.m_wts data;
       mp.owner <- None;
       mgr_grant t fiber nd.id page
   | Proto.Txn_done { page; _ } -> (
-      match Home.txn_done t.home page with
+      match Home.txn_done t.s.home page with
       | Some txn -> mgr_start_txn t fiber nd.id page txn
       | None -> ())
   | Proto.Lock_req { lock; requester; req } ->
@@ -247,8 +249,9 @@ let complete t fiber nd page = function
 (* One exclusive holder per page, the owner; no copy newer than the
    home's version or leased beyond its highest lease. *)
 let check (t : t) =
+  Home.check_drained t.s.home;
   for page = 0 to t.n_pages - 1 do
-    let mp = Home.page t.home page in
+    let mp = Home.page t.s.home page in
     if mp.m_rts < mp.m_wts then
       failwith
         (Printf.sprintf "tardis: page %d rts %d below wts %d" page mp.m_rts
@@ -287,17 +290,11 @@ let satisfied (nd : node) page ~write =
   | Tshared -> (not write) && nd.x.pts <= nd.x.lease.(page)
   | Tinvalid -> false
 
-let protocol =
+let home : (_, _, _, _) Paged.home_protocol =
   {
-    Paged.engine = "tardis";
     sizes = Proto.sizes;
     is_reply = Proto.is_reply;
     dispatch;
-    satisfied;
-    (* A Shared hit still executes the load rule: the version's [wts]
-       drags [pts] forward (a free register update — the guard was
-       reached anyway because Shared pages keep rights '\000'). *)
-    read_hit = (fun nd page -> synchronize nd.x nd.x.wts.(page));
     page_req =
       (fun nd page ~write ~req ->
         let x = nd.x in
@@ -331,7 +328,28 @@ let protocol =
         | Proto.Lock_grant { ts; _ } | Proto.Barrier_depart { ts; _ } ->
             synchronize x ts
         | _ -> failwith "tardis: unexpected synchronization response");
+  }
+
+(* The shell's view of the protocol: the page predicates and recovery
+   moves above, the home-based helpers for the rest. *)
+let protocol : (_, _, _) Paged.protocol =
+  {
+    engine = "tardis";
+    read_fault = "tardis.read_faults";
+    write_fault = "tardis.write_faults";
+    satisfied;
+    (* A Shared hit still executes the load rule: the version's [wts]
+       drags [pts] forward (a free register update — the guard was
+       reached anyway because Shared pages keep rights '\000'). *)
+    read_hit = (fun nd page -> synchronize nd.x nd.x.wts.(page));
+    write_hit = (fun _ _ _ _ -> ());
+    fetch = Paged.fetch;
+    serve = Paged.serve;
+    acquire = Paged.acquire;
+    release = Paged.release;
+    barrier_arrive = Paged.barrier_arrive;
     checkpoint = (fun _ _ -> ());
+    rehome = Paged.rehome;
     rejoin = (fun _ _ -> ());
     check;
   }
@@ -340,7 +358,7 @@ let protocol =
    0, so the warm start costs nothing: first reads hit, the first write
    of a page mints version >= 1. *)
 let create eng counters fabric ~page_words ~shared_words ~memories =
-  Paged.create protocol eng counters fabric ~page_words ~shared_words
+  Paged.create_home protocol home eng counters fabric ~page_words ~shared_words
     ~memories ~rights:'\000'
     ~x:(fun n_pages ->
       {

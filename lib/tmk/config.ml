@@ -4,12 +4,7 @@ type t = {
   n_nodes : int;
   page_words : int;
   shared_words : int;
-  n_locks : int;
-  n_barriers : int;
   barrier_manager : int;
-  twin_copy_per_word : int;
-  apply_per_word : int;
-  local_lock_cycles : int;
   notice_policy : notice_policy;
   eager_locks : int list;
 }
@@ -19,17 +14,10 @@ let default ~n_nodes ~shared_words =
     n_nodes;
     page_words = 512;
     shared_words;
-    n_locks = 1024;
-    n_barriers = 16;
     barrier_manager = 0;
-    twin_copy_per_word = 1;
-    apply_per_word = 1;
-    local_lock_cycles = 50;
     notice_policy = Lazy;
     eager_locks = [];
   }
-
-let n_pages t = (t.shared_words + t.page_words - 1) / t.page_words
 
 let validate t =
   if t.n_nodes < 1 then invalid_arg "Tmk.Config: n_nodes < 1";

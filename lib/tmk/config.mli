@@ -16,12 +16,7 @@ type t = {
   n_nodes : int;
   page_words : int;  (** 512 words = 4 KB Ultrix pages *)
   shared_words : int;  (** size of the shared address space *)
-  n_locks : int;
-  n_barriers : int;
   barrier_manager : int;  (** node hosting the barrier manager *)
-  twin_copy_per_word : int;  (** memcpy cost of twin creation *)
-  apply_per_word : int;  (** memcpy cost of applying a fetched diff *)
-  local_lock_cycles : int;  (** token already on-node: library-only cost *)
   notice_policy : notice_policy;
   eager_locks : int list;
       (** locks using eager release: their releases push the closing
@@ -29,9 +24,8 @@ type t = {
           sound for single-writer-at-a-time data, e.g. the TSP bound. *)
 }
 
-(** [default ~n_nodes ~shared_words] fills in paper-derived constants. *)
+(** [default ~n_nodes ~shared_words] is 4 KB pages, the barrier manager
+    on node 0, lazy notices and no eager locks. *)
 val default : n_nodes:int -> shared_words:int -> t
-
-val n_pages : t -> int
 
 val validate : t -> unit

@@ -15,15 +15,13 @@ let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
       eager_locks = ctx.eager_lock_hints;
     }
   in
-  let sys =
-    System.create ctx.eng ctx.counters
-      (Shm_dsm.Mount.fabric ctx) cfg ~memories:ctx.memories
-  in
   (* Under eager invalidation a remote release can yank a page at any
      moment, so batched range guards would observably diverge from the
      per-word sequence: force the literal loop. *)
-  Shm_dsm.Mount.instance (module System) sys ~i_name
+  Shm_dsm.Paged.instance ~i_name
     ~wordwise_ranges:(policy = Config.Eager_invalidate)
+    (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
+       ~memories:ctx.memories)
 
 module Lrc = struct
   let name = "lrc"

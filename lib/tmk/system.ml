@@ -1,13 +1,21 @@
+(* TreadMarks's protocol on the page-DSM shell ({!Shm_dsm.Paged}): the
+   shell holds the node header, the guards, the fault's wait-and-fetch
+   shell and start-up; this file hands it, in one [Paged.protocol]
+   record, what a fault fetches (notices, the eager stash, diff requests
+   and replies), the twin a write hit makes, its own message handler and
+   sending, its lock, release and barrier clients, and its checkpoint,
+   rejoin and re-home moves. *)
+
 module Engine = Shm_sim.Engine
 module Waitq = Shm_sim.Waitq
 module Reliable = Shm_net.Reliable
 module Msg = Shm_net.Msg
-module Overhead = Shm_net.Overhead
 module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Checkpoint = Shm_dsm.Checkpoint
 module Roles = Shm_dsm.Roles
+module Paged = Shm_dsm.Paged
 
 type lock_state = {
   mutable has_token : bool;
@@ -19,23 +27,14 @@ type lock_state = {
   mutable tail : int;
 }
 
-type recov = {
-  store : Checkpoint.t;
-  snap : Vc.t array;
-      (** per-page applied vector at the last checkpoint; [zero_vc] until
-          the page is first checkpointed *)
-  mutable ckpt_seq : int;  (** own interval count at the last checkpoint *)
-}
-
-type node = {
-  id : int;
-  mem : Memory.t;
+(* A node's TreadMarks state, one field array per page attribute.  The
+   shell's rights byte is the page's validity: ['\000'] invalid,
+   ['\001'] valid, ['\002'] valid and twinned (or a single node). *)
+type tnode = {
   vc : Vc.t;
   mutable seq : int;  (** own interval counter, = vc.(id) *)
   store : Record.Store.t;
-  (* Page state, one field array per attribute, indexed by page. *)
-  valid : Bytes.t;  (** ['\001'] if the copy is current, else ['\000'] *)
-  twins : Memory.t option array;  (** present iff writable *)
+  twins : Memory.t option array;  (** present iff dirty *)
   applied : Vc.t array;
       (** per-creator highest interval reflected in our copy; the system's
           shared [zero_vc] until the page's first write to it *)
@@ -46,12 +45,6 @@ type node = {
           crash-free, only those some node can still request (see
           [prune_own]) *)
   mutable logged : int list;  (** the pages whose [own] list is not empty *)
-  rights : Bytes.t;
-      (** software TLB: one byte per page, ['\000'] = guard must fault,
-          ['\001'] = readable, ['\002'] = readable and writable (twin in
-          place, or single node).  Derived from [valid] and [twins];
-          consulted by the platforms' fast paths to skip the guard call
-          entirely. *)
   mutable dirty : int list;  (** pages dirtied in the open interval *)
   eager_diffs : (int * int * int, Diff.t) Hashtbl.t;
       (** (page, creator, seqno) -> eagerly shipped diff, not yet applied *)
@@ -63,30 +56,17 @@ type node = {
       (** the vector times of this node's lock requests and barrier
           arrivals not yet answered: a grant or departure is built from
           them, so they bound the record floor (see [drop_records]) *)
-  rt : Proto.t Node.t;
-  recov : recov option;  (** checkpoint state; [None] = crash-free *)
+  snap : Vc.t array;
+      (** under a lifecycle, per-page applied vector at the last
+          checkpoint, [zero_vc] until the page is first checkpointed;
+          crash-free, empty *)
+  mutable ckpt_seq : int;  (** own interval count at the last checkpoint *)
 }
 
-(* Counters bumped on every protocol event, resolved once. *)
-type keys = {
-  k_invalidations : Counters.key;
-  k_diffs_created : Counters.key;
-  k_intervals : Counters.key;
-  k_diffs_applied : Counters.key;
-  k_faults : Counters.key;
-  k_twins : Counters.key;
-  k_lock_local : Counters.key;
-  k_lock_remote : Counters.key;
-  k_eager_applies : Counters.key;
-}
-
-type t = {
-  eng : Engine.t;
-  counters : Counters.t;
-  keys : keys;
-  net : Proto.t Reliable.t;
+(* The cluster-wide state beside the shell's, with the counters bumped
+   on every protocol event, resolved once. *)
+type sys = {
   cfg : Config.t;
-  nodes : node array;
   zero_vc : Vc.t;
       (** all-zero vector shared by every page whose [applied] (or [snap])
           vector has not been written yet; never itself written *)
@@ -98,60 +78,53 @@ type t = {
   stash : Record.t list array;
       (** per barrier, the arrival records of the open episode; copied to
           a successor's store when the barrier manager is re-homed *)
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
-  mutable page_hook : node:int -> page:int -> unit;
+  k_invalidations : Counters.key;
+  k_diffs_created : Counters.key;
+  k_intervals : Counters.key;
+  k_diffs_applied : Counters.key;
+  k_twins : Counters.key;
+  k_lock_local : Counters.key;
+  k_lock_remote : Counters.key;
+  k_eager_applies : Counters.key;
 }
 
-let config t = t.cfg
+type t = (Proto.t, tnode, sys) Paged.t
+type node = (Proto.t, tnode) Paged.node
 
-let memory t ~node = t.nodes.(node).mem
+(* Cycles of the library's own work: the memcpy of a twin and of an
+   applied diff, per word, and a lock whose token is already on-node. *)
+let twin_copy_per_word = 1
+let apply_per_word = 1
+let local_lock_cycles = 50
 
-let set_page_hook t f = t.page_hook <- f
+let memory (t : t) ~node = t.nodes.(node).mem
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift
-  else addr / t.cfg.page_words
+let is_valid (nd : node) page = Bytes.get nd.rights page <> '\000'
 
-let page_shift t = t.page_shift
+(* A page turns valid, writable while it holds a twin. *)
+let validate (nd : node) page =
+  Bytes.set nd.rights page (if nd.x.twins.(page) <> None then '\002' else '\001')
 
-let access_rights t ~node = t.nodes.(node).rights
-
-let is_valid nd page = Bytes.get nd.valid page <> '\000'
-
-(* The TLB byte a page's protocol state implies. *)
-let rights_of t nd page =
-  if not (is_valid nd page) then '\000'
-  else if nd.twins.(page) <> None || t.cfg.n_nodes = 1 then '\002'
-  else '\001'
-
-(* Recompute the TLB byte for one page.  Must be called after every
-   transition of its valid byte or its twin. *)
-let update_rights t nd page = Bytes.unsafe_set nd.rights page (rights_of t nd page)
-
-let set_valid t nd page v =
-  Bytes.set nd.valid page (if v then '\001' else '\000');
-  update_rights t nd page
-
-let overhead t = Node.overhead t.net
+let invalidate (nd : node) page = Bytes.set nd.rights page '\000'
 
 (* Copy-on-write vectors: [v] itself if the page already owns it, else a
    fresh all-zero vector for the page to own. *)
-let own_vc t v = if v == t.zero_vc then Vc.create ~nodes:t.cfg.n_nodes else v
+let own_vc (t : t) v = if v == t.s.zero_vc then Vc.create ~nodes:t.n_nodes else v
 
 (* The page's [applied] vector, ready to be written. *)
-let applied_for_write t nd page =
-  let v = own_vc t nd.applied.(page) in
-  nd.applied.(page) <- v;
+let applied_for_write (t : t) (nd : node) page =
+  let v = own_vc t nd.x.applied.(page) in
+  nd.x.applied.(page) <- v;
   v
 
 (* Node [nd]'s state for [lock], built on first use with the state every
    node starts in: the token and the queue tail at the lock's static
    manager. *)
-let lock_of t nd l =
-  match Hashtbl.find_opt nd.locks l with
+let lock_of (t : t) (nd : node) l =
+  match Hashtbl.find_opt nd.x.locks l with
   | Some ls -> ls
   | None ->
-      let manager = Roles.static_home t.roles l in
+      let manager = Roles.static_home t.s.roles l in
       let ls =
         {
           has_token = nd.id = manager;
@@ -161,106 +134,21 @@ let lock_of t nd l =
           tail = manager;
         }
       in
-      Hashtbl.add nd.locks l ls;
+      Hashtbl.add nd.x.locks l ls;
       ls
-
-(* Record that a page's contents diverged from the checkpoint image.
-   Free when checkpointing is off ([recov = None], the crash-free case). *)
-let mark_changed nd page =
-  match nd.recov with
-  | None -> ()
-  | Some rv -> Checkpoint.mark rv.store page
-
-let create eng counters fabric cfg ~memories =
-  Config.validate cfg;
-  if Array.length memories <> cfg.n_nodes then
-    invalid_arg "Tmk.System.create: one memory per node required";
-  let n = cfg.n_nodes in
-  let n_pages = Config.n_pages cfg in
-  let zero_vc = Vc.create ~nodes:n in
-  let records = Record.Table.create ~nodes:n in
-  (* A lifecycle on the fabric arms failure-atomic checkpointing: one
-     store per node, plus per-page applied-vector snapshots so a rejoin
-     knows which foreign intervals to distrust. *)
-  let recov mem =
-    Option.map
-      (fun _ ->
-        {
-          store =
-            Checkpoint.create mem ~pages:n_pages ~page_words:cfg.page_words;
-          snap = Array.make n_pages zero_vc;
-          ckpt_seq = 0;
-        })
-      (Shm_net.Fabric.lifecycle fabric)
-  in
-  let mk_node id =
-    {
-      id;
-      mem = memories.(id);
-      vc = Vc.create ~nodes:n;
-      seq = 0;
-      store = Record.Store.create records;
-      valid = Bytes.make n_pages '\001';
-      twins = Array.make n_pages None;
-      applied = Array.make n_pages zero_vc;
-      pending = Array.make n_pages [];
-      own = Array.make n_pages [];
-      logged = [];
-      rights =
-        (* Pages start valid everywhere; a single node never twins. *)
-        Bytes.make n_pages (if n = 1 then '\002' else '\001');
-      dirty = [];
-      eager_diffs = Hashtbl.create 64;
-      locks = Hashtbl.create 8;
-      sent_to_manager = 0;
-      unsent_bytes = 0;
-      asks = [];
-      rt = Node.create eng ~engine:"tmk";
-      recov = recov memories.(id);
-    }
-  in
-  let key = Counters.key counters in
-  {
-    eng;
-    counters;
-    keys =
-      {
-        k_invalidations = key "tmk.invalidations";
-        k_diffs_created = key "tmk.diffs_created";
-        k_intervals = key "tmk.intervals";
-        k_diffs_applied = key "tmk.diffs_applied";
-        k_faults = key "tmk.faults";
-        k_twins = key "tmk.twins";
-        k_lock_local = key "tmk.lock_local";
-        k_lock_remote = key "tmk.lock_remote";
-        k_eager_applies = key "tmk.eager_applies";
-      };
-    net = Reliable.create eng counters fabric;
-    cfg;
-    nodes = Array.init n mk_node;
-    zero_vc;
-    records;
-    roles =
-      Roles.create ~engine:"tmk" counters ~n_nodes:n ~n_locks:cfg.n_locks
-        ~n_barriers:cfg.n_barriers
-        ~barrier_home:cfg.barrier_manager ~barrier_counter:"tmk.barriers" ();
-    stash = Array.make cfg.n_barriers [];
-    page_shift = Node.page_shift cfg.page_words;
-    page_hook = (fun ~node:_ ~page:_ -> ());
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Small helpers                                                       *)
 
-let send t fiber ~src ~dst body =
+let send (t : t) fiber ~src ~dst body =
   Reliable.send t.net fiber ~src ~dst ~class_:(Proto.class_ body)
     ~size:(Proto.sizes body) body
 
 (* CPU cycles a node spends serving a request, charged to its application
    fiber (on a uniprocessor node the handler and the application share
    the CPU). *)
-let serve_cost t ~in_size ~out_size ~replied =
-  let ov = overhead t in
+let serve_cost (t : t) ~in_size ~out_size ~replied =
+  let ov = Paged.overhead t in
   let words (s : Msg.sizes) = (s.consistency_bytes + s.payload_bytes + 7) / 8 in
   ov.fixed_recv + ov.handler + (ov.per_word * words in_size)
   + if replied then ov.fixed_send + (ov.per_word * words out_size) else 0
@@ -279,20 +167,20 @@ let zero_size = Msg.sizes ()
    to add.  The mark is separate from store membership: the barrier
    manager stashes arrival records in its store before its own departure
    registers them. *)
-let register_records t fiber nd records =
+let register_records (t : t) fiber (nd : node) records =
   List.iter
     (fun (r : Record.t) ->
-      ignore (Record.Store.add nd.store r);
-      if r.creator <> nd.id && Record.Store.first_notice nd.store r then
+      ignore (Record.Store.add nd.x.store r);
+      if r.creator <> nd.id && Record.Store.first_notice nd.x.store r then
         List.iter
           (fun p ->
-            if r.seqno > nd.applied.(p).(r.creator) then begin
-              nd.pending.(p) <-
+            if r.seqno > nd.x.applied.(p).(r.creator) then begin
+              nd.x.pending.(p) <-
                 Record.notice ~creator:r.creator ~seqno:r.seqno
-                :: nd.pending.(p);
+                :: nd.x.pending.(p);
               if is_valid nd p then begin
-                set_valid t nd p false;
-                Counters.bump t.keys.k_invalidations 1;
+                invalidate nd p;
+                Counters.bump t.s.k_invalidations 1;
                 Engine.instant fiber "tmk.invalidate"
               end
             end)
@@ -302,18 +190,19 @@ let register_records t fiber nd records =
 (* Records with [lo_vc.(c) < seqno <= hi_vc.(c)], oldest first.  The
    caller's store must cover [hi_vc] (the contiguity invariant: a node's
    vector time never advances past its contiguously-known records). *)
-let records_range nd ~lo_vc ~hi_vc =
+let records_range (nd : node) ~lo_vc ~hi_vc =
   let n = Vc.nodes lo_vc in
   let acc = ref [] in
   for c = 0 to n - 1 do
     let lo = lo_vc.(c) and hi = hi_vc.(c) in
     if hi > lo then
-      acc := Record.Store.range nd.store ~creator:c ~lo ~hi @ !acc
+      acc := Record.Store.range nd.x.store ~creator:c ~lo ~hi @ !acc
   done;
   List.sort Record.compare_linear !acc
 
 (* Records the destination lacks, relative to our own vector time. *)
-let records_between nd ~vc_dst = records_range nd ~lo_vc:vc_dst ~hi_vc:nd.vc
+let records_between (nd : node) ~vc_dst =
+  records_range nd ~lo_vc:vc_dst ~hi_vc:nd.x.vc
 
 (* ------------------------------------------------------------------ *)
 (* Interval closing and diff creation                                  *)
@@ -323,11 +212,11 @@ let prune_period = 16
 
 (* The highest of [creator]'s intervals that every other node has
    applied to [page]. *)
-let applied_floor t ~creator page =
+let applied_floor (t : t) ~creator page =
   let floor = ref max_int and c = ref 0 in
-  while !floor > 0 && !c < t.cfg.n_nodes do
+  while !floor > 0 && !c < t.n_nodes do
     if !c <> creator then
-      floor := min !floor t.nodes.(!c).applied.(page).(creator);
+      floor := min !floor t.nodes.(!c).x.applied.(page).(creator);
     incr c
   done;
   !floor
@@ -339,7 +228,7 @@ let applied_floor t ~creator page =
    rejoin rolls [applied] back to its snapshot and fetches again.  Run
    every [prune_period] own intervals over the pages that hold a log, so
    the [nodes]-wide floor is not paid per fault or per diff. *)
-let prune_own t nd =
+let prune_own (t : t) (nd : node) =
   let rec above floor = function
     | (d : Diff.t) :: _ when d.seqno <= floor -> []
     | d :: rest as l ->
@@ -347,12 +236,12 @@ let prune_own t nd =
         if rest' == rest then l else d :: rest'
     | [] -> []
   in
-  nd.logged <-
+  nd.x.logged <-
     List.filter
       (fun p ->
-        nd.own.(p) <- above (applied_floor t ~creator:nd.id p) nd.own.(p);
-        nd.own.(p) <> [])
-      nd.logged
+        nd.x.own.(p) <- above (applied_floor t ~creator:nd.id p) nd.x.own.(p);
+        nd.x.own.(p) <> [])
+      nd.x.logged
 
 (* The highest of [creator]'s intervals that every node's vector time
    covers, and every vector time a grant or departure may still be
@@ -361,83 +250,83 @@ let prune_own t nd =
    update past the receiver's contiguous prefix, an arrival past the
    floor (it counts the rest as bytes), and a fault orders diffs by
    their stamps (DESIGN.md §12.1). *)
-let record_floor t ~creator =
+let record_floor (t : t) ~creator =
   let floor = ref max_int in
   Array.iter
-    (fun nd ->
-      floor := Int.min !floor nd.vc.(creator);
-      List.iter (fun (v : Vc.t) -> floor := Int.min !floor v.(creator)) nd.asks)
+    (fun (nd : node) ->
+      floor := Int.min !floor nd.x.vc.(creator);
+      List.iter (fun (v : Vc.t) -> floor := Int.min !floor v.(creator)) nd.x.asks)
     t.nodes;
   !floor
 
 (* Drop the node's own records below the floor.  Crash-free only, on the
    diff log's cadence: a rejoin reads the records past its checkpoint's
    snapshot, so under a lifecycle the table stays whole. *)
-let drop_records t nd =
-  Record.Table.drop t.records ~creator:nd.id (record_floor t ~creator:nd.id)
+let drop_records (t : t) (nd : node) =
+  Record.Table.drop t.s.records ~creator:nd.id (record_floor t ~creator:nd.id)
 
 let rec forget v = function
   | [] -> []
   | x :: rest -> if x == v then rest else x :: forget v rest
 
-let close_interval t fiber nd =
-  match nd.dirty with
+let close_interval (t : t) fiber (nd : node) =
+  match nd.x.dirty with
   | [] -> None
   | dirty ->
       (* Clear the dirty list before the first yield below: a co-located
          processor that writes (and re-twins) a page while this close is
          mid-loop must land its mark on the NEXT interval's list, not on
-         the one a trailing [nd.dirty <- []] would wipe — that wipe
+         the one a trailing [nd.x.dirty <- []] would wipe — that wipe
          silently dropped the write from every future diff. *)
-      nd.dirty <- [];
-      let ov = overhead t in
-      nd.seq <- nd.seq + 1;
-      nd.vc.(nd.id) <- nd.seq;
+      nd.x.dirty <- [];
+      let ov = Paged.overhead t in
+      nd.x.seq <- nd.x.seq + 1;
+      nd.x.vc.(nd.id) <- nd.x.seq;
       let pages = List.sort Int.compare dirty in
-      let vsum = Vc.sum nd.vc in
+      let vsum = Vc.sum nd.x.vc in
       List.iter
         (fun p ->
           let twin =
-            match nd.twins.(p) with
+            match nd.x.twins.(p) with
             | Some tw -> tw
             | None -> failwith "close_interval: dirty page without twin"
           in
           let diff =
-            Diff.make_stamped ~creator:nd.id ~seqno:nd.seq ~vsum ~page:p ~twin
-              ~current:nd.mem ~base:(p * t.cfg.page_words)
-              ~words:t.cfg.page_words
+            Diff.make_stamped ~creator:nd.id ~seqno:nd.x.seq ~vsum ~page:p ~twin
+              ~current:nd.mem ~base:(p * t.page_words)
+              ~words:t.page_words
           in
           Engine.with_category fiber Engine.Diff (fun () ->
-              Engine.advance fiber (ov.diff_per_word * t.cfg.page_words));
-          if nd.own.(p) = [] then nd.logged <- p :: nd.logged;
-          nd.own.(p) <- diff :: nd.own.(p);
-          Counters.bump t.keys.k_diffs_created 1;
-          nd.twins.(p) <- None;
-          update_rights t nd p;
-          (applied_for_write t nd p).(nd.id) <- nd.seq)
+              Engine.advance fiber (ov.diff_per_word * t.page_words));
+          if nd.x.own.(p) = [] then nd.x.logged <- p :: nd.x.logged;
+          nd.x.own.(p) <- diff :: nd.x.own.(p);
+          Counters.bump t.s.k_diffs_created 1;
+          nd.x.twins.(p) <- None;
+          if is_valid nd p then Bytes.set nd.rights p '\001';
+          (applied_for_write t nd p).(nd.id) <- nd.x.seq)
         pages;
-      if nd.recov = None && nd.seq mod prune_period = 0 then begin
+      if Option.is_none nd.ckpt && nd.x.seq mod prune_period = 0 then begin
         prune_own t nd;
         drop_records t nd
       end;
-      let record = Record.make ~creator:nd.id ~seqno:nd.seq ~vsum ~pages in
-      ignore (Record.Store.add nd.store record);
-      nd.unsent_bytes <- nd.unsent_bytes + Record.bytes record;
-      Counters.bump t.keys.k_intervals 1;
+      let record = Record.make ~creator:nd.id ~seqno:nd.x.seq ~vsum ~pages in
+      ignore (Record.Store.add nd.x.store record);
+      nd.x.unsent_bytes <- nd.x.unsent_bytes + Record.bytes record;
+      Counters.bump t.s.k_intervals 1;
       Some record
 
 (* ------------------------------------------------------------------ *)
 (* Eager release (paper Section 2.4.3)                                 *)
 
-let eager_broadcast t fiber nd (record : Record.t) =
+let eager_broadcast (t : t) fiber (nd : node) (record : Record.t) =
   let diffs =
     List.map
       (fun p ->
-        List.find (fun (d : Diff.t) -> d.seqno = record.seqno) nd.own.(p))
+        List.find (fun (d : Diff.t) -> d.seqno = record.seqno) nd.x.own.(p))
       record.pages
   in
   let body = Proto.Eager_update { record; diffs } in
-  for dst = 0 to t.cfg.n_nodes - 1 do
+  for dst = 0 to t.n_nodes - 1 do
     if dst <> nd.id then send t fiber ~src:nd.id ~dst body
   done;
   Counters.incr t.counters "tmk.eager_broadcasts"
@@ -454,7 +343,7 @@ let eager_broadcast t fiber nd (record : Record.t) =
    the diffs; the next access faults and applies everything pending in
    happened-before order — from the stash, with no remote fetch, when
    the stash covers it, which is the eager variant's latency win. *)
-let apply_eager_update t fiber nd (record : Record.t) diffs =
+let apply_eager_update (t : t) fiber (nd : node) (record : Record.t) diffs =
   (* Two application processors co-located on one node can release
      back-to-back, and their broadcasts overtake each other on the wire:
      interval k+1 can land here before interval k.  Registering a gapped
@@ -467,222 +356,176 @@ let apply_eager_update t fiber nd (record : Record.t) diffs =
      [register_records] is idempotent, so re-registering records that
      reached us first through a lock grant or barrier departure is
      harmless. *)
-  let before = Record.Store.contiguous nd.store ~creator:record.creator in
-  ignore (Record.Store.add nd.store record);
+  let before = Record.Store.contiguous nd.x.store ~creator:record.creator in
+  ignore (Record.Store.add nd.x.store record);
   List.iter
     (fun (d : Diff.t) ->
-      if record.seqno > nd.applied.(d.page).(record.creator) then
-        Hashtbl.replace nd.eager_diffs (d.page, record.creator, record.seqno) d)
+      if record.seqno > nd.x.applied.(d.page).(record.creator) then
+        Hashtbl.replace nd.x.eager_diffs (d.page, record.creator, record.seqno) d)
     diffs;
-  let hi = Record.Store.contiguous nd.store ~creator:record.creator in
+  let hi = Record.Store.contiguous nd.x.store ~creator:record.creator in
   if hi > before then
     register_records t fiber nd
-      (Record.Store.range nd.store ~creator:record.creator ~lo:before ~hi)
+      (Record.Store.range nd.x.store ~creator:record.creator ~lo:before ~hi)
 
 (* ------------------------------------------------------------------ *)
 (* Page faults                                                         *)
 
-let apply_diffs t fiber nd ~page items =
+let apply_diffs (t : t) fiber (nd : node) ~page items =
   (* Apply in a linear extension of happened-before-1. *)
   let items = List.sort Diff.compare_linear items in
-  let base = page * t.cfg.page_words in
+  let base = page * t.page_words in
   List.iter
     (fun (d : Diff.t) ->
       Diff.apply d nd.mem ~base;
-      Option.iter (Diff.apply_to_twin d) nd.twins.(page);
+      Option.iter (Diff.apply_to_twin d) nd.x.twins.(page);
       Engine.with_category fiber Engine.Diff (fun () ->
-          Engine.advance fiber (t.cfg.apply_per_word * Diff.words d));
+          Engine.advance fiber (apply_per_word * Diff.words d));
       Engine.instant fiber "tmk.diff-apply";
-      if d.seqno > nd.applied.(page).(d.creator) then
+      if d.seqno > nd.x.applied.(page).(d.creator) then
         (applied_for_write t nd page).(d.creator) <- d.seqno;
-      Counters.bump t.keys.k_diffs_applied 1)
+      Counters.bump t.s.k_diffs_applied 1)
     items;
-  if items <> [] then mark_changed nd page
+  if items <> [] then Paged.mark_changed nd page
 
-let fault t fiber nd page =
-  Node.sync nd.rt fiber;
-  while (not (is_valid nd page)) && Node.wait_fetch nd.rt fiber page do
-    ()
+(* A fault's middle, inside the shell's: fetch and apply the diffs of
+   every pending notice, then validate the page unless more notices
+   arrived meanwhile. *)
+let fetch (t : t) fiber (nd : node) page ~write:_ =
+  (* Needed notices, grouped by creator. *)
+  let needed = Record.unapplied nd.x.applied.(page) nd.x.pending.(page) in
+  let seqs_by_creator = Hashtbl.create 4 in
+  List.iter
+    (fun k ->
+      let c = Record.notice_creator k in
+      let l =
+        Option.value ~default:[] (Hashtbl.find_opt seqs_by_creator c)
+      in
+      Hashtbl.replace seqs_by_creator c (Record.notice_seqno k :: l))
+    needed;
+  (* Intervals whose diffs were eagerly shipped are served from the
+     local stash.  A creator goes remote only if any of its needed
+     intervals is missing there — the range request then covers all of
+     them, so stashed and fetched diffs never double-apply.  Lazy
+     release never stashes, so its creators all go remote. *)
+  let stashed_items = ref [] in
+  let by_creator = Hashtbl.create 4 in
+  let eager = Hashtbl.length nd.x.eager_diffs > 0 in
+  Hashtbl.iter
+    (fun c seqs ->
+      let stashed =
+        if not eager then []
+        else
+          List.filter_map
+            (fun s -> Hashtbl.find_opt nd.x.eager_diffs (page, c, s))
+            seqs
+      in
+      if List.length stashed = List.length seqs then begin
+        stashed_items := stashed @ !stashed_items;
+        Counters.bump t.s.k_eager_applies (List.length stashed)
+      end
+      else Hashtbl.replace by_creator c (List.fold_left max 0 seqs))
+    seqs_by_creator;
+  let req = Node.fresh nd.rt in
+  let mb = Node.register nd.rt req in
+  let expected = Hashtbl.length by_creator in
+  Hashtbl.iter
+    (fun creator hi ->
+      send t fiber ~src:nd.id ~dst:creator
+        (Proto.Diff_req
+           {
+             page;
+             requester = nd.id;
+             req;
+             lo = nd.x.applied.(page).(creator);
+             hi;
+           }))
+    by_creator;
+  let items = ref !stashed_items in
+  for _ = 1 to expected do
+    match Node.await fiber Engine.Net_wait mb with
+    | Proto.Diff_resp { page = p; creator; diffs; _ } ->
+        assert (p = page);
+        List.iter
+          (fun (d : Diff.t) ->
+            let seqno = d.seqno in
+            if Record.Store.mem nd.x.store ~creator ~seqno then
+              items := d :: !items
+            else
+              let pend =
+                String.concat ";"
+                  (List.map
+                     (fun k ->
+                       Printf.sprintf "(%d,%d)" (Record.notice_creator k)
+                         (Record.notice_seqno k))
+                     nd.x.pending.(page))
+              in
+              let reqs =
+                Hashtbl.fold
+                  (fun c hi acc ->
+                    Printf.sprintf "%d:(%d,%d] %s" c nd.x.applied.(page).(c) hi
+                      acc)
+                  by_creator ""
+              in
+              failwith
+                (Printf.sprintf
+                   "fault: node %d page %d: diff (creator %d, seq %d) \
+                    unknown; vc=%s applied=%s contiguous=%d pending=%s \
+                    reqs=%s"
+                   nd.id page creator seqno
+                   (Format.asprintf "%a" Vc.pp nd.x.vc)
+                   (Format.asprintf "%a" Vc.pp nd.x.applied.(page))
+                   (Record.Store.contiguous nd.x.store ~creator)
+                   pend reqs))
+          diffs
+    | _ -> failwith "fault: unexpected response"
   done;
-  if not (is_valid nd page) then
-  Engine.with_category fiber Engine.Protocol @@ fun () ->
-  begin
-    let wq = Node.begin_fetch nd.rt page in
-    Counters.bump t.keys.k_faults 1;
-    Engine.instant fiber "tmk.fault";
-    Engine.advance fiber (overhead t).handler;
-    (* Needed notices, grouped by creator. *)
-    let needed = Record.unapplied nd.applied.(page) nd.pending.(page) in
-    let seqs_by_creator = Hashtbl.create 4 in
+  apply_diffs t fiber nd ~page !items;
+  if Hashtbl.length nd.x.eager_diffs > 0 then
     List.iter
       (fun k ->
-        let c = Record.notice_creator k in
-        let l =
-          Option.value ~default:[] (Hashtbl.find_opt seqs_by_creator c)
-        in
-        Hashtbl.replace seqs_by_creator c (Record.notice_seqno k :: l))
+        Hashtbl.remove nd.x.eager_diffs
+          (page, Record.notice_creator k, Record.notice_seqno k))
       needed;
-    (* Intervals whose diffs were eagerly shipped are served from the
-       local stash.  A creator goes remote only if any of its needed
-       intervals is missing there — the range request then covers all of
-       them, so stashed and fetched diffs never double-apply.  Lazy
-       release never stashes, so its creators all go remote. *)
-    let stashed_items = ref [] in
-    let by_creator = Hashtbl.create 4 in
-    let eager = Hashtbl.length nd.eager_diffs > 0 in
-    Hashtbl.iter
-      (fun c seqs ->
-        let stashed =
-          if not eager then []
-          else
-            List.filter_map
-              (fun s -> Hashtbl.find_opt nd.eager_diffs (page, c, s))
-              seqs
-        in
-        if List.length stashed = List.length seqs then begin
-          stashed_items := stashed @ !stashed_items;
-          Counters.bump t.keys.k_eager_applies (List.length stashed)
-        end
-        else Hashtbl.replace by_creator c (List.fold_left max 0 seqs))
-      seqs_by_creator;
-    let req = Node.fresh nd.rt in
-    let mb = Node.register nd.rt req in
-    let expected = Hashtbl.length by_creator in
-    Hashtbl.iter
-      (fun creator hi ->
-        send t fiber ~src:nd.id ~dst:creator
-          (Proto.Diff_req
-             {
-               page;
-               requester = nd.id;
-               req;
-               lo = nd.applied.(page).(creator);
-               hi;
-             }))
-      by_creator;
-    let items = ref !stashed_items in
-    for _ = 1 to expected do
-      match Node.await fiber Engine.Net_wait mb with
-      | Proto.Diff_resp { page = p; creator; diffs; _ } ->
-          assert (p = page);
-          List.iter
-            (fun (d : Diff.t) ->
-              let seqno = d.seqno in
-              if Record.Store.mem nd.store ~creator ~seqno then
-                items := d :: !items
-              else
-                let pend =
-                  String.concat ";"
-                    (List.map
-                       (fun k ->
-                         Printf.sprintf "(%d,%d)" (Record.notice_creator k)
-                           (Record.notice_seqno k))
-                       nd.pending.(page))
-                in
-                let reqs =
-                  Hashtbl.fold
-                    (fun c hi acc ->
-                      Printf.sprintf "%d:(%d,%d] %s" c nd.applied.(page).(c) hi
-                        acc)
-                    by_creator ""
-                in
-                failwith
-                  (Printf.sprintf
-                     "fault: node %d page %d: diff (creator %d, seq %d) \
-                      unknown; vc=%s applied=%s contiguous=%d pending=%s \
-                      reqs=%s"
-                     nd.id page creator seqno
-                     (Format.asprintf "%a" Vc.pp nd.vc)
-                     (Format.asprintf "%a" Vc.pp nd.applied.(page))
-                     (Record.Store.contiguous nd.store ~creator)
-                     pend reqs))
-            diffs
-      | _ -> failwith "fault: unexpected response"
-    done;
-    apply_diffs t fiber nd ~page !items;
-    if Hashtbl.length nd.eager_diffs > 0 then
-      List.iter
-        (fun k ->
-          Hashtbl.remove nd.eager_diffs
-            (page, Record.notice_creator k, Record.notice_seqno k))
-        needed;
-    (* Notices may have arrived while we were fetching; if any remain
-       unapplied the page must stay invalid and fault again. *)
-    nd.pending.(page) <- Record.unapplied nd.applied.(page) nd.pending.(page);
-    if nd.pending.(page) = [] then begin
-      (* Contents are final, then the TLB byte, then the hook: a hook that
-         rebuilds derived state (platform caches) must observe both. *)
-      set_valid t nd page true;
-      t.page_hook ~node:nd.id ~page
-    end;
-    Node.finish nd.rt req;
-    Node.end_fetch nd.rt fiber page wq
-  end
+  (* Notices may have arrived while we were fetching; if any remain
+     unapplied the page must stay invalid and fault again. *)
+  nd.x.pending.(page) <- Record.unapplied nd.x.applied.(page) nd.x.pending.(page);
+  if nd.x.pending.(page) = [] then begin
+    (* Contents are final, then the TLB byte, then the hook: a hook that
+       rebuilds derived state (platform caches) must observe both. *)
+    validate nd page;
+    t.page_hook ~node:nd.id ~page
+  end;
+  Node.finish nd.rt req
 
 (* ------------------------------------------------------------------ *)
-(* Access guards                                                       *)
+(* Write hits                                                          *)
 
-let read_guard t fiber ~node addr =
-  let nd = t.nodes.(node) in
-  let page = page_of t addr in
-  while not (is_valid nd page) do
-    fault t fiber nd page
-  done
-
-let ensure_twin t fiber nd page =
-  match nd.twins.(page) with
+(* The shell's write hit: the first write of an interval to a page twins
+   it. *)
+let ensure_twin (t : t) fiber (nd : node) page =
+  match nd.x.twins.(page) with
   | Some _ -> ()
-  | None when t.cfg.n_nodes = 1 ->
-      (* A single process never write-protects pages: no twins, no diffs. *)
-      ()
   | None ->
       (* First write of the interval: make the twin (a page memcpy). *)
       Engine.sync fiber;
       (* Re-check after the yield: a co-located processor may have made
          the twin (or even written through it) meanwhile. *)
-      if nd.twins.(page) = None then begin
-        let base = page * t.cfg.page_words in
-        let twin = Memory.create ~words:t.cfg.page_words in
+      if nd.x.twins.(page) = None then begin
+        let base = page * t.page_words in
+        let twin = Memory.create ~words:t.page_words in
         Memory.blit ~src:nd.mem ~src_pos:base ~dst:twin ~dst_pos:0
-          ~len:t.cfg.page_words;
+          ~len:t.page_words;
         Engine.with_category fiber Engine.Twin (fun () ->
             Engine.advance fiber
-              ((overhead t).handler
-              + (t.cfg.twin_copy_per_word * t.cfg.page_words)));
-        nd.twins.(page) <- Some twin;
-        update_rights t nd page;
-        nd.dirty <- page :: nd.dirty;
-        mark_changed nd page;
-        Counters.bump t.keys.k_twins 1
+              ((Paged.overhead t).handler
+              + (twin_copy_per_word * t.page_words)));
+        nd.x.twins.(page) <- Some twin;
+        if is_valid nd page then Bytes.set nd.rights page '\002';
+        nd.x.dirty <- page :: nd.x.dirty;
+        Paged.mark_changed nd page;
+        Counters.bump t.s.k_twins 1
       end
-
-let write_guard t fiber ~node addr =
-  let nd = t.nodes.(node) in
-  let page = page_of t addr in
-  while not (is_valid nd page) do
-    fault t fiber nd page
-  done;
-  ensure_twin t fiber nd page
-
-(* Range guards: one page guard per overlapped page, each followed by its
-   run's data movement (see {!Shm_dsm.Node.walk_pages}). *)
-
-let read_page t nd fiber page =
-  while not (is_valid nd page) do
-    fault t fiber nd page
-  done
-
-let write_page t nd fiber page =
-  read_page t nd fiber page;
-  ensure_twin t fiber nd page
-
-let read_range_guard t fiber ~node addr words ~f =
-  Node.walk_pages ~page_words:t.cfg.page_words ~page_shift:t.page_shift
-    read_page t t.nodes.(node) fiber addr words ~f
-
-let write_range_guard t fiber ~node addr words ~f =
-  Node.walk_pages ~page_words:t.cfg.page_words ~page_shift:t.page_shift
-    write_page t t.nodes.(node) fiber addr words ~f
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -692,33 +535,32 @@ let write_range_guard t fiber ~node addr words ~f =
    same node (a co-located processor that requested through the manager
    before the token landed here) is served locally: the token stays and
    no message or notice is needed. *)
-let send_grant t fiber nd ~lock ~requester ~req ~req_vc =
+let send_grant (t : t) fiber (nd : node) ~lock ~requester ~req ~req_vc =
   if requester = nd.id then begin
     (* Reserve the lock for the local requester now, so no other
        co-located processor can slip in before it wakes. *)
     (lock_of t nd lock).in_use <- true;
-    Node.route nd.rt ~req
-      (Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records = [] })
-      ~at:(Engine.clock fiber)
+    Paged.reply nd fiber ~req
+      (Proto.Lock_grant { lock; req; vc = Vc.copy nd.x.vc; records = [] })
   end
   else begin
     let records = records_between nd ~vc_dst:req_vc in
     (lock_of t nd lock).has_token <- false;
     send t fiber ~src:nd.id ~dst:requester
-      (Proto.Lock_grant { lock; req; vc = Vc.copy nd.vc; records })
+      (Proto.Lock_grant { lock; req; vc = Vc.copy nd.x.vc; records })
   end
 
 (* A forwarded request reaches the node currently at the distributed
    queue's tail: grant now if the token is here, idle, and no earlier
    request is queued (forwards must be served FIFO, or an immediate grant
    would carry the token away and orphan the queue), else queue. *)
-let deliver_forward t fiber nd ~lock ~requester ~req ~req_vc =
+let deliver_forward (t : t) fiber (nd : node) ~lock ~requester ~req ~req_vc =
   let ls = lock_of t nd lock in
   if ls.has_token && (not ls.in_use) && Queue.is_empty ls.remote_waiters then
     send_grant t fiber nd ~lock ~requester ~req ~req_vc
   else Queue.push (requester, req, req_vc) ls.remote_waiters
 
-let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
+let handle_lock_req (t : t) fiber (nd : node) ~lock ~requester ~req ~req_vc =
   let ls = lock_of t nd lock in
   let previous_tail = ls.tail in
   ls.tail <- requester;
@@ -728,8 +570,8 @@ let handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc =
     send t fiber ~src:nd.id ~dst:previous_tail
       (Proto.Lock_forward { lock; requester; req; vc = req_vc })
 
-let acquire t fiber ~node ~lock =
-  Roles.check_lock t.roles lock;
+let acquire (t : t) fiber ~node ~lock =
+  Roles.check_lock t.s.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   let ls = lock_of t nd lock in
@@ -741,17 +583,17 @@ let acquire t fiber ~node ~lock =
     (* Token already on-node: no messages (paper Section 3.1). *)
     ls.in_use <- true;
     Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber t.cfg.local_lock_cycles);
-    Counters.bump t.keys.k_lock_local 1
+        Engine.advance fiber local_lock_cycles);
+    Counters.bump t.s.k_lock_local 1
   end
   else
     Engine.with_category fiber Engine.Protocol @@ fun () ->
     begin
     let req = Node.fresh nd.rt in
     let mb = Node.register nd.rt req in
-    let vc = Vc.copy nd.vc in
-    nd.asks <- vc :: nd.asks;
-    let manager = Roles.lock_home t.roles lock in
+    let vc = Vc.copy nd.x.vc in
+    nd.x.asks <- vc :: nd.x.asks;
+    let manager = Roles.lock_home t.s.roles lock in
     let body = Proto.Lock_req { lock; requester = nd.id; req; vc } in
     if manager = nd.id then
       (* Even a local request goes through the handler fiber: the manager's
@@ -766,50 +608,50 @@ let acquire t fiber ~node ~lock =
     (match Node.await fiber Engine.Lock_wait mb with
     | Proto.Lock_grant { vc = granter_vc; records; _ } ->
         register_records t fiber nd records;
-        Vc.max_into ~into:nd.vc granter_vc;
+        Vc.max_into ~into:nd.x.vc granter_vc;
         ls.has_token <- true;
         ls.in_use <- true
     | _ -> failwith "acquire: unexpected response");
-    nd.asks <- forget vc nd.asks;
+    nd.x.asks <- forget vc nd.x.asks;
     Node.finish nd.rt req;
-    Counters.bump t.keys.k_lock_remote 1
+    Counters.bump t.s.k_lock_remote 1
   end
 
 (* Eager-invalidate RC: broadcast the closing interval's write notice to
    every node and block until all acknowledge.  The acknowledgement wait
    is what keeps eagerly-delivered notices causally ordered (and is the
    latency conventional RC pays at every release). *)
-let eager_notice_broadcast t fiber nd (record : Record.t) =
+let eager_notice_broadcast (t : t) fiber (nd : node) (record : Record.t) =
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  for dst = 0 to t.cfg.n_nodes - 1 do
+  for dst = 0 to t.n_nodes - 1 do
     if dst <> nd.id then
       send t fiber ~src:nd.id ~dst
         (Proto.Eager_notice { record; requester = nd.id; req })
   done;
-  for _ = 1 to t.cfg.n_nodes - 1 do
+  for _ = 1 to t.n_nodes - 1 do
     match Node.await fiber Engine.Net_wait mb with
     | Proto.Eager_ack _ -> ()
     | _ -> failwith "eager release: unexpected response"
   done;
   Node.finish nd.rt req
 
-let after_close t fiber nd ~lock closed =
+let after_close (t : t) fiber (nd : node) ~lock closed =
   match closed with
   | None -> ()
   | Some record -> (
-      match t.cfg.notice_policy with
+      match t.s.cfg.notice_policy with
       | Config.Eager_invalidate -> eager_notice_broadcast t fiber nd record
       | Config.Eager_update -> eager_broadcast t fiber nd record
       | Config.Lazy ->
           if
             match lock with
-            | Some l -> List.mem l t.cfg.eager_locks
+            | Some l -> List.mem l t.s.cfg.eager_locks
             | None -> false
           then eager_broadcast t fiber nd record)
 
-let release t fiber ~node ~lock =
-  Roles.check_lock t.roles lock;
+let release (t : t) fiber ~node ~lock =
+  Roles.check_lock t.s.roles lock;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
@@ -818,7 +660,7 @@ let release t fiber ~node ~lock =
   let ls = lock_of t nd lock in
   if not ls.in_use then invalid_arg "Tmk.release: lock not held";
   ls.in_use <- false;
-  Engine.advance fiber t.cfg.local_lock_cycles;
+  Engine.advance fiber local_lock_cycles;
   if not (Waitq.wake_one ls.local_waiters ~at:(Engine.clock fiber)) then
     if ls.has_token && not (Queue.is_empty ls.remote_waiters) then begin
       let requester, req, req_vc = Queue.pop ls.remote_waiters in
@@ -832,13 +674,13 @@ let release t fiber ~node ~lock =
    [Roles.arrive] before the first yield: a node that receives its
    departure early can re-arrive for the next episode while we are still
    sending the remaining departures. *)
-let send_departs t fiber mgr ~id arrivals =
+let send_departs (t : t) fiber (mgr : node) ~id arrivals =
   (* The episode's time is the join of the arrival snapshots.  The
      manager's own vector time is NOT merged at arrival: an arriver's
      clock can cover third-party intervals whose records only arrive with
      their creator, and inflating the manager's clock early would break
      the contiguity invariant for lock grants it makes meanwhile. *)
-  let merged = Vc.create ~nodes:t.cfg.n_nodes in
+  let merged = Vc.create ~nodes:t.n_nodes in
   List.iter (fun (_, _, arr_vc) -> Vc.max_into ~into:merged arr_vc) arrivals;
   (* Sort the episode's records once, from the component-wise minimum of
      the arrival times up; each departure keeps, in that order, the ones
@@ -857,27 +699,27 @@ let send_departs t fiber mgr ~id arrivals =
       let body = Proto.Barrier_depart { barrier = id; req; vc = merged; records } in
       if node = mgr.id then
         (* Local departure: no message. *)
-        Node.route mgr.rt ~req body ~at:(Engine.clock fiber)
+        Paged.reply mgr fiber ~req body
       else send t fiber ~src:mgr.id ~dst:node body)
     arrivals
 
-let note_arrival t fiber mgr ~id ~node ~req ~arr_vc ~records =
+let note_arrival (t : t) fiber (mgr : node) ~id ~node ~req ~arr_vc ~records =
   (* Stash arrival records in the store (the departure ranges need them)
      but do NOT invalidate yet: arrivals trickle in causally incomplete,
      and a premature notice would let the manager's still-running
      application fault and apply diffs out of happened-before order.  The
      manager's own departure re-delivers the complete merged set and the
      invalidations happen there. *)
-  List.iter (fun r -> ignore (Record.Store.add mgr.store r)) records;
-  t.stash.(id) <- records @ t.stash.(id);
-  match Roles.arrive t.roles ~id (node, req, arr_vc) with
+  List.iter (fun r -> ignore (Record.Store.add mgr.x.store r)) records;
+  t.s.stash.(id) <- records @ t.s.stash.(id);
+  match Roles.arrive t.s.roles ~id (node, req, arr_vc) with
   | [] -> ()
   | arrivals ->
-      t.stash.(id) <- [];
+      t.s.stash.(id) <- [];
       send_departs t fiber mgr ~id arrivals
 
-let barrier_arrive t fiber ~node ~id =
-  Roles.check_barrier t.roles id;
+let barrier_arrive (t : t) fiber ~node ~id =
+  Roles.check_barrier t.s.roles id;
   let nd = t.nodes.(node) in
   Node.sync nd.rt fiber;
   Engine.with_category fiber Engine.Protocol @@ fun () ->
@@ -886,18 +728,18 @@ let barrier_arrive t fiber ~node ~id =
   (* The own records below the floor are known everywhere: only their
      bytes travel. *)
   let own_records =
-    Record.Store.range nd.store ~creator:nd.id
-      ~lo:(Int.max nd.sent_to_manager (Record.Table.floor t.records nd.id))
-      ~hi:nd.seq
+    Record.Store.range nd.x.store ~creator:nd.id
+      ~lo:(Int.max nd.x.sent_to_manager (Record.Table.floor t.s.records nd.id))
+      ~hi:nd.x.seq
   in
-  let dropped_bytes = nd.unsent_bytes - Proto.records_bytes own_records in
-  nd.sent_to_manager <- nd.seq;
-  nd.unsent_bytes <- 0;
+  let dropped_bytes = nd.x.unsent_bytes - Proto.records_bytes own_records in
+  nd.x.sent_to_manager <- nd.x.seq;
+  nd.x.unsent_bytes <- 0;
   let req = Node.fresh nd.rt in
   let mb = Node.register nd.rt req in
-  let mgr_id = Roles.barrier_home t.roles in
-  let arr_vc = Vc.copy nd.vc in
-  nd.asks <- arr_vc :: nd.asks;
+  let mgr_id = Roles.barrier_home t.s.roles in
+  let arr_vc = Vc.copy nd.x.vc in
+  nd.x.asks <- arr_vc :: nd.x.asks;
   if mgr_id = nd.id then
     note_arrival t fiber t.nodes.(mgr_id) ~id ~node:nd.id ~req ~arr_vc
       ~records:own_records
@@ -915,9 +757,9 @@ let barrier_arrive t fiber ~node ~id =
   (match Node.await fiber Engine.Barrier_wait mb with
   | Proto.Barrier_depart { vc; records; _ } ->
       register_records t fiber nd records;
-      Vc.max_into ~into:nd.vc vc
+      Vc.max_into ~into:nd.x.vc vc
   | _ -> failwith "barrier: unexpected response");
-  nd.asks <- forget arr_vc nd.asks;
+  nd.x.asks <- forget arr_vc nd.x.asks;
   Node.finish nd.rt req
 
 (* ------------------------------------------------------------------ *)
@@ -928,25 +770,25 @@ let barrier_arrive t fiber ~node ~id =
    page, only the changed runs (the diff run-length encoding reused for
    persistence).  Runs from an [Engine.schedule] callback, so the scan
    cost is charged to the application. *)
-let checkpoint t nd =
-  match nd.recov with
+let checkpoint (t : t) (nd : node) =
+  match nd.ckpt with
   | None -> ()
-  | Some rv ->
-      let ov = overhead t in
-      let pw = t.cfg.page_words in
-      let image = Checkpoint.image rv.store in
+  | Some store ->
+      let ov = Paged.overhead t in
+      let pw = t.page_words in
+      let image = Checkpoint.image store in
       let persist p =
-        let snap = own_vc t rv.snap.(p) in
-        rv.snap.(p) <- snap;
-        Array.blit nd.applied.(p) 0 snap 0 t.cfg.n_nodes;
+        let snap = own_vc t nd.x.snap.(p) in
+        nd.x.snap.(p) <- snap;
+        Array.blit nd.x.applied.(p) 0 snap 0 t.n_nodes;
         Ckpt.page_delta ~src:nd.mem ~src_base:(p * pw) ~image
           ~image_base:(p * pw) ~words:pw
       in
       (* An open twin means the application can keep writing the page
          without another protocol event: keep it marked. *)
-      let keep p = nd.twins.(p) <> None in
-      let bytes = Checkpoint.sweep rv.store t.counters ~persist ~keep in
-      rv.ckpt_seq <- nd.seq;
+      let keep p = nd.x.twins.(p) <> None in
+      let bytes = Checkpoint.sweep store t.counters ~persist ~keep in
+      nd.x.ckpt_seq <- nd.x.seq;
       (* Charge for the data the sweep persists, not for the pages it
          probes: dirty-run discovery rides the twin/diff machinery the
          protocol already pays for, so a twinned-but-idle page costs
@@ -967,54 +809,54 @@ let checkpoint t nd =
    re-fetches the diffs from their creators (served from the per-node
    logs, which are never pruned under a lifecycle; re-application is
    idempotent, so contents are unchanged). *)
-let rejoin t nd =
-  match nd.recov with
+let rejoin (t : t) (nd : node) =
+  match nd.ckpt with
   | None -> ()
-  | Some rv ->
-      let pw = t.cfg.page_words in
-      let image = Checkpoint.image rv.store in
+  | Some store ->
+      let pw = t.page_words in
+      let image = Checkpoint.image store in
       let replay_words = ref 0 in
       (* [own] is newest first: its entries past the checkpoint are a
          prefix, replayed from its far end. *)
       let rec replay p = function
-        | (d : Diff.t) :: rest when d.seqno > rv.ckpt_seq ->
+        | (d : Diff.t) :: rest when d.seqno > nd.x.ckpt_seq ->
             replay p rest;
             Diff.apply d image ~base:(p * pw);
             replay_words := !replay_words + Diff.words d
         | _ -> ()
       in
-      for p = 0 to Config.n_pages t.cfg - 1 do
-        replay p nd.own.(p);
-        if is_valid nd p && nd.twins.(p) = None && not (Node.fetching nd.rt p)
+      for p = 0 to t.n_pages - 1 do
+        replay p nd.x.own.(p);
+        if is_valid nd p && nd.x.twins.(p) = None && not (Node.fetching nd.rt p)
         then begin
-          let snap = rv.snap.(p) in
+          let snap = nd.x.snap.(p) in
           let stale = ref [] in
-          for c = 0 to t.cfg.n_nodes - 1 do
-            if c <> nd.id && nd.applied.(p).(c) > snap.(c) then begin
+          for c = 0 to t.n_nodes - 1 do
+            if c <> nd.id && nd.x.applied.(p).(c) > snap.(c) then begin
               List.iter
                 (fun (r : Record.t) ->
                   if List.mem p r.pages then
                     stale := Record.notice ~creator:c ~seqno:r.seqno :: !stale)
-                (Record.Store.range nd.store ~creator:c ~lo:snap.(c)
-                   ~hi:nd.applied.(p).(c));
+                (Record.Store.range nd.x.store ~creator:c ~lo:snap.(c)
+                   ~hi:nd.x.applied.(p).(c));
               (applied_for_write t nd p).(c) <- snap.(c)
             end
           done;
           if !stale <> [] then begin
             List.iter
               (fun e ->
-                if not (List.mem e nd.pending.(p)) then
-                  nd.pending.(p) <- e :: nd.pending.(p))
+                if not (List.mem e nd.x.pending.(p)) then
+                  nd.x.pending.(p) <- e :: nd.x.pending.(p))
               !stale;
-            set_valid t nd p false;
+            invalidate nd p;
             t.page_hook ~node:nd.id ~page:p;
             Counters.incr t.counters "recovery.invalidated"
           end
         end
       done;
       let cycles =
-        (overhead t).handler + Config.n_pages t.cfg
-        + (t.cfg.apply_per_word * !replay_words)
+        (Paged.overhead t).handler + t.n_pages
+        + (apply_per_word * !replay_words)
       in
       Node.charge nd.rt cycles;
       Counters.incr t.counters "recovery.count";
@@ -1024,7 +866,8 @@ let rejoin t nd =
 (* ------------------------------------------------------------------ *)
 (* Message handler daemon                                              *)
 
-let serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size =
+let serve_diff_req (t : t) fiber (nd : node) ~page ~requester ~req ~lo ~hi
+    ~in_size =
   (* Walk the page's own diffs newest first and stop at [lo]: the cost
      follows the diffs returned, not the width of the range. *)
   let rec collect acc = function
@@ -1032,133 +875,119 @@ let serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size =
         collect (if d.seqno <= hi then d :: acc else acc) rest
     | _ -> acc
   in
-  let diffs = collect [] nd.own.(page) in
+  let diffs = collect [] nd.x.own.(page) in
   let body = Proto.Diff_resp { page; req; creator = nd.id; diffs } in
   send t fiber ~src:nd.id ~dst:requester body;
   Node.charge nd.rt
     (serve_cost t ~in_size ~out_size:(Proto.sizes body) ~replied:true)
 
-let handle t fiber nd (env : Proto.t Msg.envelope) =
-  let in_size = env.size in
-  let steal_simple () =
-    Node.charge nd.rt (serve_cost t ~in_size ~out_size:zero_size ~replied:false)
-  in
+(* The shell's serve: handler time for a request, charged back to the
+   application once it is served; a diff request charges its reply
+   too. *)
+let handle (t : t) fiber (nd : node) (env : Proto.t Msg.envelope) =
   match env.body with
-  | Proto.Lock_req { lock; requester; req; vc } as body ->
-      Engine.advance fiber (overhead t).handler;
-      let home = Roles.lock_home t.roles lock in
-      if Roles.stale t.roles ~self:nd.id home then
-        send t fiber ~src:nd.id ~dst:home body
-      else handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc:vc;
-      steal_simple ()
-  | Proto.Lock_forward { lock; requester; req; vc } ->
-      Engine.advance fiber (overhead t).handler;
-      deliver_forward t fiber nd ~lock ~requester ~req ~req_vc:vc;
-      steal_simple ()
-  | Proto.Diff_req { page; requester; req; lo; hi } ->
-      Engine.advance fiber (overhead t).handler;
-      serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size
-  | Proto.Barrier_arrive { barrier; node; req; vc; records; _ } as body ->
-      Engine.advance fiber (overhead t).handler;
-      let home = Roles.barrier_home t.roles in
-      if Roles.stale t.roles ~self:nd.id home then
-        send t fiber ~src:nd.id ~dst:home body
-      else note_arrival t fiber nd ~id:barrier ~node ~req ~arr_vc:vc ~records;
-      steal_simple ()
-  | Proto.Eager_update { record; diffs } ->
-      Engine.advance fiber (overhead t).handler;
-      apply_eager_update t fiber nd record diffs;
-      steal_simple ()
-  | Proto.Eager_notice { record; requester; req } ->
-      Engine.advance fiber (overhead t).handler;
-      register_records t fiber nd [ record ];
-      send t fiber ~src:nd.id ~dst:requester (Proto.Eager_ack { req });
-      steal_simple ()
   | Proto.Lock_grant { req; _ } | Proto.Diff_resp { req; _ }
   | Proto.Barrier_depart { req; _ } | Proto.Eager_ack { req } ->
       (* Response for a blocked application fiber: route, no steal (the
          application is idle waiting for it anyway). *)
-      Node.route nd.rt ~req env.body ~at:(Engine.clock fiber)
+      Paged.reply nd fiber ~req env.body
+  | Proto.Diff_req { page; requester; req; lo; hi } ->
+      Engine.advance fiber (Paged.overhead t).handler;
+      serve_diff_req t fiber nd ~page ~requester ~req ~lo ~hi ~in_size:env.size
+  | body ->
+      Engine.advance fiber (Paged.overhead t).handler;
+      (match body with
+      | Proto.Lock_req { lock; requester; req; vc } ->
+          let home = Roles.lock_home t.s.roles lock in
+          if Roles.stale t.s.roles ~self:nd.id home then
+            send t fiber ~src:nd.id ~dst:home body
+          else handle_lock_req t fiber nd ~lock ~requester ~req ~req_vc:vc
+      | Proto.Lock_forward { lock; requester; req; vc } ->
+          deliver_forward t fiber nd ~lock ~requester ~req ~req_vc:vc
+      | Proto.Barrier_arrive { barrier; node; req; vc; records; _ } ->
+          let home = Roles.barrier_home t.s.roles in
+          if Roles.stale t.s.roles ~self:nd.id home then
+            send t fiber ~src:nd.id ~dst:home body
+          else
+            note_arrival t fiber nd ~id:barrier ~node ~req ~arr_vc:vc ~records
+      | Proto.Eager_update { record; diffs } ->
+          apply_eager_update t fiber nd record diffs
+      | Proto.Eager_notice { record; requester; req } ->
+          register_records t fiber nd [ record ];
+          send t fiber ~src:nd.id ~dst:requester (Proto.Eager_ack { req })
+      | _ -> (* replies and diff requests, matched above *) ());
+      Node.charge nd.rt
+        (serve_cost t ~in_size:env.size ~out_size:zero_size ~replied:false)
 
-let start t =
-  Reliable.start t.net;
-  Node.on_lifecycle t.net ~nodes:t.cfg.n_nodes
-    ~checkpoint:(fun id -> checkpoint t t.nodes.(id))
-    ~rehome:(fun lc ~dead ->
-      (* Every lock re-homes, touched or not; a moved lock takes the
-         distributed queue's tail along, and a moved barrier manager the
-         open episodes' arrival records.  A lock the dead node holds no
-         state for never left its static home's tail, which is what
-         [lock_of] gives a node that has no state for it either, so
-         only a successor that already holds state needs the tail
-         set. *)
-      Roles.rehome t.roles lc ~dead
-        ~locks:(fun f ->
-          for l = 0 to t.cfg.n_locks - 1 do
-            f l
-          done)
-        ~move_lock:(fun l ~succ ->
-          match Hashtbl.find_opt t.nodes.(dead).locks l with
-          | Some ls -> (lock_of t t.nodes.(succ) l).tail <- ls.tail
-          | None ->
-              Option.iter
-                (fun ls -> ls.tail <- Roles.static_home t.roles l)
-                (Hashtbl.find_opt t.nodes.(succ).locks l))
-        ~move_barrier:(fun ~succ ->
-          let store = t.nodes.(succ).store in
-          Array.iter
-            (List.iter (fun r -> ignore (Record.Store.add store r)))
-            t.stash)
-        ())
-    ~rejoin:(fun id -> rejoin t t.nodes.(id));
-  Node.spawn_handlers t.eng t.net ~engine:"tmk" ~nodes:t.cfg.n_nodes
-    (fun fiber id env -> handle t fiber t.nodes.(id) env)
-
-let retx_note t = Reliable.pending_note t.net
+(* Every lock re-homes, touched or not; a moved lock takes the
+   distributed queue's tail along, and a moved barrier manager the open
+   episodes' arrival records.  A lock the dead node holds no state for
+   never left its static home's tail, which is what [lock_of] gives a
+   node that has no state for it either, so only a successor that
+   already holds state needs the tail set. *)
+let move_roles (t : t) lc ~dead =
+  Roles.rehome t.s.roles lc ~dead
+    ~locks:(fun f ->
+      for l = 0 to Shm_memsys.Hw_sync.max_locks - 1 do
+        f l
+      done)
+    ~move_lock:(fun l ~succ ->
+      match Hashtbl.find_opt t.nodes.(dead).x.locks l with
+      | Some ls -> (lock_of t t.nodes.(succ) l).tail <- ls.tail
+      | None ->
+          Option.iter
+            (fun ls -> ls.tail <- Roles.static_home t.s.roles l)
+            (Hashtbl.find_opt t.nodes.(succ).x.locks l))
+    ~move_barrier:(fun ~succ ->
+      let store = t.nodes.(succ).x.store in
+      Array.iter
+        (List.iter (fun r -> ignore (Record.Store.add store r)))
+        t.s.stash)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let page_valid t ~node ~page = is_valid t.nodes.(node) page
+let page_valid (t : t) ~node ~page = is_valid t.nodes.(node) page
 
-let vc t ~node = Vc.copy t.nodes.(node).vc
+let vc (t : t) ~node = Vc.copy t.nodes.(node).x.vc
 
-let logged_diffs t ~node =
-  Array.fold_left (fun n l -> n + List.length l) 0 t.nodes.(node).own
+let logged_diffs (t : t) ~node =
+  Array.fold_left (fun n l -> n + List.length l) 0 t.nodes.(node).x.own
 
-let lock_states t ~node = Hashtbl.length t.nodes.(node).locks
+let lock_states (t : t) ~node = Hashtbl.length t.nodes.(node).x.locks
 
-let records_held t = Record.Table.held t.records
+let records_held (t : t) = Record.Table.held t.s.records
 
-let node_words t ~node =
+let node_words (t : t) ~node =
   let nd = t.nodes.(node) in
   let words o = Obj.reachable_words (Obj.repr o) in
-  let shared = (t.records, t.zero_vc) in
+  let shared = (t.s.records, t.s.zero_vc) in
   let state =
-    (nd.vc, nd.store, nd.valid, nd.twins, nd.applied, nd.pending, nd.own,
-     nd.logged, nd.rights)
+    (nd.x.vc, nd.x.store, nd.x.twins, nd.x.applied, nd.x.pending, nd.x.own,
+     nd.x.logged, nd.rights)
   in
   (* Less the two tuples built here. *)
   words (shared, state) - words shared - 3 - (1 + Obj.size (Obj.repr state))
 
-let check_invariants t =
+let check_invariants (t : t) =
   Array.iter
-    (fun nd ->
+    (fun (nd : node) ->
       (* Own component equals own interval count. *)
-      if nd.vc.(nd.id) <> nd.seq then
+      if nd.x.vc.(nd.id) <> nd.x.seq then
         failwith
-          (Printf.sprintf "node %d: vc self %d <> seq %d" nd.id nd.vc.(nd.id)
-             nd.seq);
+          (Printf.sprintf "node %d: vc self %d <> seq %d" nd.id nd.x.vc.(nd.id)
+             nd.x.seq);
       (* Vector components never exceed the creator's interval count. *)
       Array.iteri
         (fun c v ->
-          if v > t.nodes.(c).seq then
+          if v > t.nodes.(c).x.seq then
             failwith
               (Printf.sprintf "node %d: vc.(%d)=%d beyond creator seq %d"
-                 nd.id c v t.nodes.(c).seq))
-        nd.vc;
-      for p = 0 to Config.n_pages t.cfg - 1 do
-        let valid = is_valid nd p and twin = nd.twins.(p) <> None in
+                 nd.id c v t.nodes.(c).x.seq))
+        nd.x.vc;
+      for p = 0 to t.n_pages - 1 do
+        let valid = is_valid nd p and twin = nd.x.twins.(p) <> None in
         (* A valid page has no applicable pending notices. *)
         if valid then
           List.iter
@@ -1167,7 +996,7 @@ let check_invariants t =
                 (Printf.sprintf
                    "node %d: page %d valid with pending (%d,%d)" nd.id p
                    (Record.notice_creator k) (Record.notice_seqno k)))
-            (Record.unapplied nd.applied.(p) nd.pending.(p));
+            (Record.unapplied nd.x.applied.(p) nd.x.pending.(p));
         (* [register_records] queues a notice only on the record's first
            registration, which is sound only if no page ever holds a
            notice twice or one for a record the node does not know. *)
@@ -1179,26 +1008,25 @@ let check_invariants t =
                 failwith
                   (Printf.sprintf "node %d: page %d pending (%d,%d) twice"
                      nd.id p c s);
-              if not (Record.Store.mem nd.store ~creator:c ~seqno:s) then
+              if not (Record.Store.mem nd.x.store ~creator:c ~seqno:s) then
                 failwith
                   (Printf.sprintf
                      "node %d: page %d pending (%d,%d) not in the store"
                      nd.id p c s);
               check_pending rest
         in
-        check_pending (List.sort Int.compare nd.pending.(p));
-        (* The TLB byte is a pure function of the page state. *)
-        let expect = rights_of t nd p in
-        if Bytes.get nd.rights p <> expect then
+        check_pending (List.sort Int.compare nd.x.pending.(p));
+        (* A valid page is writable exactly while it holds a twin (a
+           single node's pages are always writable). *)
+        if t.n_nodes > 1 && valid && (Bytes.get nd.rights p = '\002') <> twin
+        then
           failwith
-            (Printf.sprintf
-               "node %d: page %d rights byte %d, expected %d (valid=%b \
-                twin=%b)"
+            (Printf.sprintf "node %d: page %d rights byte %d with twin=%b"
                nd.id p
                (Char.code (Bytes.get nd.rights p))
-               (Char.code expect) valid twin);
+               twin);
         (* Twins exist exactly for pages dirty in the open interval. *)
-        let dirty = List.mem p nd.dirty in
+        let dirty = List.mem p nd.x.dirty in
         if twin && not dirty then
           failwith
             (Printf.sprintf "node %d: page %d has twin but not dirty" nd.id p);
@@ -1207,3 +1035,82 @@ let check_invariants t =
             (Printf.sprintf "node %d: page %d dirty without twin" nd.id p)
       done)
     t.nodes
+
+(* ------------------------------------------------------------------ *)
+(* The protocol the shell runs                                         *)
+
+(* A page copy serves reads and writes while valid; the write hit then
+   twins it.  Reads and writes count in one fault counter. *)
+let protocol : (Proto.t, tnode, sys) Paged.protocol =
+  {
+    engine = "tmk";
+    read_fault = "tmk.faults";
+    write_fault = "tmk.faults";
+    satisfied = (fun nd page ~write:_ -> is_valid nd page);
+    read_hit = (fun _ _ -> ());
+    write_hit = ensure_twin;
+    fetch;
+    serve = handle;
+    acquire;
+    release;
+    barrier_arrive;
+    checkpoint;
+    rehome = move_roles;
+    rejoin;
+    check = check_invariants;
+  }
+
+(* Pages start valid everywhere.  A lifecycle on the fabric arms
+   failure-atomic checkpointing: the shell gives every node a store, and
+   every page gets an applied-vector snapshot so a rejoin knows which
+   foreign intervals to distrust. *)
+let create eng counters fabric cfg ~memories =
+  Config.validate cfg;
+  if Array.length memories <> cfg.Config.n_nodes then
+    invalid_arg "Tmk.System.create: one memory per node required";
+  let n = cfg.n_nodes in
+  let zero_vc = Vc.create ~nodes:n in
+  let records = Record.Table.create ~nodes:n in
+  let armed = Option.is_some (Shm_net.Fabric.lifecycle fabric) in
+  let key = Counters.key counters in
+  Paged.create protocol eng counters fabric ~page_words:cfg.page_words
+    ~shared_words:cfg.shared_words ~memories ~rights:'\001'
+    ~s:(fun _ ->
+      {
+        cfg;
+        zero_vc;
+        records;
+        roles =
+          Roles.create ~engine:"tmk" counters ~n_nodes:n
+            ~barrier_home:cfg.barrier_manager ();
+        stash = Array.make Shm_memsys.Hw_sync.max_barriers [];
+        k_invalidations = key "tmk.invalidations";
+        k_diffs_created = key "tmk.diffs_created";
+        k_intervals = key "tmk.intervals";
+        k_diffs_applied = key "tmk.diffs_applied";
+        k_twins = key "tmk.twins";
+        k_lock_local = key "tmk.lock_local";
+        k_lock_remote = key "tmk.lock_remote";
+        k_eager_applies = key "tmk.eager_applies";
+      })
+    ~x:(fun n_pages ->
+      {
+        vc = Vc.create ~nodes:n;
+        seq = 0;
+        store = Record.Store.create records;
+        twins = Array.make n_pages None;
+        applied = Array.make n_pages zero_vc;
+        pending = Array.make n_pages [];
+        own = Array.make n_pages [];
+        logged = [];
+        dirty = [];
+        eager_diffs = Hashtbl.create 64;
+        locks = Hashtbl.create 8;
+        sent_to_manager = 0;
+        unsent_bytes = 0;
+        asks = [];
+        snap = (if armed then Array.make n_pages zero_vc else [||]);
+        ckpt_seq = 0;
+      })
+
+let start = Paged.start

@@ -19,13 +19,30 @@
     processors coalesce into a single per-node diff, and a lock whose token
     is on-node is acquired without messages.
 
-    {b Usage discipline.}  A processor fiber calls [read_guard] (resp.
-    [write_guard]) immediately before reading (writing) a shared word, and
-    performs the actual {!Shm_memsys.Memory} access before its next yield
-    point, so guard and access are atomic.  Pages start valid and identical
-    on every node (initial distribution is excluded, as in the paper). *)
+    {b The shell.}  Everything but the protocol is the page-DSM shell
+    all three software engines share ({!Shm_dsm.Paged}): the node
+    header (id, memory, rights bytes, runtime, checkpoint store), the
+    guards and range guards, the fault's wait-and-fetch shell, start-up
+    and the mounted instance.  This engine hands it one
+    [Paged.protocol] record: what a fault fetches, the twin a write hit
+    makes, its own message handler, its lock, release and barrier
+    clients, and its checkpoint, rejoin and re-home moves.  A node's
+    rights byte is its page state: ['\000'] invalid, ['\001'] valid,
+    ['\002'] valid and twinned (or a single node, which never twins).
 
-type t
+    {b Usage discipline.}  A processor fiber calls
+    {!Shm_dsm.Paged.read_guard} (resp. {!Shm_dsm.Paged.write_guard})
+    immediately before reading (writing) a shared word, and performs the
+    actual {!Shm_memsys.Memory} access before its next yield point, so
+    guard and access are atomic.  Pages start valid and identical on
+    every node (initial distribution is excluded, as in the paper). *)
+
+type tnode
+type sys
+
+(** Run it through the shell's operations ({!Shm_dsm.Paged.read_guard},
+    the range guards, {!Shm_dsm.Paged.instance}, ...). *)
+type t = (Proto.t, tnode, sys) Shm_dsm.Paged.t
 
 (** [create eng counters fabric cfg ~memories] builds the cluster's
     protocol state.  A {!Shm_sim.Lifecycle} attached to [fabric] (before
@@ -49,60 +66,15 @@ val create :
   memories:Shm_memsys.Memory.t array ->
   t
 
-val config : t -> Config.t
-
 (** [memory t ~node] is the node's private copy of the shared space. *)
 val memory : t -> node:int -> Shm_memsys.Memory.t
 
-(** [set_page_hook t f] registers [f ~node ~page], called whenever a page's
-    contents are replaced under the application's feet (diffs applied), so
-    the platform can invalidate stale cache lines. *)
-val set_page_hook : t -> (node:int -> page:int -> unit) -> unit
-
-(** [start t] spawns one message-handler daemon fiber per node (plus the
-    reliable layer's retransmit daemons when faults are armed). *)
+(** [start t] is {!Shm_dsm.Paged.start}: one message-handler daemon
+    fiber per node (plus the reliable layer's retransmit daemons when
+    faults are armed). *)
 val start : t -> unit
 
-(** [retx_note t] is {!Shm_net.Reliable.pending_note} for the system's
-    channel — pass as [diag] to {!Shm_sim.Engine.run} so deadlock/watchdog
-    reports show per-node pending retransmissions. *)
-val retx_note : t -> string
-
-val page_of : t -> int -> int
-
-(** [page_shift t] is [log2 page_words], or [-1] when [page_words] is not
-    a power of two (then the TLB fast path must not be used). *)
-val page_shift : t -> int
-
-(** [access_rights t ~node] is the node's software TLB: one byte per page,
-    ['\000'] = a guard call must run (fault), ['\001'] = reads may skip the
-    guard, ['\002'] = reads and writes may skip it (twin already in place,
-    or single-node run).  Maintained by the protocol on every
-    valid/twin transition; callers must treat it as read-only.  A platform
-    hot path indexes it with [addr lsr page_shift] and falls back to
-    {!read_guard}/{!write_guard} on a miss. *)
-val access_rights : t -> node:int -> Bytes.t
-
 (** {2 Called from processor fibers} *)
-
-val read_guard : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
-
-val write_guard : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
-
-(** [read_range_guard t fiber ~node addr words ~f] guards every page
-    overlapping the range once, in address order, calling [f run_addr
-    run_words] for each in-page run immediately after that page's guard.
-    Observably identical to guarding word by word: faults, cycles and
-    messages happen at the same points.  [f] must not yield. *)
-val read_range_guard :
-  t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
-
-(** Like {!read_range_guard} but also establishes the twin (one per page
-    per interval) before handing the run to [f]. *)
-val write_range_guard :
-  t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
 
 val acquire : t -> Shm_sim.Engine.fiber -> node:int -> lock:int -> unit
 
@@ -140,5 +112,7 @@ val node_words : t -> node:int -> int
 
 (** [check_invariants t] asserts protocol sanity: vector clocks never
     exceed creators' interval counts, valid pages have no applicable
-    pending notices, twins exist exactly for writable pages. *)
+    pending notices, twins exist exactly for the pages dirty in the open
+    interval, and on more than one node a valid page's rights byte is
+    ['\002'] exactly when it has a twin. *)
 val check_invariants : t -> unit

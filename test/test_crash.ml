@@ -165,7 +165,7 @@ let test_replay_in_seqno_order () =
          Engine.wait_until f 1_100_000;
          for v = 1 to 8 do
            Shm_tmk.System.acquire sys f ~node:1 ~lock:1;
-           Shm_tmk.System.write_guard sys f ~node:1 0;
+           Shm_dsm.Paged.write_guard sys f ~node:1 0;
            Memory.set_int memories.(1) 0 v;
            Shm_tmk.System.release sys f ~node:1 ~lock:1
          done;

@@ -17,7 +17,7 @@ module Parmacs = Shm_parmacs.Parmacs
 let home ?(n_nodes = 2) () = Home.create ~engine:"test" ~n_nodes ~n_pages:4 Fun.id
 
 let roles ?(n_nodes = 2) counters =
-  Roles.create ~engine:"test" counters ~n_nodes ~barrier_counter:"test.barriers" ()
+  Roles.create ~engine:"test" counters ~n_nodes ()
 
 let test_serializer_fifo () =
   let h = home () in

@@ -40,13 +40,13 @@ let test_erc_invalidates_without_sync () =
   ignore
     (Engine.spawn eng ~name:"writer" ~at:0 (fun f ->
          System.acquire sys f ~node:0 ~lock:0;
-         System.write_guard sys f ~node:0 0;
+         Shm_dsm.Paged.write_guard sys f ~node:0 0;
          Memory.set_int (System.memory sys ~node:0) 0 7;
          System.release sys f ~node:0 ~lock:0));
   ignore
     (Engine.spawn eng ~name:"reader" ~at:0 (fun f ->
          Engine.wait_until f 100_000_000;
-         System.read_guard sys f ~node:1 0;
+         Shm_dsm.Paged.read_guard sys f ~node:1 0;
          observed := Memory.get_int (System.memory sys ~node:1) 0));
   Engine.run eng;
   Alcotest.(check int) "eager notice invalidated the stale copy" 7 !observed
@@ -56,7 +56,7 @@ let test_erc_page_invalid_after_release () =
   ignore
     (Engine.spawn eng ~name:"writer" ~at:0 (fun f ->
          System.acquire sys f ~node:0 ~lock:0;
-         System.write_guard sys f ~node:0 0;
+         Shm_dsm.Paged.write_guard sys f ~node:0 0;
          Memory.set_int (System.memory sys ~node:0) 0 1;
          System.release sys f ~node:0 ~lock:0));
   ignore

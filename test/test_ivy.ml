@@ -1,6 +1,6 @@
-(* Tests for the home-based page DSMs on the shared skeleton: IVY (the
-   sequentially-consistent baseline) and Tardis, each case run on both
-   where its protocol promises the outcome. *)
+(* Tests for the software DSMs on the shared page-DSM shell: IVY (the
+   sequentially-consistent baseline), Tardis and TreadMarks, each case
+   run on every engine whose protocol promises the outcome. *)
 
 module Engine = Shm_sim.Engine
 module Prng = Shm_sim.Prng
@@ -15,9 +15,11 @@ let fabric eng counters ~nodes =
     (Fabric.atm_dec ~overhead:Overhead.treadmarks_user)
     ~nodes
 
-(* The home-based page DSMs built on {!Shm_dsm.Paged}, mounted through
-   its instance.  [transfers] counts ownership moves, [shipped] the
-   messages that carried a page's data. *)
+(* The software DSMs built on {!Shm_dsm.Paged}, mounted through its
+   instance.  [transfers] counts a home-based engine's ownership moves
+   (TreadMarks moves none; the ping-pong case does not run on it),
+   [shipped] the messages that carried a page's data (for TreadMarks,
+   the diffs applied). *)
 type engine = {
   name : string;
   mount :
@@ -32,7 +34,7 @@ let ivy =
     name = "ivy";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"ivy"
+        Paged.instance ~i_name:"ivy" ~wordwise_ranges:false
           (Shm_ivy.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "ivy.page_transfers";
@@ -46,13 +48,26 @@ let tardis =
     name = "tardis";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"tardis"
+        Paged.instance ~i_name:"tardis" ~wordwise_ranges:false
           (Shm_tardis.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "tardis.flushes";
     shipped =
       (fun c ->
         Counters.get c "tardis.page_fetches" + Counters.get c "tardis.flushes");
+  }
+
+let lrc =
+  {
+    name = "lrc";
+    mount =
+      (fun eng counters ~nodes ~shared_words memories ->
+        Paged.instance ~i_name:"lrc" ~wordwise_ranges:false
+          (Shm_tmk.System.create eng counters (fabric eng counters ~nodes)
+             (Shm_tmk.Config.default ~n_nodes:nodes ~shared_words)
+             ~memories));
+    transfers = "tmk.diffs_applied";
+    shipped = (fun c -> Counters.get c "tmk.diffs_applied");
   }
 
 type cluster = {
@@ -214,15 +229,11 @@ let test_single_node_is_free engine () =
       Alcotest.(check int) "no protocol cost" 0 (Engine.clock f));
   Engine.run c.eng
 
-(* The cases every engine on the skeleton passes; IVY adds sequential
-   consistency without synchronization, which Tardis' leases do not
-   promise. *)
-let cases engine =
+(* The cases every engine on the shell passes. *)
+let shell_cases engine =
   [
     Alcotest.test_case "lock-protected counter" `Quick
       (test_lock_counter engine);
-    Alcotest.test_case "write ping-pong transfers pages" `Quick
-      (test_write_ping_pong_counts engine);
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x1717)
       (prop_random_writes_converge engine);
     Alcotest.test_case "single node costs nothing" `Quick
@@ -231,9 +242,19 @@ let cases engine =
       (test_page_transfer_bit_exact engine);
   ]
 
+(* The home-based engines also move a written page whole, so alternating
+   writers transfer it; IVY adds sequential consistency without
+   synchronization, which Tardis' leases and TreadMarks' lazy release do
+   not promise. *)
+let cases engine =
+  Alcotest.test_case "write ping-pong transfers pages" `Quick
+    (test_write_ping_pong_counts engine)
+  :: shell_cases engine
+
 let suite =
   Alcotest.test_case "SC propagates without sync" `Quick
     test_sc_propagates_without_sync
   :: cases ivy
 
 let tardis_suite = cases tardis
+let lrc_suite = shell_cases lrc

@@ -12,6 +12,7 @@ let () =
       ("tmk-edge", Test_tmk_edge.suite);
       ("ivy", Test_ivy.suite);
       ("tardis", Test_ivy.tardis_suite);
+      ("lrc", Test_ivy.lrc_suite);
       ("dsm", Test_dsm.suite);
       ("erc", Test_erc.suite);
       ("proto", Test_proto.suite);

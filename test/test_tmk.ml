@@ -55,11 +55,11 @@ let spawn_node c ~node body =
          body f))
 
 let read c f ~node addr =
-  System.read_guard c.sys f ~node addr;
+  Shm_dsm.Paged.read_guard c.sys f ~node addr;
   Memory.get_int (System.memory c.sys ~node) addr
 
 let write c f ~node addr v =
-  System.write_guard c.sys f ~node addr;
+  Shm_dsm.Paged.write_guard c.sys f ~node addr;
   Memory.set_int (System.memory c.sys ~node) addr v
 
 let test_lock_counter () =

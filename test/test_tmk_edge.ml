@@ -38,11 +38,11 @@ let spawn c ~node body =
   ignore (Engine.spawn c.eng ~name:(Printf.sprintf "node%d" node) ~at:0 body)
 
 let read c f ~node addr =
-  System.read_guard c.sys f ~node addr;
+  Shm_dsm.Paged.read_guard c.sys f ~node addr;
   Memory.get_int (System.memory c.sys ~node) addr
 
 let write c f ~node addr v =
-  System.write_guard c.sys f ~node addr;
+  Shm_dsm.Paged.write_guard c.sys f ~node addr;
   Memory.set_int (System.memory c.sys ~node) addr v
 
 (* Causality is transitive: node 0's write travels to node 2 via a lock
