@@ -20,12 +20,22 @@ module Waitq = Shm_sim.Waitq
 module Lifecycle = Shm_sim.Lifecycle
 module Memory = Shm_memsys.Memory
 
+(* Tables keyed by a request id, page or lock number that no one
+   iterates: hashed by the key itself and compared as an integer, where
+   the generic table hashes and compares every key through C. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type 'msg t = {
   eng : Engine.t;
   engine : string;  (** engine name, for diagnostics *)
-  pending : (int, 'msg Mailbox.t) Hashtbl.t;  (** request id -> reply box *)
+  pending : 'msg Mailbox.t Itbl.t;  (** request id -> reply box *)
   mutable next_req : int;
-  inflight : (int, Waitq.t) Hashtbl.t;  (** page -> fibers awaiting its fetch *)
+  inflight : Waitq.t Itbl.t;  (** page -> fibers awaiting its fetch *)
   mutable steal : int;  (** handler CPU cycles to charge the application *)
 }
 
@@ -33,9 +43,9 @@ let create eng ~engine =
   {
     eng;
     engine;
-    pending = Hashtbl.create 16;
+    pending = Itbl.create 16;
     next_req = 0;
-    inflight = Hashtbl.create 8;
+    inflight = Itbl.create 8;
     steal = 0;
   }
 
@@ -48,10 +58,10 @@ let fresh rt =
 
 let register rt req =
   let mb = Mailbox.create rt.eng in
-  Hashtbl.replace rt.pending req mb;
+  Itbl.replace rt.pending req mb;
   mb
 
-let finish rt req = Hashtbl.remove rt.pending req
+let finish rt req = Itbl.remove rt.pending req
 
 (* Block on a reply box, the time spent charged to [wait]. *)
 let await fiber wait mb =
@@ -59,7 +69,7 @@ let await fiber wait mb =
 
 (* Hand a reply to the fiber blocked on request [req]. *)
 let route rt ~req body ~at =
-  match Hashtbl.find_opt rt.pending req with
+  match Itbl.find_opt rt.pending req with
   | Some mb -> Mailbox.post mb ~at body
   | None -> failwith (rt.engine ^ ": response without pending request")
 
@@ -77,8 +87,7 @@ let sync rt fiber =
   let s = rt.steal in
   if s > 0 then begin
     rt.steal <- 0;
-    Engine.with_category fiber Engine.Protocol (fun () ->
-        Engine.advance fiber s)
+    Engine.advance_as fiber Engine.Protocol s
   end
 
 (* ---------------- coalesced page fetches --------------------------- *)
@@ -87,7 +96,7 @@ let sync rt fiber =
    [page], wait for it to finish and return [true]; else [false].  A
    fault loops on it while its access is still not satisfied. *)
 let wait_fetch rt fiber page =
-  match Hashtbl.find_opt rt.inflight page with
+  match Itbl.find_opt rt.inflight page with
   | Some wq ->
       Engine.with_category fiber Engine.Net_wait (fun () ->
           Waitq.wait fiber wq);
@@ -96,14 +105,14 @@ let wait_fetch rt fiber page =
 
 let begin_fetch rt page =
   let wq = Waitq.create rt.eng in
-  Hashtbl.replace rt.inflight page wq;
+  Itbl.replace rt.inflight page wq;
   wq
 
 let end_fetch rt fiber page wq =
-  Hashtbl.remove rt.inflight page;
+  Itbl.remove rt.inflight page;
   ignore (Waitq.wake_all wq ~at:(Engine.clock fiber))
 
-let fetching rt page = Hashtbl.mem rt.inflight page
+let fetching rt page = Itbl.mem rt.inflight page
 
 (* ---------------- crash recovery (DESIGN.md §13) ------------------- *)
 
@@ -129,10 +138,7 @@ let page_shift page_words =
 (* A page payload is a malloc'd copy outside the OCaml heap: a page
    transfer allocates no boxed words and leaves the major heap alone. *)
 let page_data mem ~page_words page =
-  let data = Memory.create ~words:page_words in
-  Memory.blit ~src:mem ~src_pos:(page * page_words) ~dst:data ~dst_pos:0
-    ~len:page_words;
-  data
+  Memory.sub_copy ~src:mem ~pos:(page * page_words) ~len:page_words
 
 (* The range guards' page walk: [guard a b fiber page] once per page
    overlapping [addr, addr+words), in address order, each followed at

@@ -377,7 +377,7 @@ let serve_arrival t fiber nd body ~barrier ~node ~req ~stamp =
     match Roles.arrive t.s.roles ~id:barrier (node, req, stamp) with
     | [] -> ()
     | departs ->
-        let stamp = List.fold_left (fun m (_, _, s) -> max m s) 0 departs in
+        let stamp = List.fold_left (fun m (_, _, s) -> Int.max m s) 0 departs in
         List.iter
           (fun (dst, dreq, _) ->
             send_sync t fiber ~src:nd.id ~dst

@@ -103,6 +103,19 @@ let invalidate t block =
   end
   else Invalid
 
+(* Consecutive blocks sit in consecutive lines, their tags a fixed step
+   apart, so the walk steps both instead of deriving them per block. *)
+let invalidate_range t ~addr ~words =
+  let first = block_of t addr in
+  let n = ((block_of t (addr + words - 1) - first) lsr t.block_shift) + 1 in
+  let step = t.block_words lsl 3 in
+  let line = ref (line_of t first) and tg = ref (tag first) in
+  for _ = 1 to n do
+    if tag_of (get t !line) = !tg then set t !line !tg;
+    line := (!line + 1) land t.line_mask;
+    tg := !tg + step
+  done
+
 let iter_valid t f =
   for line = 0 to t.lines - 1 do
     let e = get t line in

@@ -72,6 +72,10 @@ val peek_victim : t -> int -> victim
 (** [invalidate t block] clears the block if present; returns its old state. *)
 val invalidate : t -> int -> state
 
+(** [invalidate_range t ~addr ~words] invalidates every block overlapping
+    words [\[addr, addr+words)], as {!invalidate} does one. *)
+val invalidate_range : t -> addr:int -> words:int -> unit
+
 (** [iter_valid t f] calls [f block state] for every valid line. *)
 val iter_valid : t -> (int -> state -> unit) -> unit
 

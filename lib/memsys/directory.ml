@@ -364,7 +364,7 @@ let read_range t fiber ~node addr words ~f =
     let block = Cache.block_of cache !a in
     match Cache.state_of cache block with
     | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-        let cnt = min (block + bw) stop - !a in
+        let cnt = Int.min (block + bw) stop - !a in
         Cache.note_hits cache cnt;
         Engine.advance fiber cnt;
         f !a cnt;
@@ -387,7 +387,7 @@ let write_range t fiber ~node addr words ~f =
     let block = Cache.block_of cache !a in
     match Cache.state_of cache block with
     | Cache.Modified ->
-        let cnt = min (block + bw) stop - !a in
+        let cnt = Int.min (block + bw) stop - !a in
         Cache.note_hits cache cnt;
         Engine.advance fiber cnt;
         f !a cnt;

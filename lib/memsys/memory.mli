@@ -52,6 +52,10 @@ val set_int : t -> int -> int -> unit
 (** [blit ~src ~src_pos ~dst ~dst_pos ~len] copies [len] words. *)
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
+(** [sub_copy ~src ~pos ~len] is a fresh store (like {!create}) holding
+    words [\[pos, pos+len)] of [src]; it is never zero-filled first. *)
+val sub_copy : src:t -> pos:int -> len:int -> t
+
 (** [copy_all ~src ~dst] copies the whole store ([words] must match). *)
 val copy_all : src:t -> dst:t -> unit
 

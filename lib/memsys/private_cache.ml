@@ -65,7 +65,7 @@ let read_range t fiber addr words =
   let stop = addr + words in
   while !a < stop do
     let block = Cache.block_of c !a in
-    let cnt = min (block + bw) stop - !a in
+    let cnt = Int.min (block + bw) stop - !a in
     (match Cache.state_of c block with
     | Cache.Invalid ->
         Cache.note_miss c;
@@ -90,7 +90,7 @@ let write_range t fiber addr words =
       let stop = addr + words in
       while !a < stop do
         let block = Cache.block_of c !a in
-        let cnt = min (block + bw) stop - !a in
+        let cnt = Int.min (block + bw) stop - !a in
         (match Cache.state_of c block with
         | Cache.Invalid ->
             Cache.note_miss c;
@@ -105,15 +105,7 @@ let write_range t fiber addr words =
       done;
       Engine.advance fiber !cycles
 
-let invalidate_range t ~addr ~words =
-  let bw = t.cfg.block_words in
-  let first = Cache.block_of t.cache addr in
-  let last = Cache.block_of t.cache (addr + words - 1) in
-  let block = ref first in
-  while !block <= last do
-    ignore (Cache.invalidate t.cache !block);
-    block := !block + bw
-  done
+let invalidate_range t ~addr ~words = Cache.invalidate_range t.cache ~addr ~words
 
 let hits t = Cache.hits t.cache
 let misses t = Cache.misses t.cache

@@ -285,7 +285,7 @@ let read_range t fiber ~cpu addr words ~f =
     while !a < stop do
       let pblock = Cache.block_of p !a in
       if Cache.state_of p pblock <> Cache.Invalid then begin
-        let cnt = min (pblock + pbw) stop - !a in
+        let cnt = Int.min (pblock + pbw) stop - !a in
         Cache.note_hits p cnt;
         Engine.advance fiber cnt;
         f !a cnt;
@@ -313,7 +313,7 @@ let read_range t fiber ~cpu addr words ~f =
       let cblock = Cache.block_of coh !a in
       match Cache.state_of coh cblock with
       | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-          let cnt = min (cblock + cbw) stop - !a in
+          let cnt = Int.min (cblock + cbw) stop - !a in
           Cache.note_hits coh cnt;
           Engine.advance fiber (cnt * t.cfg.coherent_hit_cycles);
           f !a cnt;
@@ -340,7 +340,7 @@ let write_range t fiber ~cpu addr words ~f =
     let cblock = Cache.block_of coh !a in
     if Cache.state_of coh cblock = Cache.Modified then begin
       (* The whole run retires without any coherence action or yield. *)
-      let cnt = min (cblock + cbw) stop - !a in
+      let cnt = Int.min (cblock + cbw) stop - !a in
       Engine.advance fiber (cnt * word_cycles);
       if Array.length t.primaries > 0 then begin
         let p = t.primaries.(cpu) in
@@ -372,16 +372,7 @@ let rmw t fiber ~cpu addr f =
   old
 
 let invalidate_range t ~addr ~words =
-  let drop cache =
-    let bw = Cache.block_words cache in
-    let first = Cache.block_of cache addr in
-    let last = Cache.block_of cache (addr + words - 1) in
-    let b = ref first in
-    while !b <= last do
-      ignore (Cache.invalidate cache !b);
-      b := !b + bw
-    done
-  in
+  let drop c = Cache.invalidate_range c ~addr ~words in
   Array.iter drop t.coherents;
   Array.iter drop t.primaries
 

@@ -133,8 +133,11 @@ let nodes t = t.n
 
 let config t = t.cfg
 
+(* [ceil] of the non-negative quotient, without the C call. *)
 let wire_cycles t bytes =
-  int_of_float (ceil (float_of_int bytes /. t.cfg.bytes_per_cycle))
+  let q = float_of_int bytes /. t.cfg.bytes_per_cycle in
+  let c = int_of_float q in
+  if float_of_int c < q then c + 1 else c
 
 let data_words (size : Msg.sizes) =
   (size.consistency_bytes + size.payload_bytes + 7) / 8
@@ -152,13 +155,41 @@ let count t ~class_ ~(size : Msg.sizes) =
 
 let faults_armed t = t.active || t.lifecycle <> None
 
-let in_blackout t ~src ~dst ~at =
-  List.exists
-    (fun b ->
-      (match b.bo_src with None -> true | Some s -> s = src)
+let rec in_blackout ~src ~dst ~at = function
+  | [] -> false
+  | b :: rest ->
+      ((match b.bo_src with None -> true | Some s -> s = src)
       && (match b.bo_dst with None -> true | Some d -> d = dst)
       && at >= b.bo_from && at < b.bo_until)
-    t.cfg.faults.blackouts
+      || in_blackout ~src ~dst ~at rest
+
+let jitter t =
+  let j = t.cfg.faults.jitter_cycles in
+  if t.active && j > 0 then Prng.int t.prng (j + 1) else 0
+
+(* One delivered copy of a sent message, [extra] cycles late: counted at
+   its delivery decision and posted at its arrival. *)
+let deliver_copy t ~src ~dst ~class_ ~size ~cycles ~tx_done ~extra body =
+  if extra > 0 then Counters.incr t.counters "net.faults.delayed";
+  count t ~class_ ~size;
+  let arrival = tx_done + t.cfg.latency_cycles + extra in
+  let delivered = Resource.reserve t.rx.(dst) ~ready:arrival ~cycles in
+  let env = { Msg.src; dst; class_; size; body } in
+  match t.lifecycle with
+  | None ->
+      bump t.cells.c_delivered 1;
+      Mailbox.post t.inbox.(dst) ~at:delivered env
+  | Some lc ->
+      (* Crash state at the arrival cycle is unknowable at send time, so
+         the post happens from a scheduled callback: a message arriving
+         during the receiver's outage is lost on the floor (the sender's
+         reliable layer will retransmit it). *)
+      Engine.schedule t.eng ~at:delivered (fun () ->
+          if Shm_sim.Lifecycle.alive lc dst then begin
+            bump t.cells.c_delivered 1;
+            Mailbox.post t.inbox.(dst) ~at:delivered env
+          end
+          else Counters.incr t.counters "net.faults.node_down")
 
 let send t fiber ~src ~dst ~class_ ~size body =
   if src = dst then invalid_arg "Fabric.send: src = dst";
@@ -174,7 +205,7 @@ let send t fiber ~src ~dst ~class_ ~size body =
      (blackout check, drop draw, dup draw, one jitter draw per delivered
      copy); draws are skipped entirely when no fault policy is armed so
      fault-free runs stay byte-identical. *)
-  let blackout = t.active && in_blackout t ~src ~dst ~at:launch in
+  let blackout = t.active && in_blackout ~src ~dst ~at:launch fl.blackouts in
   let dropped =
     blackout
     || (t.active
@@ -200,43 +231,16 @@ let send t fiber ~src ~dst ~class_ ~size body =
     let dup =
       t.active && fl.dup_rate > 0.0 && Prng.float t.prng 1.0 < fl.dup_rate
     in
-    let jitter () =
-      if t.active && fl.jitter_cycles > 0 then
-        Prng.int t.prng (fl.jitter_cycles + 1)
-      else 0
-    in
-    let first_jitter = jitter () in
+    let extra = jitter t in
     let tx_done = Resource.reserve t.tx.(src) ~ready:launch ~cycles in
-    let deliver_one extra =
-      if extra > 0 then Counters.incr t.counters "net.faults.delayed";
-      count t ~class_ ~size;
-      let arrival = tx_done + t.cfg.latency_cycles + extra in
-      let delivered = Resource.reserve t.rx.(dst) ~ready:arrival ~cycles in
-      match t.lifecycle with
-      | None ->
-          bump t.cells.c_delivered 1;
-          Mailbox.post t.inbox.(dst) ~at:delivered
-            { Msg.src; dst; class_; size; body }
-      | Some lc ->
-          (* Crash state at the arrival cycle is unknowable at send time,
-             so the post happens from a scheduled callback: a message
-             arriving during the receiver's outage is lost on the floor
-             (the sender's reliable layer will retransmit it). *)
-          let env = { Msg.src; dst; class_; size; body } in
-          Engine.schedule t.eng ~at:delivered (fun () ->
-              if Shm_sim.Lifecycle.alive lc dst then begin
-                bump t.cells.c_delivered 1;
-                Mailbox.post t.inbox.(dst) ~at:delivered env
-              end
-              else Counters.incr t.counters "net.faults.node_down")
-    in
     (* The sender is released once the message leaves its link. *)
     Engine.set_clock fiber tx_done;
-    deliver_one first_jitter;
+    deliver_copy t ~src ~dst ~class_ ~size ~cycles ~tx_done ~extra body;
     if dup then begin
       Counters.incr t.counters "net.faults.duplicated";
       Engine.instant fiber "net.dup";
-      deliver_one (jitter ())
+      deliver_copy t ~src ~dst ~class_ ~size ~cycles ~tx_done ~extra:(jitter t)
+        body
     end
   end
 

@@ -41,12 +41,18 @@ type 'a pending = {
    the outbound stream to [peer]: acks are cumulative, so the packets
    still owed are exactly the seqs in (acked, next_seq).  [next_expected]/
    [ooo] describe the inbound stream from it; [ack_owed]/[ack_timer_armed]
-   the delayed standalone ack. *)
+   the delayed standalone ack.
+
+   [ooo] buffers early packets in a ring indexed by seq modulo its
+   power-of-two length: it holds only seqs in [next_expected,
+   next_expected + length), so the slot of [next_expected] is the next
+   in-order packet if it is filled.  It is empty until the first early
+   packet and doubles when one lands past its end. *)
 type 'a link = {
   mutable next_seq : int;
   mutable acked : int;
   mutable next_expected : int;
-  ooo : (int, Msg.class_ * Msg.sizes * 'a) Hashtbl.t;
+  mutable ooo : 'a Msg.envelope option array;
   mutable ack_owed : bool;
   mutable ack_timer_armed : bool;
 }
@@ -81,7 +87,7 @@ let create eng counters fabric =
       next_seq = 0;
       acked = -1;
       next_expected = 0;
-      ooo = Hashtbl.create 8;
+      ooo = [||];
       ack_owed = false;
       ack_timer_armed = false;
     }
@@ -200,24 +206,41 @@ let note_inbound t fiber ~node ~peer =
 let envelope ~src ~dst ~class_ ~size body =
   { Msg.src; dst; class_; size; body }
 
-let drain_ooo t ~node ~peer l =
-  let rec go () =
-    match Hashtbl.find_opt l.ooo l.next_expected with
-    | Some (class_, size, body) ->
-        Hashtbl.remove l.ooo l.next_expected;
+let[@inline] ooo_slot l seq = seq land (Array.length l.ooo - 1)
+
+let buffered l seq =
+  seq - l.next_expected < Array.length l.ooo && l.ooo.(ooo_slot l seq) <> None
+
+let buffer l seq env =
+  let len = Array.length l.ooo in
+  if seq - l.next_expected >= len then begin
+    let old = l.ooo in
+    let len' = ref (max 8 (2 * len)) in
+    while seq - l.next_expected >= !len' do
+      len' := 2 * !len'
+    done;
+    l.ooo <- Array.make !len' None;
+    for k = 0 to len - 1 do
+      let s = l.next_expected + k in
+      l.ooo.(ooo_slot l s) <- old.(s land (len - 1))
+    done
+  end;
+  l.ooo.(ooo_slot l seq) <- Some env
+
+let rec drain_ooo t ~node l =
+  if Array.length l.ooo > 0 then
+    let i = ooo_slot l l.next_expected in
+    match l.ooo.(i) with
+    | Some env ->
+        l.ooo.(i) <- None;
         l.next_expected <- l.next_expected + 1;
-        Queue.push
-          (envelope ~src:peer ~dst:node ~class_ ~size body)
-          t.ready.(node);
-        go ()
+        Queue.push env t.ready.(node);
+        drain_ooo t ~node l
     | None -> ()
-  in
-  go ()
 
 let rec recv t fiber ~node =
-  match Queue.take_opt t.ready.(node) with
-  | Some env -> env
-  | None -> (
+  if not (Queue.is_empty t.ready.(node)) then Queue.take t.ready.(node)
+  else (
       let env = Fabric.recv t.fabric fiber ~node in
       match env.Msg.body with
       | Raw body ->
@@ -229,7 +252,7 @@ let rec recv t fiber ~node =
       | Data { seq; ack; body } ->
           process_ack t ~node ~peer:env.src ack;
           let l = t.links.(node).(env.src) in
-          if seq < l.next_expected || Hashtbl.mem l.ooo seq then begin
+          if seq < l.next_expected || buffered l seq then begin
             (* Duplicate (retransmission of something we already have):
                the peer evidently missed our ack, so re-ack immediately. *)
             Counters.bump t.c_dups 1;
@@ -238,7 +261,7 @@ let rec recv t fiber ~node =
           end
           else if seq = l.next_expected then begin
             l.next_expected <- seq + 1;
-            drain_ooo t ~node ~peer:env.src l;
+            drain_ooo t ~node l;
             note_inbound t fiber ~node ~peer:env.src;
             envelope ~src:env.src ~dst:env.dst ~class_:env.class_
               ~size:env.size body
@@ -247,7 +270,9 @@ let rec recv t fiber ~node =
             (* Early: buffer until the gap fills so the protocol layers
                keep their per-link FIFO guarantee under jitter. *)
             Counters.bump t.c_ooo 1;
-            Hashtbl.replace l.ooo seq (env.class_, env.size, body);
+            buffer l seq
+              (envelope ~src:env.src ~dst:env.dst ~class_:env.class_
+                 ~size:env.size body);
             note_inbound t fiber ~node ~peer:env.src;
             recv t fiber ~node
           end)

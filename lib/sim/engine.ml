@@ -96,6 +96,8 @@ type t = {
                                   (cont <> None) feed deadlock reports *)
   einstr : bool;
   tracer : tracer option;
+  mutable in_fiber : bool; (* a fiber's code is running *)
+  mutable limit : int; (* [run]'s cycle budget *)
 }
 
 and fiber = {
@@ -121,7 +123,7 @@ let create ?(instrument = false) ?tracer () =
   { queue = Pqueue.create ~dummy:ignore; time = 0; live = 0; next_fiber_id = 0;
     fibers = [];
     einstr = instrument || tracer <> None;
-    tracer }
+    tracer; in_fiber = false; limit = max_int }
 
 let instrumented t = t.einstr
 
@@ -130,7 +132,7 @@ let now t = t.time
 let live_fibers t = t.live
 
 let schedule t ~at f =
-  let at = max at t.time in
+  let at = Int.max at t.time in
   Pqueue.push t.queue ~time:at f
 
 let clock f = f.fclock
@@ -179,6 +181,15 @@ let with_category f cat body =
         Printexc.raise_with_backtrace e bt
   end
 
+let advance_as f cat n =
+  if not f.instr then f.fclock <- f.fclock + n
+  else begin
+    let saved = f.fcat in
+    set_category_index f (cat_index cat);
+    advance f n;
+    set_category_index f saved
+  end
+
 let instant f name =
   match f.eng.tracer with
   | None -> ()
@@ -202,6 +213,12 @@ let check_attribution f =
            f.fname total elapsed)
   end
 
+(* Run a fiber until it next yields, parks or finishes. *)
+let[@inline] enter t k =
+  t.in_fiber <- true;
+  Effect.Deep.continue k ();
+  t.in_fiber <- false
+
 let effc : type b. fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option
     =
  fun _fiber eff ->
@@ -209,7 +226,7 @@ let effc : type b. fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuation ->
   | Yield f ->
       Some
         (fun k ->
-          schedule f.eng ~at:f.fclock (fun () -> Effect.Deep.continue k ()))
+          schedule f.eng ~at:f.fclock (fun () -> enter f.eng k))
   | Park f -> Some (fun k -> f.cont <- Some k)
   | _ -> None
 
@@ -227,6 +244,7 @@ let spawn t ?(daemon = false) ~name ~at body =
   | None -> ());
   if not daemon then t.live <- t.live + 1;
   let start () =
+    t.in_fiber <- true;
     Effect.Deep.match_with
       (fun () -> body fiber)
       ()
@@ -240,7 +258,8 @@ let spawn t ?(daemon = false) ~name ~at body =
           (fun e ->
             Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ()));
         effc = (fun eff -> effc fiber eff);
-      }
+      };
+    t.in_fiber <- false
   in
   schedule t ~at start;
   fiber
@@ -255,6 +274,8 @@ let blocked_report t =
 
 let run ?max_cycles ?(diag = fun () -> "") t =
   let limit = match max_cycles with Some l -> l | None -> max_int in
+  t.limit <- limit;
+  t.in_fiber <- false;
   let queue = t.queue in
   (* The inner loop reads the (cached) minimum time and pops just the
      event closure, so draining a same-timestamp batch is a sentinel
@@ -329,4 +350,31 @@ let resume t f ~at =
   | Some k ->
       f.cont <- None;
       set_clock f at;
-      schedule t ~at:f.fclock (fun () -> Effect.Deep.continue k ())
+      schedule t ~at:f.fclock (fun () -> enter t k)
+
+(* The resume [resume t f ~at:(now t)] would queue is the very next pop
+   when nothing queued is due at or before its time: [schedule] clamps
+   every later push to the current time, and equal times pop in push
+   order.  So the fiber continues here, with the clock the pop would
+   have set and the watchdog the pop would have met, and the order of
+   events is unchanged.  The caller must be an engine callback whose
+   last action this is: anything it did afterwards would run after the
+   fiber instead of before it. *)
+let resume_here t f =
+  if t.in_fiber then
+    invalid_arg
+      (Printf.sprintf "Engine.resume_here: fiber %s resumed from inside a fiber"
+         f.fname);
+  match f.cont with
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Engine.resume_here: fiber %s not suspended" f.fname)
+  | Some k ->
+      f.cont <- None;
+      set_clock f t.time;
+      let at = f.fclock in
+      if at <= t.limit && Pqueue.min_time_exn t.queue > at then begin
+        t.time <- at;
+        enter t k
+      end
+      else schedule t ~at (fun () -> enter t k)

@@ -139,6 +139,10 @@ val set_clock : fiber -> int -> unit
     engine is uninstrumented it is exactly [body ()]. *)
 val with_category : fiber -> category -> (unit -> 'a) -> 'a
 
+(** [advance_as f cat n] is [with_category f cat (fun () -> advance f n)]
+    without the closure. *)
+val advance_as : fiber -> category -> int -> unit
+
 (** [instant f name] records a point event at [f]'s current clock on [f]'s
     track.  No-op unless the engine has a tracer. *)
 val instant : fiber -> string -> unit
@@ -166,5 +170,15 @@ val suspend : fiber -> unit
 (** [resume t f ~at] unparks [f], moving its clock forward to at least [at].
     It is an error to resume a fiber that is not suspended. *)
 val resume : t -> fiber -> at:int -> unit
+
+(** [resume_here t f] is [resume t f ~at:(now t)] for an engine
+    callback whose last action it is.  When nothing queued is due at or
+    before [f]'s resumed clock, that resume would be the next event
+    popped, so [f] continues in place instead, until it next yields,
+    parks or finishes; otherwise it queues as [resume] does.  Either way
+    the order of events is the same.
+    @raise Invalid_argument if [f] is not suspended, or if called from
+    inside a fiber (which cannot run another fiber in place). *)
+val resume_here : t -> fiber -> unit
 
 val is_suspended : fiber -> bool

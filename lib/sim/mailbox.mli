@@ -12,7 +12,9 @@ val create : Engine.t -> 'a t
     current engine time if in the past). *)
 val post : 'a t -> at:int -> 'a -> unit
 
-(** [deliver mb msg] delivers [msg] now; [post] schedules exactly this. *)
+(** [deliver mb msg] delivers [msg] now; [post] schedules exactly this.
+    Call it only from an engine callback, as that callback's last action:
+    a waiting receiver may continue in place ({!Engine.resume_here}). *)
 val deliver : 'a t -> 'a -> unit
 
 (** [recv fiber mb] blocks the fiber until a message is available and

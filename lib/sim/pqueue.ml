@@ -12,7 +12,9 @@
    a FIFO of same-time events and its head carries the smallest sequence
    number.  Times outside the 2^24 window (or below [start], which the
    engine never produces because [schedule] clamps to the current time)
-   go to the heap tier, ordered by [(time, seq)] like the wheel.
+   go to the heap tier, ordered by [(time, seq)] like the wheel.  The
+   heap keeps each entry's key inline beside its pool node, so sifting
+   never reads the pool.
 
    Popping takes whichever of (wheel head, heap root) is smaller under
    [(time, seq)].  Finding the wheel head scans occupancy bitmaps; when
@@ -39,8 +41,11 @@ type 'a t = {
   occ : int array;
   mutable start : int;
   mutable wheel_count : int;
-  (* Outlier tier: binary heap of node indices ordered by (time, seq). *)
-  mutable heap : int array;
+  (* Outlier tier: binary heap ordered by (time, seq), the keys inline
+     beside each entry's pool node. *)
+  mutable htimes : int array;
+  mutable hseqs : int array;
+  mutable hnodes : int array;
   mutable heap_size : int;
   mutable next_seq : int;
   (* Cached minimum time; [min_int] means stale (recompute on demand). *)
@@ -71,7 +76,9 @@ let create ~dummy =
     occ = Array.make 24 0;
     start = 0;
     wheel_count = 0;
-    heap = Array.make 16 (-1);
+    htimes = Array.make 16 0;
+    hseqs = Array.make 16 0;
+    hnodes = Array.make 16 0;
     heap_size = 0;
     next_seq = 0;
     cached_min = max_int;
@@ -228,58 +235,81 @@ let rec wheel_min_slot q =
 (* ------------------------------------------------------------------ *)
 (* Heap tier                                                           *)
 
-let heap_less q a b =
-  q.times.(a) < q.times.(b)
-  || (q.times.(a) = q.times.(b) && q.seqs.(a) < q.seqs.(b))
+(* The heap sifts its keys in place: [htimes]/[hseqs] hold each entry's
+   [(time, seq)] beside its pool node in [hnodes], so a sift step reads
+   two adjacent arrays instead of chasing node indices into the pool. *)
+let[@inline] key_less (t1 : int) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
 
-let heap_push q n =
-  if q.heap_size = Array.length q.heap then begin
-    let heap = Array.make (2 * Array.length q.heap) (-1) in
-    Array.blit q.heap 0 heap 0 q.heap_size;
-    q.heap <- heap
-  end;
-  let heap = q.heap in
+let heap_grow q =
+  let cap = Array.length q.hnodes in
+  let grow a =
+    let b = Array.make (2 * cap) 0 in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  q.htimes <- grow q.htimes;
+  q.hseqs <- grow q.hseqs;
+  q.hnodes <- grow q.hnodes
+
+let heap_push q ~time ~seq n =
+  if q.heap_size = Array.length q.hnodes then heap_grow q;
+  let ht = q.htimes and hs = q.hseqs and hn = q.hnodes in
   let i = ref q.heap_size in
   q.heap_size <- q.heap_size + 1;
-  heap.(!i) <- n;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if heap_less q n heap.(parent) then begin
-      heap.(!i) <- heap.(parent);
-      heap.(parent) <- n;
+    let pt = Array.unsafe_get ht parent and ps = Array.unsafe_get hs parent in
+    if key_less time seq pt ps then begin
+      Array.unsafe_set ht !i pt;
+      Array.unsafe_set hs !i ps;
+      Array.unsafe_set hn !i (Array.unsafe_get hn parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  Array.unsafe_set ht !i time;
+  Array.unsafe_set hs !i seq;
+  Array.unsafe_set hn !i n
 
+(* Remove the root, sifting the last entry down from the top. *)
 let heap_pop_root q =
-  let heap = q.heap in
-  let root = heap.(0) in
-  q.heap_size <- q.heap_size - 1;
-  let last = heap.(q.heap_size) in
-  heap.(q.heap_size) <- -1;
-  if q.heap_size > 0 then begin
-    heap.(0) <- last;
+  let size = q.heap_size - 1 in
+  q.heap_size <- size;
+  if size > 0 then begin
+    let ht = q.htimes and hs = q.hseqs and hn = q.hnodes in
+    let time = Array.unsafe_get ht size
+    and seq = Array.unsafe_get hs size
+    and n = Array.unsafe_get hn size in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.heap_size && heap_less q heap.(l) heap.(!smallest) then
-        smallest := l;
-      if r < q.heap_size && heap_less q heap.(r) heap.(!smallest) then
-        smallest := r;
-      if !smallest <> !i then begin
-        let tmp = heap.(!i) in
-        heap.(!i) <- heap.(!smallest);
-        heap.(!smallest) <- tmp;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= size then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < size
+            && key_less (Array.unsafe_get ht r) (Array.unsafe_get hs r)
+                 (Array.unsafe_get ht l) (Array.unsafe_get hs l)
+          then r
+          else l
+        in
+        let ct = Array.unsafe_get ht c and cs = Array.unsafe_get hs c in
+        if key_less ct cs time seq then begin
+          Array.unsafe_set ht !i ct;
+          Array.unsafe_set hs !i cs;
+          Array.unsafe_set hn !i (Array.unsafe_get hn c);
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
-    done
-  end;
-  root
+    done;
+    Array.unsafe_set ht !i time;
+    Array.unsafe_set hs !i seq;
+    Array.unsafe_set hn !i n
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Queue operations                                                    *)
@@ -299,7 +329,7 @@ let push q ~time v =
   (* Past times (possible for standalone users; the engine clamps to the
      current time) and far-future times both take the heap tier. *)
   if time < q.start || x < 0 || x >= 0x1000000 then begin
-    heap_push q n;
+    heap_push q ~time ~seq n;
     if time < q.cached_min then begin
       q.cached_min <- time;
       q.cached_node <- n;
@@ -337,9 +367,9 @@ let refresh_cache q =
   let s0 = wheel_min_slot q in
   if s0 < 0 then
     if q.heap_size > 0 then begin
-      q.cached_node <- q.heap.(0);
+      q.cached_node <- q.hnodes.(0);
       q.cached_slot <- -1;
-      q.cached_min <- q.times.(q.cached_node)
+      q.cached_min <- q.htimes.(0)
     end
     else begin
       q.cached_node <- -2;
@@ -348,8 +378,10 @@ let refresh_cache q =
     end
   else begin
     let wn = q.head.(s0) in
-    if q.heap_size > 0 && heap_less q q.heap.(0) wn then begin
-      q.cached_node <- q.heap.(0);
+    if q.heap_size > 0
+       && key_less q.htimes.(0) q.hseqs.(0) q.times.(wn) q.seqs.(wn)
+    then begin
+      q.cached_node <- q.hnodes.(0);
       q.cached_slot <- -1
     end
     else begin
@@ -399,11 +431,21 @@ let take_min q =
     end
   end
   else begin
-    ignore (heap_pop_root q);
-    q.cached_min <- (if q.wheel_count = 0 && q.heap_size = 0 then max_int
-                     else min_int);
-    q.cached_node <- -2;
-    q.cached_slot <- -1
+    heap_pop_root q;
+    q.cached_slot <- -1;
+    if q.wheel_count > 0 then begin
+      q.cached_min <- min_int;
+      q.cached_node <- -2
+    end
+    else if q.heap_size = 0 then begin
+      q.cached_min <- max_int;
+      q.cached_node <- -2
+    end
+    else begin
+      (* The heap alone holds the rest: its root is the next minimum. *)
+      q.cached_min <- q.htimes.(0);
+      q.cached_node <- q.hnodes.(0)
+    end
   end;
   n
 

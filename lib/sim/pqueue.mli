@@ -9,9 +9,12 @@
     256-slot arrays with per-slot FIFO chains built from a preallocated
     node pool, so the steady-state push/pop cycle allocates nothing.
     Other events — far-future, past (standalone users only), or all of
-    them once the clock outruns the window on heap pops — go to an
-    index-sorted binary heap over the same pool, which serves small
-    queues; the wheel serves wide ones (1024 fibers).  Pop compares the wheel head against the heap root under the same
+    them once the clock outruns the window on heap pops — go to a binary
+    heap that sifts [(time, seq, node)] in three parallel [int] arrays,
+    the node naming the entry's pool slot.  The heap serves the small,
+    sparse queues of most runs (5 to 30 entries on the serving
+    workload); the wheel serves dense, wide ones (1024 fibers).  Pop
+    compares the wheel head against the heap root under the same
     [(time, seq)] order, so the observable pop sequence is identical to a
     single binary heap's. *)
 

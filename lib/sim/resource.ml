@@ -9,7 +9,7 @@ let create ?(name = "resource") () = { rname = name; free_at = 0; busy = 0 }
 let name r = r.rname
 
 let reserve r ~ready ~cycles =
-  let start = max ready r.free_at in
+  let start = Int.max ready r.free_at in
   r.free_at <- start + cycles;
   r.busy <- r.busy + cycles;
   start + cycles

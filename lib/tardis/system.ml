@@ -147,7 +147,7 @@ and mgr_grant t fiber mgr page =
         end
       in
       if write then begin
-        let ts = max (mp.m_rts + 1) pts in
+        let ts = Int.max (mp.m_rts + 1) pts in
         let data = fresh () in
         mp.m_wts <- ts;
         mp.m_rts <- ts;
@@ -156,7 +156,7 @@ and mgr_grant t fiber mgr page =
           (Proto.Write_grant { page; req; ts; data })
       end
       else begin
-        let lease = max mp.m_rts (pts + lease_span) in
+        let lease = Int.max mp.m_rts (pts + lease_span) in
         let data = fresh () in
         mp.m_rts <- lease;
         Paged.deliver t fiber ~src:mgr ~dst:requester

@@ -183,7 +183,7 @@ module Store = struct
       true
     end
 
-  let range t ~creator ~lo ~hi =
+  let range_onto t ~creator ~lo ~hi onto =
     if hi > lo && lo < Table.floor t.table creator then
       dropped t ~creator ~seqno:(lo + 1);
     let rec loop seq acc =
@@ -195,7 +195,9 @@ module Store = struct
           (Printf.sprintf "Record.Store.range: creator %d missing seq %d"
              creator seq)
     in
-    loop hi []
+    loop hi onto
+
+  let range t ~creator ~lo ~hi = range_onto t ~creator ~lo ~hi []
 
   let contiguous t ~creator = t.contig.(creator)
 end

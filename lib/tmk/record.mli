@@ -108,6 +108,11 @@ module Store : sig
       below the table's floor. *)
   val range : t -> creator:int -> lo:int -> hi:int -> record list
 
+  (** [range_onto t ~creator ~lo ~hi l] is [range t ~creator ~lo ~hi @ l]
+      without copying the range. *)
+  val range_onto :
+    t -> creator:int -> lo:int -> hi:int -> record list -> record list
+
   (** [first_notice t r] is [true] the first time it is called for
       [r]'s (creator, seqno) and [false] ever after.  It is independent of
       [add]: a record stored without being noticed still gets its first

@@ -219,6 +219,67 @@ let prop_pqueue_wheel_matches_reference =
         ops;
       !ok)
 
+module Keys = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* The queue as the engine drives it: no push falls below the last pop,
+   pushes come in equal-time bursts and reach up to four 2^24 blocks
+   ahead, and the queue fills to 2,000 live entries and drains to 500 in
+   turn.  In the first block the wheel and the heap tier each hold
+   hundreds; once heap pops carry the clock past the wheel's window,
+   everything goes to the heap, as in a long engine run, and the clock
+   crosses at least three blocks.  Pops, peeked minima and lengths must
+   match the stable reference at every step.  Each case drives its own
+   PRNG from the generated seed. *)
+let prop_pqueue_engine_shaped =
+  QCheck.Test.make ~count:12 ~name:"timing wheel under an engine-shaped load"
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let q = Pqueue.create ~dummy:(-1) in
+      let reference = ref Keys.empty and live = ref 0 in
+      let seq = ref 0 and now = ref 0 and ok = ref true and filling = ref true in
+      let ahead () =
+        match Random.State.int rs 10 with
+        | 0 | 1 | 2 -> Random.State.int rs 0x100
+        | 3 | 4 -> Random.State.int rs 0x10000
+        | 5 | 6 -> Random.State.int rs 0x1000000
+        | _ -> Random.State.int rs 0x4000000
+      in
+      for _ = 1 to 12_000 do
+        if !live >= 2_000 then filling := false
+        else if !live <= 500 then filling := true;
+        if !live = 0 || !filling = (Random.State.int rs 4 > 0) then begin
+          let time = !now + ahead () in
+          let burst =
+            if Random.State.int rs 4 = 0 then 2 + Random.State.int rs 8 else 1
+          in
+          for _ = 1 to burst do
+            Pqueue.push q ~time !seq;
+            reference := Keys.add (time, !seq) !reference;
+            incr seq;
+            incr live
+          done
+        end
+        else begin
+          let ((bt, bs) as best) = Keys.min_elt !reference in
+          let time, v = Pqueue.pop q in
+          if time <> bt || v <> bs then ok := false;
+          reference := Keys.remove best !reference;
+          decr live;
+          now := time
+        end;
+        let rmin =
+          match Keys.min_elt_opt !reference with Some (t, _) -> t | None -> max_int
+        in
+        if Pqueue.min_time_exn q <> rmin || Pqueue.length q <> !live then
+          ok := false
+      done;
+      !ok && !now lsr 24 >= 3)
+
 let prop_msg_total =
   QCheck.Test.make ~count:100 ~name:"message size totals add up"
     QCheck.(pair small_nat small_nat)
@@ -307,6 +368,8 @@ let suite =
       prop_pqueue_sorts;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x31A0)
       prop_pqueue_wheel_matches_reference;
+    QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x6E51)
+      prop_pqueue_engine_shaped;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x5188)
       prop_msg_total;
     QCheck_alcotest.to_alcotest ~rand:(Pinned.rand 0x10AB)

@@ -169,7 +169,9 @@ let test_data_drops_traced_apart () =
    a client on node 0 sends, an echo daemon on node 1 replies.  Armed
    means a fault policy whose only blackout no clock reaches, so sequence
    numbers, acks and retransmit timers all run but nothing is lost.  The
-   count covers every fiber and engine event of the round trip. *)
+   count covers every fiber and engine event of the round trip.  The
+   bounds sit one word above the measured counts (200 armed, 74
+   unarmed). *)
 let words_per_round_trip ~armed =
   let warmup = 1_000 and measured = 100_000 in
   let faults =
@@ -220,7 +222,7 @@ let test_round_trip_allocation () =
         Alcotest.failf "%s round trip: %.1f minor words (want < %.0f)"
           (if armed then "armed" else "unarmed")
           w bound)
-    [ (true, 320.0); (false, 140.0) ]
+    [ (true, 201.0); (false, 75.0) ]
 
 let drop_everything =
   { Fabric.no_faults with Fabric.drop_miss = 1.0; drop_sync = 1.0;

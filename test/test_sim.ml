@@ -180,6 +180,52 @@ let test_mailbox_ordering () =
   Engine.run eng;
   Alcotest.(check (list string)) "time order" [ "first"; "second" ] !got
 
+(* A delivery wakes a parked receiver.  The three cases below pin the
+   order of events against lists derived by hand from the rule "equal
+   times pop in push order". *)
+let handoff_order ~other_at =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s@%d" s (Engine.now eng) :: !log in
+  ignore
+    (Engine.spawn eng ~name:"recv" ~at:0 (fun f ->
+         let v = Mailbox.recv f mb in
+         note v;
+         Engine.schedule eng ~at:11 (fun () -> note "after-recv")));
+  Mailbox.post mb ~at:10 "recv";
+  Engine.schedule eng ~at:other_at (fun () -> note "other");
+  Engine.run eng;
+  List.rev !log
+
+(* The other event is due in the delivery's cycle and was queued before
+   the receiver's resume, so it runs first. *)
+let test_handoff_behind_due_event () =
+  Alcotest.(check (list string)) "order"
+    [ "other@10"; "recv@10"; "after-recv@11" ]
+    (handoff_order ~other_at:10)
+
+(* Nothing else is due at cycle 10: the receiver runs before every later
+   event, and what it queues for cycle 11 follows what was queued there
+   first. *)
+let test_handoff_before_later_events () =
+  Alcotest.(check (list string)) "order"
+    [ "recv@10"; "other@11"; "after-recv@11" ]
+    (handoff_order ~other_at:11)
+
+let test_resume_here_inside_fiber () =
+  let eng = Engine.create () in
+  let sleeper =
+    Engine.spawn eng ~name:"sleeper" ~at:0 (fun f -> Engine.suspend f)
+  in
+  ignore
+    (Engine.spawn eng ~name:"waker" ~at:5 (fun _ ->
+         Engine.resume_here eng sleeper));
+  Alcotest.check_raises "raises"
+    (Invalid_argument
+       "Engine.resume_here: fiber sleeper resumed from inside a fiber")
+    (fun () -> Engine.run eng)
+
 let test_resource_contention () =
   let eng = Engine.create () in
   let r = Resource.create ~name:"bus" () in
@@ -247,6 +293,12 @@ let suite =
     Alcotest.test_case "daemons don't deadlock" `Quick test_daemon_no_deadlock;
     Alcotest.test_case "mailbox delivery time" `Quick test_mailbox_delivery_time;
     Alcotest.test_case "mailbox time ordering" `Quick test_mailbox_ordering;
+    Alcotest.test_case "delivery behind an event due in its cycle" `Quick
+      test_handoff_behind_due_event;
+    Alcotest.test_case "delivery with none due runs first" `Quick
+      test_handoff_before_later_events;
+    Alcotest.test_case "resume_here refuses a fiber caller" `Quick
+      test_resume_here_inside_fiber;
     Alcotest.test_case "resource serializes users" `Quick test_resource_contention;
     Alcotest.test_case "waitq wakes all" `Quick test_waitq_wake_all;
     Alcotest.test_case "engine is deterministic" `Quick test_determinism;
