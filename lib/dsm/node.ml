@@ -139,27 +139,3 @@ let page_shift page_words =
    transfer allocates no boxed words and leaves the major heap alone. *)
 let page_data mem ~page_words page =
   Memory.sub_copy ~src:mem ~pos:(page * page_words) ~len:page_words
-
-(* The range guards' page walk: [guard a b fiber page] once per page
-   overlapping [addr, addr+words), in address order, each followed at
-   once by [f run_addr run_words] for the in-page run.  Interleaving
-   data movement page by page (rather than guarding the whole range up
-   front) is what makes the range observably identical to the per-word
-   loop: a fault's yield can let the handler rewrite {e later} pages
-   (eager updates, expired leases), and those must be re-examined when
-   reached, exactly as the per-word sequence would.  Within one run
-   neither the guard's final check nor [f] may yield, so no transition
-   can interpose. *)
-let walk_pages ~page_words ~page_shift guard a b fiber addr words ~f =
-  let stop = addr + words in
-  let p = ref addr in
-  while !p < stop do
-    let page =
-      if page_shift >= 0 then !p lsr page_shift else !p / page_words
-    in
-    let next = (page + 1) * page_words in
-    let run = (if next < stop then next else stop) - !p in
-    guard a b fiber page;
-    f !p run;
-    p := !p + run
-  done

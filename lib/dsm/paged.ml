@@ -225,21 +225,6 @@ let read_guard t fiber ~node addr =
 let write_guard t fiber ~node addr =
   if t.n_nodes > 1 then write_page t t.nodes.(node) fiber (page_of t addr)
 
-(* The range guards guard each overlapped page once, in order, calling
-   [f run_addr run_words] for each in-page run right after that page's
-   guard; [f] must not yield. *)
-let read_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      read_page t t.nodes.(node) fiber addr words ~f
-
-let write_range_guard t fiber ~node addr words ~f =
-  if t.n_nodes = 1 then f addr words
-  else
-    Node.walk_pages ~page_words:t.page_words ~page_shift:t.page_shift
-      write_page t t.nodes.(node) fiber addr words ~f
-
 (* ---------------- mounting ----------------------------------------- *)
 
 (* The machine's message fabric, with the crash lifecycle (if any)
@@ -250,25 +235,17 @@ let fabric (ctx : Shm_proto.ctx) =
   Option.iter (Fabric.attach_lifecycle fabric) ctx.lifecycle;
   fabric
 
-(* The system as a {!Shm_proto.instance}.  [wordwise_ranges] makes the
-   platforms run a range as the literal per-word loop. *)
-let instance sys ~i_name ~wordwise_ranges =
+(* The system as a {!Shm_proto.instance}. *)
+let instance sys ~i_name =
   {
     Shm_proto.i_name;
     page_shift = sys.page_shift;
-    wordwise_ranges;
     access_rights = Some (fun ~node -> sys.nodes.(node).rights);
     set_page_hook = (fun f -> sys.page_hook <- f);
     start = (fun () -> start sys);
     retx_note = (fun () -> Reliable.pending_note sys.net);
     read_guard = (fun f ~node addr -> read_guard sys f ~node addr);
     write_guard = (fun f ~node addr -> write_guard sys f ~node addr);
-    read_range_guard =
-      (fun f ~node addr words ~f:move ->
-        read_range_guard sys f ~node addr words ~f:move);
-    write_range_guard =
-      (fun f ~node addr words ~f:move ->
-        write_range_guard sys f ~node addr words ~f:move);
     acquire = (fun f ~node ~lock -> sys.p.acquire sys f ~node ~lock);
     release = (fun f ~node ~lock -> sys.p.release sys f ~node ~lock);
     barrier_arrive = (fun f ~node ~id -> sys.p.barrier_arrive sys f ~node ~id);
@@ -450,6 +427,6 @@ let create_home p hp eng counters fabric ~page_words ~shared_words ~memories
 (* Mount the home-based system [create] builds over the machine [ctx]
    describes. *)
 let mount create (ctx : Shm_proto.ctx) ~i_name =
-  instance ~i_name ~wordwise_ranges:false
+  instance ~i_name
     (create ctx.eng ctx.counters (fabric ctx) ~page_words:ctx.page_words
        ~shared_words:ctx.shared_words ~memories:ctx.memories)

@@ -21,10 +21,6 @@ let mount (ctx : Shm_proto.ctx) =
     ~read:(fun f ~cpu addr -> ignore (Directory.read machine f ~node:cpu addr))
     ~read_guard:(fun f ~node addr -> Directory.read_timing machine f ~node addr)
     ~write_guard:(fun f ~node addr -> Directory.write_timing machine f ~node addr)
-    ~read_range_guard:(fun f ~node addr words ~f:move ->
-      Directory.read_range machine f ~node addr words ~f:move)
-    ~write_range_guard:(fun f ~node addr words ~f:move ->
-      Directory.write_range machine f ~node addr words ~f:move)
     ~invalidate_range:(fun ~addr ~words ->
       Directory.invalidate_range machine ~addr ~words)
     ~check_invariants:(fun () -> Directory.check_invariants machine)

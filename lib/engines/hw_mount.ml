@@ -9,8 +9,7 @@
 module Hw_sync = Shm_memsys.Hw_sync
 
 let instance (ctx : Shm_proto.ctx) ~i_name ~rmw ~read ~read_guard
-    ~write_guard ~read_range_guard ~write_range_guard ~invalidate_range
-    ~check_invariants =
+    ~write_guard ~invalidate_range ~check_invariants =
   let sync =
     Hw_sync.create ctx.eng { Hw_sync.rmw; read } ~base:ctx.shared_words
       ~nprocs:ctx.nodes
@@ -18,15 +17,12 @@ let instance (ctx : Shm_proto.ctx) ~i_name ~rmw ~read ~read_guard
   {
     Shm_proto.i_name;
     page_shift = -1;
-    wordwise_ranges = false;
     access_rights = None;
     set_page_hook = (fun _ -> ());
     start = (fun () -> ());
     retx_note = (fun () -> "");
     read_guard;
     write_guard;
-    read_range_guard;
-    write_range_guard;
     acquire = (fun f ~node ~lock -> Hw_sync.lock sync f ~cpu:node lock);
     release = (fun f ~node ~lock -> Hw_sync.unlock sync f ~cpu:node lock);
     barrier_arrive = (fun f ~node ~id -> Hw_sync.barrier sync f ~cpu:node id);

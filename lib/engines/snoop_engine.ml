@@ -40,10 +40,6 @@ let mount (ctx : Shm_proto.ctx) =
     ~read:(fun f ~cpu addr -> ignore (Snoop.read machine f ~cpu addr))
     ~read_guard:(fun f ~node addr -> Snoop.read_timing machine f ~cpu:node addr)
     ~write_guard:(fun f ~node addr -> Snoop.write_timing machine f ~cpu:node addr)
-    ~read_range_guard:(fun f ~node addr words ~f:move ->
-      Snoop.read_range machine f ~cpu:node addr words ~f:move)
-    ~write_range_guard:(fun f ~node addr words ~f:move ->
-      Snoop.write_range machine f ~cpu:node addr words ~f:move)
     ~invalidate_range:(fun ~addr ~words ->
       Snoop.invalidate_range machine ~addr ~words)
     ~check_invariants:(fun () -> Snoop.check_coherence machine)

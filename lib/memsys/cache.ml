@@ -126,4 +126,3 @@ let hits t = t.hits
 let misses t = t.misses
 let[@inline] note_hit t = t.hits <- t.hits + 1
 let[@inline] note_miss t = t.misses <- t.misses + 1
-let[@inline] note_hits t n = t.hits <- t.hits + n

@@ -85,6 +85,3 @@ val hits : t -> int
 val misses : t -> int
 val note_hit : t -> unit
 val note_miss : t -> unit
-
-(** [note_hits t n] records [n] hits at once (range accesses). *)
-val note_hits : t -> int -> unit

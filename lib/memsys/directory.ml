@@ -349,70 +349,6 @@ let write t fiber ~node addr value =
   write_timing t fiber ~node addr;
   Memory.set t.mem addr value
 
-(* Range accesses; same contract as {!Snoop.read_range}: [f pos len] moves
-   the data, is interleaved exactly where the per-word loop would touch
-   memory, and must not yield.  Hit runs batch the counter and the clock;
-   any word needing a directory transaction goes through the per-word
-   path. *)
-
-let read_range t fiber ~node addr words ~f =
-  let cache = t.caches.(node) in
-  let bw = t.cfg.cache_block_words in
-  let stop = addr + words in
-  let a = ref addr in
-  while !a < stop do
-    let block = Cache.block_of cache !a in
-    match Cache.state_of cache block with
-    | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-        let cnt = Int.min (block + bw) stop - !a in
-        Cache.note_hits cache cnt;
-        Engine.advance fiber cnt;
-        f !a cnt;
-        a := !a + cnt
-    | Cache.Invalid ->
-        Cache.note_miss cache;
-        Engine.sync fiber;
-        evict t fiber ~node (Cache.peek_victim cache block);
-        fetch_for_read t fiber ~node block;
-        f !a 1;
-        incr a
-  done
-
-let write_range t fiber ~node addr words ~f =
-  let cache = t.caches.(node) in
-  let bw = t.cfg.cache_block_words in
-  let stop = addr + words in
-  let a = ref addr in
-  while !a < stop do
-    let block = Cache.block_of cache !a in
-    match Cache.state_of cache block with
-    | Cache.Modified ->
-        let cnt = Int.min (block + bw) stop - !a in
-        Cache.note_hits cache cnt;
-        Engine.advance fiber cnt;
-        f !a cnt;
-        a := !a + cnt
-    | Cache.Exclusive ->
-        Cache.note_hit cache;
-        Engine.advance fiber 1;
-        Cache.set_state cache block Cache.Modified;
-        f !a 1;
-        incr a
-    | Cache.Shared ->
-        Cache.note_hit cache;
-        Engine.sync fiber;
-        Engine.advance fiber 1;
-        ensure_modified t fiber ~node block;
-        f !a 1;
-        incr a
-    | Cache.Invalid ->
-        Cache.note_miss cache;
-        Engine.sync fiber;
-        ensure_modified t fiber ~node block;
-        f !a 1;
-        incr a
-  done
-
 let rmw t fiber ~node addr f =
   Engine.sync fiber;
   let cache = t.caches.(node) in

@@ -37,18 +37,6 @@ val read_timing : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
 
 val write_timing : t -> Shm_sim.Engine.fiber -> node:int -> int -> unit
 
-(** [read_range t fiber ~node addr words ~f]: timing and coherence of
-    [words] consecutive reads, observably identical to per-word {!read};
-    [f pos len] moves the data for each run and must not yield. *)
-val read_range :
-  t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
-
-(** Write counterpart of {!read_range}. *)
-val write_range :
-  t -> Shm_sim.Engine.fiber -> node:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
-
 (** Atomic read-modify-write (fetch-and-phi at the block's home). *)
 val rmw :
   t -> Shm_sim.Engine.fiber -> node:int -> int -> (int64 -> int64) -> int64

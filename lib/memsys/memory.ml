@@ -168,18 +168,6 @@ let write_floats (t : t) pos (src : float array) src_pos len =
     Array1.unsafe_set fv (pos + i) (Array.unsafe_get src (src_pos + i))
   done
 
-let read_ints (t : t) pos (dst : int array) dst_pos len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (dst_pos + i)
-      (Int64.to_int (Array1.unsafe_get t (pos + i)))
-  done
-
-let write_ints (t : t) pos (src : int array) src_pos len =
-  for i = 0 to len - 1 do
-    Array1.unsafe_set t (pos + i)
-      (Int64.of_int (Array.unsafe_get src (src_pos + i)))
-  done
-
 (* Bitwise word equality without allocation: xor the operands and test the
    low 63 bits and the top bit separately ([Int64.to_int] drops bit 63). *)
 let[@inline] same_bits x y =

@@ -92,10 +92,6 @@ val read_floats : t -> int -> float array -> int -> int -> unit
 
 val write_floats : t -> int -> float array -> int -> int -> unit
 
-val read_ints : t -> int -> int array -> int -> int -> unit
-
-val write_ints : t -> int -> int array -> int -> int -> unit
-
 (** {2 Bitwise comparison scans} *)
 
 (** [first_diff a apos b bpos len] is the first offset [k] in [0, len)

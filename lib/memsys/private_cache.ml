@@ -52,59 +52,6 @@ let[@inline] write t fiber addr =
           Cache.fill t.cache (Cache.block_of t.cache addr) Cache.Modified;
           Engine.advance fiber t.cfg.hit_cycles)
 
-(* Range variants: charge exactly what the per-word loop would — same
-   hit/miss counts, same cache end-state, same total cycles — but with one
-   probe per block run and a single clock bump.  [read]/[write] never yield,
-   so batching the [advance] is observably identical. *)
-
-let read_range t fiber addr words =
-  let c = t.cache in
-  let bw = t.cfg.block_words in
-  let cycles = ref 0 in
-  let a = ref addr in
-  let stop = addr + words in
-  while !a < stop do
-    let block = Cache.block_of c !a in
-    let cnt = Int.min (block + bw) stop - !a in
-    (match Cache.state_of c block with
-    | Cache.Invalid ->
-        Cache.note_miss c;
-        Cache.fill c block Cache.Exclusive;
-        if cnt > 1 then Cache.note_hits c (cnt - 1);
-        cycles := !cycles + t.cfg.miss_cycles + ((cnt - 1) * t.cfg.hit_cycles)
-    | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-        Cache.note_hits c cnt;
-        cycles := !cycles + (cnt * t.cfg.hit_cycles));
-    a := block + bw
-  done;
-  Engine.advance fiber !cycles
-
-let write_range t fiber addr words =
-  match t.cfg.write_policy with
-  | Write_through_buffered -> Engine.advance fiber (words * t.cfg.hit_cycles)
-  | Write_back_allocate ->
-      let c = t.cache in
-      let bw = t.cfg.block_words in
-      let cycles = ref 0 in
-      let a = ref addr in
-      let stop = addr + words in
-      while !a < stop do
-        let block = Cache.block_of c !a in
-        let cnt = Int.min (block + bw) stop - !a in
-        (match Cache.state_of c block with
-        | Cache.Invalid ->
-            Cache.note_miss c;
-            if cnt > 1 then Cache.note_hits c (cnt - 1);
-            cycles :=
-              !cycles + t.cfg.miss_cycles + ((cnt - 1) * t.cfg.hit_cycles)
-        | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-            Cache.note_hits c cnt;
-            cycles := !cycles + (cnt * t.cfg.hit_cycles));
-        Cache.fill c block Cache.Modified;
-        a := block + bw
-      done;
-      Engine.advance fiber !cycles
-
 let invalidate_range t ~addr ~words = Cache.invalidate_range t.cache ~addr ~words
 
 let hits t = Cache.hits t.cache

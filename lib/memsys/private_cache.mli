@@ -34,14 +34,6 @@ val read : t -> Shm_sim.Engine.fiber -> int -> unit
 
 val write : t -> Shm_sim.Engine.fiber -> int -> unit
 
-(** [read_range t fiber addr words] charges the fiber for reads of the
-    [words] consecutive words starting at [addr].  Observably identical to
-    calling {!read} per word (same hit/miss counters, cache state and total
-    cycles); neither ever yields. *)
-val read_range : t -> Shm_sim.Engine.fiber -> int -> int -> unit
-
-val write_range : t -> Shm_sim.Engine.fiber -> int -> int -> unit
-
 (** [invalidate_range t ~addr ~words] drops any blocks overlapping the
     range (used when the DSM layer replaces a page's contents). *)
 val invalidate_range : t -> addr:int -> words:int -> unit

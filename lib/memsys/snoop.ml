@@ -265,102 +265,6 @@ let write t fiber ~cpu addr value =
   write_timing t fiber ~cpu addr;
   Memory.set t.mem addr value
 
-(* Range accesses.  [f pos len] performs the data movement for the words
-   [pos, pos+len) and must not yield.  Runs of cache hits are batched (one
-   counter bump, one clock advance, one [f] call) — no yield can occur
-   inside a hit run, so this is observably identical to the per-word loop.
-   Any word needing a bus transaction goes through exactly the per-word
-   path, with its own [f] call immediately after, preserving the relative
-   order of yields and data movement (another CPU's store during a bus
-   stall must be visible to later words of the range, and not to earlier
-   ones, just as word-at-a-time). *)
-
-let read_range t fiber ~cpu addr words ~f =
-  let stop = addr + words in
-  let a = ref addr in
-  let coh = t.coherents.(cpu) in
-  if Array.length t.primaries > 0 then begin
-    let p = t.primaries.(cpu) in
-    let pbw = Cache.block_words p in
-    while !a < stop do
-      let pblock = Cache.block_of p !a in
-      if Cache.state_of p pblock <> Cache.Invalid then begin
-        let cnt = Int.min (pblock + pbw) stop - !a in
-        Cache.note_hits p cnt;
-        Engine.advance fiber cnt;
-        f !a cnt;
-        a := !a + cnt
-      end
-      else begin
-        let cblock = Cache.block_of coh !a in
-        (match Cache.state_of coh cblock with
-        | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-            Cache.note_hit coh;
-            Engine.advance fiber t.cfg.coherent_hit_cycles
-        | Cache.Invalid ->
-            Cache.note_miss coh;
-            Engine.advance fiber t.cfg.coherent_hit_cycles;
-            bus_read t fiber ~cpu cblock ~exclusive:false);
-        primary_fill t cpu !a;
-        f !a 1;
-        incr a
-      end
-    done
-  end
-  else begin
-    let cbw = Cache.block_words coh in
-    while !a < stop do
-      let cblock = Cache.block_of coh !a in
-      match Cache.state_of coh cblock with
-      | Cache.Shared | Cache.Exclusive | Cache.Modified ->
-          let cnt = Int.min (cblock + cbw) stop - !a in
-          Cache.note_hits coh cnt;
-          Engine.advance fiber (cnt * t.cfg.coherent_hit_cycles);
-          f !a cnt;
-          a := !a + cnt
-      | Cache.Invalid ->
-          Cache.note_miss coh;
-          Engine.advance fiber t.cfg.coherent_hit_cycles;
-          bus_read t fiber ~cpu cblock ~exclusive:false;
-          primary_fill t cpu !a;
-          f !a 1;
-          incr a
-    done
-  end
-
-let write_range t fiber ~cpu addr words ~f =
-  let stop = addr + words in
-  let a = ref addr in
-  let coh = t.coherents.(cpu) in
-  let cbw = Cache.block_words coh in
-  let word_cycles =
-    if Array.length t.primaries > 0 then 1 else t.cfg.coherent_hit_cycles
-  in
-  while !a < stop do
-    let cblock = Cache.block_of coh !a in
-    if Cache.state_of coh cblock = Cache.Modified then begin
-      (* The whole run retires without any coherence action or yield. *)
-      let cnt = Int.min (cblock + cbw) stop - !a in
-      Engine.advance fiber (cnt * word_cycles);
-      if Array.length t.primaries > 0 then begin
-        let p = t.primaries.(cpu) in
-        let pbw = Cache.block_words p in
-        let b = ref (Cache.block_of p !a) in
-        while !b < !a + cnt do
-          Cache.fill p !b Cache.Shared;
-          b := !b + pbw
-        done
-      end;
-      f !a cnt;
-      a := !a + cnt
-    end
-    else begin
-      write_timing t fiber ~cpu !a;
-      f !a 1;
-      incr a
-    end
-  done
-
 let rmw t fiber ~cpu addr f =
   Engine.sync fiber;
   Engine.advance fiber

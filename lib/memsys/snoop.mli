@@ -55,23 +55,6 @@ val read_timing : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit
     guard, then the raw memory update. *)
 val write_timing : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> unit
 
-(** [read_range t fiber ~cpu addr words ~f] performs the timing and
-    coherence of reads of [words] consecutive words from [addr],
-    observably identical to per-word {!read} calls (same counters, cycles,
-    bus transactions, yield points).  [f pos len] must move the data for
-    the words [pos, pos+len) and is called run by run, interleaved with
-    the protocol exactly where the per-word loop would read; it must not
-    yield. *)
-val read_range :
-  t -> Shm_sim.Engine.fiber -> cpu:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
-
-(** Write counterpart of {!read_range}: [f pos len] must store the words
-    [pos, pos+len). *)
-val write_range :
-  t -> Shm_sim.Engine.fiber -> cpu:int -> int -> int ->
-  f:(int -> int -> unit) -> unit
-
 (** [rmw t fiber ~cpu addr f] atomically replaces the word with [f old],
     returning [old]; costs a write transaction. *)
 val rmw : t -> Shm_sim.Engine.fiber -> cpu:int -> int -> (int64 -> int64) -> int64

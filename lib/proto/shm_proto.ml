@@ -65,10 +65,6 @@ type instance = {
   page_shift : int;
       (* log2(page_words) when pages are power-of-two sized, else -1;
          platforms use it for the rights-byte fast path *)
-  wordwise_ranges : bool;
-      (* true when bulk range operations must fall back to the literal
-         per-word loop to stay observably identical (eager-invalidate
-         RC, where a mid-run remote invalidation changes timing) *)
   access_rights : (node:int -> Bytes.t) option;
       (* per-page software-TLB bytes: '\000' fault, '\001' read-only,
          '\002' read-write; None for engines without page tables *)
@@ -81,12 +77,9 @@ type instance = {
   read_guard : fiber -> node:int -> int -> unit;
   write_guard : fiber -> node:int -> int -> unit;
       (* coherence + timing of one word access; the caller performs the
-         data movement on its own memory afterwards *)
-  read_range_guard : fiber -> node:int -> int -> int -> f:(int -> int -> unit) -> unit;
-  write_range_guard : fiber -> node:int -> int -> int -> f:(int -> int -> unit) -> unit;
-      (* [guard f ~node addr words ~f:move] validates [addr..addr+words)
-         in coherence-unit runs, calling [move run_addr run_words] for
-         each validated run *)
+         data movement on its own memory afterwards.  These are the only
+         access hooks: a range is the per-word loop over them, so every
+         word is one guarded access on every engine *)
   acquire : fiber -> node:int -> lock:int -> unit;
   release : fiber -> node:int -> lock:int -> unit;
   barrier_arrive : fiber -> node:int -> id:int -> unit;

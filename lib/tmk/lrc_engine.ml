@@ -15,11 +15,7 @@ let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
       eager_locks = ctx.eager_lock_hints;
     }
   in
-  (* Under eager invalidation a remote release can yank a page at any
-     moment, so batched range guards would observably diverge from the
-     per-word sequence: force the literal loop. *)
   Shm_dsm.Paged.instance ~i_name
-    ~wordwise_ranges:(policy = Config.Eager_invalidate)
     (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
        ~memories:ctx.memories)
 

@@ -252,7 +252,7 @@ let expected =
     "treadmarks:tardis sor 8: 23782409 0x1.70d4575719f03p+8 3d8757a48545ba3b0792d895c8795734";
     "treadmarks:tardis tsp 4: 4682859 0x1.1f2p+11 3345f6f6d3b8ac2555f265248bc494b8";
     "treadmarks:tardis tsp 8: 6514299 0x1.1f2p+11 33706f8422f36c293153912731a61929";
-    "treadmarks:tardis water 4: 155927757 0x1.293cc893f694dp+8 292cbbe88f15dc2007de4d86a9205b5d";
+    "treadmarks:tardis water 4: 157982788 0x1.293cc893f694dp+8 206d4d51396ce840a2351d46e96ae5f6";
     "treadmarks:tardis water 8: 213432028 0x1.293cc893f694dp+8 403da47ff4f729e47fe5afc5738e0240";
     "treadmarks:tardis m-water 4: 18453868 0x1.293cc893f694dp+8 8533b09d6fcdc7bb272e995b5d397593";
     "treadmarks:tardis m-water 8: 15705591 0x1.293cc893f694dp+8 1f72672293768ccbbf30516ccff3f962";

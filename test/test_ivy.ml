@@ -34,7 +34,7 @@ let ivy =
     name = "ivy";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"ivy" ~wordwise_ranges:false
+        Paged.instance ~i_name:"ivy"
           (Shm_ivy.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "ivy.page_transfers";
@@ -48,7 +48,7 @@ let tardis =
     name = "tardis";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"tardis" ~wordwise_ranges:false
+        Paged.instance ~i_name:"tardis"
           (Shm_tardis.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "tardis.flushes";
@@ -62,7 +62,7 @@ let lrc =
     name = "lrc";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"lrc" ~wordwise_ranges:false
+        Paged.instance ~i_name:"lrc"
           (Shm_tmk.System.create eng counters (fabric eng counters ~nodes)
              (Shm_tmk.Config.default ~n_nodes:nodes ~shared_words)
              ~memories));
