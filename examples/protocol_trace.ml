@@ -18,7 +18,7 @@ module Config = Shm_tmk.Config
 module System = Shm_tmk.System
 
 let nodes = 3
-let page_words = 512
+let page_words = Shm_parmacs.Parmacs.page_words
 let shared_words = 4 * page_words
 
 let show sys ~node what =

@@ -15,7 +15,6 @@ type params = {
 let default_params input =
   { input; iters = 6; seed = 23; scale = 1.0; slots = 64 }
 
-let page_words = 512
 let theta_words = 64
 
 type shape = { families : int; result_words : int }
@@ -51,9 +50,10 @@ type layout = {
 
 let layout_of ~slots sh =
   let l = Layout.create () in
-  let theta = Layout.alloc_aligned l theta_words ~align:page_words in
-  let results = Layout.alloc_aligned l (sh.families * sh.result_words) ~align:page_words in
-  let partials = Layout.alloc_aligned l (slots * page_words) ~align:page_words in
+  let align = Parmacs.page_words in
+  let theta = Layout.alloc_aligned l theta_words ~align in
+  let results = Layout.alloc_aligned l (sh.families * sh.result_words) ~align in
+  let partials = Layout.alloc_aligned l (slots * align) ~align in
   let loglike = Layout.alloc l 1 in
   let checksum = Layout.alloc l 1 in
   { theta; results; partials; loglike; checksum; words = Layout.size l }
@@ -96,12 +96,13 @@ let work p sh lay costs (ctx : Parmacs.ctx) =
         partial := !partial +. log (2.0 +. !contribution /. float_of_int rw)
       end
     done;
-    Parmacs.write_f ctx (lay.partials + (ctx.id * page_words)) !partial;
+    Parmacs.write_f ctx (lay.partials + (ctx.id * Parmacs.page_words)) !partial;
     ctx.barrier 0;
     (* Master phase: gather gradients, update theta, accumulate loglike. *)
     if ctx.id = 0 then begin
       for q = 0 to ctx.nprocs - 1 do
-        ll := !ll +. Parmacs.read_f ctx (lay.partials + (q * page_words))
+        ll :=
+          !ll +. Parmacs.read_f ctx (lay.partials + (q * Parmacs.page_words))
       done;
       let grad = Array.make theta_words 0.0 in
       let row = Array.make sh.result_words 0.0 in

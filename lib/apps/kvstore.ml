@@ -50,7 +50,6 @@ let default_params =
   }
 
 let max_nodes = 256
-let page_words = 512
 
 (* SplitMix64's multiplier; one multiply mixes the key well enough to
    decorrelate shard choice (low bits) from probe start (high bits). *)
@@ -79,10 +78,11 @@ let layout_of p =
   let shard_cap = Array.map (fun o -> (2 * o) + 2) occ in
   let shard_base =
     Array.map
-      (fun cap -> Layout.alloc_aligned l (1 + (2 * cap)) ~align:page_words)
+      (fun cap ->
+        Layout.alloc_aligned l (1 + (2 * cap)) ~align:Parmacs.page_words)
       shard_cap
   in
-  let checksum = Layout.alloc_aligned l 1 ~align:page_words in
+  let checksum = Layout.alloc_aligned l 1 ~align:Parmacs.page_words in
   { shard_base; shard_cap; checksum; words = Layout.size l }
 
 (* One completed request, as observed by the issuing node.  [lin] is the

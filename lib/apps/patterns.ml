@@ -26,17 +26,19 @@ let default_params kind =
      record-transfer overhead (1.0 = free migration). *)
   { kind; rounds; words = 256; compute = 500_000; slots = 64 }
 
-let page_words = 512
-
 type layout = { data : int; partials : int; checksum : int; words : int }
 
 let layout_of (p : params) =
   let l = Layout.create () in
   (* +1 word for the migratory turn counter. *)
   let data =
-    Layout.alloc_aligned l (max (p.words + 1) page_words) ~align:page_words
+    Layout.alloc_aligned l (max (p.words + 1) Parmacs.page_words)
+      ~align:Parmacs.page_words
   in
-  let partials = Layout.alloc_aligned l (p.slots * page_words) ~align:page_words in
+  let partials =
+    Layout.alloc_aligned l (p.slots * Parmacs.page_words)
+      ~align:Parmacs.page_words
+  in
   let checksum = Layout.alloc l 1 in
   { data; partials; checksum; words = Layout.size l }
 
@@ -132,12 +134,13 @@ let work (p : params) lay (ctx : Parmacs.ctx) =
     | False_sharing -> false_sharing p lay ctx
     | Read_mostly -> read_mostly p lay ctx
   in
-  Parmacs.write_i ctx (lay.partials + (ctx.id * page_words)) digest;
+  Parmacs.write_i ctx (lay.partials + (ctx.id * Parmacs.page_words)) digest;
   ctx.barrier 1;
   if ctx.id = 0 then begin
     let total = ref 0 in
     for q = 0 to ctx.nprocs - 1 do
-      total := !total + Parmacs.read_i ctx (lay.partials + (q * page_words))
+      total :=
+        !total + Parmacs.read_i ctx (lay.partials + (q * Parmacs.page_words))
     done;
     Parmacs.write_f ctx lay.checksum (float_of_int !total)
   end;

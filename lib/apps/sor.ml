@@ -19,14 +19,6 @@ let default_params =
   { rows = 256; cols = 256; iters = 10; touch_all = false; omega = 0.9;
     point_cycles = default_point_cycles; slots = 64 }
 
-let params_2000x1000 =
-  { default_params with rows = 2000; cols = 1000; iters = 51 }
-
-let params_1000x1000 =
-  { default_params with rows = 1000; cols = 1000; iters = 51 }
-
-let page_words = 512
-
 (* Shared layout: grid, per-processor partial sums, checksum slot. *)
 type layout = { grid : int; partials : int; checksum : int; words : int }
 
@@ -34,11 +26,14 @@ let layout_of p =
   let l = Layout.create () in
   let grid = Layout.alloc l ((p.rows + 2) * p.cols) in
   (* Partial-sum slots one page apart: no false sharing between writers. *)
-  let partials = Layout.alloc_aligned l (p.slots * page_words) ~align:page_words in
+  let partials =
+    Layout.alloc_aligned l (p.slots * Parmacs.page_words)
+      ~align:Parmacs.page_words
+  in
   let checksum = Layout.alloc l 1 in
   { grid; partials; checksum; words = Layout.size l }
 
-let partial_slot lay p = lay.partials + (p * page_words)
+let partial_slot lay p = lay.partials + (p * Parmacs.page_words)
 
 let seed_value ~touch_all i j =
   if touch_all then float_of_int (((i * 31) + (j * 17)) mod 97) /. 97.0

@@ -23,11 +23,6 @@ type params = {
 
 val default_params : params
 
-(** Paper problem sizes. *)
-val params_2000x1000 : params
-
-val params_1000x1000 : params
-
 val make : params -> Shm_parmacs.Parmacs.app
 
 (** [reference params] computes the expected checksum sequentially. *)

@@ -31,7 +31,6 @@ let params_n ncities =
 let queue_lock = 0
 let bound_lock = 1
 
-let page_words = 512
 let poll_backoff_cycles = 50000
 
 type layout = {
@@ -47,8 +46,8 @@ type layout = {
 let layout_of p =
   let l = Layout.create () in
   let dist = Layout.alloc l (p.ncities * p.ncities) in
-  let bound = Layout.alloc_aligned l 1 ~align:page_words in
-  let qtop = Layout.alloc_aligned l 2 ~align:page_words in
+  let bound = Layout.alloc_aligned l 1 ~align:Parmacs.page_words in
+  let qtop = Layout.alloc_aligned l 2 ~align:Parmacs.page_words in
   let slot_words = 1 + p.ncities in
   let slots = Layout.alloc l (p.queue_capacity * slot_words) in
   let checksum = Layout.alloc l 1 in

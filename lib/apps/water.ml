@@ -28,7 +28,6 @@ let molecule_lock m = m
 
 let integrate_compute_cycles = 200
 
-let page_words = 512
 let dt = 1e-3
 
 type layout = {
@@ -46,7 +45,10 @@ let layout_of p =
   let pos = Layout.alloc l n3 in
   let vel = Layout.alloc l n3 in
   let force = Layout.alloc l n3 in
-  let partials = Layout.alloc_aligned l (p.slots * page_words) ~align:page_words in
+  let partials =
+    Layout.alloc_aligned l (p.slots * Parmacs.page_words)
+      ~align:Parmacs.page_words
+  in
   let checksum = Layout.alloc l 1 in
   { pos; vel; force; partials; checksum; words = Layout.size l }
 
@@ -177,12 +179,13 @@ let work p lay (ctx : Parmacs.ctx) =
     read3 lay.vel m;
     s := !s +. x +. y +. z +. buf3.(0) +. buf3.(1) +. buf3.(2)
   done;
-  Parmacs.write_f ctx (lay.partials + (ctx.id * page_words)) !s;
+  Parmacs.write_f ctx (lay.partials + (ctx.id * Parmacs.page_words)) !s;
   ctx.barrier 1;
   if ctx.id = 0 then begin
     let total = ref 0.0 in
     for q = 0 to ctx.nprocs - 1 do
-      total := !total +. Parmacs.read_f ctx (lay.partials + (q * page_words))
+      total :=
+        !total +. Parmacs.read_f ctx (lay.partials + (q * Parmacs.page_words))
     done;
     Parmacs.write_f ctx lay.checksum !total
   end;
