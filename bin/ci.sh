@@ -84,7 +84,7 @@ fi
 # skeleton (Shm_dsm.Paged, DESIGN.md §6) and keep only their protocol.
 # An engine defining its own sending, serving, start-up, guards or
 # synchronization clients again would restart the fork Paged replaced.
-if grep -nE '^(let|and)( rec)? (deliver|serve|start|read_guard|write_guard|read_range_guard|write_range_guard|acquire|release|barrier_arrive)\b' \
+if grep -nE '^(let|and)( rec)? (deliver|serve|start|read_guard|write_guard|acquire|release|barrier_arrive)\b' \
      lib/ivy/*.ml lib/tardis/*.ml; then
   echo "ci: IVY and Tardis must use Shm_dsm.Paged, not their own skeleton" >&2
   exit 1
@@ -92,16 +92,28 @@ fi
 
 # Shell fork guard: all three software engines run on one page-DSM
 # shell (Shm_dsm.Paged, DESIGN.md §6): the node header and page
-# accessors, the guards and range guards, the fault shell, start-up and
-# the mounted instance.  TreadMarks keeps only its protocol; defining
+# accessors, the guards, the fault shell, start-up and the mounted
+# instance.  TreadMarks keeps only its protocol; defining
 # any of those again, or a second system signature for mounting, would
 # restart the fork the shell replaced.  The one exempt line is the
 # alias of Paged.start that bench/perf calls as System.start.
-if grep -nE '^(let|and)( rec)? (start|read_guard|write_guard|read_range_guard|write_range_guard|read_page|write_page|page_of|access_rights|set_page_hook)\b' \
+if grep -nE '^(let|and)( rec)? (start|read_guard|write_guard|read_page|write_page|page_of|access_rights|set_page_hook)\b' \
      lib/tmk/*.ml \
      | grep -vE '^lib/tmk/system\.ml:[0-9]+:let start = Paged\.start$' || \
    grep -n 'module type SYSTEM' lib/dsm/*.ml; then
   echo "ci: TreadMarks must use the Shm_dsm.Paged shell, not its own copy" >&2
+  exit 1
+fi
+
+# Access-path fork guard: a shared-memory range is the per-word loop
+# over a context's scalar accessors (Parmacs.per_word_range, DESIGN.md
+# §4.1), so every word is one guarded access on every engine.  Range
+# guards, a per-engine switch between batched and per-word ranges, run
+# builders or a page walk for them would restart the second access path
+# that let a Tardis range skip the faults its own words take.
+if grep -rn -e read_range_guard -e write_range_guard -e wordwise_ranges \
+     -e range_ops_of_runs -e walk_pages lib; then
+  echo "ci: a range must be the per-word loop, not a second access path" >&2
   exit 1
 fi
 
