@@ -22,7 +22,7 @@
     {b The shell.}  Everything but the protocol is the page-DSM shell
     all three software engines share ({!Shm_dsm.Paged}): the node
     header (id, memory, rights bytes, runtime, checkpoint store), the
-    guards and range guards, the fault's wait-and-fetch shell, start-up
+    guards, the fault's wait-and-fetch shell, start-up
     and the mounted instance.  This engine hands it one
     [Paged.protocol] record: what a fault fetches, the twin a write hit
     makes, its own message handler, its lock, release and barrier
@@ -41,7 +41,7 @@ type tnode
 type sys
 
 (** Run it through the shell's operations ({!Shm_dsm.Paged.read_guard},
-    the range guards, {!Shm_dsm.Paged.instance}, ...). *)
+    {!Shm_dsm.Paged.write_guard}, {!Shm_dsm.Paged.instance}, ...). *)
 type t = (Proto.t, tnode, sys) Shm_dsm.Paged.t
 
 (** [create eng counters fabric cfg ~memories] builds the cluster's
