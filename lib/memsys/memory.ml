@@ -211,3 +211,20 @@ let first_match (a : t) apos (b : t) bpos len =
     incr k
   done;
   if !k >= len then -1 else !k
+
+(* [f acc start n] over each maximal differing run [start, start + n),
+   in address order: the run scan of a diff and of a checkpoint delta. *)
+let[@inline] fold_diff_runs a apos b bpos len ~init f =
+  let acc = ref init and i = ref 0 in
+  while !i < len do
+    let d = first_diff a (apos + !i) b (bpos + !i) (len - !i) in
+    if d < 0 then i := len
+    else begin
+      let start = !i + d in
+      let m = first_match a (apos + start) b (bpos + start) (len - start) in
+      let stop = if m < 0 then len else start + m in
+      acc := f !acc start (stop - start);
+      i := stop
+    end
+  done;
+  !acc

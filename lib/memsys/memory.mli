@@ -102,3 +102,9 @@ val first_diff : t -> int -> t -> int -> int -> int
 (** [first_match a apos b bpos len] is the first offset [k] in [0, len)
     where the ranges agree bitwise, or [-1]. *)
 val first_match : t -> int -> t -> int -> int -> int
+
+(** [fold_diff_runs a apos b bpos len ~init f] folds [f acc start n],
+    in address order, over the maximal runs [start, start + n) of
+    offsets in [0, len) where the ranges differ bitwise. *)
+val fold_diff_runs :
+  t -> int -> t -> int -> int -> init:'a -> ('a -> int -> int -> 'a) -> 'a

@@ -16,26 +16,8 @@ module Memory = Shm_memsys.Memory
    already clean, else a 16-byte page descriptor plus, per changed run,
    a 4-byte run header and 8 bytes per word — the {!Diff.bytes} layout. *)
 let page_delta ~src ~src_base ~image ~image_base ~words =
-  let bytes = ref 0 in
-  let i = ref 0 in
-  while !i < words do
-    let d = Memory.first_diff src (src_base + !i) image (image_base + !i)
-        (words - !i)
-    in
-    if d < 0 then i := words
-    else begin
-      let start = !i + d in
-      let m =
-        Memory.first_match src (src_base + start) image (image_base + start)
-          (words - start)
-      in
-      let stop = if m < 0 then words else start + m in
-      let len = stop - start in
+  Memory.fold_diff_runs src src_base image image_base words ~init:0
+    (fun bytes start len ->
       Memory.blit ~src ~src_pos:(src_base + start) ~dst:image
         ~dst_pos:(image_base + start) ~len;
-      if !bytes = 0 then bytes := 16;
-      bytes := !bytes + 4 + (8 * len);
-      i := stop
-    end
-  done;
-  !bytes
+      (if bytes = 0 then 16 else bytes) + 4 + (8 * len))

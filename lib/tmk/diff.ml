@@ -5,25 +5,14 @@ type run = { offset : int; words : float array }
 type t = { page : int; runs : run list; creator : int; seqno : int; vsum : int }
 
 let make_stamped ~creator ~seqno ~vsum ~page ~twin ~current ~base ~words =
-  let runs = ref [] in
-  let i = ref 0 in
-  while !i < words do
-    let d = Memory.first_diff current (base + !i) twin !i (words - !i) in
-    if d < 0 then i := words
-    else begin
-      let start = !i + d in
-      let m =
-        Memory.first_match current (base + start) twin start (words - start)
-      in
-      let stop = if m < 0 then words else start + m in
-      let len = stop - start in
-      let data = Array.create_float len in
-      Memory.read_floats current (base + start) data 0 len;
-      runs := { offset = start; words = data } :: !runs;
-      i := stop
-    end
-  done;
-  { page; runs = List.rev !runs; creator; seqno; vsum }
+  let runs =
+    Memory.fold_diff_runs current base twin 0 words ~init:[]
+      (fun runs offset len ->
+        let data = Array.create_float len in
+        Memory.read_floats current (base + offset) data 0 len;
+        { offset; words = data } :: runs)
+  in
+  { page; runs = List.rev runs; creator; seqno; vsum }
 
 let make = make_stamped ~creator:(-1) ~seqno:0 ~vsum:0
 
