@@ -128,13 +128,6 @@ let successor lc ~nodes ~dead =
 
 (* ---------------- pages -------------------------------------------- *)
 
-(* log2 [page_words], or -1 if it is not a power of two. *)
-let page_shift page_words =
-  if page_words > 0 && page_words land (page_words - 1) = 0 then
-    let rec go s n = if n = 1 then s else go (s + 1) (n lsr 1) in
-    go 0 page_words
-  else -1
-
 (* A page payload is a malloc'd copy outside the OCaml heap: a page
    transfer allocates no boxed words and leaves the major heap alone. *)
 let page_data mem ~page_words page =

@@ -2,10 +2,11 @@
    Tardis) run on: the node header, the page accessors and the four
    guards, the fault's wait-and-fetch shell, start-up with the crash
    lifecycle and the handler daemons, and the mounted
-   {!Shm_proto.instance}.  The engine hands it a [protocol] record with
-   what its protocol decides: when a page copy serves an access, what a
-   fault fetches, what a write hit does, how a message is served, its
-   synchronization clients, and its checkpoint, re-home and rejoin moves.
+   {!Shm_proto.sdsm_instance}.  The engine hands it a [protocol] record
+   with what its protocol decides: when a page copy serves an access,
+   what a fault fetches, what a write hit does, how a message is served,
+   its synchronization clients, and its checkpoint, re-home and rejoin
+   moves.
 
    IVY and Tardis also share a home-based page DSM, the second half of
    this file: every page has a static home manager ([page mod n_nodes],
@@ -57,7 +58,7 @@ type ('msg, 'x, 's) t = {
   n_pages : int;
   n_nodes : int;
   nodes : ('msg, 'x) node array;
-  page_shift : int;  (** log2 page_words, or -1 if not a power of two *)
+  page_shift : int;  (** log2 page_words *)
   mutable page_hook : node:int -> page:int -> unit;
       (** fires whenever a page's contents are replaced, so the platforms
           can drop cached lines *)
@@ -98,9 +99,16 @@ and ('msg, 'x, 's) protocol = {
    node owns everything and never write-protects a page.  [s] builds the
    engine's system-wide state and [x] a node's page state, both from the
    page count.  A lifecycle attached to [fabric] gives every node a
-   checkpoint store. *)
+   checkpoint store.  Pages are a power of two words long. *)
 let create (p : (_, _, _) protocol) eng counters fabric ~page_words
     ~shared_words ~memories ~rights ~s ~x =
+  if page_words <= 0 || page_words land (page_words - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "%s: a page of %d words is not a power of two; a page number is \
+          the word address shifted right"
+         p.engine page_words);
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   let n_nodes = Array.length memories in
   let n_pages = (shared_words + page_words - 1) / page_words in
   let lifecycle = Fabric.lifecycle fabric in
@@ -125,7 +133,7 @@ let create (p : (_, _, _) protocol) eng counters fabric ~page_words
                 lifecycle;
             x = x n_pages;
           });
-    page_shift = Node.page_shift page_words;
+    page_shift = log2 page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
     p;
     s = s n_pages;
@@ -134,8 +142,7 @@ let create (p : (_, _, _) protocol) eng counters fabric ~page_words
     write_faults = Counters.key counters p.write_fault;
   }
 
-let page_of t addr =
-  if t.page_shift >= 0 then addr lsr t.page_shift else addr / t.page_words
+let page_of t addr = addr lsr t.page_shift
 
 let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
 
@@ -230,17 +237,15 @@ let write_guard t fiber ~node addr =
 (* The machine's message fabric, with the crash lifecycle (if any)
    attached before the system creates its reliable channel, so the
    channel arms sequencing/retransmission and sees node liveness. *)
-let fabric (ctx : Shm_proto.ctx) =
+let fabric (ctx : Shm_proto.sdsm_ctx) =
   let fabric = Fabric.create ctx.eng ctx.counters ctx.fabric ~nodes:ctx.nodes in
   Option.iter (Fabric.attach_lifecycle fabric) ctx.lifecycle;
   fabric
 
-(* The system as a {!Shm_proto.instance}. *)
-let instance sys ~i_name =
+(* The system as a {!Shm_proto.sdsm_instance}. *)
+let instance sys =
   {
-    Shm_proto.i_name;
-    page_shift = sys.page_shift;
-    access_rights = Some (fun ~node -> sys.nodes.(node).rights);
+    Shm_proto.access_rights = (fun ~node -> sys.nodes.(node).rights);
     set_page_hook = (fun f -> sys.page_hook <- f);
     start = (fun () -> start sys);
     retx_note = (fun () -> Reliable.pending_note sys.net);
@@ -249,8 +254,6 @@ let instance sys ~i_name =
     acquire = (fun f ~node ~lock -> sys.p.acquire sys f ~node ~lock);
     release = (fun f ~node ~lock -> sys.p.release sys f ~node ~lock);
     barrier_arrive = (fun f ~node ~id -> sys.p.barrier_arrive sys f ~node ~id);
-    rmw = None;
-    invalidate_range = None;
     check_invariants = (fun () -> sys.p.check sys);
   }
 
@@ -426,7 +429,7 @@ let create_home p hp eng counters fabric ~page_words ~shared_words ~memories
 
 (* Mount the home-based system [create] builds over the machine [ctx]
    describes. *)
-let mount create (ctx : Shm_proto.ctx) ~i_name =
-  instance ~i_name
+let mount create (ctx : Shm_proto.sdsm_ctx) =
+  instance
     (create ctx.eng ctx.counters (fabric ctx) ~page_words:ctx.page_words
        ~shared_words:ctx.shared_words ~memories:ctx.memories)

@@ -5,22 +5,24 @@
 module Directory = Shm_memsys.Directory
 
 let name = "directory"
-let kind = Shm_proto.Hw
 
 let describe =
   "full-map directory cache coherence over a crossbar (DASH/FLASH-like, \
    the All-Hardware design)"
 
-let mount (ctx : Shm_proto.ctx) =
-  let machine =
-    Directory.create ctx.eng ctx.counters ctx.memories.(0)
-      (Directory.sim_config ~n_nodes:ctx.nodes)
-  in
-  Hw_mount.instance ctx ~i_name:name
-    ~rmw:(fun f ~cpu addr g -> Directory.rmw machine f ~node:cpu addr g)
-    ~read:(fun f ~cpu addr -> ignore (Directory.read machine f ~node:cpu addr))
-    ~read_guard:(fun f ~node addr -> Directory.read_timing machine f ~node addr)
-    ~write_guard:(fun f ~node addr -> Directory.write_timing machine f ~node addr)
-    ~invalidate_range:(fun ~addr ~words ->
-      Directory.invalidate_range machine ~addr ~words)
-    ~check_invariants:(fun () -> Directory.check_invariants machine)
+let mount =
+  Shm_proto.Hardware
+    (fun ctx ->
+      let machine =
+        Directory.create ctx.eng ctx.counters ctx.memory
+          (Directory.sim_config ~n_nodes:ctx.nodes)
+      in
+      Hw_mount.instance ctx
+        ~rmw:(fun f ~cpu addr g -> Directory.rmw machine f ~node:cpu addr g)
+        ~read_guard:(fun f ~node addr ->
+          Directory.read_timing machine f ~node addr)
+        ~write_guard:(fun f ~node addr ->
+          Directory.write_timing machine f ~node addr)
+        ~invalidate_range:(fun ~addr ~words ->
+          Directory.invalidate_range machine ~addr ~words)
+        ~check_invariants:(fun () -> Directory.check_invariants machine))

@@ -2,10 +2,9 @@
    engine (registry name "ivy"). *)
 
 let name = "ivy"
-let kind = Shm_proto.Sdsm
 
 let describe =
   "IVY sequentially-consistent page DSM: one writer at a time, whole-page \
    transfers, invalidation with acknowledgements on every write fault"
 
-let mount ctx = Shm_dsm.Paged.mount System.create ctx ~i_name:name
+let mount = Shm_proto.Software (Shm_dsm.Paged.mount System.create)

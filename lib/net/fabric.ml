@@ -54,11 +54,6 @@ let atm_sim ~overhead =
   { name = "atm-sim"; latency_cycles = 100; bytes_per_cycle = 0.194; overhead;
     faults = no_faults }
 
-(* 200 MB/s at 100 MHz = 2 bytes/cycle; 100 ns = 10 cycles. *)
-let crossbar_sim =
-  { name = "crossbar"; latency_cycles = 10; bytes_per_cycle = 2.0;
-    overhead = Overhead.hardware; faults = no_faults }
-
 (* Per-message counter cells, resolved once at fabric creation: the send
    path bumps plain refs instead of hashing a (formatted) name per
    message. *)

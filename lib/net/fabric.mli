@@ -57,9 +57,6 @@ val atm_dec : overhead:Overhead.t -> config
 (** Section-3 simulated ATM: 100 MHz CPUs, 155 Mbit/s links, 1 us latency. *)
 val atm_sim : overhead:Overhead.t -> config
 
-(** Section-3 crossbar: 200 Mbyte/s per link, 100 ns latency, no software. *)
-val crossbar_sim : config
-
 val create :
   Shm_sim.Engine.t -> Shm_stats.Counters.t -> config -> nodes:int -> 'a t
 

@@ -303,14 +303,26 @@ let rec trim t remaining =
          else Some (Dom { engine; children = List.rev kept })),
         taken )
 
-let rec to_hier = function
+let mount_of engine =
+  let (module E : Shm_proto.ENGINE) = Shm_engines.get engine in
+  E.mount
+
+(* A validated tree as the runner's machine: software DSM only at the
+   root, hardware domains below it or alone. *)
+let rec to_child = function
   | Cpus n -> Hier.Procs n
-  | Dom { engine; children } ->
-      Hier.Dom
-        {
-          Hier.d_engine = Shm_engines.get engine;
-          d_children = List.map to_hier children;
-        }
+  | Dom { engine; children } -> (
+      match mount_of engine with
+      | Shm_proto.Hardware d_mount ->
+          Hier.Dom { d_mount; d_children = List.map to_child children }
+      | Shm_proto.Software _ -> assert false)
+
+let to_hier = function
+  | Dom { engine; children } as t -> (
+      match mount_of engine with
+      | Shm_proto.Software mount -> Hier.Dsm (mount, List.map to_child children)
+      | Shm_proto.Hardware _ -> Hier.Node (to_child t))
+  | Cpus _ as t -> Hier.Node (to_child t)
 
 (* {2 Building} *)
 

@@ -49,11 +49,6 @@ val host_names : string list
 (** @raise Invalid_argument for an unknown host name. *)
 val host_of_name : string -> host
 
-(** Kind of a registered engine (raises like {!Shm_engines.get} for an
-    unknown name) — lets the named platforms check engine placement
-    without touching the registry themselves. *)
-val engine_kind : string -> Shm_proto.kind
-
 val engine_names : unit -> string list
 
 (** Total processors the topology can seat. *)

@@ -4,10 +4,11 @@
    A platform (lib/platform) owns the simulation engine, the memories and
    the processor fibers; a coherence engine owns how those memories are
    kept coherent — software DSM over a message fabric, or a hardware
-   cache-coherence model over a bus or crossbar.  The platform builds a
-   [ctx] describing the machine, calls [ENGINE.mount], and drives the
-   returned [instance] from its processor fibers.  No platform names a
-   concrete protocol module; they are looked up in a [Registry].
+   cache-coherence model over a bus or crossbar.  The platform builds
+   the engine kind's context describing the machine, calls its [mount],
+   and drives the returned instance from its processor fibers.  No
+   platform names a concrete protocol module; they are looked up in a
+   [Registry].
 
    See DESIGN.md §11 for the hook-by-hook contract. *)
 
@@ -17,61 +18,49 @@ module Fabric = Shm_net.Fabric
 module Memory = Shm_memsys.Memory
 
 (* ------------------------------------------------------------------ *)
-(* What kind of machine an engine coheres. *)
-
-(* [Sdsm] engines keep one memory per node coherent by exchanging
-   messages over the platform's fabric; [Hw] engines model a hardware
-   cache hierarchy over a single physical memory. *)
+(* What kind of machine an engine coheres: [Sdsm] engines keep one
+   memory per node coherent by exchanging messages over the platform's
+   fabric; [Hw] engines model a hardware cache hierarchy over one
+   memory.  Each kind has its own context and instance below. *)
 type kind = Sdsm | Hw
 
 let kind_name = function Sdsm -> "software-DSM" | Hw -> "hardware"
 
-(* Which interconnect a hardware engine's timing should model.  Software
-   engines ignore this; the snooping engine refuses [Crossbar]. *)
+(* Which interconnect a hardware engine's timing should model; the
+   snooping engine refuses [Crossbar]. *)
 type hw_profile = Sgi_bus | Sgi_bus_fast | Hs_node_bus | Crossbar
 
 (* ------------------------------------------------------------------ *)
-(* The mount context: the machine as the engine sees it. *)
-
-type ctx = {
-  eng : Engine.t;
-  counters : Counters.t;
-  fabric : Fabric.config;
-      (* message fabric for Sdsm engines, fault policy already folded
-         in; Hw engines never touch it *)
-  nodes : int;  (* coherence participants: DSM nodes, or bus CPUs *)
-  page_words : int;
-  shared_words : int;  (* page-rounded for Sdsm machines *)
-  memories : Memory.t array;
-      (* one per node for Sdsm; a single shared memory for Hw *)
-  eager_lock_hints : int list;
-      (* app-provided eager-release locks; engines without the concept
-         ignore them *)
-  hw_profile : hw_profile option;  (* None on software-DSM machines *)
-  lifecycle : Shm_sim.Lifecycle.t option;
-      (* whole-node crash/restart policy instance; Sdsm engines that
-         support recovery attach it to their fabric and register
-         checkpoint/re-home/rejoin hooks, engines that cannot recover
-         must refuse to mount, Hw platforms always pass None *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* The mounted instance: closures the platform's fibers drive. *)
+(* The software-DSM contract: the machine as the engine sees it, and
+   the closures the platform's fibers drive. *)
 
 type fiber = Engine.fiber
 
-type instance = {
-  i_name : string;
-  page_shift : int;
-      (* log2(page_words) when pages are power-of-two sized, else -1;
-         platforms use it for the rights-byte fast path *)
-  access_rights : (node:int -> Bytes.t) option;
+type sdsm_ctx = {
+  eng : Engine.t;
+  counters : Counters.t;
+  fabric : Fabric.config;  (* message fabric, fault policy folded in *)
+  nodes : int;  (* DSM nodes *)
+  page_words : int;
+  shared_words : int;  (* page-rounded *)
+  memories : Memory.t array;  (* one per node *)
+  eager_lock_hints : int list;
+      (* app-provided eager-release locks; engines without the concept
+         ignore them *)
+  lifecycle : Shm_sim.Lifecycle.t option;
+      (* whole-node crash/restart policy; engines that support recovery
+         attach it to their fabric and register checkpoint/re-home/rejoin
+         hooks, engines that cannot recover must refuse to mount *)
+}
+
+type sdsm_instance = {
+  access_rights : node:int -> Bytes.t;
       (* per-page software-TLB bytes: '\000' fault, '\001' read-only,
-         '\002' read-write; None for engines without page tables *)
+         '\002' read-write *)
   set_page_hook : (node:int -> page:int -> unit) -> unit;
       (* called whenever the engine rewrites a page's backing memory
          behind the processor's back (platforms invalidate their private
-         per-node caches from it) *)
+         per-node caches and hardware levels from it) *)
   start : unit -> unit;  (* spawn protocol daemons; after mount, once *)
   retx_note : unit -> string;  (* diagnostic line for deadlock reports *)
   read_guard : fiber -> node:int -> int -> unit;
@@ -83,14 +72,40 @@ type instance = {
   acquire : fiber -> node:int -> lock:int -> unit;
   release : fiber -> node:int -> lock:int -> unit;
   barrier_arrive : fiber -> node:int -> id:int -> unit;
-  rmw : (fiber -> node:int -> int -> (int64 -> int64) -> int64) option;
-      (* atomic read-modify-write on a shared word; hardware engines
-         only (platforms build flat sync regions from it) *)
-  invalidate_range : (addr:int -> words:int -> unit) option;
-      (* drop cached copies of a memory range without timing; hardware
-         engines only (DSM-over-bus platforms call it from page hooks) *)
   check_invariants : unit -> unit;  (* post-run structural checks *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* The hardware contract: one cache machine over one memory. *)
+
+type hw_ctx = {
+  eng : Engine.t;
+  counters : Counters.t;
+  nodes : int;  (* the domain's members: bus CPUs, or directory nodes *)
+  memory : Memory.t;
+  sync_base : int;  (* the domain's slice of the sync region *)
+  profile : hw_profile;
+}
+
+type hw_instance = {
+  read_guard : fiber -> node:int -> int -> unit;
+  write_guard : fiber -> node:int -> int -> unit;
+      (* as for software DSM, [node] being the member index *)
+  invalidate_range : addr:int -> words:int -> unit;
+      (* drop cached copies of a range without timing (from the page hook
+         of a DSM root above the domain) *)
+  check_invariants : unit -> unit;
+  sync : Shm_memsys.Hw_sync.t;
+      (* the domain's locks and barriers, over the machine's own
+         transactions on its slice of the sync region *)
+}
+
+(* How an engine mounts: its kind is its constructor. *)
+type mount =
+  | Software of (sdsm_ctx -> sdsm_instance)
+  | Hardware of (hw_ctx -> hw_instance)
+
+let kind_of_mount = function Software _ -> Sdsm | Hardware _ -> Hw
 
 (* ------------------------------------------------------------------ *)
 (* The engine signature proper. *)
@@ -99,14 +114,12 @@ module type ENGINE = sig
   val name : string
   (** Registry key, e.g. ["lrc"]; lowercase, no spaces. *)
 
-  val kind : kind
-
   val describe : string
   (** One line for [shmsim protocols]. *)
 
-  val mount : ctx -> instance
-  (** Build one run's worth of protocol state over [ctx].  Mount must
-      not advance the simulation clock; all costs accrue inside the
+  val mount : mount
+  (** Build one run's worth of protocol state over the context.  Mount
+      must not advance the simulation clock; all costs accrue inside the
       instance hooks, attributed to the categories in
       {!Shm_sim.Engine.category} (see DESIGN.md §11). *)
 end
@@ -130,7 +143,9 @@ module Registry = struct
           (Printf.sprintf
              "Shm_proto.Registry.register: protocol name %S is already taken \
               (%s engine: %s); engine names must be unique"
-             E.name (kind_name Old.kind) Old.describe)
+             E.name
+             (kind_name (kind_of_mount Old.mount))
+             Old.describe)
     | None -> t @ [ (module E : ENGINE) ]
 
   let of_list engines = List.fold_left register empty engines

@@ -6,49 +6,49 @@
    stale-bound fix applied to all intervals), and conventional
    eager-invalidate release consistency (the Munin-style ablation). *)
 
-let mount_policy ~policy ~i_name (ctx : Shm_proto.ctx) =
-  let cfg =
-    {
-      (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words) with
-      Config.page_words = ctx.page_words;
-      notice_policy = policy;
-      eager_locks = ctx.eager_lock_hints;
-    }
-  in
-  Shm_dsm.Paged.instance ~i_name
-    (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
-       ~memories:ctx.memories)
+let mount_policy ~policy =
+  Shm_proto.Software
+    (fun ctx ->
+      let cfg =
+        {
+          (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words)
+          with
+          Config.page_words = ctx.page_words;
+          notice_policy = policy;
+          eager_locks = ctx.eager_lock_hints;
+        }
+      in
+      Shm_dsm.Paged.instance
+        (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
+           ~memories:ctx.memories))
 
 module Lrc = struct
   let name = "lrc"
-  let kind = Shm_proto.Sdsm
 
   let describe =
     "TreadMarks lazy release consistency: multiple writers, diffs, write \
      notices moving only with lock grants and barrier departures"
 
-  let mount ctx = mount_policy ~policy:Config.Lazy ~i_name:name ctx
+  let mount = mount_policy ~policy:Config.Lazy
 end
 
 module Eager_lrc = struct
   let name = "eager-lrc"
-  let kind = Shm_proto.Sdsm
 
   let describe =
     "release consistency with eager diff updates: every release and \
      barrier broadcasts the closing interval's diffs (the paper's TSP \
      stale-bound fix, applied to every interval)"
 
-  let mount ctx = mount_policy ~policy:Config.Eager_update ~i_name:name ctx
+  let mount = mount_policy ~policy:Config.Eager_update
 end
 
 module Erc = struct
   let name = "erc"
-  let kind = Shm_proto.Sdsm
 
   let describe =
     "conventional eager-invalidate release consistency: every release \
      broadcasts write notices and waits for acknowledgements (Munin-style)"
 
-  let mount ctx = mount_policy ~policy:Config.Eager_invalidate ~i_name:name ctx
+  let mount = mount_policy ~policy:Config.Eager_invalidate
 end

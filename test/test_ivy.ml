@@ -24,7 +24,7 @@ type engine = {
   name : string;
   mount :
     Engine.t -> Counters.t -> nodes:int -> shared_words:int ->
-    Memory.t array -> Shm_proto.instance;
+    Memory.t array -> Shm_proto.sdsm_instance;
   transfers : string;
   shipped : Counters.t -> int;
 }
@@ -34,7 +34,7 @@ let ivy =
     name = "ivy";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"ivy"
+        Paged.instance
           (Shm_ivy.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "ivy.page_transfers";
@@ -48,7 +48,7 @@ let tardis =
     name = "tardis";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"tardis"
+        Paged.instance
           (Shm_tardis.System.create eng counters (fabric eng counters ~nodes)
              ~page_words:512 ~shared_words ~memories));
     transfers = "tardis.flushes";
@@ -62,7 +62,7 @@ let lrc =
     name = "lrc";
     mount =
       (fun eng counters ~nodes ~shared_words memories ->
-        Paged.instance ~i_name:"lrc"
+        Paged.instance
           (Shm_tmk.System.create eng counters (fabric eng counters ~nodes)
              (Shm_tmk.Config.default ~n_nodes:nodes ~shared_words)
              ~memories));
@@ -72,7 +72,7 @@ let lrc =
 
 type cluster = {
   eng : Engine.t;
-  sys : Shm_proto.instance;
+  sys : Shm_proto.sdsm_instance;
   counters : Counters.t;
   memories : Memory.t array;
 }
@@ -229,6 +229,33 @@ let test_single_node_is_free engine () =
       Alcotest.(check int) "no protocol cost" 0 (Engine.clock f));
   Engine.run c.eng
 
+(* A page number is the word address shifted right, so the shell refuses
+   a page size that is not a power of two, whichever engine asks. *)
+let test_page_size_refused () =
+  let eng = Engine.create () and counters = Counters.create () in
+  let memories = Array.init 2 (fun _ -> Memory.create ~words:1000) in
+  let refuses what create =
+    match create () with
+    | _ -> Alcotest.failf "%s accepted a 100-word page" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names the reason: %s" what msg)
+          true
+          (Test_proto.contains ~sub:"power of two" msg)
+  in
+  refuses "ivy" (fun () ->
+      ignore
+        (Shm_ivy.System.create eng counters (fabric eng counters ~nodes:2)
+           ~page_words:100 ~shared_words:1000 ~memories));
+  refuses "lrc" (fun () ->
+      ignore
+        (Shm_tmk.System.create eng counters (fabric eng counters ~nodes:2)
+           {
+             (Shm_tmk.Config.default ~n_nodes:2 ~shared_words:1000) with
+             Shm_tmk.Config.page_words = 100;
+           }
+           ~memories))
+
 (* The cases every engine on the shell passes. *)
 let shell_cases engine =
   [
@@ -252,9 +279,13 @@ let cases engine =
   :: shell_cases engine
 
 let suite =
-  Alcotest.test_case "SC propagates without sync" `Quick
-    test_sc_propagates_without_sync
-  :: cases ivy
+  (Alcotest.test_case "SC propagates without sync" `Quick
+     test_sc_propagates_without_sync
+  :: cases ivy)
+  @ [
+      Alcotest.test_case "page sizes are powers of two" `Quick
+        test_page_size_refused;
+    ]
 
 let tardis_suite = cases tardis
 let lrc_suite = shell_cases lrc
