@@ -147,6 +147,20 @@ if grep -nE 'Shm_tmk\.|Shm_ivy\.|Shm_tardis\.|Snoop\.|Directory\.|Shm_memsys\.Sn
   exit 1
 fi
 
+# Contract-split audit: each engine kind has its own mount contract
+# (DESIGN.md §11).  A hardware domain synchronizes through the one
+# Hw_sync.t its engine builds at mount (lib/engines/hw_mount.ml), and a
+# hardware mount context carries no message fabric.  A second
+# Hw_sync.create in lib/, or a platform naming the crossbar fabric as a
+# placeholder, would bring back the duplicate sync object and the
+# other kind's fields the split removed.
+if grep -rn 'Hw_sync\.create' lib \
+     | grep -v -e '^lib/memsys/hw_sync\.ml:' -e '^lib/engines/hw_mount\.ml:' || \
+   grep -rn 'crossbar_sim' lib/platform; then
+  echo "ci: one Hw_sync per hardware domain, built by its engine; no fabric in a hardware mount" >&2
+  exit 1
+fi
+
 # Topology-layering audit: the topology builder is the single place in
 # lib/platform that consults the engine registry (DESIGN.md §15).  A
 # named platform resolving engines itself would hard-code wiring the
