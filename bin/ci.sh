@@ -117,6 +117,17 @@ if grep -rn -e read_range_guard -e write_range_guard -e wordwise_ranges \
   exit 1
 fi
 
+# Page-size audit: the simulator has one page, the constants
+# Memory.page_words and Memory.page_shift (DESIGN.md §4.1).  A labelled
+# page-size argument or a page-size record field in lib/ would thread
+# the one value back through the layers as a parameter no caller varies,
+# with the power-of-two refusal and log2 that came with it.
+if grep -rnE '[~?]page_(words|shift)\b|^ *(mutable +)?page_(words|shift) *:' \
+     lib --include='*.ml' --include='*.mli'; then
+  echo "ci: the page size is Memory.page_words, not a parameter or a field" >&2
+  exit 1
+fi
+
 # Recovery fork guard: the fabric's lifecycle is the one crash switch
 # and Shm_dsm.Checkpoint the one checkpoint store (DESIGN.md §13).  A
 # second WAL beside the per-page own-diff lists, a per-engine dirty map,

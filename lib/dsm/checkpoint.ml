@@ -12,8 +12,8 @@ type t = {
   marked : Bytes.t;  (** one byte per page: changed since the last sweep *)
 }
 
-let create mem ~pages ~page_words =
-  let words = pages * page_words in
+let create mem ~pages =
+  let words = pages * Memory.page_words in
   let image = Memory.create_mapped ~words in
   Memory.seed ~src:mem ~len:words [| image |];
   { image; marked = Bytes.make pages '\000' }

@@ -130,5 +130,6 @@ let successor lc ~nodes ~dead =
 
 (* A page payload is a malloc'd copy outside the OCaml heap: a page
    transfer allocates no boxed words and leaves the major heap alone. *)
-let page_data mem ~page_words page =
-  Memory.sub_copy ~src:mem ~pos:(page * page_words) ~len:page_words
+let page_data mem page =
+  Memory.sub_copy ~src:mem ~pos:(page * Memory.page_words)
+    ~len:Memory.page_words

@@ -54,11 +54,9 @@ type ('msg, 'x, 's) t = {
   eng : Engine.t;
   counters : Counters.t;
   net : 'msg Reliable.t;
-  page_words : int;
   n_pages : int;
   n_nodes : int;
   nodes : ('msg, 'x) node array;
-  page_shift : int;  (** log2 page_words *)
   mutable page_hook : node:int -> page:int -> unit;
       (** fires whenever a page's contents are replaced, so the platforms
           can drop cached lines *)
@@ -89,9 +87,11 @@ and ('msg, 'x, 's) protocol = {
   acquire : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> lock:int -> unit;
   release : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> lock:int -> unit;
   barrier_arrive : ('msg, 'x, 's) t -> Engine.fiber -> node:int -> id:int -> unit;
-  checkpoint : ('msg, 'x, 's) t -> ('msg, 'x) node -> unit;
+  checkpoint : ('msg, 'x, 's) t -> ('msg, 'x) node -> Checkpoint.t -> unit;
   rehome : ('msg, 'x, 's) t -> Lifecycle.t -> dead:int -> unit;
-  rejoin : ('msg, 'x, 's) t -> ('msg, 'x) node -> unit;
+  rejoin : ('msg, 'x, 's) t -> ('msg, 'x) node -> Checkpoint.t -> unit;
+      (** the crash moves, called only under a lifecycle, with the node's
+          checkpoint store *)
   check : ('msg, 'x, 's) t -> unit;  (** end-of-run invariants *)
 }
 
@@ -99,24 +99,16 @@ and ('msg, 'x, 's) protocol = {
    node owns everything and never write-protects a page.  [s] builds the
    engine's system-wide state and [x] a node's page state, both from the
    page count.  A lifecycle attached to [fabric] gives every node a
-   checkpoint store.  Pages are a power of two words long. *)
-let create (p : (_, _, _) protocol) eng counters fabric ~page_words
-    ~shared_words ~memories ~rights ~s ~x =
-  if page_words <= 0 || page_words land (page_words - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "%s: a page of %d words is not a power of two; a page number is \
-          the word address shifted right"
-         p.engine page_words);
-  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+   checkpoint store.  Pages are {!Memory.page_words} long. *)
+let create (p : (_, _, _) protocol) eng counters fabric ~shared_words
+    ~memories ~rights ~s ~x =
   let n_nodes = Array.length memories in
-  let n_pages = (shared_words + page_words - 1) / page_words in
+  let n_pages = (shared_words + Memory.page_words - 1) / Memory.page_words in
   let lifecycle = Fabric.lifecycle fabric in
   {
     eng;
     counters;
     net = Reliable.create eng counters fabric;
-    page_words;
     n_pages;
     n_nodes;
     nodes =
@@ -129,11 +121,10 @@ let create (p : (_, _, _) protocol) eng counters fabric ~page_words
             rt = Node.create eng ~engine:p.engine;
             ckpt =
               Option.map
-                (fun _ -> Checkpoint.create mem ~pages:n_pages ~page_words)
+                (fun _ -> Checkpoint.create mem ~pages:n_pages)
                 lifecycle;
             x = x n_pages;
           });
-    page_shift = log2 page_words;
     page_hook = (fun ~node:_ ~page:_ -> ());
     p;
     s = s n_pages;
@@ -142,7 +133,7 @@ let create (p : (_, _, _) protocol) eng counters fabric ~page_words
     write_faults = Counters.key counters p.write_fault;
   }
 
-let page_of t addr = addr lsr t.page_shift
+let page_of addr = addr lsr Memory.page_shift
 
 let overhead t = (Fabric.config (Reliable.fabric t.net)).Fabric.overhead
 
@@ -160,18 +151,24 @@ let reply nd fiber ~req body =
 (* The channel's daemons, then, under the lifecycle attached to the
    channel's fabric, if any (the one crash switch): checkpoint every live
    node on its tick, re-home a dead node's manager roles on detection,
-   rejoin a node at restart.  Last, one handler daemon per node: receive
-   the next message, then serve it in the Protocol category. *)
+   rejoin a node at restart.  [create] gave every node a checkpoint
+   store under that lifecycle; the checkpoint and rejoin moves get it.
+   Last, one handler daemon per node: receive the next message, then
+   serve it in the Protocol category. *)
 let start t =
   Reliable.start t.net;
   Option.iter
     (fun lc ->
+      let store nd = Option.get nd.ckpt in
       Lifecycle.on_ckpt lc (fun ~at:_ ->
           Array.iter
-            (fun nd -> if Lifecycle.alive lc nd.id then t.p.checkpoint t nd)
+            (fun nd ->
+              if Lifecycle.alive lc nd.id then t.p.checkpoint t nd (store nd))
             t.nodes);
       Lifecycle.on_detect lc (fun ~node ~at:_ -> t.p.rehome t lc ~dead:node);
-      Lifecycle.on_restart lc (fun ~node ~at:_ -> t.p.rejoin t t.nodes.(node)))
+      Lifecycle.on_restart lc (fun ~node ~at:_ ->
+          let nd = t.nodes.(node) in
+          t.p.rejoin t nd (store nd)))
     (Fabric.lifecycle (Reliable.fabric t.net));
   Array.iter
     (fun nd ->
@@ -227,10 +224,10 @@ let[@inline] write_page t nd fiber page =
   t.p.write_hit t fiber nd page
 
 let read_guard t fiber ~node addr =
-  if t.n_nodes > 1 then read_page t t.nodes.(node) fiber (page_of t addr)
+  if t.n_nodes > 1 then read_page t t.nodes.(node) fiber (page_of addr)
 
 let write_guard t fiber ~node addr =
-  if t.n_nodes > 1 then write_page t t.nodes.(node) fiber (page_of t addr)
+  if t.n_nodes > 1 then write_page t t.nodes.(node) fiber (page_of addr)
 
 (* ---------------- mounting ----------------------------------------- *)
 
@@ -296,10 +293,10 @@ and ('msg, 'x, 'txn, 'page) homed =
 (* Replace a page's contents, charging the copy, and tell the platform.
    The page changed, so the next checkpoint persists it. *)
 let install_page t fiber nd page data =
-  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem ~dst_pos:(page * t.page_words)
-    ~len:t.page_words;
+  Memory.blit ~src:data ~src_pos:0 ~dst:nd.mem
+    ~dst_pos:(page * Memory.page_words) ~len:Memory.page_words;
   mark_changed nd page;
-  Engine.advance fiber t.page_words;
+  Engine.advance fiber Memory.page_words;
   t.page_hook ~node:nd.id ~page
 
 (* ---------------- messages ----------------------------------------- *)
@@ -415,10 +412,10 @@ let rehome t lc ~dead =
   Roles.rehome t.s.roles lc ~dead ~locks:(Home.iter_locks t.s.home) ()
 
 (* [mpage] builds a home's page record. *)
-let create_home p hp eng counters fabric ~page_words ~shared_words ~memories
-    ~rights ~x ~mpage =
+let create_home p hp eng counters fabric ~shared_words ~memories ~rights ~x
+    ~mpage =
   let n_nodes = Array.length memories in
-  create p eng counters fabric ~page_words ~shared_words ~memories ~rights ~x
+  create p eng counters fabric ~shared_words ~memories ~rights ~x
     ~s:(fun n_pages ->
       {
         home = Home.create ~engine:p.engine ~n_nodes ~n_pages mpage;
@@ -431,5 +428,5 @@ let create_home p hp eng counters fabric ~page_words ~shared_words ~memories
    describes. *)
 let mount create (ctx : Shm_proto.sdsm_ctx) =
   instance
-    (create ctx.eng ctx.counters (fabric ctx) ~page_words:ctx.page_words
-       ~shared_words:ctx.shared_words ~memories:ctx.memories)
+    (create ctx.eng ctx.counters (fabric ctx) ~shared_words:ctx.shared_words
+       ~memories:ctx.memories)

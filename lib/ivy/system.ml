@@ -115,19 +115,14 @@ let dispatch (t : t) fiber (nd : node) body =
   | Proto.Read_fwd { page; requester; req } ->
       (* We are the owner: downgrade and ship a copy. *)
       if access nd page = Write then set_access nd page Read;
-      Engine.advance fiber t.page_words;
+      Engine.advance fiber Memory.page_words;
       Paged.deliver t fiber ~src:nd.id ~dst:requester
-        (Proto.Page_copy
-           {
-             page;
-             req;
-             data = Node.page_data nd.mem ~page_words:t.page_words page;
-           });
+        (Proto.Page_copy { page; req; data = Node.page_data nd.mem page });
       Counters.incr t.counters "ivy.page_copies"
   | Proto.Write_fwd { page; requester; req } ->
       (* We are the owner: ship the page with ownership and drop it. *)
-      Engine.advance fiber t.page_words;
-      let data = Some (Node.page_data nd.mem ~page_words:t.page_words page) in
+      Engine.advance fiber Memory.page_words;
+      let data = Some (Node.page_data nd.mem page) in
       set_access nd page Invalid;
       Paged.deliver t fiber ~src:nd.id ~dst:requester
         (Proto.Page_grant { page; req; data });
@@ -177,35 +172,32 @@ let complete t fiber nd page = function
    the image (IVY moves whole pages, so it persists whole pages —
    contrast the TreadMarks sub-page run-length deltas).  Runs from an
    [Engine.schedule] callback; cost charged to the application. *)
-let checkpoint (t : t) (nd : node) =
-  match nd.ckpt with
-  | None -> ()
-  | Some store ->
-      let pw = t.page_words in
-      let image = Checkpoint.image store in
-      let copied = ref 0 in
-      (* Probe before persisting: a writable page stays marked
-         between sweeps by design, but re-persisting it when nothing
-         changed would make every sweep cost the whole working set —
-         the per-sweep charge outruns the checkpoint interval on large
-         runs and the simulation quasi-livelocks.  The probe itself
-         rides the page-table write bits, so only pages that actually
-         changed are copied and charged.  Accounting stays whole-page:
-         IVY's protocol (and hence persistence) unit is the page. *)
-      let persist p =
-        if Memory.equal_range nd.mem image ~pos:(p * pw) ~len:pw then 0
-        else begin
-          Memory.blit ~src:nd.mem ~src_pos:(p * pw) ~dst:image
-            ~dst_pos:(p * pw) ~len:pw;
-          copied := !copied + pw;
-          16 + (8 * pw)
-        end
-      in
-      (* A writable page keeps changing with no further protocol event:
-         keep it marked for the next checkpoint. *)
-      let keep p = access nd p = Write in
-      ignore (Checkpoint.sweep store t.counters ~persist ~keep : int);
-      Node.charge nd.rt ((Paged.overhead t).handler + !copied)
+let checkpoint (t : t) (nd : node) store =
+  let pw = Memory.page_words in
+  let image = Checkpoint.image store in
+  let copied = ref 0 in
+  (* Probe before persisting: a writable page stays marked
+     between sweeps by design, but re-persisting it when nothing
+     changed would make every sweep cost the whole working set —
+     the per-sweep charge outruns the checkpoint interval on large
+     runs and the simulation quasi-livelocks.  The probe itself
+     rides the page-table write bits, so only pages that actually
+     changed are copied and charged.  Accounting stays whole-page:
+     IVY's protocol (and hence persistence) unit is the page. *)
+  let persist p =
+    if Memory.equal_range nd.mem image ~pos:(p * pw) ~len:pw then 0
+    else begin
+      Memory.blit ~src:nd.mem ~src_pos:(p * pw) ~dst:image
+        ~dst_pos:(p * pw) ~len:pw;
+      copied := !copied + pw;
+      16 + (8 * pw)
+    end
+  in
+  (* A writable page keeps changing with no further protocol event:
+     keep it marked for the next checkpoint. *)
+  let keep p = access nd p = Write in
+  ignore (Checkpoint.sweep store t.counters ~persist ~keep : int);
+  Node.charge nd.rt ((Paged.overhead t).handler + !copied)
 
 (* Online rejoin of a restarted node: every page it neither owns nor has
    a transaction in flight for is conservatively invalidated, so the
@@ -213,30 +205,27 @@ let checkpoint (t : t) (nd : node) =
    consistent) manager.  Owned pages are authoritative — the volatile
    copy survives the outage under the failure-atomic heap model — and
    invalidating them would strand the directory. *)
-let rejoin (t : t) (nd : node) =
-  match nd.ckpt with
-  | None -> ()
-  | Some _ ->
-      for p = 0 to t.n_pages - 1 do
-        if access nd p <> Invalid && not (Node.fetching nd.rt p) then begin
-          let ours =
-            (Home.page t.s.home p).owner = nd.id
-            ||
-            match Home.current t.s.home p with
-            | Some { requester; _ } -> requester = nd.id
-            | None -> false
-          in
-          if not ours then begin
-            set_access nd p Invalid;
-            t.page_hook ~node:nd.id ~page:p;
-            Counters.incr t.counters "recovery.invalidated"
-          end
-        end
-      done;
-      let cycles = (Paged.overhead t).handler + t.n_pages in
-      Node.charge nd.rt cycles;
-      Counters.incr t.counters "recovery.count";
-      Counters.add t.counters "recovery.cycles" cycles
+let rejoin (t : t) (nd : node) (_ : Checkpoint.t) =
+  for p = 0 to t.n_pages - 1 do
+    if access nd p <> Invalid && not (Node.fetching nd.rt p) then begin
+      let ours =
+        (Home.page t.s.home p).owner = nd.id
+        ||
+        match Home.current t.s.home p with
+        | Some { requester; _ } -> requester = nd.id
+        | None -> false
+      in
+      if not ours then begin
+        set_access nd p Invalid;
+        t.page_hook ~node:nd.id ~page:p;
+        Counters.incr t.counters "recovery.invalidated"
+      end
+    end
+  done;
+  let cycles = (Paged.overhead t).handler + t.n_pages in
+  Node.charge nd.rt cycles;
+  Counters.incr t.counters "recovery.count";
+  Counters.add t.counters "recovery.cycles" cycles
 
 (* Exactly one owner per page, the owner's copy valid, writers are
    owners, copysets cover every valid copy. *)
@@ -318,13 +307,13 @@ let protocol : (_, _, _) Paged.protocol =
     check;
   }
 
-let create eng counters fabric ~page_words ~shared_words ~memories =
+let create eng counters fabric ~shared_words ~memories =
   let n_nodes = Array.length memories in
   (* The initial owner (the manager) holds each page in Read like everyone
      else; ownership only matters once someone writes.  [Iset] is
      immutable, so every page shares the one full copyset. *)
   let everyone = Iset.of_list (List.init n_nodes Fun.id) in
-  Paged.create_home protocol home eng counters fabric ~page_words ~shared_words
-    ~memories ~rights:'\001' ~x:ignore
+  Paged.create_home protocol home eng counters fabric ~shared_words ~memories
+    ~rights:'\001' ~x:ignore
     ~mpage:(fun page ->
       { owner = page mod n_nodes; copyset = everyone; acks_waited = 0 })

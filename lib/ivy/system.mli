@@ -52,7 +52,6 @@ val create :
   Shm_sim.Engine.t ->
   Shm_stats.Counters.t ->
   Proto.t Shm_net.Reliable.packet Shm_net.Fabric.t ->
-  page_words:int ->
   shared_words:int ->
   memories:Shm_memsys.Memory.t array ->
   t

@@ -2,6 +2,10 @@ open Bigarray
 
 type t = (int64, int64_elt, c_layout) Array1.t
 
+(* The simulated page: 512 words (4 KB). *)
+let page_shift = 9
+let page_words = 1 lsl page_shift
+
 let create ~words : t =
   let a = Array1.create Int64 C_layout words in
   Array1.fill a 0L;

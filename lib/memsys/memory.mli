@@ -7,6 +7,14 @@
 
 type t
 
+(** The simulated shared-memory page, in words: 512 words (4 KB, the
+    Ultrix page TreadMarks ran on).  It is the one coherence unit of
+    every software DSM and the granule of the software TLB; a page
+    number is the word address shifted right by [page_shift]. *)
+val page_words : int
+
+val page_shift : int
+
 (** [create ~words] is a zero-filled store in [malloc]'d memory.  Use it
     for page-sized and short-lived buffers (twins, scratch pages) and for
     the one memory of a machine without a software-DSM root. *)

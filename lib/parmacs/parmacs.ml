@@ -1,6 +1,6 @@
 module Memory = Shm_memsys.Memory
 
-let page_words = 512
+let page_words = Memory.page_words
 
 type range_ops = {
   read_fs : int -> float array -> int -> int -> unit;

@@ -11,9 +11,9 @@
     OCaml state, its access cost folded into [compute] estimates. *)
 
 (** The shared-memory page, in 8-byte words (4 KB): the unit a software
-    DSM keeps coherent.  Platforms size their DSM pages with it, and apps
-    place data written by different processors [page_words] apart so no
-    two writers share a page. *)
+    DSM keeps coherent ({!Shm_memsys.Memory.page_words}).  Apps place
+    data written by different processors [page_words] apart so no two
+    writers share a page. *)
 val page_words : int
 
 (** Shared-memory access over a contiguous word range: each op moves

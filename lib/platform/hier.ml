@@ -7,8 +7,6 @@ module Private_cache = Shm_memsys.Private_cache
 module Fabric = Shm_net.Fabric
 module Parmacs = Shm_parmacs.Parmacs
 
-let page_words = Parmacs.page_words
-
 (* Backstop for fault-mode runs with no explicit --max-cycles: generous
    enough for any paper-scale run (~1e10 cycles), small enough that a
    retransmission livelock surfaces as Engine.Watchdog instead of an
@@ -99,7 +97,9 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
      page-at-a-time. *)
   let shared_words =
     match dsm_mount with
-    | Some _ -> (app.shared_words + page_words - 1) / page_words * page_words
+    | Some _ ->
+        let pw = Memory.page_words in
+        (app.shared_words + pw - 1) / pw * pw
     | None -> app.shared_words
   in
   (* Every DSM node maps one shared initial image copy-on-write: a page
@@ -126,7 +126,6 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
             counters;
             fabric = { ((Option.get fabric_of) ()) with Fabric.faults };
             nodes = ntops;
-            page_words;
             shared_words;
             memories;
             eager_lock_hints = (if eager then app.eager_lock_hints else []);
@@ -205,22 +204,15 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
   Option.iter
     (fun d ->
       d.Shm_proto.set_page_hook (fun ~node ~page ->
-          let addr = page * page_words in
+          let addr = page * Memory.page_words and words = Memory.page_words in
           (match caches.(node) with
-          | Some pc -> Private_cache.invalidate_range pc ~addr ~words:page_words
+          | Some pc -> Private_cache.invalidate_range pc ~addr ~words
           | None -> ());
           List.iter
-            (fun lv -> lv.Shm_proto.invalidate_range ~addr ~words:page_words)
+            (fun lv -> lv.Shm_proto.invalidate_range ~addr ~words)
             node_levels.(node)))
     dsm;
   Option.iter (fun d -> d.Shm_proto.start ()) dsm;
-  (* The software-TLB index of an address is [addr lsr shift]: page sizes
-     are powers of two ({!Shm_dsm.Paged.create} refuses others).  Bound
-     here, the accessors read it from their closures, not a global. *)
-  let shift =
-    let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
-    log2 page_words
-  in
   (* Hierarchical barriers, the HS last-arriver pattern at every level:
      each domain's own hardware barrier, whose last direct participant
      ascends one level (ultimately doing the DSM root's arrival, or
@@ -248,7 +240,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
     let[@inline] rguard addr =
       (match tlb with
       | Some (d, rights)
-        when Bytes.unsafe_get rights (addr lsr shift) = '\000' ->
+        when Bytes.unsafe_get rights (addr lsr Memory.page_shift) = '\000' ->
           d.Shm_proto.read_guard f ~node:top addr
       | _ -> ());
       (match chain with
@@ -276,7 +268,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           done);
       (match tlb with
       | Some (d, rights)
-        when Bytes.unsafe_get rights (addr lsr shift) <> '\002' ->
+        when Bytes.unsafe_get rights (addr lsr Memory.page_shift) <> '\002' ->
           d.Shm_proto.write_guard f ~node:top addr
       | _ -> ());
       match pc with Some pc -> Private_cache.write pc f addr | None -> ()
@@ -299,13 +291,13 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
             (fun addr -> wg f ~node:m addr; Memory.set_int mem addr !icell) )
       | Some (d, rights), [||], Some pc ->
           let[@inline] rg addr =
-            if Bytes.unsafe_get rights (addr lsr shift) = '\000' then
-              d.Shm_proto.read_guard f ~node:top addr;
+            if Bytes.unsafe_get rights (addr lsr Memory.page_shift) = '\000'
+            then d.Shm_proto.read_guard f ~node:top addr;
             Private_cache.read pc f addr
           in
           let[@inline] wg addr =
-            if Bytes.unsafe_get rights (addr lsr shift) <> '\002' then
-              d.Shm_proto.write_guard f ~node:top addr;
+            if Bytes.unsafe_get rights (addr lsr Memory.page_shift) <> '\002'
+            then d.Shm_proto.write_guard f ~node:top addr;
             Private_cache.write pc f addr
           in
           ( (fun addr -> rg addr; Memory.get mem addr),

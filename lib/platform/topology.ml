@@ -218,9 +218,10 @@ let spec_string t host = to_string t ^ "@" ^ host.host_name
 
 (* {2 Validation} *)
 
-(* Everything is checked before any engine state is constructed: an
-   invalid machine x engine x topology combination raises here, from
-   [build], with nothing mounted. *)
+(* The machine x engine x topology combination is checked here, from
+   [build], before any engine state is constructed.  Two refusals come
+   later, from the engine's mount: [mesi] over a crossbar profile (such
+   as [mesi*8@sim]) and [tardis] under a crash policy. *)
 let validate ~host t =
   let fail msg = invalid_arg (Printf.sprintf "topology %S: %s" (to_string t) msg) in
   let check_engine e =

@@ -71,8 +71,10 @@ val spec_string : tree -> host -> string
 (** Check the whole tree before anything is mounted: engine names
     resolve, kinds sit at legal levels, every domain has members, the
     host supports the root.  @raise Invalid_argument with a descriptive
-    message; [build] calls this first, so an invalid combination never
-    constructs engine state. *)
+    message; [build] calls this first, so such a combination never
+    constructs engine state.  Two refusals are the engines' own and come
+    at mount, inside the run: [mesi] on a crossbar host and [tardis]
+    under a crash policy. *)
 val validate : host:host -> tree -> unit
 
 (** [build ~host t] builds the machine the validated tree describes;

@@ -41,8 +41,7 @@ type sdsm_ctx = {
   counters : Counters.t;
   fabric : Fabric.config;  (* message fabric, fault policy folded in *)
   nodes : int;  (* DSM nodes *)
-  page_words : int;
-  shared_words : int;  (* page-rounded *)
+  shared_words : int;  (* rounded up to whole pages (Memory.page_words) *)
   memories : Memory.t array;  (* one per node *)
   eager_lock_hints : int list;
       (* app-provided eager-release locks; engines without the concept

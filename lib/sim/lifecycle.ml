@@ -16,9 +16,7 @@ type policy = {
   crash_rate : float; (* per-node crash probability per window *)
   crash_seed : int;
   outage_cycles : int; (* crash -> restart *)
-  detect_cycles : int; (* crash -> survivors notice (re-homing) *)
   ckpt_interval : int; (* 0 = no periodic checkpoints *)
-  max_crashes : int; (* cap on randomly drawn crashes *)
 }
 
 let none =
@@ -27,15 +25,19 @@ let none =
     crash_rate = 0.0;
     crash_seed = 0;
     outage_cycles = 1_000_000;
-    detect_cycles = 200_000;
     ckpt_interval = 0;
-    max_crashes = 4;
   }
 
 let active p = p.crashes <> [] || p.crash_rate > 0.0
 
 (* Window for the random crash draw: one draw per node per window. *)
 let draw_window = 1_000_000
+
+(* Cycles from a crash to the survivors noticing it (re-homing). *)
+let detect_cycles = 200_000
+
+(* Cap on randomly drawn crashes. *)
+let max_crashes = 4
 
 type t = {
   eng : Engine.t;
@@ -108,8 +110,8 @@ let crash t node ~at =
     t.down_until.(node) <- until;
     incr t.c_crashes;
     t.c_downtime := !(t.c_downtime) + t.policy.outage_cycles;
-    Engine.schedule t.eng ~at:(at + t.policy.detect_cycles) (fun () ->
-        detect t node ~at:(at + t.policy.detect_cycles));
+    Engine.schedule t.eng ~at:(at + detect_cycles) (fun () ->
+        detect t node ~at:(at + detect_cycles));
     Engine.schedule t.eng ~at:until (fun () -> restart t node ~at:until)
   end
 
@@ -120,7 +122,7 @@ let rec draw_tick t ~at =
   if Engine.live_fibers t.eng > 0 then begin
     for node = 0 to t.nodes - 1 do
       if
-        t.drawn < t.policy.max_crashes
+        t.drawn < max_crashes
         && t.down_until.(node) = 0
         && Prng.float t.prng 1.0 < t.policy.crash_rate
       then begin

@@ -2,13 +2,13 @@
 
     A lifecycle instance tracks per-node liveness for one simulation:
     crashes come from an explicit [(node, cycle)] schedule and/or a
-    seeded per-window random draw.  Each crash marks the node down for
-    [outage_cycles], schedules a detection event after [detect_cycles]
-    (where survivors re-home manager state) and a restart event (where
-    the node's rejoin hooks run and parked fibers wake).  The module
-    holds no protocol state — DSM engines register hooks at mount time.
-    Crash-free runs never construct a [t], preserving byte identity with
-    the fault-free baseline. *)
+    seeded per-window random draw, at most 4 drawn crashes a run.  Each
+    crash marks the node down for [outage_cycles], schedules a detection
+    event 200,000 cycles later (where survivors re-home manager state)
+    and a restart event (where the node's rejoin hooks run and parked
+    fibers wake).  The module holds no protocol state — DSM engines
+    register hooks at mount time.  Crash-free runs never construct a
+    [t], preserving byte identity with the fault-free baseline. *)
 
 type policy = {
   crashes : (int * int) list;  (** scheduled [(node, cycle)] crashes *)
@@ -16,12 +16,10 @@ type policy = {
       (** per-node crash probability per 1M-cycle window (seeded draw) *)
   crash_seed : int;
   outage_cycles : int;  (** cycles from crash to restart *)
-  detect_cycles : int;  (** cycles from crash to survivor detection *)
   ckpt_interval : int;  (** periodic checkpoint period; 0 = off *)
-  max_crashes : int;  (** cap on randomly drawn crashes *)
 }
 
-(** No crashes; outage 1M, detection 200k, no checkpoints. *)
+(** No crashes; outage 1M, no checkpoints. *)
 val none : policy
 
 (** [active p] is true when [p] can ever crash a node. *)
@@ -42,7 +40,7 @@ val down_until : t -> int -> int
 val gate : t -> Engine.fiber -> node:int -> unit
 
 (** Hook registration (mount time, before [start]).  [on_detect] fires
-    at crash + [detect_cycles] if the node is still down (manager
+    200,000 cycles after a crash if the node is still down (manager
     re-homing), [on_restart] at the restart cycle before parked fibers
     wake (rejoin/replay), [on_ckpt] every [ckpt_interval] cycles. *)
 

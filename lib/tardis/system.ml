@@ -1,4 +1,5 @@
 module Engine = Shm_sim.Engine
+module Memory = Shm_memsys.Memory
 module Counters = Shm_stats.Counters
 module Node = Shm_dsm.Node
 module Home = Shm_dsm.Home
@@ -141,9 +142,8 @@ and mgr_grant t fiber mgr page =
       let fresh () =
         if have_wts = current then None
         else begin
-          Engine.advance fiber t.page_words;
-          Some
-            (Node.page_data t.nodes.(mgr).mem ~page_words:t.page_words page)
+          Engine.advance fiber Memory.page_words;
+          Some (Node.page_data t.nodes.(mgr).mem page)
         end
       in
       if write then begin
@@ -191,14 +191,9 @@ let dispatch (t : t) fiber (nd : node) body =
                    req;
              });
       set_access nd page (if drop then Tinvalid else Tshared);
-      Engine.advance fiber t.page_words;
+      Engine.advance fiber Memory.page_words;
       Paged.deliver t fiber ~src:nd.id ~dst:(Home.manager t.s.home page)
-        (Proto.Flush_resp
-           {
-             page;
-             req;
-             data = Node.page_data nd.mem ~page_words:t.page_words page;
-           });
+        (Proto.Flush_resp { page; req; data = Node.page_data nd.mem page });
       Counters.incr t.counters "tardis.flushes"
   | Proto.Flush_resp { page; data; _ } ->
       (* We are the manager: refresh the home copy and serve the waiting
@@ -348,18 +343,18 @@ let protocol : (_, _, _) Paged.protocol =
     acquire = Paged.acquire;
     release = Paged.release;
     barrier_arrive = Paged.barrier_arrive;
-    checkpoint = (fun _ _ -> ());
+    checkpoint = (fun _ _ _ -> ());
     rehome = Paged.rehome;
-    rejoin = (fun _ _ -> ());
+    rejoin = (fun _ _ _ -> ());
     check;
   }
 
 (* pts starts at 0 and every initial copy is version 0 with a lease of
    0, so the warm start costs nothing: first reads hit, the first write
    of a page mints version >= 1. *)
-let create eng counters fabric ~page_words ~shared_words ~memories =
-  Paged.create_home protocol home eng counters fabric ~page_words ~shared_words
-    ~memories ~rights:'\000'
+let create eng counters fabric ~shared_words ~memories =
+  Paged.create_home protocol home eng counters fabric ~shared_words ~memories
+    ~rights:'\000'
     ~x:(fun n_pages ->
       {
         access = Array.make n_pages Tshared;

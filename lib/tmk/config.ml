@@ -2,7 +2,6 @@ type notice_policy = Lazy | Eager_invalidate | Eager_update
 
 type t = {
   n_nodes : int;
-  page_words : int;
   shared_words : int;
   barrier_manager : int;
   notice_policy : notice_policy;
@@ -12,7 +11,6 @@ type t = {
 let default ~n_nodes ~shared_words =
   {
     n_nodes;
-    page_words = 512;
     shared_words;
     barrier_manager = 0;
     notice_policy = Lazy;
@@ -21,6 +19,5 @@ let default ~n_nodes ~shared_words =
 
 let validate t =
   if t.n_nodes < 1 then invalid_arg "Tmk.Config: n_nodes < 1";
-  if t.page_words < 1 then invalid_arg "Tmk.Config: page_words < 1";
   if t.barrier_manager < 0 || t.barrier_manager >= t.n_nodes then
     invalid_arg "Tmk.Config: barrier manager out of range"

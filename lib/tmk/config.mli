@@ -14,8 +14,9 @@ type notice_policy = Lazy | Eager_invalidate | Eager_update
 
 type t = {
   n_nodes : int;
-  page_words : int;  (** 512 words = 4 KB Ultrix pages *)
-  shared_words : int;  (** size of the shared address space *)
+  shared_words : int;
+      (** size of the shared address space, in pages of
+          {!Shm_memsys.Memory.page_words} *)
   barrier_manager : int;  (** node hosting the barrier manager *)
   notice_policy : notice_policy;
   eager_locks : int list;
@@ -24,8 +25,8 @@ type t = {
           sound for single-writer-at-a-time data, e.g. the TSP bound. *)
 }
 
-(** [default ~n_nodes ~shared_words] is 4 KB pages, the barrier manager
-    on node 0, lazy notices and no eager locks. *)
+(** [default ~n_nodes ~shared_words] is the barrier manager on node 0,
+    lazy notices and no eager locks. *)
 val default : n_nodes:int -> shared_words:int -> t
 
 val validate : t -> unit

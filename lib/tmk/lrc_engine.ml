@@ -13,8 +13,7 @@ let mount_policy ~policy =
         {
           (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words)
           with
-          Config.page_words = ctx.page_words;
-          notice_policy = policy;
+          Config.notice_policy = policy;
           eager_locks = ctx.eager_lock_hints;
         }
       in

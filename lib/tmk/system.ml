@@ -294,10 +294,11 @@ let close_interval (t : t) fiber (nd : node) =
           in
           let diff =
             Diff.make_stamped ~creator:nd.id ~seqno:nd.x.seq ~vsum ~page:p ~twin
-              ~current:nd.mem ~base:(p * t.page_words)
-              ~words:t.page_words
+              ~current:nd.mem ~base:(p * Memory.page_words)
+              ~words:Memory.page_words
           in
-          Engine.advance_as fiber Engine.Diff (ov.diff_per_word * t.page_words);
+          Engine.advance_as fiber Engine.Diff
+            (ov.diff_per_word * Memory.page_words);
           if nd.x.own.(p) = [] then nd.x.logged <- p :: nd.x.logged;
           nd.x.own.(p) <- diff :: nd.x.own.(p);
           Counters.bump t.s.k_diffs_created 1;
@@ -372,7 +373,7 @@ let apply_eager_update (t : t) fiber (nd : node) (record : Record.t) diffs =
 (* Page faults                                                         *)
 
 let apply_diffs (t : t) fiber (nd : node) ~page items =
-  let base = page * t.page_words and twin = nd.x.twins.(page) in
+  let base = page * Memory.page_words and twin = nd.x.twins.(page) in
   let rec apply = function
     | [] -> ()
     | (d : Diff.t) :: rest ->
@@ -514,11 +515,12 @@ let ensure_twin (t : t) fiber (nd : node) page =
          the twin (or even written through it) meanwhile. *)
       if nd.x.twins.(page) = None then begin
         let twin =
-          Memory.sub_copy ~src:nd.mem ~pos:(page * t.page_words)
-            ~len:t.page_words
+          Memory.sub_copy ~src:nd.mem ~pos:(page * Memory.page_words)
+            ~len:Memory.page_words
         in
         Engine.advance_as fiber Engine.Twin
-          ((Paged.overhead t).handler + (twin_copy_per_word * t.page_words));
+          ((Paged.overhead t).handler
+          + (twin_copy_per_word * Memory.page_words));
         nd.x.twins.(page) <- Some twin;
         if is_valid nd page then Bytes.set nd.rights page '\002';
         nd.x.dirty <- page :: nd.x.dirty;
@@ -768,34 +770,31 @@ let barrier_arrive (t : t) fiber ~node ~id =
    page, only the changed runs (the diff run-length encoding reused for
    persistence).  Runs from an [Engine.schedule] callback, so the scan
    cost is charged to the application. *)
-let checkpoint (t : t) (nd : node) =
-  match nd.ckpt with
-  | None -> ()
-  | Some store ->
-      let ov = Paged.overhead t in
-      let pw = t.page_words in
-      let image = Checkpoint.image store in
-      let persist p =
-        let snap = own_vc t nd.x.snap.(p) in
-        nd.x.snap.(p) <- snap;
-        Array.blit nd.x.applied.(p) 0 snap 0 t.n_nodes;
-        Ckpt.page_delta ~src:nd.mem ~src_base:(p * pw) ~image
-          ~image_base:(p * pw) ~words:pw
-      in
-      (* An open twin means the application can keep writing the page
-         without another protocol event: keep it marked. *)
-      let keep p = nd.x.twins.(p) <> None in
-      let bytes = Checkpoint.sweep store t.counters ~persist ~keep in
-      nd.x.ckpt_seq <- nd.x.seq;
-      (* Charge for the data the sweep persists, not for the pages it
-         probes: dirty-run discovery rides the twin/diff machinery the
-         protocol already pays for, so a twinned-but-idle page costs
-         nothing beyond the sweep's fixed handler slice.  Charging a
-         full per-word scan of every dirty-marked page compounds — a
-         large working set keeps every twinned page perpetually dirty,
-         the per-sweep scan outruns the checkpoint interval, and the
-         run quasi-livelocks. *)
-      Node.charge nd.rt (ov.handler + (ov.diff_per_word * ((bytes + 7) / 8)))
+let checkpoint (t : t) (nd : node) store =
+  let ov = Paged.overhead t in
+  let pw = Memory.page_words in
+  let image = Checkpoint.image store in
+  let persist p =
+    let snap = own_vc t nd.x.snap.(p) in
+    nd.x.snap.(p) <- snap;
+    Array.blit nd.x.applied.(p) 0 snap 0 t.n_nodes;
+    Ckpt.page_delta ~src:nd.mem ~src_base:(p * pw) ~image
+      ~image_base:(p * pw) ~words:pw
+  in
+  (* An open twin means the application can keep writing the page
+     without another protocol event: keep it marked. *)
+  let keep p = nd.x.twins.(p) <> None in
+  let bytes = Checkpoint.sweep store t.counters ~persist ~keep in
+  nd.x.ckpt_seq <- nd.x.seq;
+  (* Charge for the data the sweep persists, not for the pages it
+     probes: dirty-run discovery rides the twin/diff machinery the
+     protocol already pays for, so a twinned-but-idle page costs
+     nothing beyond the sweep's fixed handler slice.  Charging a
+     full per-word scan of every dirty-marked page compounds — a
+     large working set keeps every twinned page perpetually dirty,
+     the per-sweep scan outruns the checkpoint interval, and the
+     run quasi-livelocks. *)
+  Node.charge nd.rt (ov.handler + (ov.diff_per_word * ((bytes + 7) / 8)))
 
 (* Online rejoin of a restarted node.  The volatile image survives the
    outage (the failure-atomic heap model), so nothing is rolled back;
@@ -807,59 +806,56 @@ let checkpoint (t : t) (nd : node) =
    re-fetches the diffs from their creators (served from the per-node
    logs, which are never pruned under a lifecycle; re-application is
    idempotent, so contents are unchanged). *)
-let rejoin (t : t) (nd : node) =
-  match nd.ckpt with
-  | None -> ()
-  | Some store ->
-      let pw = t.page_words in
-      let image = Checkpoint.image store in
-      let replay_words = ref 0 in
-      (* [own] is newest first: its entries past the checkpoint are a
-         prefix, replayed from its far end. *)
-      let rec replay p = function
-        | (d : Diff.t) :: rest when d.seqno > nd.x.ckpt_seq ->
-            replay p rest;
-            Diff.apply d image ~base:(p * pw);
-            replay_words := !replay_words + Diff.words d
-        | _ -> ()
-      in
-      for p = 0 to t.n_pages - 1 do
-        replay p nd.x.own.(p);
-        if is_valid nd p && nd.x.twins.(p) = None && not (Node.fetching nd.rt p)
-        then begin
-          let snap = nd.x.snap.(p) in
-          let stale = ref [] in
-          for c = 0 to t.n_nodes - 1 do
-            if c <> nd.id && nd.x.applied.(p).(c) > snap.(c) then begin
-              List.iter
-                (fun (r : Record.t) ->
-                  if List.mem p r.pages then
-                    stale := Record.notice ~creator:c ~seqno:r.seqno :: !stale)
-                (Record.Store.range nd.x.store ~creator:c ~lo:snap.(c)
-                   ~hi:nd.x.applied.(p).(c));
-              (applied_for_write t nd p).(c) <- snap.(c)
-            end
-          done;
-          if !stale <> [] then begin
-            List.iter
-              (fun e ->
-                if not (List.mem e nd.x.pending.(p)) then
-                  nd.x.pending.(p) <- e :: nd.x.pending.(p))
-              !stale;
-            invalidate nd p;
-            t.page_hook ~node:nd.id ~page:p;
-            Counters.incr t.counters "recovery.invalidated"
-          end
+let rejoin (t : t) (nd : node) store =
+  let pw = Memory.page_words in
+  let image = Checkpoint.image store in
+  let replay_words = ref 0 in
+  (* [own] is newest first: its entries past the checkpoint are a
+     prefix, replayed from its far end. *)
+  let rec replay p = function
+    | (d : Diff.t) :: rest when d.seqno > nd.x.ckpt_seq ->
+        replay p rest;
+        Diff.apply d image ~base:(p * pw);
+        replay_words := !replay_words + Diff.words d
+    | _ -> ()
+  in
+  for p = 0 to t.n_pages - 1 do
+    replay p nd.x.own.(p);
+    if is_valid nd p && nd.x.twins.(p) = None && not (Node.fetching nd.rt p)
+    then begin
+      let snap = nd.x.snap.(p) in
+      let stale = ref [] in
+      for c = 0 to t.n_nodes - 1 do
+        if c <> nd.id && nd.x.applied.(p).(c) > snap.(c) then begin
+          List.iter
+            (fun (r : Record.t) ->
+              if List.mem p r.pages then
+                stale := Record.notice ~creator:c ~seqno:r.seqno :: !stale)
+            (Record.Store.range nd.x.store ~creator:c ~lo:snap.(c)
+               ~hi:nd.x.applied.(p).(c));
+          (applied_for_write t nd p).(c) <- snap.(c)
         end
       done;
-      let cycles =
-        (Paged.overhead t).handler + t.n_pages
-        + (apply_per_word * !replay_words)
-      in
-      Node.charge nd.rt cycles;
-      Counters.incr t.counters "recovery.count";
-      Counters.add t.counters "recovery.cycles" cycles;
-      Counters.add t.counters "recovery.replay_bytes" (8 * !replay_words)
+      if !stale <> [] then begin
+        List.iter
+          (fun e ->
+            if not (List.mem e nd.x.pending.(p)) then
+              nd.x.pending.(p) <- e :: nd.x.pending.(p))
+          !stale;
+        invalidate nd p;
+        t.page_hook ~node:nd.id ~page:p;
+        Counters.incr t.counters "recovery.invalidated"
+      end
+    end
+  done;
+  let cycles =
+    (Paged.overhead t).handler + t.n_pages
+    + (apply_per_word * !replay_words)
+  in
+  Node.charge nd.rt cycles;
+  Counters.incr t.counters "recovery.count";
+  Counters.add t.counters "recovery.cycles" cycles;
+  Counters.add t.counters "recovery.replay_bytes" (8 * !replay_words)
 
 (* ------------------------------------------------------------------ *)
 (* Message handler daemon                                              *)
@@ -1071,8 +1067,8 @@ let create eng counters fabric cfg ~memories =
   let records = Record.Table.create ~nodes:n in
   let armed = Option.is_some (Shm_net.Fabric.lifecycle fabric) in
   let key = Counters.key counters in
-  Paged.create protocol eng counters fabric ~page_words:cfg.page_words
-    ~shared_words:cfg.shared_words ~memories ~rights:'\001'
+  Paged.create protocol eng counters fabric ~shared_words:cfg.shared_words
+    ~memories ~rights:'\001'
     ~s:(fun _ ->
       {
         cfg;

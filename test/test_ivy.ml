@@ -36,7 +36,7 @@ let ivy =
       (fun eng counters ~nodes ~shared_words memories ->
         Paged.instance
           (Shm_ivy.System.create eng counters (fabric eng counters ~nodes)
-             ~page_words:512 ~shared_words ~memories));
+             ~shared_words ~memories));
     transfers = "ivy.page_transfers";
     shipped =
       (fun c ->
@@ -50,7 +50,7 @@ let tardis =
       (fun eng counters ~nodes ~shared_words memories ->
         Paged.instance
           (Shm_tardis.System.create eng counters (fabric eng counters ~nodes)
-             ~page_words:512 ~shared_words ~memories));
+             ~shared_words ~memories));
     transfers = "tardis.flushes";
     shipped =
       (fun c ->
@@ -229,33 +229,6 @@ let test_single_node_is_free engine () =
       Alcotest.(check int) "no protocol cost" 0 (Engine.clock f));
   Engine.run c.eng
 
-(* A page number is the word address shifted right, so the shell refuses
-   a page size that is not a power of two, whichever engine asks. *)
-let test_page_size_refused () =
-  let eng = Engine.create () and counters = Counters.create () in
-  let memories = Array.init 2 (fun _ -> Memory.create ~words:1000) in
-  let refuses what create =
-    match create () with
-    | _ -> Alcotest.failf "%s accepted a 100-word page" what
-    | exception Invalid_argument msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s names the reason: %s" what msg)
-          true
-          (Test_proto.contains ~sub:"power of two" msg)
-  in
-  refuses "ivy" (fun () ->
-      ignore
-        (Shm_ivy.System.create eng counters (fabric eng counters ~nodes:2)
-           ~page_words:100 ~shared_words:1000 ~memories));
-  refuses "lrc" (fun () ->
-      ignore
-        (Shm_tmk.System.create eng counters (fabric eng counters ~nodes:2)
-           {
-             (Shm_tmk.Config.default ~n_nodes:2 ~shared_words:1000) with
-             Shm_tmk.Config.page_words = 100;
-           }
-           ~memories))
-
 (* The cases every engine on the shell passes. *)
 let shell_cases engine =
   [
@@ -279,13 +252,9 @@ let cases engine =
   :: shell_cases engine
 
 let suite =
-  (Alcotest.test_case "SC propagates without sync" `Quick
-     test_sc_propagates_without_sync
-  :: cases ivy)
-  @ [
-      Alcotest.test_case "page sizes are powers of two" `Quick
-        test_page_size_refused;
-    ]
+  Alcotest.test_case "SC propagates without sync" `Quick
+    test_sc_propagates_without_sync
+  :: cases ivy
 
 let tardis_suite = cases tardis
 let lrc_suite = shell_cases lrc

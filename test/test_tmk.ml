@@ -23,8 +23,7 @@ type cluster = {
   lc : Lifecycle.t option;  (** attached iff built with [~crash] *)
 }
 
-let make_cluster ?(eager_locks = []) ?(page_words = 512) ?crash ~nodes
-    ~shared_words () =
+let make_cluster ?(eager_locks = []) ?crash ~nodes ~shared_words () =
   let eng = Engine.create () in
   let counters = Counters.create () in
   let fabric =
@@ -40,10 +39,12 @@ let make_cluster ?(eager_locks = []) ?(page_words = 512) ?crash ~nodes
         lc)
       crash
   in
-  let memories = Array.init nodes (fun _ -> Memory.create ~words:shared_words) in
-  let cfg =
-    { (Config.default ~n_nodes:nodes ~shared_words) with eager_locks; page_words }
+  (* Lazily mapped: a node commits host memory only for the pages it
+     writes, so a wide cluster costs what it touches. *)
+  let memories =
+    Array.init nodes (fun _ -> Memory.create_mapped ~words:shared_words)
   in
+  let cfg = { (Config.default ~n_nodes:nodes ~shared_words) with eager_locks } in
   let sys = System.create eng counters fabric cfg ~memories in
   System.start sys;
   Option.iter Lifecycle.start lc;
@@ -810,19 +811,18 @@ let test_diff_req_serves_page_diffs () =
   System.check_invariants c.sys
 
 (* TreadMarks state per node follows what the node holds, not the width
-   of the machine.  256 nodes share 128 pages, two writers to a page; in
-   each of four rounds every node writes its page, meets the others at a
-   barrier, reads its neighbour's page and meets them again.  A node ends
-   with a notice pending for nearly every page and knows every record, so
-   this measures the cost per notice and per known record.  Measured at
-   4,941 words a node; the budget is 6,000.  Notices as tuples in
-   lists, one record per page state and a store with its own arrays per
-   creator took 12,167. *)
+   of the machine.  256 nodes share 128 pages of 512 words, two writers
+   to a page; in each of four rounds every node writes its page, meets
+   the others at a barrier, reads its neighbour's page and meets them
+   again.  A node ends with a notice pending for nearly every page and
+   knows every record, so this measures the cost per notice and per
+   known record.  Measured at 4,923 words a node; the budget is 6,000.
+   Notices as tuples in lists, one record per page state and a store
+   with its own arrays per creator took 12,167. *)
 let test_width_budget () =
-  let nodes = 256 and pages = 128 and page_words = 32 and rounds = 4 in
-  let c =
-    make_cluster ~page_words ~nodes ~shared_words:(pages * page_words) ()
-  in
+  let nodes = 256 and pages = 128 and rounds = 4 in
+  let page_words = Memory.page_words in
+  let c = make_cluster ~nodes ~shared_words:(pages * page_words) () in
   for node = 0 to nodes - 1 do
     spawn_node c ~node (fun f ->
         for r = 1 to rounds do
