@@ -172,6 +172,18 @@ if grep -rn 'Hw_sync\.create' lib \
   exit 1
 fi
 
+# Engine-limits audit: an engine declares what it cannot do on its
+# mount (a software engine's crash recovery, a hardware engine's host
+# profiles), and the topology refuses from those limits before anything
+# is built (DESIGN.md §11).  A refusal raised inside an engine adapter
+# would come only from its mount, inside the run, after the node
+# memories and the initial image exist.
+if grep -nwE 'invalid_arg|raise|failwith' lib/engines/*_engine.ml \
+     lib/tardis/tardis_engine.ml lib/ivy/ivy_engine.ml lib/tmk/lrc_engine.ml; then
+  echo "ci: an engine adapter must declare its limits, not refuse at mount" >&2
+  exit 1
+fi
+
 # Topology-layering audit: the topology builder is the single place in
 # lib/platform that consults the engine registry (DESIGN.md §15).  A
 # named platform resolving engines itself would hard-code wiring the
@@ -192,6 +204,30 @@ if grep -nE '(^|[{ (])Parmacs\.id *=' lib/*/*.ml \
   echo "ci: only lib/platform/hier.ml may build a Parmacs context in lib/" >&2
   exit 1
 fi
+
+# Refusal smoke: what an engine's limits or a machine's capacity
+# exclude is refused before any run starts, so `shmsim run` exits 2
+# with the reason on stderr and prints no table: a snooping bus on the
+# crossbar host, Tardis (no lease recovery) under a crash policy, and
+# more processors than the DEC cluster seats.
+refusal_out=$(mktemp)
+refusal_err=$(mktemp)
+trap 'rm -f "$refusal_out" "$refusal_err"' EXIT
+for args in "--topology mesi*8@sim -n 4" \
+            "-p treadmarks --protocol tardis --crash 1@500000 -n 4" \
+            "-p treadmarks -n 16"; do
+  status=0
+  dune exec bin/shmsim.exe -- run -a sor $args \
+    >"$refusal_out" 2>"$refusal_err" || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$refusal_out" ] || \
+     ! grep -q '^shmsim: ' "$refusal_err"; then
+    echo "ci: 'shmsim run -a sor $args' was not refused up front" \
+      "(exit $status)" >&2
+    cat "$refusal_out" "$refusal_err" >&2
+    exit 1
+  fi
+done
+rm -f "$refusal_out" "$refusal_err"
 
 # Bench smoke under a parallel pool: one quick-scale exhibit with
 # --jobs 2 must succeed and emit a valid bench_access/8 JSON report,

@@ -435,8 +435,12 @@ let run_cmd =
     in
     let platform =
       try
-        Machines.get ~faults ~crash ?max_cycles ~instrument ?protocol
-          platform_name
+        let p =
+          Machines.get ~faults ~crash ?max_cycles ~instrument ?protocol
+            platform_name
+        in
+        List.iter (Platform.check_nprocs p) procs;
+        p
       with Invalid_argument msg ->
         Printf.eprintf "shmsim: %s\n" msg;
         exit 2
@@ -460,11 +464,7 @@ let run_cmd =
           @ fault_cols @ crash_cols)
     in
     let results = ref [] in
-    (* Engine-level refusals (e.g. tardis under a crash policy) surface at
-       mount time inside the run, not from Machines.get — report them as
-       friendly CLI errors too. *)
-    (try
-       with_pool jobs (fun pool ->
+    with_pool jobs (fun pool ->
         let futures =
           List.map
             (fun n ->
@@ -508,10 +508,7 @@ let run_cmd =
                 (fun (k, v) -> Printf.printf "%-32s %d\n" k v)
                 r.Report.counters
             end)
-          futures)
-     with Invalid_argument msg ->
-       Printf.eprintf "shmsim: %s\n" msg;
-       exit 2);
+          futures);
     Table.print table;
     let kv_rows =
       List.filter (fun (_, r) -> Report.get r "kv.ops" > 0) (List.rev !results)
@@ -588,21 +585,31 @@ let list_cmd =
     Term.(const list $ const ())
 
 let protocols_cmd =
+  let limits = function
+    | Shm_proto.Software { recovery = Recovers; _ } -> "recovers from crashes"
+    | Shm_proto.Software { recovery = No_recovery why; _ } ->
+        "refuses crash injection: " ^ why
+    | Shm_proto.Hardware { profiles; _ } ->
+        "host profiles: "
+        ^ String.concat ", " (List.map Shm_proto.profile_name profiles)
+  in
   let show () =
     List.iter
-      (fun name ->
-        let kind = Shm_engines.kind_of name in
-        Printf.printf "%-10s %-13s %s\n" name
-          (Shm_proto.kind_name kind)
-          (Shm_engines.describe name))
-      Machines.protocols
+      (fun (module E : Shm_proto.ENGINE) ->
+        Printf.printf "%-10s %-13s %s [%s]\n" E.name
+          (Shm_proto.kind_name (Shm_proto.kind_of_mount E.mount))
+          E.describe (limits E.mount))
+      Shm_engines.registry
   in
   Cmd.v
     (Cmd.info "protocols"
        ~doc:
-         "List the registered coherence engines: name, kind (sdsm engines \
-          mount on the software-DSM clusters, hw engines on the bus and \
-          crossbar machines) and a one-line description")
+         "List the registered coherence engines: name, kind (software-DSM \
+          engines mount on the message-passing clusters, hardware engines \
+          on the bus and crossbar machines), a one-line description and, \
+          in brackets, the engine's limits: whether a software-DSM engine \
+          recovers from crashes or why it refuses crash injection, and the \
+          host profiles a hardware engine accepts")
     Term.(const show $ const ())
 
 let compare_cmd =
@@ -626,8 +633,15 @@ let compare_cmd =
         exit 2
     in
     (* Surface an invalid machine x protocol combination, or too many
-       processors for the app, before any runs. *)
-    List.iter (fun spec -> ignore (machine spec)) platforms;
+       processors for a machine or the app, before any runs. *)
+    List.iter
+      (fun spec ->
+        let p = machine spec in
+        try List.iter (Platform.check_nprocs p) procs
+        with Invalid_argument msg ->
+          Printf.eprintf "shmsim: %s\n" msg;
+          exit 2)
+      platforms;
     (try ignore (scale_apps ~nprocs:(List.fold_left max 1 procs) app_name)
      with Invalid_argument msg ->
        Printf.eprintf "shmsim: %s\n" msg;

@@ -26,10 +26,6 @@ let get name =
         (Printf.sprintf "unknown protocol %S (known protocols: %s)" name
            (String.concat ", " names))
 
-let describe name =
-  let (module E : Shm_proto.ENGINE) = get name in
-  E.describe
-
 let kind_of name =
   let (module E : Shm_proto.ENGINE) = get name in
   Shm_proto.kind_of_mount E.mount

@@ -32,20 +32,20 @@ let default_fault_watchdog = 200_000_000_000
    cabinet, in nothing.
 
    The mount contract per kind ({!Shm_proto}): the DSM root gets the
-   fabric, one memory per node, the page size and the crash lifecycle.
+   fabric, one memory per node and the crash lifecycle.
    A hardware domain gets its node's memory, its member count and a
    private slice of the sync region above the application's shared
    space (domain [j] in preorder sits at
    [shared_words + j * Hw_sync.region_words]), so sibling and nested
    domains on one memory never collide on lock/barrier words; its
-   engine builds the domain's one {!Hw_sync.t} there.  A domain at the
-   root mounts with the host's bus profile, nested ones with
-   [Hs_node_bus]. *)
+   engine builds the domain's one {!Hw_sync.t} there, with the timing
+   profile the topology chose for it. *)
 
 type child = Procs of int | Dom of dom
 
 and dom = {
   d_mount : Shm_proto.hw_ctx -> Shm_proto.hw_instance;
+  d_profile : Shm_proto.hw_profile;
   d_children : child list;
 }
 
@@ -68,7 +68,7 @@ type cpu = {
 }
 
 let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
-    ~instrument ~name ~clock_mhz ~fabric_of ~cache_cfg ~bus_profile ~eager
+    ~instrument ~name ~clock_mhz ~fabric_of ~cache_cfg ~eager
     machine (app : Parmacs.app) ~nprocs =
   let eng = Instrument.engine instrument in
   let counters = Counters.create () in
@@ -144,7 +144,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
         incr next_p;
         incr next_c
       in
-      let rec mount_dom ~above { d_mount; d_children } =
+      let rec mount_dom ~above { d_mount; d_profile; d_children } =
         let j = !next_j in
         incr next_j;
         let expected =
@@ -160,9 +160,7 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
               nodes = expected;
               memory = memories.(i);
               sync_base = shared_words + (j * Hw_sync.region_words);
-              profile =
-                (if Option.is_none dsm then bus_profile
-                 else Shm_proto.Hs_node_bus);
+              profile = d_profile;
             }
         in
         node_levels.(i) <- lv :: node_levels.(i);
@@ -187,12 +185,8 @@ let run ?(faults = Fabric.no_faults) ?(crash = Lifecycle.none) ?max_cycles
           done
       | Dom d -> mount_dom ~above:[] d)
     nodes;
-  if !next_p <> nprocs then
-    invalid_arg
-      (Printf.sprintf
-         "platform %S: topology provides %d processors but the run asked \
-          for %d"
-         name !next_p nprocs);
+  (* The topology trimmed the machine to [nprocs] before the run. *)
+  assert (!next_p = nprocs);
   (* Private caches on the nodes of machines without hardware domains:
      the flat software-DSM cluster and the uniprocessor. *)
   let caches =

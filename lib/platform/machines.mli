@@ -29,7 +29,8 @@ val topology :
     {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs get a generous
     default backstop).  Fault and crash policies are only meaningful on
     the flat software-DSM platforms — the others model reliable machines
-    and refuse an active policy.  [protocol] overrides the
+    and refuse an active policy, as ["tardis"] refuses a crash policy (no
+    lease recovery).  [protocol] overrides the
     coherence engine the machine mounts (see {!protocols}); machines
     refuse engines of the wrong kind (a hardware engine on a
     message-passing cluster and vice versa), and ["dec"] — a uniprocessor
@@ -42,9 +43,8 @@ val topology :
     clusters and the SGI cabinets, 64 for ivy, 256 for AS/AH/HS, 1 for
     ["dec"]); its run function refuses a larger [nprocs].
     @raise Invalid_argument for an unknown name, an active fault or crash
-    policy on a platform other than a flat software-DSM cluster, an
-    invalid machine x protocol
-    combination, or a malformed topology spec. *)
+    policy the platform or its engine cannot honour, an invalid machine x
+    protocol combination, or a malformed topology spec. *)
 val get :
   ?faults:Shm_net.Fabric.faults ->
   ?crash:Shm_sim.Lifecycle.policy ->

@@ -7,3 +7,7 @@ type t = {
   max_procs : int;
   run : Shm_parmacs.Parmacs.app -> nprocs:int -> Report.t;
 }
+
+(** @raise Invalid_argument, as [p.run] does, for a processor count [p]
+    cannot seat: more than [p.max_procs], or fewer than one. *)
+val check_nprocs : t -> int -> unit

@@ -70,11 +70,10 @@ val spec_string : tree -> host -> string
 
 (** Check the whole tree before anything is mounted: engine names
     resolve, kinds sit at legal levels, every domain has members, the
-    host supports the root.  @raise Invalid_argument with a descriptive
-    message; [build] calls this first, so such a combination never
-    constructs engine state.  Two refusals are the engines' own and come
-    at mount, inside the run: [mesi] on a crossbar host and [tardis]
-    under a crash policy. *)
+    host supports the root, each hardware engine accepts its domain's
+    profile.  @raise Invalid_argument with a descriptive message; [build]
+    calls this first, so such a combination never constructs engine
+    state. *)
 val validate : host:host -> tree -> unit
 
 (** [build ~host t] builds the machine the validated tree describes;
@@ -91,14 +90,14 @@ val validate : host:host -> tree -> unit
     it refuses.  [protocol] replaces the root engine of [t] with one of
     the same kind; a plain uniprocessor accepts none.  [faults]/[crash]
     arm injection on flat software-DSM topologies and are refused
-    elsewhere; [max_cycles] bounds each run with
-    {!Shm_sim.Engine.Watchdog} (fault- and crash-mode runs default to a
-    generous backstop); [eager] honours the app's eager-release lock
-    hints (software-DSM roots).
+    elsewhere ([crash] also on an engine that does not recover);
+    [max_cycles] bounds each run with {!Shm_sim.Engine.Watchdog} (fault-
+    and crash-mode runs default to a generous backstop); [eager] honours
+    the app's eager-release lock hints (software-DSM roots).
     @raise Invalid_argument for a [protocol] of the wrong kind (before
     validation), per {!validate}, for an active fault or crash policy
-    on a topology other than a flat software-DSM cluster, and from the
-    run function when [nprocs] exceeds {!capacity}. *)
+    the topology or its root engine cannot honour, and from the run
+    function when [nprocs] exceeds {!capacity}. *)
 val build :
   ?name:string ->
   ?platforms:(string * tree) list ->

@@ -8,15 +8,15 @@ let describe =
    copies and logical timestamps; renewals instead of invalidation \
    broadcasts"
 
-(* Tardis keeps leased read copies whose expiry is entangled with the
-   global timestamp order; a crash/restart model for it needs lease
-   recovery that is not implemented.  Refuse loudly rather than run an
-   unrecoverable protocol under crash injection. *)
+(* Leased read copies expire against the global timestamp order, and a
+   crash/restart model for them needs lease recovery, which is not
+   implemented. *)
 let mount =
   Shm_proto.Software
-    (fun ctx ->
-      if ctx.lifecycle <> None then
-        invalid_arg
-          "tardis: whole-node crash injection is not supported (no lease \
-           recovery); use lrc, eager-lrc, erc or ivy";
-      Shm_dsm.Paged.mount System.create ctx)
+    {
+      mount = Shm_dsm.Paged.mount System.create;
+      recovery =
+        No_recovery
+          "no lease recovery: a restarted node cannot rebuild the leased \
+           read copies the global timestamp order depends on";
+    }

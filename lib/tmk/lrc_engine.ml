@@ -7,19 +7,20 @@
    eager-invalidate release consistency (the Munin-style ablation). *)
 
 let mount_policy ~policy =
-  Shm_proto.Software
-    (fun ctx ->
-      let cfg =
-        {
-          (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words)
-          with
-          Config.notice_policy = policy;
-          eager_locks = ctx.eager_lock_hints;
-        }
-      in
-      Shm_dsm.Paged.instance
-        (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
-           ~memories:ctx.memories))
+  let mount (ctx : Shm_proto.sdsm_ctx) =
+    let cfg =
+      {
+        (Config.default ~n_nodes:ctx.nodes ~shared_words:ctx.shared_words)
+        with
+        Config.notice_policy = policy;
+        eager_locks = ctx.eager_lock_hints;
+      }
+    in
+    Shm_dsm.Paged.instance
+      (System.create ctx.eng ctx.counters (Shm_dsm.Paged.fabric ctx) cfg
+         ~memories:ctx.memories)
+  in
+  Shm_proto.Software { mount; recovery = Recovers }
 
 module Lrc = struct
   let name = "lrc"

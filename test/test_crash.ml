@@ -248,9 +248,9 @@ let test_crash_cost_bounded () =
       ratio (wall crashed) (wall clean)
 
 (* ------------------------------------------------------------------ *)
-(* Refusals: hardware platforms refuse an active crash policy at
-   [Machines.get]; the Tardis engine refuses at mount (no lease
-   recovery).  An inactive policy is accepted everywhere. *)
+(* Refusals: hardware platforms and the Tardis engine (no lease
+   recovery) refuse an active crash policy at [Machines.get].  An
+   inactive policy is accepted everywhere. *)
 
 let test_refusals () =
   List.iter

@@ -241,6 +241,9 @@ let check_refused_naming knob what f =
         Alcotest.failf "%s: refusal does not name %s: %S" what knob msg
   | _ -> Alcotest.failf "%s: was accepted" what
 
+let crash =
+  { Shm_sim.Lifecycle.none with Shm_sim.Lifecycle.crashes = [ (1, 1000) ] }
+
 let test_refusals () =
   (* Parser errors. *)
   check_refused "unbalanced spec" (fun () -> Machines.topology "lrc(mesi*8");
@@ -272,11 +275,13 @@ let test_refusals () =
         ~faults:{ Shm_net.Fabric.no_faults with Shm_net.Fabric.drop_miss = 0.1 }
         "topo:lrc(mesi*8 x 4)");
   check_refused "crash on a hybrid" (fun () ->
-      Machines.get
-        ~crash:
-          { Shm_sim.Lifecycle.none with
-            Shm_sim.Lifecycle.crashes = [ (1, 1000) ] }
-        "topo:lrc(mesi*8 x 4)");
+      Machines.get ~crash "topo:lrc(mesi*8 x 4)");
+  (* Engine limits: a snooping bus on the crossbar host, and Tardis,
+     which has no lease recovery, under a crash policy. *)
+  check_refused_naming "crossbar" "mesi on the crossbar host" (fun () ->
+      Machines.topology "mesi*8@sim");
+  check_refused_naming "lease recovery" "tardis under a crash policy"
+    (fun () -> Machines.get ~crash ~protocol:"tardis" "treadmarks");
   (* Capacity is enforced at run time, before anything executes. *)
   let p = Machines.topology "lrc(mesi*4 x 2)" in
   check_refused "nprocs beyond capacity" (fun () ->
@@ -302,6 +307,49 @@ let test_refusals () =
     [ "sor"; "water"; "ilink-clp"; "migratory" ];
   ignore (Registry.app ~scale:Registry.Quick ~nprocs:64 "sor")
 
+(* Every registered engine on every host, as the flat spec [E*2@H]:
+   each is refused at construction or runs to completion, so no
+   refusal is left for the run.  The refused ones are exactly a
+   software-DSM engine on a cabinet host with no network, and the
+   snooping bus on the crossbar host.  Under a crash policy, the
+   engines that declare recovery are built (not run) and Tardis is
+   refused. *)
+let test_engine_host_grid () =
+  let sor = quick_app "sor" in
+  let refused =
+    List.concat_map
+      (fun host ->
+        List.concat_map
+          (fun engine ->
+            let spec = Printf.sprintf "%s*2@%s" engine host in
+            match Machines.topology spec with
+            | exception Invalid_argument _ -> [ spec ]
+            | p -> (
+                match p.Platform.run sor ~nprocs:2 with
+                | (_ : Report.t) -> []
+                | exception e ->
+                    Alcotest.failf "%s: built, then refused in its run: %s"
+                      spec (Printexc.to_string e)))
+          (Topology.engine_names ()))
+      Topology.host_names
+  in
+  Alcotest.(check (list string))
+    "refused at construction"
+    ("mesi*2@sim"
+    :: List.concat_map
+         (fun host ->
+           List.map
+             (fun e -> Printf.sprintf "%s*2@%s" e host)
+             [ "lrc"; "eager-lrc"; "erc"; "ivy"; "tardis" ])
+         [ "sgi"; "sgi-fast" ])
+    refused;
+  List.iter
+    (fun engine ->
+      ignore (Machines.topology ~crash (engine ^ "*2@dec") : Platform.t))
+    [ "lrc"; "eager-lrc"; "erc"; "ivy" ];
+  check_refused_naming "lease recovery" "tardis*2@dec under a crash policy"
+    (fun () -> Machines.topology ~crash "tardis*2@dec")
+
 let suite =
   [
     Alcotest.test_case "legacy platforms = topology re-encodings" `Quick
@@ -319,4 +367,6 @@ let suite =
     Alcotest.test_case "512-processor hybrid, five apps" `Slow test_hybrid_512;
     Alcotest.test_case "bare nodes inside a hybrid" `Quick test_bare_nodes;
     Alcotest.test_case "refusals before construction" `Quick test_refusals;
+    Alcotest.test_case "every engine on every host: built and run, or refused"
+      `Quick test_engine_host_grid;
   ]
