@@ -250,16 +250,16 @@ let expected =
     "ivy crash0 tsp 4: 6484736 0x1.1f2p+11 bf1fbb1012449b9ea502ed696b1d7e4d";
     "treadmarks:tardis sor 4: 3915959 0x1.70d4575719efep+8 4bafa213307b3c571bb588f97965a5d3";
     "treadmarks:tardis sor 8: 23782409 0x1.70d4575719f03p+8 3d8757a48545ba3b0792d895c8795734";
-    "treadmarks:tardis tsp 4: 4682859 0x1.1f2p+11 3345f6f6d3b8ac2555f265248bc494b8";
-    "treadmarks:tardis tsp 8: 6514299 0x1.1f2p+11 33706f8422f36c293153912731a61929";
-    "treadmarks:tardis water 4: 157982788 0x1.293cc893f694dp+8 206d4d51396ce840a2351d46e96ae5f6";
-    "treadmarks:tardis water 8: 213432028 0x1.293cc893f694dp+8 403da47ff4f729e47fe5afc5738e0240";
+    "treadmarks:tardis tsp 4: 4681859 0x1.1f2p+11 2b2ebafbc6e7df160c5f485fcf96a29c";
+    "treadmarks:tardis tsp 8: 6512299 0x1.1f2p+11 8b35ff6d01674a9005e8d15a023216e7";
+    "treadmarks:tardis water 4: 157526815 0x1.293cc893f694dp+8 bf7775c52203b6ff5a753b018972a16a";
+    "treadmarks:tardis water 8: 222405994 0x1.293cc893f694dp+8 4203c6a08a1c41e05aa65416e86f9bb9";
     "treadmarks:tardis m-water 4: 18453868 0x1.293cc893f694dp+8 8533b09d6fcdc7bb272e995b5d397593";
     "treadmarks:tardis m-water 8: 15705591 0x1.293cc893f694dp+8 1f72672293768ccbbf30516ccff3f962";
     "treadmarks:tardis ilink-clp 4: 9722988 0x1.0eeb716a5b77ap+5 4d712242c152c295d17e24516817c276";
     "treadmarks:tardis ilink-clp 8: 11333975 0x1.0eeb716a5b77bp+5 43f01e4e76c8d48936bb77daf0db1a1f";
     "treadmarks:tardis drop sor 4: 4455153 0x1.70d4575719efep+8 21a948116dc6e9718830ddf047006a1c";
-    "treadmarks:tardis drop tsp 4: 5536213 0x1.1f2p+11 9eddd516dbbd5719c2ac482bfb7232f4";
+    "treadmarks:tardis drop tsp 4: 5369394 0x1.1f2p+11 c8ddda5b656ed5ea745a960bf755251a";
   ]
 
 let test_baseline () =
